@@ -21,7 +21,7 @@ from .decomposition import (
     validate_decomposition,
 )
 from .dp import solve_dp
-from .errors import BudgetExceeded, Error
+from .errors import BudgetExceeded, Error, FormatError
 from .generate import GenParams, gen_instance
 from .plane import (
     Instance,
@@ -43,8 +43,18 @@ def _fraction(text: str) -> Fraction:
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _emit(text: str, out: str | None):
@@ -57,6 +67,21 @@ def _emit(text: str, out: str | None):
 
 def _load_instance(path: str) -> Instance:
     return decode_instance(_read(path))
+
+
+def _load_solution(path: str) -> dict:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError("solution document must be a JSON object")
+    for key in ("kept", "kept_weight", "deleted_weight"):
+        if key not in doc:
+            raise FormatError(f"solution document lacks {key!r}")
+    kept = doc["kept"]
+    if not isinstance(kept, list) or any(type(e) is not int for e in kept):
+        raise FormatError("solution kept must be a list of edge ids")
+    if not isinstance(doc.get("certificate", []), list):
+        raise FormatError("solution certificate must be a list")
+    return doc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,6 +161,9 @@ def _cmd_gen(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         instance = _load_instance(args.file)
+        if args.solution:
+            sol = _load_solution(args.solution)
+            check = make_solution(instance, set(sol["kept"]), sol.get("method", "unknown"))
     except Error as exc:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return 1
@@ -144,13 +172,6 @@ def _cmd_validate(args) -> int:
               "faces": len(instance.graph.faces),
               "bad_vertices": instance.graph.bad_vertices()}
     if args.solution:
-        sol = json.loads(_read(args.solution))
-        kept = set(sol["kept"])
-        try:
-            check = make_solution(instance, kept, sol.get("method", "unknown"))
-        except Error as exc:
-            print(json.dumps({"ok": False, "error": str(exc)}))
-            return 1
         mismatches = []
         if format_weight(check.kept_weight) != sol["kept_weight"]:
             mismatches.append("kept_weight")
@@ -198,7 +219,7 @@ def _cmd_decomp(args) -> int:
         doc["width"] = dec.declared_width
         _emit(canonical_json(doc), args.out)
         return 0
-    dec = decomposition_from_document(json.loads(_read(args.decomposition)))
+    dec = decomposition_from_document(_load_json(args.decomposition))
     report = validate_decomposition(instance.graph, dec)
     print(json.dumps({"ok": report.ok, "width": report.width,
                       "violations": report.violations}))
@@ -236,7 +257,7 @@ def _solution_for_method(instance: Instance, method: str, dec_doc=None):
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.file)
-    dec_doc = json.loads(_read(args.decomposition)) if args.decomposition else None
+    dec_doc = _load_json(args.decomposition) if args.decomposition else None
     solution = _solution_for_method(instance, args.method, dec_doc)
     _emit(canonical_json(solution.document()), args.out)
     return 0

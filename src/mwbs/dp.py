@@ -14,11 +14,22 @@ to the minimum weight of edges deleted strictly inside the arc, plus
 back-pointers for reconstruction.  Weights are handled as exact integers
 after rescaling by the common denominator; infeasible entries are an
 explicit None, never a large number.
+
+The join tries only the maximal pairs of child configurations.  Order the
+configurations by substring (i and o below io and oi, which lie below
+oio and ioi).  Every set of valid child-configuration pairs at a shared
+vertex, plain compatible or compatible with respect to a parent
+configuration, is a down-set in the product of that order.  Tables are
+monotone in it: a pattern realizing a configuration realizes every
+superstring, so raising one coordinate keeps an entry feasible and never
+raises its cost.  Hence a valid pair is dominated by a maximal valid pair
+that costs no more, and the minimum over the maximal pairs is the
+minimum over all valid pairs.  The pair lists are derived from the
+compatibility tables when the module loads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -70,6 +81,28 @@ _COMPAT = [[compatible(a, b) for b in CONFIGS] for a in CONFIGS]
 _COMPAT_WRT = [[[compatible_wrt(a, b, t) for t in CONFIGS] for b in CONFIGS]
                for a in CONFIGS]
 _POW6 = [6 ** k for k in range(20)]
+# substring order: _LE[a][b] iff configuration a is a substring of b
+_LE = [[a in b for b in CONFIGS] for a in CONFIGS]
+
+
+def _maximal(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The maximal elements of a set of configuration pairs under the
+    product substring order."""
+    return [p for p in pairs
+            if not any(q != p and _LE[p[0]][q[0]] and _LE[p[1]][q[1]] for q in pairs)]
+
+
+# maximal (child 1, child 2) configuration pairs at a shared vertex interior
+# to the parent, and, at a shared vertex on the parent middle set, per the
+# child whose run comes first (1 or 2) and per parent configuration
+_INTERIOR_PAIRS = _maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
+                            if _COMPAT[x1][x2]])
+_TARGET_PAIRS = {
+    1: [_maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
+                  if _COMPAT_WRT[x1][x2][t]]) for t in range(6)],
+    2: [_maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
+                  if _COMPAT_WRT[x2][x1][t]]) for t in range(6)],
+}
 
 
 @dataclass
@@ -149,7 +182,7 @@ def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: in
 
 def join_tables(instance: Instance, parent: ArcBoundary, b1: ArcBoundary,
                 b2: ArcBoundary, t1: DPTable, t2: DPTable,
-                int_weights=None, loose: bool = False) -> DPTable:
+                int_weights=None) -> DPTable:
     """Combine two child tables into the parent arc's table.
 
     Constraints per vertex: present in only one child, its configuration
@@ -158,11 +191,15 @@ def join_tables(instance: Instance, parent: ArcBoundary, b1: ArcBoundary,
     must be compatible with respect to the parent's; shared by both
     children but interior to the parent, they must be plain compatible,
     which certifies the vertex's cyclic bimodality once it disappears
-    from all middle sets.  Only shared vertices are enumerated (a pair of
-    configurations each), so a parent entry costs at most 6**(2*shared).
+    from all middle sets.
 
-    ``loose`` ignores the refinement and enumerates all child entry pairs;
-    it exists for differential testing."""
+    Each of these valid pair sets is a down-set in the product substring
+    order, and child tables are monotone (a superstring configuration never
+    costs more, and stays feasible), so any valid pair is dominated by a
+    maximal one that costs no more.  Only the maximal pairs are tried: 6 per
+    interior shared vertex, at most 3 per shared vertex on the parent
+    middle set.  The forced positions are enumerated once per join as
+    (parent, child 1, child 2) code offsets."""
     if int_weights is None:
         int_weights, _ = scaled_int_weights(instance.weights)
     if b1.inside_edges | b2.inside_edges != parent.inside_edges or \
@@ -178,131 +215,63 @@ def join_tables(instance: Instance, parent: ArcBoundary, b1: ArcBoundary,
     pos1 = {v: k for k, v in enumerate(m1)}
     pos2 = {v: k for k, v in enumerate(m2)}
     pos3 = {v: k for k, v in enumerate(m3)}
-    size3 = _POW6[len(m3)]
 
-    if loose:
-        return _join_loose(parent, b1, b2, t1, t2)
+    # (parent, child 1, child 2) offsets of every assignment to the parent
+    # positions that exactly one child owns
+    forced = [(0, 0, 0)]
+    for v in m3:
+        if v in shared_set:
+            continue
+        w3 = _POW6[pos3[v]]
+        w1 = _POW6[pos1[v]] if v in set1 else 0
+        w2 = _POW6[pos2[v]] if v in set2 else 0
+        forced = [(o3 + x * w3, o1 + x * w1, o2 + x * w2)
+                  for o3, o1, o2 in forced for x in range(6)]
 
-    forced1 = [(pos3[v], _POW6[pos1[v]]) for v in m1 if v not in shared_set]
-    forced2 = [(pos3[v], _POW6[pos2[v]]) for v in m2 if v not in shared_set]
-    interior = [v for v in shared if v not in set3]
-    on_parent = [v for v in shared if v in set3]
-    order_first = {v: _first_child_at(parent, b1, b2, v) for v in on_parent}
+    # child offsets of the maximal pairs at the interior shared vertices,
+    # then grouped by the parent configurations at the other shared vertices
+    combos = [(0, 0)]
+    for v in shared:
+        if v not in set3:
+            w1, w2 = _POW6[pos1[v]], _POW6[pos2[v]]
+            combos = [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
+                      for x1, x2 in _INTERIOR_PAIRS]
+    groups = [(0, combos)]
+    for v in shared:
+        if v in set3:
+            w1, w2, w3 = _POW6[pos1[v]], _POW6[pos2[v]], _POW6[pos3[v]]
+            by_target = _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)]
+            groups = [(code + tgt * w3,
+                       [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
+                        for x1, x2 in by_target[tgt]])
+                      for code, combos in groups for tgt in range(6)]
 
-    # valid child-configuration pairs per shared vertex; for vertices on the
-    # parent middle set the valid set depends on the parent configuration
-    inter_pairs = [(x1, x2) for x1 in range(6) for x2 in range(6) if _COMPAT[x1][x2]]
-    bnd_pairs: dict[int, list[list[tuple[int, int]]]] = {}
-    for v in on_parent:
-        per_target = []
-        for tgt in range(6):
-            pairs = []
-            for x1 in range(6):
-                for x2 in range(6):
-                    first, second = (x1, x2) if order_first[v] == 1 else (x2, x1)
-                    if _COMPAT_WRT[first][second][tgt]:
-                        pairs.append((x1, x2))
-            per_target.append(pairs)
-        bnd_pairs[v] = per_target
-
-    on_positions = [pos3[v] for v in on_parent]
-    rest_positions = [k for k in range(len(m3)) if k not in on_positions]
     c1, c2 = t1.costs, t2.costs
+    size3 = _POW6[len(m3)]
     costs: list[Optional[int]] = [None] * size3
     back: list = [None] * size3
-
-    for outer in itertools.product(range(6), repeat=len(on_parent)):
-        # combos valid for this choice of parent configs at shared vertices
-        choice_lists = []
-        for v in interior:
-            choice_lists.append([(x1 * _POW6[pos1[v]], x2 * _POW6[pos2[v]])
-                                 for x1, x2 in inter_pairs])
-        for v, tgt in zip(on_parent, outer):
-            choice_lists.append([(x1 * _POW6[pos1[v]], x2 * _POW6[pos2[v]])
-                                 for x1, x2 in bnd_pairs[v][tgt]])
-        combos = [(sum(d1 for d1, _ in pick), sum(d2 for _, d2 in pick))
-                  for pick in itertools.product(*choice_lists)]
-        outer_code = sum(t * _POW6[p] for t, p in zip(outer, on_positions))
-        for inner in itertools.product(range(6), repeat=len(rest_positions)):
-            code3 = outer_code + sum(x * _POW6[p] for x, p in zip(inner, rest_positions))
-            base1 = 0
-            base2 = 0
-            if forced1 or forced2:
-                cfg3 = [(code3 // _POW6[k]) % 6 for k in range(len(m3))]
-                base1 = sum(cfg3[p] * w for p, w in forced1)
-                base2 = sum(cfg3[p] * w for p, w in forced2)
+    for code, combos in groups:
+        for o3, o1, o2 in forced:
             best = None
             best_bp = None
             for d1, d2 in combos:
-                a = c1[base1 + d1]
+                a = c1[o1 + d1]
                 if a is None:
                     continue
-                b = c2[base2 + d2]
+                b = c2[o2 + d2]
                 if b is None:
                     continue
                 total = a + b
                 if best is None or total < best:
                     best = total
-                    best_bp = (base1 + d1, base2 + d2)
-            costs[code3] = best
-            back[code3] = best_bp
-    return DPTable(parent, m3, costs, back, "join")
-
-
-def _join_loose(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary,
-                t1: DPTable, t2: DPTable) -> DPTable:
-    """Reference join enumerating every pair of child entries."""
-    m1, m2, m3 = t1.mid, t2.mid, parent.mid
-    set3 = set(m3)
-    shared = sorted(set(m1) & set(m2))
-    order_first = {v: _first_child_at(parent, b1, b2, v)
-                   for v in shared if v in set3}
-    pos1 = {v: k for k, v in enumerate(m1)}
-    pos2 = {v: k for k, v in enumerate(m2)}
-    pos3 = {v: k for k, v in enumerate(m3)}
-    size3 = _POW6[len(m3)]
-    costs: list[Optional[int]] = [None] * size3
-    back: list = [None] * size3
-    for code3 in range(size3):
-        cfg3 = [(code3 // _POW6[k]) % 6 for k in range(len(m3))]
-        best, best_bp = None, None
-        for code1 in range(len(t1.costs)):
-            a = t1.costs[code1]
-            if a is None:
-                continue
-            cfg1 = [(code1 // _POW6[k]) % 6 for k in range(len(m1))]
-            if any(v not in shared and cfg1[pos1[v]] != cfg3[pos3[v]] for v in m1):
-                continue
-            for code2 in range(len(t2.costs)):
-                b = t2.costs[code2]
-                if b is None:
-                    continue
-                cfg2 = [(code2 // _POW6[k]) % 6 for k in range(len(m2))]
-                if any(v not in shared and cfg2[pos2[v]] != cfg3[pos3[v]] for v in m2):
-                    continue
-                ok = True
-                for v in shared:
-                    x1, x2 = cfg1[pos1[v]], cfg2[pos2[v]]
-                    if v in set3:
-                        first, second = (x1, x2) if order_first[v] == 1 else (x2, x1)
-                        if not _COMPAT_WRT[first][second][cfg3[pos3[v]]]:
-                            ok = False
-                            break
-                    elif not _COMPAT[x1][x2]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                total = a + b
-                if best is None or total < best:
-                    best, best_bp = total, (code1, code2)
-        costs[code3] = best
-        back[code3] = best_bp
+                    best_bp = (o1 + d1, o2 + d2)
+            costs[code + o3] = best
+            back[code + o3] = best_bp
     return DPTable(parent, m3, costs, back, "join")
 
 
 def solve_dp(instance: Instance, dec: SphereCutDecomposition,
-             root_leaf: Optional[int] = None, loose: bool = False) -> Solution:
+             root_leaf: Optional[int] = None) -> Solution:
     """Exact optimum via bottom-up tables over a validated decomposition.
 
     An arbitrary mapped leaf is the root (lowest node id by default; the
@@ -336,7 +305,7 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
             a, b = kids
             tables[node] = join_tables(instance, boundary, boundaries[a],
                                        boundaries[b], tables[a], tables[b],
-                                       int_w, loose=loose)
+                                       int_w)
 
     top = rooted.children[root_leaf][0]
     ttop = tables[top]

@@ -392,6 +392,11 @@ def decode_instance(text: str, allow_zero_weights: bool = False) -> Instance:
     return instance_from_document(doc, allow_zero_weights=allow_zero_weights)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are ints to Python but not to the grammar."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def instance_from_document(doc, allow_zero_weights: bool = False) -> Instance:
     if not isinstance(doc, dict):
         raise FormatError("instance document must be a JSON object")
@@ -399,7 +404,7 @@ def instance_from_document(doc, allow_zero_weights: bool = False) -> Instance:
         if key not in doc:
             raise FormatError(f"instance document lacks {key!r}")
     n = doc["vertices"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise FormatError("vertices must be a nonnegative integer")
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
@@ -415,11 +420,11 @@ def instance_from_document(doc, allow_zero_weights: bool = False) -> Instance:
             w = item["weight"]
         except KeyError as exc:
             raise FormatError(f"edge lacks field {exc}") from None
-        if not isinstance(e, int) or not (0 <= e < m):
+        if not _is_int(e) or not (0 <= e < m):
             raise FormatError(f"edge id {e!r} is not dense in 0..{m - 1}")
         if edges[e] is not None:
             raise FormatError(f"duplicate edge id {e}")
-        if not isinstance(t, int) or not isinstance(h, int):
+        if not _is_int(t) or not _is_int(h):
             raise FormatError("edge endpoints must be integers")
         edges[e] = (t, h)
         weights[e] = parse_weight(w, allow_zero=allow_zero_weights)
@@ -436,7 +441,7 @@ def instance_from_document(doc, allow_zero_weights: bool = False) -> Instance:
             if not isinstance(item, dict) or "edge" not in item or "end" not in item:
                 raise FormatError("each dart must be an object with edge and end")
             e, end = item["edge"], item["end"]
-            if not isinstance(e, int) or not (0 <= e < m):
+            if not _is_int(e) or not (0 <= e < m):
                 raise FormatError(f"dart references unknown edge {e!r}")
             if end not in end_code:
                 raise FormatError(f"dart end must be 'tail' or 'head', got {end!r}")

@@ -155,3 +155,58 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     f.write_text("{not json")
     code, _ = run(capsys, "stats", str(f))
     assert code == 1
+
+
+def run_failing(capsys, *argv):
+    """Exit status and the JSON error document, which `validate` prints on
+    standard output and every other verb on standard error."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    text = captured.out if argv[0] == "validate" else captured.err
+    doc = json.loads(text)
+    assert doc["ok"] is False
+    return code, doc["error"]
+
+
+def star_file(tmp_path):
+    f = tmp_path / "star.json"
+    f.write_text(encode_instance(star4_instance()))
+    return f
+
+
+@pytest.mark.parametrize("damage", [
+    lambda sol: sol.pop("kept_weight"),
+    lambda sol: sol.update(kept="0,1"),
+    lambda sol: sol.update(certificate=2),
+], ids=["no-kept-weight", "kept-not-a-list", "certificate-not-a-list"])
+def test_malformed_solution_exits_1(tmp_path, capsys, damage):
+    inst_file = star_file(tmp_path)
+    sol_file = tmp_path / "sol.json"
+    run(capsys, "solve", str(inst_file), "--out", str(sol_file))
+    sol = json.loads(sol_file.read_text())
+    damage(sol)
+    sol_file.write_text(json.dumps(sol))
+    code, error = run_failing(capsys, "validate", str(inst_file),
+                              "--solution", str(sol_file))
+    assert code == 1 and "solution" in error
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "{instance}", "--solution", "{broken}"),
+    ("decomp", "validate", "{instance}", "{broken}"),
+    ("solve", "{instance}", "--method", "dp", "--decomposition", "{broken}"),
+])
+def test_malformed_side_document_exits_1(tmp_path, capsys, argv):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    names = {"instance": str(star_file(tmp_path)), "broken": str(broken)}
+    code, error = run_failing(capsys, *(a.format(**names) for a in argv))
+    assert code == 1 and "not valid JSON" in error
+
+
+@pytest.mark.parametrize("verb", [("validate",), ("stats",), ("solve",),
+                                  ("decomp", "build")])
+def test_missing_input_file_exits_1(tmp_path, capsys, verb):
+    missing = str(tmp_path / "absent.json")
+    code, error = run_failing(capsys, *verb, missing)
+    assert code == 1 and "absent.json" in error

@@ -14,7 +14,10 @@ from mwbs.decomposition import (
     validate_decomposition,
 )
 from mwbs.dp import (
+    _INTERIOR_PAIRS,
+    _TARGET_PAIRS,
     CONFIGS,
+    _first_child_at,
     collapse,
     compatible,
     compatible_wrt,
@@ -105,6 +108,34 @@ class TestConfigurationAlgebra:
             for other in CONFIGS:
                 if compatible(small, other):
                     assert other in substrings(big)
+
+    def test_join_pairs_are_maximal_elements_of_down_sets(self):
+        """The join tries only the maximal valid child-configuration pairs.
+        That is exact because every valid pair set is down-closed in the
+        product substring order and tables are monotone in it (see
+        test_monotone_in_assignment)."""
+        def below(x, y):
+            return x in substrings(y)
+
+        def check(is_valid, listed):
+            valid = {(x, y) for x in CONFIGS for y in CONFIGS if is_valid(x, y)}
+            for x, y in valid:
+                assert all((a, b) in valid for a in CONFIGS for b in CONFIGS
+                           if below(a, x) and below(b, y))
+            maximal = {p for p in valid
+                       if not any(q != p and below(p[0], q[0]) and below(p[1], q[1])
+                                  for q in valid)}
+            names = [(CONFIGS[x1], CONFIGS[x2]) for x1, x2 in listed]
+            assert len(names) == len(set(names)) and set(names) == maximal
+            return len(valid), len(maximal)
+
+        assert check(compatible_ref, _INTERIOR_PAIRS) == (18, 6)
+        for k, t in enumerate(CONFIGS):
+            # the child whose run comes first at the vertex is child `first`
+            for first, rule in ((1, lambda x, y: compatible_wrt_ref(x, y, t)),
+                                (2, lambda x, y: compatible_wrt_ref(y, x, t))):
+                valid, maximal = check(rule, _TARGET_PAIRS[first][k])
+                assert valid <= 13 and maximal <= 3
 
     def test_asymmetry_of_wrt(self):
         asym = [(x, y, t) for x in CONFIGS for y in CONFIGS for t in CONFIGS
@@ -263,6 +294,56 @@ def compare_table_to_brute_force(inst, boundary, table, int_w):
             f"table {table.costs[code]} vs brute force {best.get(code)}")
 
 
+def decode_ref(mid, code):
+    return {v: CONFIGS[code // 6 ** k % 6] for k, v in enumerate(mid)}
+
+
+def join_rule(parent, b1, b2, t1, t2):
+    """The parent entries that child entries code1, code2 may combine
+    into, vertex by vertex from the definition of the join."""
+    shared = set(t1.mid) & set(t2.mid)
+    first = {v: _first_child_at(parent, b1, b2, v) for v in shared & set(parent.mid)}
+    interior = shared - set(parent.mid)
+    targets = {(x, y): [t for t in CONFIGS if compatible_wrt_ref(x, y, t)]
+               for x in CONFIGS for y in CONFIGS}
+    assignments1 = [decode_ref(t1.mid, code) for code in range(len(t1.costs))]
+    assignments2 = [decode_ref(t2.mid, code) for code in range(len(t2.costs))]
+
+    def parents(code1, code2):
+        a1, a2 = assignments1[code1], assignments2[code2]
+        if not all(compatible_ref(a1[v], a2[v]) for v in interior):
+            return []
+        options = []
+        for v in parent.mid:
+            if v not in shared:
+                options.append([a1[v] if v in a1 else a2[v]])
+            elif first[v] == 1:
+                options.append(targets[a1[v], a2[v]])
+            else:
+                options.append(targets[a2[v], a1[v]])
+        return [sum(CONFIGS.index(c) * 6 ** k for k, c in enumerate(pick))
+                for pick in itertools.product(*options)]
+
+    return parents
+
+
+def loose_join(parent, b1, b2, t1, t2):
+    """Reference costs: every pair of feasible child entries, offered to
+    every parent entry it may combine into."""
+    parents = join_rule(parent, b1, b2, t1, t2)
+    costs = [None] * 6 ** len(parent.mid)
+    for code1, a in enumerate(t1.costs):
+        if a is None:
+            continue
+        for code2, b in enumerate(t2.costs):
+            if b is None:
+                continue
+            for code3 in parents(code1, code2):
+                if costs[code3] is None or a + b < costs[code3]:
+                    costs[code3] = a + b
+    return costs
+
+
 def realizes_ref(pattern, config):
     p = collapse_ref(pattern)
     return p == "" or p in substrings(config)
@@ -307,12 +388,39 @@ class TestSolveDP:
                 assert solve_dp(inst, dec, root_leaf=root).deleted_weight == base
 
     def test_loose_join_differential(self, corpus_small):
-        for inst in corpus_small[:10]:
-            if inst.graph.edge_count > 9:
+        """Entry by entry, the join equals the reference join over every
+        pair of child entries, and each back-pointer names a valid pair of
+        feasible child entries whose costs sum to the parent's."""
+        checked = 0
+        for inst in corpus_small[:40]:
+            g = inst.graph
+            if g.edge_count > 10:
                 continue
-            dec = build_sphere_cut(inst.graph, "greedy-sweep")
-            assert solve_dp(inst, dec).deleted_weight == \
-                solve_dp(inst, dec, loose=True).deleted_weight
+            dec = build_sphere_cut(g, "greedy-sweep")
+            rooted = RootedDecomposition(g, dec, min(dec.leaf_map))
+            int_w, _ = scaled_int_weights(inst.weights)
+            boundaries, tables = {}, {}
+            for node in rooted.post_order:
+                b = boundaries[node] = rooted.boundary(node)
+                kids = rooted.children[node]
+                if not kids:
+                    tables[node] = leaf_table(inst, b, int_w)
+                    continue
+                b1, b2 = boundaries[kids[0]], boundaries[kids[1]]
+                t1, t2 = tables[kids[0]], tables[kids[1]]
+                table = tables[node] = join_tables(inst, b, b1, b2, t1, t2, int_w)
+                parents = join_rule(b, b1, b2, t1, t2)
+                assert table.costs == loose_join(b, b1, b2, t1, t2)
+                for code3, cost in enumerate(table.costs):
+                    if cost is None:
+                        assert table.back[code3] is None
+                        continue
+                    code1, code2 = table.back[code3]
+                    assert code3 in parents(code1, code2)
+                    assert t1.costs[code1] is not None and t2.costs[code2] is not None
+                    assert t1.costs[code1] + t2.costs[code2] == cost
+                checked += 1
+        assert checked > 100
 
     def test_scaling_invariance(self, corpus_small):
         for inst in corpus_small[:15]:

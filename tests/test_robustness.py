@@ -1,5 +1,6 @@
 """Adversarial and structural edge cases across the whole pipeline."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mwbs.decomposition import (
 )
 from mwbs.dp import solve_dp
 from mwbs.eptas import eptas_max, eptas_min
+from mwbs.errors import FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import reduce_to_simple, solve_subexponential, to_cut_instance
 from mwbs.oracle import brute_force_cut, brute_force_mwbs
@@ -119,6 +121,31 @@ class TestIsolatedVertices:
         assert ("isolated", 5) in red.trace
         assert red.instance.graph.vertex_count == 5
         assert solve_subexponential(inst).kept_weight == 3
+
+
+def one_edge_document(tail=0, head=1, edge_id=0, dart_edge=0, vertices=2):
+    return {
+        "vertices": vertices,
+        "edges": [{"id": edge_id, "tail": tail, "head": head, "weight": "1/1"}],
+        "rotation": [[{"edge": dart_edge, "end": "tail"}],
+                     [{"edge": 0, "end": "head"}]],
+    }
+
+
+class TestBooleanIntegers:
+    """JSON true/false are not integers, though Python's bool is an int."""
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": True, "edges": [], "rotation": [[]]},
+        one_edge_document(edge_id=False, head=True),
+        one_edge_document(tail=False),
+        one_edge_document(dart_edge=False),
+    ])
+    def test_rejected_where_integers_are_expected(self, doc):
+        plain = json.loads(json.dumps(doc).replace("true", "1").replace("false", "0"))
+        assert decode_instance(json.dumps(plain)).graph.vertex_count >= 1
+        with pytest.raises(FormatError):
+            decode_instance(json.dumps(doc))
 
 
 class TestExternalDecompositions:
