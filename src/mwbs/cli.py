@@ -27,9 +27,11 @@ from .plane import (
     Instance,
     decode_instance,
     encode_instance,
-    format_weight,
     canonical_json,
+    format_weight,
+    instance_document,
     make_solution,
+    subgraph_by_edges,
 )
 
 
@@ -113,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = d.add_subparsers(dest="decomp_command", required=True)
     db = dsub.add_parser("build")
     db.add_argument("file")
-    db.add_argument("--strategy", choices=["greedy-sweep", "recursive-bisection"],
-                    default="recursive-bisection")
     db.add_argument("--out")
     dv = dsub.add_parser("validate")
     dv.add_argument("file")
@@ -159,14 +159,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        instance = _load_instance(args.file)
-        if args.solution:
-            sol = _load_solution(args.solution)
-            check = make_solution(instance, set(sol["kept"]), sol.get("method", "unknown"))
-    except Error as exc:
-        print(json.dumps({"ok": False, "error": str(exc)}))
-        return 1
+    instance = _load_instance(args.file)
+    if args.solution:
+        sol = _load_solution(args.solution)
+        check = make_solution(instance, set(sol["kept"]), sol.get("method", "unknown"))
     result = {"ok": True, "vertices": instance.graph.vertex_count,
               "edges": instance.graph.edge_count,
               "faces": len(instance.graph.faces),
@@ -214,7 +210,7 @@ def _cmd_stats(args) -> int:
 def _cmd_decomp(args) -> int:
     instance = _load_instance(args.file)
     if args.decomp_command == "build":
-        dec = build_sphere_cut(instance.graph, args.strategy)
+        dec = build_sphere_cut(instance.graph)
         doc = dec.document()
         doc["width"] = dec.declared_width
         _emit(canonical_json(doc), args.out)
@@ -230,22 +226,14 @@ def _solution_for_method(instance: Instance, method: str, dec_doc=None):
     if method == "oracle":
         return oracle.brute_force_mwbs(instance)
     if method == "dp":
-        from .plane import subgraph_by_edges
+        if dec_doc is None:
+            return make_solution(instance, kernel.solve_components(instance), "dp")
+        dec = decomposition_from_document(dec_doc)
         components = [edges for _v, edges in instance.graph.components() if edges]
-        if dec_doc is not None and len(components) > 1:
-            raise Error("imported decompositions require a connected instance")
-        kept = set()
-        for comp_edges in components:
-            sub, _v, eids = subgraph_by_edges(instance, comp_edges)
-            if dec_doc is not None:
-                dec = decomposition_from_document(dec_doc)
-                sol = solve_dp(sub, dec)
-            elif oracle.is_star(sub.graph) is not None or sub.graph.edge_count < 2:
-                sol = oracle.star_solve(sub)
-            else:
-                dec = build_sphere_cut(sub.graph)
-                sol = solve_dp(sub, dec)
-            kept.update(eids[j] for j in sol.kept_edges)
+        if len(components) != 1:
+            raise Error("imported decompositions require a connected instance with edges")
+        sub, _v, eids = subgraph_by_edges(instance, components[0])
+        kept = {eids[j] for j in solve_dp(sub, dec).kept_edges}
         return make_solution(instance, kept, "dp")
     if method == "subexp":
         return kernel.solve_subexponential(instance)
@@ -266,11 +254,9 @@ def _cmd_solve(args) -> int:
 def _cmd_kernelize(args) -> int:
     instance = _load_instance(args.file)
     red = kernel.reduce_to_simple(instance)
-    from .plane import instance_document
     doc = {
         "instance": instance_document(red.instance),
         "base_kept_weight": format_weight(red.base_kept_weight),
-        "target_shift": format_weight(red.target_shift),
         "orig_edge_ids": list(red.orig_edge_ids),
         "banked_edges": list(red.banked_edges),
     }

@@ -8,10 +8,12 @@ of that vertex's rotation.  This is exactly what a noose drawn on the
 sphere guarantees, and it is checkable purely combinatorially, so the
 validator enforces contiguity instead of a geometric curve.
 
-Two heuristic builders are provided.  ``greedy-sweep`` absorbs one edge at
-a time into a growing region, always keeping every prefix contiguous, and
-emits a caterpillar tree.  ``recursive-bisection`` splits the edge set as
-evenly as possible into two contiguous halves and recurses.  Neither is
+``build_sphere_cut`` is the one builder policy, over two heuristic
+builders.  Greedy-sweep absorbs one edge at a time into a growing region,
+always keeping every prefix contiguous, and emits a caterpillar tree; it
+always runs.  Recursive-bisection splits the edge set as evenly as
+possible into two contiguous halves and recurses; it runs only when the
+greedy width is above 5, and its tree is kept when narrower.  Neither is
 width-optimal; externally computed decompositions can be imported instead
 and are always re-validated (middle sets are recomputed, never trusted).
 """
@@ -19,6 +21,7 @@ and are always re-validated (middle sets are recomputed, never trusted).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,10 +53,6 @@ class SphereCutDecomposition:
             adj[b].append(a)
         return adj
 
-    def leaves(self) -> list[int]:
-        adj = self.neighbors()
-        return [u for u in range(self.node_count) if len(adj[u]) <= 1]
-
     def document(self) -> dict:
         return {
             "nodes": self.node_count,
@@ -62,12 +61,30 @@ class SphereCutDecomposition:
         }
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _integer(value) -> int:
+    if type(value) is not int:     # refuses booleans, floats and strings alike
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _leaf_key(key) -> int:
+    if not (isinstance(key, str) and _DECIMAL.fullmatch(key)):
+        raise ValueError(f"leaf_map key {key!r} is not a decimal string")
+    return int(key)
+
+
 def decomposition_from_document(doc) -> SphereCutDecomposition:
+    """Decode a decomposition document.  ``nodes``, the arc endpoints and
+    the ``leaf_map`` values must be JSON integers, and the ``leaf_map``
+    keys decimal strings; nothing is coerced."""
     try:
-        nodes = int(doc["nodes"])
-        arcs = tuple((int(a), int(b)) for a, b in doc["arcs"])
-        leaf_map = {int(k): int(v) for k, v in doc["leaf_map"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        nodes = _integer(doc["nodes"])
+        arcs = tuple((_integer(a), _integer(b)) for a, b in doc["arcs"])
+        leaf_map = {_leaf_key(k): _integer(v) for k, v in doc["leaf_map"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DecompositionError(f"malformed decomposition document: {exc}") from None
     return SphereCutDecomposition(nodes, arcs, leaf_map)
 
@@ -77,15 +94,12 @@ class ArcBoundary:
     """One arc of a rooted decomposition, seen from its inside.
 
     ``mid`` lists the middle-set vertices sorted by id (the order used to
-    index tables); ``noose_order`` carries the circular order in which a
-    noose realizing the arc meets them, when that order is derivable.
-    ``runs`` maps each mid vertex to (start, length) of its contiguous
-    inside-dart run in the vertex rotation."""
+    index tables).  ``runs`` maps each mid vertex to (start, length) of its
+    contiguous inside-dart run in the vertex rotation."""
     arc: tuple[int, int]              # (child node, parent node), inside below child
     mid: tuple[int, ...]
     runs: dict[int, tuple[int, int]]
     inside_edges: frozenset[int]
-    noose_order: Optional[tuple[int, ...]] = None
 
 
 @dataclass
@@ -151,10 +165,10 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition) -> 
             violations.append(f"arc {(a, b)} is a self-loop")
     if violations:
         return ValidationReport(False, 0, violations)
-    adj = dec.neighbors()
     if len(dec.arcs) != max(k - 1, 0):
         violations.append(f"tree must have {k - 1} arcs, found {len(dec.arcs)}")
         return ValidationReport(False, 0, violations)
+    adj = dec.neighbors()   # only now: node_count is bounded by the arc count
     # connectivity
     if k:
         seen = {0}
@@ -298,138 +312,46 @@ class RootedDecomposition:
             mid=tuple(mid),
             runs=runs,
             inside_edges=frozenset(inside),
-            noose_order=_noose_order(g, inside, mid, runs),
         )
-
-
-def arc_boundary(graph: PlaneDigraph, dec: SphereCutDecomposition,
-                 arc: tuple[int, int], root_leaf: int) -> ArcBoundary:
-    """Boundary of one arc, inside = the side not containing the root leaf.
-
-    ``arc`` is (node, parent) oriented toward the root."""
-    rooted = RootedDecomposition(graph, dec, root_leaf)
-    node, parent = arc
-    if rooted.parent.get(node) != parent:
-        raise DecompositionError(f"arc {arc} is not oriented toward root {root_leaf}")
-    return rooted.boundary(node)
-
-
-def _noose_order(graph: PlaneDigraph, inside: set[int], mid: list[int],
-                 runs: dict[int, tuple[int, int]]) -> Optional[tuple[int, ...]]:
-    """Circular order of mid vertices along the region boundary.
-
-    In the subgraph of inside edges, each mid vertex has exactly one corner
-    where its outside darts were removed (the gap).  When all gaps lie on a
-    single face of that subgraph, walking the face visits each gap once and
-    yields the noose order; otherwise None (contiguity alone does not force
-    one closed boundary curve)."""
-    if not mid:
-        return ()
-    sub_rot: dict[int, list[int]] = {}
-    pos: dict[int, tuple[int, int]] = {}
-    for e in inside:
-        for end in (0, 1):
-            v = graph.edges[e][end]
-            sub_rot.setdefault(v, [])
-    for v in sub_rot:
-        row = [d for d in graph.rotation[v] if dart_edge(d) in inside]
-        sub_rot[v] = row
-        for j, d in enumerate(row):
-            pos[d] = (v, j)
-    gap_base = {}
-    for v in mid:
-        start, length = runs[v]
-        row = graph.rotation[v]
-        last = row[(start + length - 1) % len(row)]
-        gap_base[last] = v  # corner after the run's last dart is the gap
-    seen = set()
-    face_hits: list[list[int]] = []
-    for d0 in pos:
-        if d0 in seen:
-            continue
-        hits = []
-        d = d0
-        while d not in seen:
-            seen.add(d)
-            t = d ^ 1
-            v, j = pos[t]
-            row = sub_rot[v]
-            if t in gap_base:
-                hits.append(gap_base[t])
-            d = row[(j + 1) % len(row)]
-        face_hits.append(hits)
-    carrying = [h for h in face_hits if h]
-    if len(carrying) != 1 or sorted(carrying[0]) != sorted(mid):
-        return None
-    return tuple(carrying[0])
-
-
-# ---------------------------------------------------------------------
-# radial graph
-
-@dataclass(frozen=True)
-class RadialGraph:
-    """Bipartite vertex/face incidence graph of a plane digraph, with one
-    radial edge per corner (equivalently per dart) and its own inherited
-    rotation system.  Cycles alternating vertex and face nodes, using each
-    face node at most once, correspond to nooses of the primal graph."""
-    primal_vertices: int
-    face_count: int
-    edges: tuple[tuple[int, int], ...]   # (vertex node, face node id offset by V)
-    vertex_rotation: tuple[tuple[int, ...], ...]
-    face_rotation: tuple[tuple[int, ...], ...]
-
-    @property
-    def node_count(self) -> int:
-        return self.primal_vertices + self.face_count
-
-
-def build_radial_graph(graph: PlaneDigraph) -> RadialGraph:
-    """Radial graph of a connected sphere-embedded digraph.
-
-    The radial edge of dart d joins vertex(d) with the face carrying the
-    corner between d and its rotation successor; around a vertex the radial
-    edges follow the dart order, around a face the face walk."""
-    if not graph.is_connected():
-        raise DecompositionError("radial graph requires a connected input")
-    m = graph.edge_count
-    # radial edge id = dart id; it represents the corner between that dart
-    # and its rotation successor, and joins the dart's vertex to the face
-    # whose trace passes through the corner
-    edges: list[tuple[int, int]] = [None] * (2 * m)
-    for v in range(graph.vertex_count):
-        row = graph.rotation[v]
-        for j, d in enumerate(row):
-            nxt = row[(j + 1) % len(row)]
-            edges[d] = (v, graph.vertex_count + graph.face_of_dart(nxt))
-    vrot = tuple(tuple(row) for row in graph.rotation)
-    # the face walk consumes the corner based at the twin of each step; seen
-    # from the face node the corners run against the walk direction
-    frot = tuple(tuple(d ^ 1 for d in reversed(face)) for face in graph.faces)
-    return RadialGraph(graph.vertex_count, len(graph.faces), tuple(edges), vrot, frot)
 
 
 # ---------------------------------------------------------------------
 # builders
 
-def build_sphere_cut(graph: PlaneDigraph, strategy: str = "recursive-bisection") -> SphereCutDecomposition:
-    """Build a decomposition passing the validator; width is best-effort.
+_GREEDY_WIDTH_LIMIT = 5
 
-    ``recursive-bisection`` falls back to ``greedy-sweep`` on internal
-    failure; a greedy failure raises BuildError carrying the instance."""
+
+def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> SphereCutDecomposition:
+    """Build a validated decomposition of a connected graph.
+
+    The one builder policy: greedy-sweep runs first.  Only when its width
+    is above 5 does recursive-bisection run too, and its tree is kept if
+    narrower; if bisection finds no contiguous split, greedy stands.
+    Greedy is some 30x cheaper to build, so bisection is paid for only
+    where the ``6**width`` tables outweigh the search.  A greedy failure,
+    or any tree failing the validator, raises BuildError with the instance.
+
+    ``strategy="greedy-sweep"`` returns the greedy tree alone; the
+    benchmark's ``perfbench/make_golden.py`` cross-checks optima with it."""
     if graph.edge_count == 0:
         raise BuildError("cannot decompose an edgeless graph")
     if not graph.is_connected():
         raise BuildError("decompose one connected component at a time")
-    if strategy == "greedy-sweep":
-        dec = _greedy_sweep(graph)
-    elif strategy == "recursive-bisection":
-        try:
-            dec = _recursive_bisection(graph)
-        except BuildError:
-            dec = _greedy_sweep(graph)
-    else:
+    if strategy not in (None, "greedy-sweep"):
         raise BuildError(f"unknown strategy {strategy!r}")
+    dec = _validated(graph, _greedy_sweep(graph))
+    if strategy is None and dec.declared_width > _GREEDY_WIDTH_LIMIT:
+        try:
+            alt = _recursive_bisection(graph)
+        except BuildError:
+            return dec
+        alt = _validated(graph, alt)
+        if alt.declared_width < dec.declared_width:
+            return alt
+    return dec
+
+
+def _validated(graph: PlaneDigraph, dec: SphereCutDecomposition) -> SphereCutDecomposition:
     report = validate_decomposition(graph, dec)
     if not report.ok:
         raise BuildError(

@@ -131,13 +131,10 @@ class ReducedInstance:
     """Result of exhaustively applying the three normal-form rules.
 
     ``base_kept_weight`` is the banked weight of removed good-good edges
-    (every optimum keeps them); ``target_shift`` is the same amount seen
-    from the decision side (new target = old target - shift).  Edge ids
-    are preserved by splitting, so lifting a solution only adds the banked
-    edges back."""
+    (every optimum keeps them).  Edge ids are preserved by splitting, so
+    lifting a solution only adds the banked edges back."""
     instance: Instance
     base_kept_weight: Fraction
-    target_shift: Fraction
     orig_edge_ids: tuple[int, ...]
     orig_vertex_ids: tuple[int, ...]   # original id, or -1 for split copies
     banked_edges: tuple[int, ...]      # original ids removed as good-good
@@ -197,7 +194,6 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
     out = ReducedInstance(
         instance=reduced,
         base_kept_weight=base,
-        target_shift=base,
         orig_edge_ids=tuple(edge_ids),
         orig_vertex_ids=orig_vertices,
         banked_edges=tuple(banked),
@@ -551,33 +547,30 @@ def shrink_cut_instance(cut: CutInstance) -> CutInstance:
 # ---------------------------------------------------------------------
 # the subexponential pipeline
 
-def _build_for_solving(graph: PlaneDigraph):
-    dec = build_sphere_cut(graph, "greedy-sweep")
-    if dec.declared_width is not None and dec.declared_width > 5:
-        alt = build_sphere_cut(graph, "recursive-bisection")
-        if alt.declared_width < dec.declared_width:
-            return alt
-    return dec
+def solve_components(instance: Instance) -> set[int]:
+    """Solve every connected component exactly and return the kept edge
+    ids: stars and single edges directly, everything else by the table
+    solver over the ``build_sphere_cut`` decomposition."""
+    kept: set[int] = set()
+    for _verts, comp_edges in instance.graph.components():
+        if not comp_edges:
+            continue
+        sub, _vids, eids = subgraph_by_edges(instance, comp_edges)
+        if is_star(sub.graph) is not None or sub.graph.edge_count < 2:
+            sol = star_solve(sub)
+        else:
+            sol = solve_dp(sub, build_sphere_cut(sub.graph))
+        kept.update(eids[j] for j in sol.kept_edges)
+    return kept
 
 
 def solve_subexponential(instance: Instance) -> Solution:
-    """Reduce to the normal form, solve each component exactly (stars
-    directly, everything else by the decomposition solver), lift back.
+    """Reduce to the normal form, solve each component exactly, lift back.
 
     After reduction at most one vertex per original bad vertex has degree
     above one, which keeps the component branchwidths small."""
     red = reduce_to_simple(instance)
-    kept_dense: set[int] = set()
-    for _verts, comp_edges in red.instance.graph.components():
-        if not comp_edges:
-            continue
-        sub, _vids, eids = subgraph_by_edges(red.instance, comp_edges)
-        if is_star(sub.graph) is not None or sub.graph.edge_count < 2:
-            sol = star_solve(sub)
-        else:
-            sol = solve_dp(sub, _build_for_solving(sub.graph))
-        kept_dense.update(eids[j] for j in sol.kept_edges)
-    lifted = red.lift(kept_dense)
+    lifted = red.lift(solve_components(red.instance))
     return make_solution(instance, lifted, "subexp")
 
 

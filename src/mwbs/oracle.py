@@ -85,15 +85,6 @@ def brute_force_mwbs(instance: Instance, budget: OracleBudget = DEFAULT_BUDGET) 
     return make_solution(instance, kept, "oracle")
 
 
-@dataclass(frozen=True)
-class CutClasses:
-    """All-or-nothing edge classes over an instance (the prescribed-cuts
-    generalization).  ``pairs`` groups class indices into the blocks the
-    compression rules operate on; it is carried, not recomputed."""
-    classes: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[int, ...], ...]
-
-
 def brute_force_cut(instance: Instance, classes, budget: OracleBudget = DEFAULT_BUDGET) -> Solution:
     """Exact optimum over unions of all-or-nothing edge classes."""
     g = instance.graph

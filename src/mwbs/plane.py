@@ -171,9 +171,6 @@ class PlaneDigraph:
     def dart_position(self, d: int) -> int:
         return self._dart_pos[d]
 
-    def face_of_dart(self, d: int) -> int:
-        return self._face_of[d]
-
     def next_face_dart(self, d: int) -> int:
         """The dart following ``d`` on its face: rotation successor of the twin."""
         t = d ^ 1

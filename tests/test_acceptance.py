@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from mwbs.decomposition import (
     SphereCutDecomposition,
+    _greedy_sweep,
+    _recursive_bisection,
     build_sphere_cut,
     validate_decomposition,
 )
@@ -43,7 +45,7 @@ def test_criterion_1_oracle_equivalence(corpus_small, oracle_of):
     for inst in corpus_small:
         m = inst.graph.edge_count
         assert 4 <= m <= 14
-        dec = build_sphere_cut(inst.graph, "greedy-sweep")
+        dec = build_sphere_cut(inst.graph)
         sol = solve_dp(inst, dec)
         want = oracle_of(inst)
         assert sol.kept_weight == want.kept_weight
@@ -170,21 +172,22 @@ def test_criterion_6_eptas_guarantees(corpus_small, oracle_of):
 
 
 def test_criterion_7_decomposition_integrity(corpus_small, corpus_b4):
-    """Both builders validate on the whole corpus, the interleaved 4-star
-    decomposition is rejected, and the dp optimum is root-invariant."""
+    """Both builders validate on the whole corpus, the built width is the
+    validated one, the interleaved 4-star decomposition is rejected, and
+    the dp optimum is root-invariant."""
     for inst in corpus_small + corpus_b4:
-        for strategy in ("greedy-sweep", "recursive-bisection"):
-            dec = build_sphere_cut(inst.graph, strategy)
-            report = validate_decomposition(inst.graph, dec)
-            assert report.ok, (strategy, report.violations)
-            assert report.width == dec.declared_width
+        for build in (_greedy_sweep, _recursive_bisection):
+            report = validate_decomposition(inst.graph, build(inst.graph))
+            assert report.ok, (build.__name__, report.violations)
+        dec = build_sphere_cut(inst.graph)
+        assert validate_decomposition(inst.graph, dec).width == dec.declared_width
     bad_dec = SphereCutDecomposition(
         6, ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5)), {0: 0, 1: 2, 2: 1, 3: 3})
     assert not validate_decomposition(star4_instance().graph, bad_dec).ok
     rng = random.Random(2024)
     roots_checked = 0
     for inst in corpus_small:
-        dec = build_sphere_cut(inst.graph, "greedy-sweep")
+        dec = build_sphere_cut(inst.graph)
         base = solve_dp(inst, dec).deleted_weight
         leaves = sorted(dec.leaf_map)
         for root in rng.sample(leaves, min(5, len(leaves))):
@@ -212,7 +215,7 @@ def test_criterion_8_scaling_sanity():
                 continue
             sub, _v, _e = subgraph_by_edges(red.instance, comp_edges)
             if sub.graph.edge_count >= 2:
-                comp_sol = solve_dp(sub, build_sphere_cut(sub.graph, "greedy-sweep"))
+                comp_sol = solve_dp(sub, build_sphere_cut(sub.graph))
                 if is_star(sub.graph) is not None:
                     assert comp_sol.kept_weight == star_solve(sub).kept_weight
             else:

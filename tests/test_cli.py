@@ -41,6 +41,8 @@ def test_gen_validate_solve_roundtrip(tmp_path, capsys):
     bad.write_text(json.dumps(sol))
     code, out = run(capsys, "validate", str(inst_file), "--solution", str(bad))
     assert code == 1
+    assert json.loads(out) == {"ok": False, "error": "solution mismatch",
+                               "fields": ["kept_weight"]}
 
 
 def test_solve_bimodal_instance_reports_zero_deleted(tmp_path, capsys):
@@ -55,9 +57,9 @@ def test_solve_bimodal_instance_reports_zero_deleted(tmp_path, capsys):
 def test_validate_k5_fails(tmp_path, capsys):
     f = tmp_path / "k5.json"
     f.write_text(json.dumps(k5_document()))
-    code, out = run(capsys, "validate", str(f))
+    code, error = run_failing(capsys, "validate", str(f))
     assert code == 1
-    assert "Euler" in json.loads(out)["error"]
+    assert "Euler" in error
 
 
 def test_stats(tmp_path, capsys):
@@ -75,14 +77,16 @@ def test_decomp_build_and_validate(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     run(capsys, "gen", "--n", "6", "--seed", "1", "--out", str(inst_file))
     dec_file = tmp_path / "dec.json"
-    for strategy in ("greedy-sweep", "recursive-bisection"):
-        code, _ = run(capsys, "decomp", "build", str(inst_file),
-                      "--strategy", strategy, "--out", str(dec_file))
-        assert code == 0
-        doc = json.loads(dec_file.read_text())
-        assert doc["width"] >= 1
-        code, out = run(capsys, "decomp", "validate", str(inst_file), str(dec_file))
-        assert code == 0 and json.loads(out)["ok"]
+    code, _ = run(capsys, "decomp", "build", str(inst_file), "--out", str(dec_file))
+    assert code == 0
+    doc = json.loads(dec_file.read_text())
+    assert doc["width"] >= 1
+    code, out = run(capsys, "decomp", "validate", str(inst_file), str(dec_file))
+    assert code == 0 and json.loads(out) == {"ok": True, "width": doc["width"],
+                                             "violations": []}
+    with pytest.raises(SystemExit) as exc:
+        main(["decomp", "build", str(inst_file), "--strategy", "greedy-sweep"])
+    assert exc.value.code == 2
 
 
 def test_solve_with_imported_decomposition(tmp_path, capsys):
@@ -98,6 +102,35 @@ def test_solve_with_imported_decomposition(tmp_path, capsys):
     assert json.loads(out)["kept_weight"] == dp_doc["kept_weight"]
 
 
+def test_dp_method_solves_each_component(tmp_path, capsys):
+    from test_robustness import two_component_instance
+    inst, a, b = two_component_instance()
+    f = tmp_path / "two.json"
+    f.write_text(encode_instance(inst))
+    code, out = run(capsys, "solve", str(f), "--method", "dp")
+    assert code == 0
+    code, want = run(capsys, "solve", str(f), "--method", "oracle")
+    assert json.loads(out)["kept_weight"] == json.loads(want)["kept_weight"]
+    dec_file = tmp_path / "dec.json"
+    a_file = tmp_path / "a.json"
+    a_file.write_text(encode_instance(a))
+    run(capsys, "decomp", "build", str(a_file), "--out", str(dec_file))
+    code, error = run_failing(capsys, "solve", str(f), "--method", "dp",
+                              "--decomposition", str(dec_file))
+    assert code == 1 and "connected" in error
+
+
+def test_decomp_validate_refuses_a_truncated_id(tmp_path, capsys):
+    inst_file = star_file(tmp_path)
+    dec_file = tmp_path / "dec.json"
+    run(capsys, "decomp", "build", str(inst_file), "--out", str(dec_file))
+    doc = json.loads(dec_file.read_text())
+    doc["nodes"] += 0.5
+    dec_file.write_text(json.dumps(doc))
+    code, error = run_failing(capsys, "decomp", "validate", str(inst_file), str(dec_file))
+    assert code == 1 and "not an integer" in error
+
+
 def test_kernelize_and_compress(tmp_path, capsys):
     f = tmp_path / "star.json"
     f.write_text(encode_instance(star4_instance()))
@@ -105,6 +138,7 @@ def test_kernelize_and_compress(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["base_kept_weight"] == "0/1"
+    assert sorted(doc) == ["banked_edges", "base_kept_weight", "instance", "orig_edge_ids"]
     code, out = run(capsys, "compress", str(f))
     assert code == 0
     doc = json.loads(out)
@@ -158,12 +192,12 @@ def test_malformed_file_exits_1(tmp_path, capsys):
 
 
 def run_failing(capsys, *argv):
-    """Exit status and the JSON error document, which `validate` prints on
-    standard output and every other verb on standard error."""
+    """Exit status and the JSON error document, which every verb prints on
+    standard error, leaving standard output empty."""
     code = main(list(argv))
     captured = capsys.readouterr()
-    text = captured.out if argv[0] == "validate" else captured.err
-    doc = json.loads(text)
+    assert captured.out == ""
+    doc = json.loads(captured.err)
     assert doc["ok"] is False
     return code, doc["error"]
 

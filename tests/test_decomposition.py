@@ -1,6 +1,7 @@
-"""Builders, validator, arc boundaries, radial graph."""
+"""Builders, the builder policy, validator, documents, arc boundaries."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +9,8 @@ from mwbs.decomposition import (
     ArcBoundary,
     RootedDecomposition,
     SphereCutDecomposition,
-    arc_boundary,
-    build_radial_graph,
+    _greedy_sweep,
+    _recursive_bisection,
     build_sphere_cut,
     decomposition_from_document,
     middle_set,
@@ -17,7 +18,9 @@ from mwbs.decomposition import (
 )
 from mwbs.errors import BuildError
 from mwbs.generate import GenParams, gen_instance
-from mwbs.plane import HEAD, TAIL, PlaneDigraph, dart
+from mwbs.kernel import reduce_to_simple
+from mwbs.oracle import is_star
+from mwbs.plane import HEAD, TAIL, PlaneDigraph, dart, subgraph_by_edges
 
 from test_plane import star4_instance, triangle_instance
 
@@ -28,47 +31,20 @@ def connected_corpus(corpus, count=None):
     return out if count is None else out[:count]
 
 
-class TestRadialGraph:
-    def test_single_edge(self):
-        edges = [(0, 1)]
-        rot = [[dart(0, TAIL)], [dart(0, HEAD)]]
-        g = PlaneDigraph(2, edges, rot)
-        rg = build_radial_graph(g)
-        assert rg.node_count == 3           # 2 vertices + 1 face
-        assert len(rg.edges) == 2
-
-    def test_triangle(self):
-        rg = build_radial_graph(triangle_instance().graph)
-        assert rg.node_count == 5
-        assert len(rg.edges) == 6
-
-    def test_random_counts_and_embedding(self, corpus_small):
-        for inst in connected_corpus(corpus_small, 25):
-            g = inst.graph
-            rg = build_radial_graph(g)
-            assert rg.node_count == g.vertex_count + len(g.faces)
-            assert len(rg.edges) == 2 * g.edge_count
-            # the radial rotation system is itself a sphere embedding
-            rot = [[dart(r, TAIL) for r in row] for row in rg.vertex_rotation]
-            rot += [[dart(r, HEAD) for r in row] for row in rg.face_rotation]
-            radial = PlaneDigraph(rg.node_count, list(rg.edges), rot)
-            assert radial.edge_count == 2 * g.edge_count
-
-
 class TestBuilders:
     def test_single_edge_degenerate(self):
         edges = [(0, 1)]
         rot = [[dart(0, TAIL)], [dart(0, HEAD)]]
         g = PlaneDigraph(2, edges, rot)
-        dec = build_sphere_cut(g, "greedy-sweep")
+        dec = build_sphere_cut(g)
         assert dec.node_count == 2 and dec.declared_width == 2
         report = validate_decomposition(g, dec)
         assert report.ok and report.width == 2
 
     def test_triangle_width_two(self):
         g = triangle_instance().graph
-        for strategy in ("greedy-sweep", "recursive-bisection"):
-            dec = build_sphere_cut(g, strategy)
+        for build in (_greedy_sweep, _recursive_bisection):
+            dec = build(g)
             report = validate_decomposition(g, dec)
             assert report.ok
             assert report.width == 2  # exhaustive: a triangle has branchwidth 2
@@ -89,16 +65,73 @@ class TestBuilders:
     def test_empty_graph_refused(self):
         g = PlaneDigraph(1, [], [[]])
         with pytest.raises(BuildError):
-            build_sphere_cut(g, "greedy-sweep")
+            build_sphere_cut(g)
 
     def test_corpus_all_valid(self, corpus_small):
-        for inst in connected_corpus(corpus_small, 200):
+        """Both builders' raw trees validate, and the policy keeps the
+        greedy width up to 5 and the narrower of the two above."""
+        for inst in connected_corpus(corpus_small):
             g = inst.graph
-            for strategy in ("greedy-sweep", "recursive-bisection"):
-                dec = build_sphere_cut(g, strategy)
-                report = validate_decomposition(g, dec)
-                assert report.ok, (strategy, report.violations)
-                assert report.width == dec.declared_width
+            greedy, bisection = (validate_decomposition(g, build(g))
+                                 for build in (_greedy_sweep, _recursive_bisection))
+            assert greedy.ok and bisection.ok, (greedy.violations, bisection.violations)
+            dec = build_sphere_cut(g)
+            assert validate_decomposition(g, dec).width == dec.declared_width
+            want = greedy.width if greedy.width <= 5 else min(greedy.width, bisection.width)
+            assert dec.declared_width == want
+
+
+class TestBuilderPolicy:
+    def test_greedy_kept_where_bisection_is_wider(self):
+        """corpus-dp instance gen n=5 seed=1: greedy gives width 2 and
+        recursive-bisection 3; at width <= 5 greedy is kept."""
+        g = gen_instance(GenParams(n=5, seed=1, orientation_bias=Fraction(1, 4),
+                                   density="sparse", sparse_p=Fraction(1, 2))).graph
+        assert validate_decomposition(g, _greedy_sweep(g)).width == 2
+        assert validate_decomposition(g, _recursive_bisection(g)).width == 3
+        assert build_sphere_cut(g).declared_width == 2
+
+    def test_bisection_kept_where_greedy_is_above_five(self):
+        """The reduced non-star component of triangulation n=24 seed 11:
+        greedy alone gives width 6, the policy returns width 5."""
+        red = reduce_to_simple(gen_instance(GenParams(n=24, seed=11))).instance
+        (sub,) = [sub for sub in (subgraph_by_edges(red, edges)[0]
+                                  for _v, edges in red.graph.components() if edges)
+                  if is_star(sub.graph) is None and sub.graph.edge_count >= 2]
+        g = sub.graph
+        assert validate_decomposition(g, _greedy_sweep(g)).width == 6
+        dec = build_sphere_cut(g)
+        assert dec.declared_width == 5
+        assert validate_decomposition(g, dec).width == 5
+
+    def test_bisection_failure_keeps_greedy(self, monkeypatch):
+        import mwbs.decomposition as decomposition
+        g = gen_instance(GenParams(n=24, seed=11)).graph
+
+        def stuck(_graph):
+            raise BuildError("no contiguous bipartition found")
+
+        greedy = validate_decomposition(g, _greedy_sweep(g)).width
+        assert greedy > 5
+        monkeypatch.setattr(decomposition, "_recursive_bisection", stuck)
+        assert build_sphere_cut(g).declared_width == greedy
+        # an invalid tree is a builder fault: it is reported, not skipped
+        monkeypatch.setattr(decomposition, "_recursive_bisection",
+                            lambda graph: SphereCutDecomposition(2, ((0, 1),), {0: 0}))
+        with pytest.raises(BuildError, match="invalid decomposition"):
+            build_sphere_cut(g)
+
+    def test_greedy_only_strategy(self):
+        """The one pinned choice: greedy-sweep alone, as the benchmark's
+        golden-file script uses it; any other name is refused."""
+        red = reduce_to_simple(gen_instance(GenParams(n=24, seed=11))).instance
+        g = max((subgraph_by_edges(red, edges)[0].graph
+                 for _v, edges in red.graph.components() if edges),
+                key=lambda graph: graph.edge_count)
+        assert build_sphere_cut(g, "greedy-sweep").declared_width == 6
+        for name in ("recursive-bisection", "auto"):
+            with pytest.raises(BuildError):
+                build_sphere_cut(g, name)
 
 
 class TestValidator:
@@ -151,7 +184,7 @@ class TestValidator:
 
     def test_import_export_roundtrip(self, corpus_small):
         inst = connected_corpus(corpus_small, 1)[0]
-        dec = build_sphere_cut(inst.graph, "greedy-sweep")
+        dec = build_sphere_cut(inst.graph)
         doc = json.loads(json.dumps(dec.document()))
         again = decomposition_from_document(doc)
         report = validate_decomposition(inst.graph, again)
@@ -161,12 +194,14 @@ class TestValidator:
 class TestArcBoundary:
     def test_leaf_arc_mid_and_runs(self):
         g = triangle_instance().graph
-        dec = build_sphere_cut(g, "greedy-sweep")
+        dec = build_sphere_cut(g)
         adj = dec.neighbors()
         root = min(dec.leaf_map)
+        rooted = RootedDecomposition(g, dec, root)
         other_leaves = [u for u in dec.leaf_map if u != root]
         for leaf in other_leaves:
-            b = arc_boundary(g, dec, (leaf, adj[leaf][0]), root)
+            b = rooted.boundary(leaf)
+            assert b.arc == (leaf, adj[leaf][0])
             e = dec.leaf_map[leaf]
             t, h = g.edges[e]
             assert set(b.mid) == {t, h}
@@ -181,7 +216,7 @@ class TestArcBoundary:
             g = inst.graph
             if g.edge_count < 2:
                 continue
-            dec = build_sphere_cut(g, "greedy-sweep")
+            dec = build_sphere_cut(g)
             root = min(dec.leaf_map)
             rooted = RootedDecomposition(g, dec, root)
             top = rooted.children[root][0]
@@ -194,7 +229,7 @@ class TestArcBoundary:
             g = inst.graph
             if g.edge_count < 3:
                 continue
-            dec = build_sphere_cut(g, "recursive-bisection")
+            dec = _recursive_bisection(g)    # balanced trees have two-child runs
             root = min(dec.leaf_map)
             rooted = RootedDecomposition(g, dec, root)
             bounds = {node: rooted.boundary(node) for node in rooted.post_order}
@@ -210,23 +245,13 @@ class TestArcBoundary:
                     starts = {s for s, _l in runs}
                     assert parent.runs[v][0] in starts
 
-    def test_noose_order_on_triangle(self):
-        g = triangle_instance().graph
-        dec = build_sphere_cut(g, "greedy-sweep")
-        root = min(dec.leaf_map)
-        rooted = RootedDecomposition(g, dec, root)
-        top = rooted.children[root][0]
-        b = rooted.boundary(top)
-        assert b.noose_order is not None
-        assert sorted(b.noose_order) == sorted(b.mid)
-
     def test_mid_two_ways_agree(self, corpus_small):
         """Bipartition intersection vs incremental dart bookkeeping."""
         for inst in connected_corpus(corpus_small, 20):
             g = inst.graph
             if g.edge_count < 2:
                 continue
-            dec = build_sphere_cut(g, "greedy-sweep")
+            dec = build_sphere_cut(g)
             root = min(dec.leaf_map)
             rooted = RootedDecomposition(g, dec, root)
             for node in rooted.post_order:

@@ -10,6 +10,8 @@ import pytest
 from mwbs.decomposition import (
     RootedDecomposition,
     SphereCutDecomposition,
+    _greedy_sweep,
+    _recursive_bisection,
     build_sphere_cut,
     validate_decomposition,
 )
@@ -240,7 +242,7 @@ class TestJoin:
             g = inst.graph
             if not (4 <= g.edge_count <= 7):
                 continue
-            dec = build_sphere_cut(g, "recursive-bisection")
+            dec = _recursive_bisection(g)    # balanced trees give two-sided joins
             root = min(dec.leaf_map)
             rooted = RootedDecomposition(g, dec, root)
             int_w, _ = scaled_int_weights(inst.weights)
@@ -354,34 +356,33 @@ class TestSolveDP:
         edges = [(0, 1), (1, 2)]
         rot = [[dart(0, TAIL)], [dart(0, HEAD), dart(1, TAIL)], [dart(1, HEAD)]]
         inst = Instance(PlaneDigraph(3, edges, rot), (Fraction(1), Fraction(1)))
-        dec = build_sphere_cut(inst.graph, "greedy-sweep")
+        dec = build_sphere_cut(inst.graph)
         assert dec.node_count == 2
         sol = solve_dp(inst, dec)
         assert sol.deleted_weight == 0 and sol.kept_edges == {0, 1}
 
     def test_alternating_star(self):
         inst = star4_instance()
-        for strategy in ("greedy-sweep", "recursive-bisection"):
-            dec = build_sphere_cut(inst.graph, strategy)
-            sol = solve_dp(inst, dec)
+        for build in (_greedy_sweep, _recursive_bisection):
+            sol = solve_dp(inst, build(inst.graph))
             assert sol.deleted_weight == 1 and sol.kept_weight == 3
 
     def test_oracle_equivalence_slice(self, corpus_small, oracle_of):
         for inst in corpus_small[:60]:
-            dec = build_sphere_cut(inst.graph, "greedy-sweep")
+            dec = build_sphere_cut(inst.graph)
             sol = solve_dp(inst, dec)
             assert sol.kept_weight == oracle_of(inst).kept_weight
 
     def test_solution_is_bimodal(self, corpus_small):
         for inst in corpus_small[:40]:
-            dec = build_sphere_cut(inst.graph, "greedy-sweep")
+            dec = build_sphere_cut(inst.graph)
             sol = solve_dp(inst, dec)
             assert max(sol.certificate, default=0) <= 2
 
     def test_root_invariance(self, corpus_small):
         rng = random.Random(7)
         for inst in corpus_small[:25]:
-            dec = build_sphere_cut(inst.graph, "greedy-sweep")
+            dec = build_sphere_cut(inst.graph)
             base = solve_dp(inst, dec).deleted_weight
             leaves = sorted(dec.leaf_map)
             for root in rng.sample(leaves, min(3, len(leaves))):
@@ -396,7 +397,7 @@ class TestSolveDP:
             g = inst.graph
             if g.edge_count > 10:
                 continue
-            dec = build_sphere_cut(g, "greedy-sweep")
+            dec = build_sphere_cut(g)
             rooted = RootedDecomposition(g, dec, min(dec.leaf_map))
             int_w, _ = scaled_int_weights(inst.weights)
             boundaries, tables = {}, {}
@@ -426,7 +427,7 @@ class TestSolveDP:
         for inst in corpus_small[:15]:
             c = Fraction(7, 3)
             scaled = Instance(inst.graph, tuple(w * c for w in inst.weights))
-            dec = build_sphere_cut(inst.graph, "greedy-sweep")
+            dec = build_sphere_cut(inst.graph)
             a = solve_dp(inst, dec)
             b = solve_dp(scaled, dec)
             assert b.deleted_weight == c * a.deleted_weight
@@ -440,7 +441,7 @@ class TestSolveDP:
             g = inst.graph
             if not (4 <= g.edge_count <= 8):
                 continue
-            dec = build_sphere_cut(g, "greedy-sweep")
+            dec = build_sphere_cut(g)
             rooted = RootedDecomposition(g, dec, min(dec.leaf_map))
             int_w, _ = scaled_int_weights(inst.weights)
             boundaries, tables = {}, {}

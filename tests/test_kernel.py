@@ -86,7 +86,6 @@ class TestReduceToSimple:
         inst = star4_plus_leaf_edge(Fraction(2))
         red = reduce_to_simple(inst)
         assert red.base_kept_weight == 2
-        assert red.target_shift == 2
         assert red.banked_edges == (4,)
         assert red.instance.graph.edge_count == 4
 

@@ -7,12 +7,15 @@ import pytest
 
 from mwbs.decomposition import (
     SphereCutDecomposition,
+    _greedy_sweep,
+    _recursive_bisection,
     build_sphere_cut,
+    decomposition_from_document,
     validate_decomposition,
 )
 from mwbs.dp import solve_dp
 from mwbs.eptas import eptas_max, eptas_min
-from mwbs.errors import FormatError
+from mwbs.errors import DecompositionError, FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import reduce_to_simple, solve_subexponential, to_cut_instance
 from mwbs.oracle import brute_force_cut, brute_force_mwbs
@@ -26,7 +29,7 @@ from mwbs.plane import (
     encode_instance,
 )
 
-from test_plane import star4_instance
+from test_plane import star4_instance, triangle_instance
 
 
 def parallel_bundle(k, alternate=True, weights=None):
@@ -57,7 +60,7 @@ class TestParallelEdges:
     def test_dp_matches_oracle_on_bundles(self, k):
         inst = parallel_bundle(k)
         want = brute_force_mwbs(inst)
-        dec = build_sphere_cut(inst.graph, "greedy-sweep")
+        dec = build_sphere_cut(inst.graph)
         assert solve_dp(inst, dec).kept_weight == want.kept_weight
         assert solve_subexponential(inst).kept_weight == want.kept_weight
 
@@ -148,6 +151,44 @@ class TestBooleanIntegers:
             decode_instance(json.dumps(doc))
 
 
+def _set_first(items, old, new):
+    items[items.index(old)] = new
+
+
+class TestDecompositionDocuments:
+    """Node and edge ids are JSON integers; nothing is truncated or coerced."""
+
+    @pytest.fixture
+    def doc(self):
+        return build_sphere_cut(triangle_instance().graph).document()
+
+    def test_undamaged_document_validates(self, doc):
+        dec = decomposition_from_document(json.loads(json.dumps(doc)))
+        assert validate_decomposition(triangle_instance().graph, dec).ok
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc.update(nodes=doc["nodes"] + 0.7),
+        lambda doc: doc.update(nodes=str(doc["nodes"])),
+        lambda doc: _set_first(next(a for a in doc["arcs"] if 1 in a), 1, True),
+        lambda doc: doc.update(leaf_map={k: v + 0.5 for k, v in doc["leaf_map"].items()}),
+        lambda doc: doc.update(leaf_map={k: v == 1 for k, v in doc["leaf_map"].items()}),
+        lambda doc: doc.update(leaf_map={"+" + k: v for k, v in doc["leaf_map"].items()}),
+        lambda doc: doc.update(leaf_map={k + " ": v for k, v in doc["leaf_map"].items()}),
+        lambda doc: doc.update(leaf_map=list(doc["leaf_map"].items())),
+    ], ids=["float-nodes", "string-nodes", "boolean-arc-end", "float-leaf-edge",
+            "boolean-leaf-edge", "signed-key", "padded-key", "leaf-map-not-an-object"])
+    def test_rejected(self, doc, damage):
+        damage(doc)
+        with pytest.raises(DecompositionError, match="malformed decomposition"):
+            decomposition_from_document(json.loads(json.dumps(doc)))
+
+    def test_node_count_beyond_the_arcs_is_refused_before_allocating(self, doc):
+        doc["nodes"] = 10 ** 12
+        report = validate_decomposition(triangle_instance().graph,
+                                        decomposition_from_document(doc))
+        assert not report.ok and "arcs" in report.violations[0]
+
+
 class TestExternalDecompositions:
     def cycle_instance(self, k):
         edges = [(j, (j + 1) % k) for j in range(k)]
@@ -203,7 +244,7 @@ class TestLargerDifferential:
             g = inst.graph
             if not g.is_connected():
                 continue
-            dec = build_sphere_cut(g, "greedy-sweep")
+            dec = build_sphere_cut(g)
             if (dec.declared_width or 0) > 6:
                 continue
             a = solve_dp(inst, dec)
@@ -214,9 +255,8 @@ class TestLargerDifferential:
         for seed in range(8):
             for n in (10, 16, 22):
                 g = gen_instance(GenParams(n=n, seed=seed)).graph
-                for strategy in ("greedy-sweep", "recursive-bisection"):
-                    dec = build_sphere_cut(g, strategy)
-                    assert validate_decomposition(g, dec).ok
+                for build in (_greedy_sweep, _recursive_bisection):
+                    assert validate_decomposition(g, build(g)).ok
 
     def test_planted_eptas_consistency(self):
         inst = planted_star_instance(120, 17, 5)
