@@ -11,6 +11,7 @@ weight.  Identical parameters always yield byte-identical documents.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,47 +44,26 @@ class GenParams:
             raise FormatError("sparse_p must lie in [0, 1]")
 
 
-def _trace_faces(edge_count: int, rotation: list[list[int]]) -> list[list[int]]:
-    dart_vertex = {}
-    dart_pos = {}
-    for v, row in enumerate(rotation):
-        for pos, d in enumerate(row):
-            dart_vertex[d] = v
-            dart_pos[d] = pos
-    faces = []
-    seen = {}
-    for start in range(2 * edge_count):
-        if start in seen:
-            continue
-        face = []
-        d = start
-        while d not in seen:
-            seen[d] = True
-            face.append(d)
-            t = d ^ 1
-            v = dart_vertex[t]
-            row = rotation[v]
-            d = row[(dart_pos[t] + 1) % len(row)]
-        faces.append(face)
-    return faces
-
-
 def _grow_triangulation(n: int, rng: random.Random):
     """Rotation system of a random planar triangulation on n >= 3 vertices.
 
     Edges are undirected here, stored as (a, b) with dart 2e+0 at a and
     2e+1 at b.  Each insertion picks a face, splits it into three, and
-    keeps every face a triangle, so the Euler count is invariant."""
+    keeps every face a triangle, so the Euler count is invariant.  Faces
+    are kept by smallest dart, listed from it, and picked by rank among the
+    sorted keys: the order a full face trace gives.  An insertion replaces
+    the picked face by three triangles and changes no other face."""
     edges = [(0, 1), (1, 2), (2, 0)]
     rotation = [
         [dart(0, 0), dart(2, 1)],
         [dart(1, 0), dart(0, 1)],
         [dart(2, 0), dart(1, 1)],
     ]
+    faces = {dart(0, 0): (dart(0, 0), dart(1, 0), dart(2, 0)),
+             dart(0, 1): (dart(0, 1), dart(2, 1), dart(1, 1))}
+    keys = sorted(faces)
     for x in range(3, n):
-        faces = _trace_faces(len(edges), rotation)
-        face = faces[rng.randrange(len(faces))]
-        corners = list(face)
+        corners = faces[keys[rng.randrange(len(keys))]]
         hosts = [edges[dart_edge(d)][dart_end(d)] for d in corners]
         u1, u2, u3 = hosts
         base = len(edges)
@@ -95,6 +75,11 @@ def _grow_triangulation(n: int, rng: random.Random):
         for k, (host, d) in enumerate(zip(hosts, corners)):
             rotation[host].insert(rotation[host].index(d), g[k])
         rotation.append([h[0], h[2], h[1]])
+        # old corner c is the smallest dart of its new triangle
+        for k, c in enumerate(corners):
+            faces[c] = (c, g[(k + 1) % 3], h[k])
+        bisect.insort(keys, corners[1])
+        bisect.insort(keys, corners[2])
     return edges, rotation
 
 

@@ -21,6 +21,7 @@ two edges, bounding the graph polynomially in the number of bad vertices.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,6 +37,7 @@ from .plane import (
     Instance,
     PlaneDigraph,
     Solution,
+    cyclic_switches,
     dart,
     dart_direction,
     dart_edge,
@@ -69,15 +71,8 @@ class _Embedding:
     def degree(self, v: int) -> int:
         return len(self.rot[v])
 
-    def switch_count(self, v: int) -> int:
-        dirs = ["o" if end == TAIL else "i" for _e, end in self.rot[v]]
-        k = len(dirs)
-        if k <= 1:
-            return 0
-        return sum(1 for j in range(k) if dirs[j] != dirs[(j + 1) % k])
-
     def is_good(self, v: int) -> bool:
-        return self.switch_count(v) <= 2
+        return cyclic_switches([end for _e, end in self.rot[v]]) <= 2
 
     def endpoint(self, e: int, end: int) -> int:
         return self.edges[e][end]
@@ -150,6 +145,18 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
     """Apply the three rules exhaustively, lowest-numbered rule first and
     lowest id first within a rule.
 
+    The rules run off a worklist: a min-heap of (rule, id) candidates with
+    lazy deletion, each re-checked against the current embedding when it
+    is popped.  Goodness is evaluated once per vertex up front and then
+    only at the vertices a rule touched (the endpoints of a banked edge; a
+    split vertex and its fresh copies, whose far endpoints keep their
+    rotation slots), so the reduction makes O(V+E) goodness evaluations.
+    A touched vertex can only newly qualify for rule 1: rules 2 and 3 take
+    darts from good vertices only, and taking darts adds no switch, so no
+    vertex changes goodness and no degree grows; and a split vertex has no
+    good neighbour, because rule 2 came first, so its fresh degree-one
+    copies start no good-good edge.
+
     The output has good vertices of degree exactly one forming an
     independent set, and never more bad vertices than the input."""
     emb = _Embedding(instance)
@@ -159,35 +166,39 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
     banked: list[int] = []
     base = Fraction(0)
 
-    while True:
-        isolated = sorted(v for v in emb.rot if not emb.rot[v])
-        if isolated:
-            v = isolated[0]
-            emb.remove_isolated(v)
-            trace.append(("isolated", v))
-            continue
-        goodness = {v: emb.is_good(v) for v in emb.rot}
-        gg = sorted(e for e, (t, h) in emb.edges.items()
-                    if goodness[t] and goodness[h])
-        if gg:
-            e = gg[0]
-            base += emb.weights[e]
-            banked.append(e)
-            emb.remove_edge(e)
-            trace.append(("good_good_edge", e))
-            continue
-        splittable = sorted(v for v in emb.rot
-                            if goodness[v] and emb.degree(v) >= 2)
-        if splittable:
-            v = splittable[0]
+    good = {v: emb.is_good(v) for v in emb.rot}
+    queue = [(1, v) for v in emb.rot if not emb.rot[v]]
+    queue += [(2, e) for e, (t, h) in emb.edges.items() if good[t] and good[h]]
+    queue += [(3, v) for v in emb.rot if good[v] and emb.degree(v) >= 2]
+    heapq.heapify(queue)
+
+    def touch(v: int):
+        good[v] = emb.is_good(v)
+        if not emb.rot[v]:
+            heapq.heappush(queue, (1, v))
+
+    while queue:
+        rule, i = heapq.heappop(queue)
+        if rule == 1 and i in emb.rot and not emb.rot[i]:
+            emb.remove_isolated(i)
+            trace.append(("isolated", i))
+        elif rule == 2 and i in emb.edges and all(good[u] for u in emb.edges[i]):
+            ends = emb.edges[i]
+            base += emb.weights[i]
+            banked.append(i)
+            emb.remove_edge(i)
+            trace.append(("good_good_edge", i))
+            for u in ends:
+                touch(u)
+        elif rule == 3 and i in emb.rot and good[i] and emb.degree(i) >= 2:
             moves = []
-            for e, end in list(emb.rot[v]):
+            for e, end in list(emb.rot[i]):
                 x = emb.add_vertex()
                 emb.reattach_end(e, end, x)
                 moves.append((e, end, x))
-            trace.append(("split", v, tuple(moves)))
-            continue
-        break
+            trace.append(("split", i, tuple(moves)))
+            for u in [i] + [x for _e, _end, x in moves]:
+                touch(u)
 
     reduced, vertex_ids, edge_ids = emb.to_instance()
     orig_vertices = tuple(v if v < original_n else -1 for v in vertex_ids)

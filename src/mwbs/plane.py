@@ -46,6 +46,12 @@ def dart_direction(d: int) -> str:
     return OUT if (d & 1) == TAIL else IN
 
 
+def cyclic_switches(dirs: list) -> int:
+    """Number of cyclic transitions in a list of dart directions: the
+    positions j with ``dirs[j] != dirs[j+1]``, indices taken mod its length."""
+    return sum(a != b for a, b in zip(dirs, dirs[1:] + dirs[:1]))
+
+
 def parse_weight(text: str, allow_zero: bool = False) -> Fraction:
     """Parse a reduced ``"p/q"`` weight string."""
     if not isinstance(text, str):
@@ -165,12 +171,6 @@ class PlaneDigraph:
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
-    def dart_vertex(self, d: int) -> int:
-        return self._dart_vertex[d]
-
-    def dart_position(self, d: int) -> int:
-        return self._dart_pos[d]
-
     def next_face_dart(self, d: int) -> int:
         """The dart following ``d`` on its face: rotation successor of the twin."""
         t = d ^ 1
@@ -211,12 +211,8 @@ class PlaneDigraph:
         """Number of cyclic in/out transitions among v's darts restricted to
         the given edge set (all edges when None).  Always even; the vertex is
         bimodal in the subgraph iff the result is at most 2."""
-        dirs = [dart_direction(d) for d in self.rotation[v]
-                if present is None or dart_edge(d) in present]
-        k = len(dirs)
-        if k <= 1:
-            return 0
-        return sum(1 for j in range(k) if dirs[j] != dirs[(j + 1) % k])
+        return cyclic_switches([dart_direction(d) for d in self.rotation[v]
+                                if present is None or dart_edge(d) in present])
 
     def is_bimodal_vertex(self, v: int, present: Optional[set[int]] = None) -> bool:
         return self.switch_count(v, present) <= 2

@@ -1,10 +1,12 @@
 """Command-line surface, run in process."""
 
+import hashlib
 import json
 
 import pytest
 
 from mwbs.cli import main
+from mwbs.generate import planted_star_instance
 from mwbs.plane import encode_instance
 
 from test_plane import k5_document, star4_instance
@@ -145,6 +147,16 @@ def test_kernelize_and_compress(tmp_path, capsys):
     assert all(len(c) <= 2 for c in doc["classes"])
     code, out = run(capsys, "compress", str(f), "--no-shrink")
     assert code == 0
+
+
+def test_kernelize_output_is_pinned(tmp_path, capsys):
+    # recorded with the full-rescan reduction (rescan_reduce in test_kernel.py)
+    f = tmp_path / "planted.json"
+    f.write_text(encode_instance(planted_star_instance(300, 7, 8)))
+    code, out = run(capsys, "kernelize", str(f))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "dfb11a560aa0f4555660b109ee4f233cdd734c8f15814e357f8bcee4ddb5ac83"
 
 
 def test_eptas_commands(tmp_path, capsys):

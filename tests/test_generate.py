@@ -1,12 +1,57 @@
 """Seeded generation: determinism and structural validity."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from mwbs.errors import FormatError
-from mwbs.generate import GenParams, gen_instance, planted_star_instance
-from mwbs.plane import encode_instance
+from mwbs.generate import (
+    GenParams,
+    _grow_triangulation,
+    gen_instance,
+    planted_star_instance,
+)
+from mwbs.plane import dart, dart_edge, dart_end, encode_instance
+
+
+def retrace_grow(n, rng):
+    """Reference grower: trace every face of the triangulation before each
+    insertion and pick one by its rank in the trace order."""
+    edges = [(0, 1), (1, 2), (2, 0)]
+    rotation = [
+        [dart(0, 0), dart(2, 1)],
+        [dart(1, 0), dart(0, 1)],
+        [dart(2, 0), dart(1, 1)],
+    ]
+    for x in range(3, n):
+        faces = _trace_all_faces(len(edges), rotation)
+        corners = faces[rng.randrange(len(faces))]
+        hosts = [edges[dart_edge(d)][dart_end(d)] for d in corners]
+        base = len(edges)
+        edges.extend((u, x) for u in hosts)
+        for k, (host, d) in enumerate(zip(hosts, corners)):
+            rotation[host].insert(rotation[host].index(d), dart(base + k, 0))
+        rotation.append([dart(base, 1), dart(base + 2, 1), dart(base + 1, 1)])
+    return edges, rotation
+
+
+def _trace_all_faces(edge_count, rotation):
+    where = {d: (v, pos) for v, row in enumerate(rotation) for pos, d in enumerate(row)}
+    faces = []
+    seen = set()
+    for start in range(2 * edge_count):
+        face = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            face.append(d)
+            v, pos = where[d ^ 1]
+            d = rotation[v][(pos + 1) % len(rotation[v])]
+        if face:
+            faces.append(face)
+    return faces
 
 
 def test_single_vertex():
@@ -68,3 +113,36 @@ def test_planted_bad_vertex_count():
     # the host without the planted centers stays a tree (connected, n-1 edges)
     assert inst.graph.edge_count == inst.graph.vertex_count - 1
     assert inst.graph.is_connected()
+
+
+def test_grower_matches_full_retrace():
+    sizes = [(n, seed) for n in range(3, 61) for seed in range(4)] + [(300, 0), (300, 1)]
+    for n, seed in sizes:
+        a, b = random.Random(seed), random.Random(seed)
+        assert _grow_triangulation(n, a) == retrace_grow(n, b), (n, seed)
+        assert a.random() == b.random()
+
+
+# digests recorded with the full-retrace grower (retrace_grow above):
+# generated documents must stay byte-identical
+PINNED_DOCUMENTS = [
+    (GenParams(n=30, seed=7),
+     "570f189a3a6519e45283f62ce5b624896aee1efe6c9864913a76402fb99bc65f"),
+    (GenParams(n=25, seed=3, density="sparse", sparse_p=Fraction(1, 3),
+               orientation_bias=Fraction(2, 7)),
+     "33c7d389fd1978ee8ac46b275577eb0306865f703686bb76d34d25a0258a46ae"),
+    (GenParams(n=60, seed=11, orientation_bias=Fraction(1, 4),
+               weight_lo=Fraction(1, 2), weight_hi=Fraction(5)),
+     "e26af01fa6e1625099c1af5657e2c3c6ce76a177d9a2f3126ca7224b09a3393e"),
+    ((120, 9, 5), "d4838251c7bfe5a661c6e4994d5118d00f3f6a0688e0701b3fde4859c492fab0"),
+    ((400, 3, 12), "1fd649d38ed7c4a9bfedd0773bbedd84a4dfdc3b3e1e725b790613119bc5b08a"),
+]
+
+
+@pytest.mark.parametrize("params,digest", PINNED_DOCUMENTS)
+def test_pinned_documents(params, digest):
+    if isinstance(params, GenParams):
+        inst = gen_instance(params)
+    else:
+        inst = planted_star_instance(*params)
+    assert hashlib.sha256(encode_instance(inst).encode()).hexdigest() == digest

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from mwbs.errors import EmbeddingError
-from mwbs.generate import planted_star_instance
+from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import (
     CutInstance,
+    ReducedInstance,
+    _check_normal_form,
+    _Embedding,
     align_optimum_to_classes,
     cut_instance_from_document,
     optimal_switches,
@@ -27,6 +30,7 @@ from mwbs.plane import (
     PlaneDigraph,
     dart,
     dart_direction,
+    encode_instance,
     make_solution,
 )
 
@@ -137,6 +141,91 @@ class TestReduceToSimple:
         red = reduce_to_simple(inst)
         assert red.instance.graph.edge_count == 0
         assert red.base_kept_weight == inst.total_weight
+
+
+def rescan_reduce(instance: Instance) -> ReducedInstance:
+    """Reference normal form: rescan the whole embedding after every rule
+    and fire the lowest-numbered rule at its lowest id."""
+    emb = _Embedding(instance)
+    original_n = instance.graph.vertex_count
+    bad_before = len(instance.graph.bad_vertices())
+    trace: list[tuple] = []
+    banked: list[int] = []
+    base = Fraction(0)
+
+    while True:
+        isolated = sorted(v for v in emb.rot if not emb.rot[v])
+        if isolated:
+            v = isolated[0]
+            emb.remove_isolated(v)
+            trace.append(("isolated", v))
+            continue
+        goodness = {v: emb.is_good(v) for v in emb.rot}
+        gg = sorted(e for e, (t, h) in emb.edges.items()
+                    if goodness[t] and goodness[h])
+        if gg:
+            e = gg[0]
+            base += emb.weights[e]
+            banked.append(e)
+            emb.remove_edge(e)
+            trace.append(("good_good_edge", e))
+            continue
+        splittable = sorted(v for v in emb.rot
+                            if goodness[v] and emb.degree(v) >= 2)
+        if splittable:
+            v = splittable[0]
+            moves = []
+            for e, end in list(emb.rot[v]):
+                x = emb.add_vertex()
+                emb.reattach_end(e, end, x)
+                moves.append((e, end, x))
+            trace.append(("split", v, tuple(moves)))
+            continue
+        break
+
+    reduced, vertex_ids, edge_ids = emb.to_instance()
+    orig_vertices = tuple(v if v < original_n else -1 for v in vertex_ids)
+    out = ReducedInstance(
+        instance=reduced,
+        base_kept_weight=base,
+        orig_edge_ids=tuple(edge_ids),
+        orig_vertex_ids=orig_vertices,
+        banked_edges=tuple(banked),
+        trace=tuple(trace),
+    )
+    _check_normal_form(out, bad_before)
+    return out
+
+
+class TestWorklistReduction:
+    def test_matches_rescan(self, corpus_small, corpus_b4):
+        tri_frontier = [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
+        planted = [planted_star_instance(n, s, 12) for n in (200, 400) for s in (0, 1)]
+        cases = (corpus_small + corpus_b4 + tri_frontier + planted
+                 + [star4_plus_leaf_edge(), good_degree3_tree(), triangle_instance()])
+        for inst in cases:
+            got, want = reduce_to_simple(inst), rescan_reduce(inst)
+            assert got.trace == want.trace
+            assert got.banked_edges == want.banked_edges
+            assert got.base_kept_weight == want.base_kept_weight
+            assert got.orig_edge_ids == want.orig_edge_ids
+            assert got.orig_vertex_ids == want.orig_vertex_ids
+            assert encode_instance(got.instance) == encode_instance(want.instance)
+
+    def test_goodness_evaluations_are_linear(self, monkeypatch):
+        # worst case: V up front, 2 per banked edge, deg + 1 per split
+        inst = planted_star_instance(2000, 0, 12)
+        calls = [0]
+        is_good = _Embedding.is_good
+
+        def counted(self, v):
+            calls[0] += 1
+            return is_good(self, v)
+
+        monkeypatch.setattr(_Embedding, "is_good", counted)
+        reduce_to_simple(inst)
+        g = inst.graph
+        assert calls[0] <= 2 * g.vertex_count + 4 * g.edge_count
 
 
 def linear_section_instance(dirs, weights=None):
