@@ -104,9 +104,14 @@ class ArcBoundary:
 
 @dataclass
 class ValidationReport:
+    """``ok``, ``width`` and ``violations`` do not depend on the root.
+    ``rooted`` is the tree rooted for the solver, with every arc boundary
+    computed; it is None unless the report is ok and the graph has at
+    least two edges."""
     ok: bool
     width: int
     violations: list[str] = field(default_factory=list)
+    rooted: Optional[RootedDecomposition] = None
 
 
 # ---------------------------------------------------------------------
@@ -148,11 +153,17 @@ def middle_set(graph: PlaneDigraph, inside: set[int]) -> list[int]:
 # ---------------------------------------------------------------------
 # validation
 
-def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition) -> ValidationReport:
+def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
+                           root_leaf: Optional[int] = None) -> ValidationReport:
     """Check leaf bijection, tree shape, internal degrees, middle sets and
     the per-arc contiguity contract; report the recomputed width.
 
-    Violations are collected as data, not raised."""
+    The tree is rooted once, at ``root_leaf`` or else the lowest mapped
+    leaf, and every arc boundary is computed once; a valid report carries
+    that rooted view for the solver.  Violations are collected as data,
+    not raised; only a ``root_leaf`` that is not a mapped leaf raises
+    DecompositionError, since it is the caller's choice, not a property
+    of the tree."""
     violations: list[str] = []
     m = graph.edge_count
     k = dec.node_count
@@ -201,73 +212,36 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition) -> 
             violations.append(f"internal node {u} has degree {len(adj[u])}, not 3")
     if violations:
         return ValidationReport(False, 0, violations)
+    if m < 2:
+        # a one-edge graph's arc passes both endpoints by convention
+        return ValidationReport(True, 2 if degenerate else 0, [])
 
-    if degenerate:
-        # convention for a one-edge graph: the arc's noose passes both endpoints
-        return ValidationReport(True, 2, [])
-    width = 0
-
-    # per-arc side edge sets via subtree accumulation from an arbitrary root
-    sides = _arc_side_edges(dec)
-    for (a, b), inside in sides.items():
-        if a > b:
-            continue  # each undirected arc once; contiguity is side-symmetric
-        mid = middle_set(graph, inside)
-        width = max(width, len(mid))
-        for v in mid:
-            if _cyclic_run(_side_positions(graph, v, inside), graph.degree(v)) is None:
-                violations.append(
-                    f"arc {(a, b)}: darts of vertex {v} on one side are not contiguous")
-    return ValidationReport(not violations, width, violations)
-
-
-def _arc_side_edges(dec: SphereCutDecomposition) -> dict[tuple[int, int], set[int]]:
-    """For every directed arc (u, v): edge set in the subtree hanging below u."""
-    adj = dec.neighbors()
-    root = 0
-    order = []
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in adj[u]:
-            if w != parent[u]:
-                parent[w] = u
-                stack.append(w)
-    below: dict[int, set[int]] = {}
-    for u in reversed(order):
-        s: set[int] = set()
-        if u in dec.leaf_map:
-            s.add(dec.leaf_map[u])
-        for w in adj[u]:
-            if parent.get(w) == u:
-                s |= below[w]
-        below[u] = s
-    all_edges = below[root]
-    sides: dict[tuple[int, int], set[int]] = {}
-    for u in order:
-        p = parent[u]
-        if p is None:
-            continue
-        sides[(u, p)] = below[u]
-        sides[(p, u)] = all_edges - below[u]
-    return sides
+    rooted = RootedDecomposition(graph, dec, min(mapped) if root_leaf is None else root_leaf)
+    broken: list[tuple[tuple[int, int], str]] = []
+    for node in rooted.post_order:
+        try:
+            rooted.boundaries[node] = rooted.boundary(node)
+        except DecompositionError as exc:
+            broken.append((tuple(sorted((node, rooted.parent[node]))), str(exc)))
+    if broken:
+        return ValidationReport(False, 0, [text for _arc, text in sorted(broken)])
+    width = max(len(b.mid) for b in rooted.boundaries.values())
+    return ValidationReport(True, width, [], rooted)
 
 
 # ---------------------------------------------------------------------
 # rooted view used by the solver
 
 class RootedDecomposition:
-    """A decomposition rooted at a leaf; the inside of every arc is the
-    side away from the root leaf's edge."""
+    """A decomposition rooted at a mapped leaf; the inside of every arc is
+    the side away from the root leaf's edge.  Each arc is keyed by its
+    end away from the root.  ``boundaries`` starts empty;
+    ``validate_decomposition`` fills it with every arc's boundary."""
 
     def __init__(self, graph: PlaneDigraph, dec: SphereCutDecomposition, root_leaf: int):
-        if root_leaf not in dec.leaf_map and not (graph.edge_count == 1
-                                                  and len(dec.neighbors()[root_leaf]) <= 1):
+        if root_leaf not in dec.leaf_map:
             raise DecompositionError(f"root {root_leaf} is not a mapped leaf")
         self.graph = graph
-        self.dec = dec
         self.root_leaf = root_leaf
         adj = dec.neighbors()
         parent = {root_leaf: None}
@@ -293,26 +267,23 @@ class RootedDecomposition:
         self.inside = inside           # node -> inside edges of arc (node, parent)
         self.children = {u: [w for w in adj[u] if parent.get(w) == u] for u in order}
         self.post_order = [u for u in reversed(order) if u != root_leaf]
+        self.boundaries: dict[int, ArcBoundary] = {}
 
     def boundary(self, node: int) -> ArcBoundary:
-        """ArcBoundary for the arc from ``node`` toward the root."""
+        """ArcBoundary for the arc from ``node`` toward the root.  Raises
+        DecompositionError naming every middle-set vertex whose inside
+        darts are not one cyclic run."""
         g = self.graph
         inside = self.inside[node]
-        runs: dict[int, tuple[int, int]] = {}
-        mid = []
-        for v in middle_set(g, inside):
-            run = _cyclic_run(_side_positions(g, v, inside), g.degree(v))
-            if run is None:
-                raise DecompositionError(
-                    f"contiguity violated at vertex {v} on arc {(node, self.parent[node])}")
-            runs[v] = run
-            mid.append(v)
-        return ArcBoundary(
-            arc=(node, self.parent[node]),
-            mid=tuple(mid),
-            runs=runs,
-            inside_edges=frozenset(inside),
-        )
+        arc = (node, self.parent[node])
+        mid = middle_set(g, inside)
+        runs = {v: _cyclic_run(_side_positions(g, v, inside), g.degree(v)) for v in mid}
+        broken = [v for v in mid if runs[v] is None]
+        if broken:
+            raise DecompositionError(
+                f"arc {tuple(sorted(arc))}: darts of vertices {broken} "
+                "on one side are not contiguous")
+        return ArcBoundary(arc, tuple(mid), runs, frozenset(inside))
 
 
 # ---------------------------------------------------------------------
@@ -499,18 +470,10 @@ _EXACT_SPLIT_LIMIT = 14
 _MAX_SEEDS = 24
 
 
-def _split_valid(graph: PlaneDigraph, part: set[int], rest: set[int]) -> bool:
-    verts = set()
-    for e in part:
-        verts.update(graph.edges[e])
-    for e in rest:
-        verts.update(graph.edges[e])
+def _split_valid(graph: PlaneDigraph, part: set[int], rest: set[int], verts) -> bool:
+    """Whether both sides are one cyclic run at each of ``verts``."""
     return all(_contiguous_at(graph, v, part) and _contiguous_at(graph, v, rest)
                for v in verts)
-
-
-def _split_vertices(graph: PlaneDigraph, part: set[int]) -> int:
-    return len(middle_set(graph, part))
 
 
 def _split(graph: PlaneDigraph, edge_set: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -531,17 +494,17 @@ def _split(graph: PlaneDigraph, edge_set: tuple[int, ...]) -> tuple[tuple[int, .
 def _split_exact(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     n = len(edge_set)
     rest_all = set(edge_set)
+    verts = {v for e in edge_set for v in graph.edges[e]}
     anchor = edge_set[0]
     others = edge_set[1:]
-    half = n // 2
     sizes = sorted(range(1, n), key=lambda s: (abs(2 * s - n), s))
     for size in sizes:
         best = None
         for combo in itertools.combinations(others, size - 1):
             part = {anchor, *combo}
             rest = rest_all - part
-            if _split_valid(graph, part, rest):
-                key = (_split_vertices(graph, part), tuple(sorted(part)))
+            if _split_valid(graph, part, rest, verts):
+                key = (len(middle_set(graph, part)), tuple(sorted(part)))
                 if best is None or key < best:
                     best = key
         if best is not None:
@@ -554,6 +517,7 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     n = len(edge_set)
     target = n // 2
     rest_all = set(edge_set)
+    verts = {v for e in edge_set for v in graph.edges[e]}
     seeds = list(edge_set)
     if len(seeds) > _MAX_SEEDS:
         step = len(seeds) / _MAX_SEEDS
@@ -572,8 +536,8 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
                     continue
                 trial = part | {e}
                 rest = rest_all - trial
-                if _split_valid_local(graph, trial, rest, (t, h)):
-                    key = (_split_vertices(graph, trial), e)
+                if _split_valid(graph, trial, rest, {t, h}):
+                    key = (len(middle_set(graph, trial)), e)
                     if grown is None or key < grown:
                         grown = key
             if grown is None:
@@ -581,8 +545,8 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
             part.add(grown[1])
             part_verts.update(graph.edges[grown[1]])
         rest = rest_all - part
-        if rest and _split_valid(graph, part, rest):
-            key = (abs(n - 2 * len(part)), _split_vertices(graph, part),
+        if rest and _split_valid(graph, part, rest, verts):
+            key = (abs(n - 2 * len(part)), len(middle_set(graph, part)),
                    tuple(sorted(part)))
             if best is None or key < best:
                 best = key
@@ -591,8 +555,3 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     part = set(best[2])
     return tuple(sorted(part)), tuple(sorted(rest_all - part))
 
-
-def _split_valid_local(graph: PlaneDigraph, part: set[int], rest: set[int],
-                       touched: tuple[int, int]) -> bool:
-    return all(_contiguous_at(graph, v, part) and _contiguous_at(graph, v, rest)
-               for v in set(touched))

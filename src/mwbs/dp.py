@@ -34,12 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decomposition import (
-    ArcBoundary,
-    RootedDecomposition,
-    SphereCutDecomposition,
-    validate_decomposition,
-)
+from .decomposition import ArcBoundary, SphereCutDecomposition, validate_decomposition
 from .errors import DecompositionError
 from .oracle import scaled_int_weights
 from .plane import Instance, Solution, make_solution
@@ -111,27 +106,20 @@ class DPTable:
     set.
 
     Assignments are encoded in mixed radix: the vertex at position k of
-    ``mid`` contributes config_index * 6**k.  ``costs`` holds the minimum
-    scaled deleted weight (None if infeasible); ``back`` holds the leaf
-    keep-flag or the chosen pair of child entry codes."""
+    ``boundary.mid`` contributes config_index * 6**k.  ``costs`` holds the
+    minimum scaled deleted weight (None if infeasible); ``back`` holds the
+    leaf keep-flag or the chosen pair of child entry codes.  ``edge`` is
+    set on leaf tables only."""
     boundary: ArcBoundary
-    mid: tuple[int, ...]
     costs: list[Optional[int]]
     back: list
-    kind: str               # "leaf" or "join"
     edge: Optional[int] = None
 
-    def assignment_of_code(self, code: int) -> dict[int, str]:
-        return {v: CONFIGS[(code // _POW6[k]) % 6] for k, v in enumerate(self.mid)}
-
     def code_of_assignment(self, assignment: dict[int, str]) -> int:
-        if sorted(assignment) != sorted(self.mid):
-            raise KeyError(f"assignment domain must be exactly {self.mid}")
-        return sum(CONFIG_INDEX[assignment[v]] * _POW6[k]
-                   for k, v in enumerate(self.mid))
-
-    def cost(self, assignment: dict[int, str]) -> Optional[int]:
-        return self.costs[self.code_of_assignment(assignment)]
+        mid = self.boundary.mid
+        if sorted(assignment) != sorted(mid):
+            raise KeyError(f"assignment domain must be exactly {mid}")
+        return sum(CONFIG_INDEX[assignment[v]] * _POW6[k] for k, v in enumerate(mid))
 
 
 def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights=None) -> DPTable:
@@ -164,7 +152,7 @@ def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights=None) -> D
             c //= 6
         costs[code] = 0 if ok else w
         back[code] = ok
-    return DPTable(boundary, mid, costs, back, "leaf", edge=e)
+    return DPTable(boundary, costs, back, edge=e)
 
 
 def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: int) -> int:
@@ -180,9 +168,7 @@ def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: in
     raise DecompositionError(f"child runs at vertex {v} do not tile the parent run")
 
 
-def join_tables(instance: Instance, parent: ArcBoundary, b1: ArcBoundary,
-                b2: ArcBoundary, t1: DPTable, t2: DPTable,
-                int_weights=None) -> DPTable:
+def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
     """Combine two child tables into the parent arc's table.
 
     Constraints per vertex: present in only one child, its configuration
@@ -200,12 +186,11 @@ def join_tables(instance: Instance, parent: ArcBoundary, b1: ArcBoundary,
     interior shared vertex, at most 3 per shared vertex on the parent
     middle set.  The forced positions are enumerated once per join as
     (parent, child 1, child 2) code offsets."""
-    if int_weights is None:
-        int_weights, _ = scaled_int_weights(instance.weights)
+    b1, b2 = t1.boundary, t2.boundary
     if b1.inside_edges | b2.inside_edges != parent.inside_edges or \
             (b1.inside_edges & b2.inside_edges):
         raise DecompositionError("child arcs must partition the parent inside")
-    m1, m2, m3 = t1.mid, t2.mid, parent.mid
+    m1, m2, m3 = b1.mid, b2.mid, parent.mid
     set1, set2, set3 = set(m1), set(m2), set(m3)
     shared = tuple(sorted(set1 & set2))
     shared_set = set(shared)
@@ -267,7 +252,7 @@ def join_tables(instance: Instance, parent: ArcBoundary, b1: ArcBoundary,
                     best_bp = (o1 + d1, o2 + d2)
             costs[code + o3] = best
             back[code + o3] = best_bp
-    return DPTable(parent, m3, costs, back, "join")
+    return DPTable(parent, costs, back)
 
 
 def solve_dp(instance: Instance, dec: SphereCutDecomposition,
@@ -285,31 +270,25 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
         raise DecompositionError("solve_dp expects a connected graph")
     if g.edge_count < 2:
         raise DecompositionError("graphs with fewer than 2 edges go to star_solve")
-    report = validate_decomposition(g, dec)
+    report = validate_decomposition(g, dec, root_leaf)
     if not report.ok:
         raise DecompositionError("invalid decomposition: " + "; ".join(report.violations))
-    if root_leaf is None:
-        root_leaf = min(dec.leaf_map)
-    rooted = RootedDecomposition(g, dec, root_leaf)
+    rooted = report.rooted
     int_w, scale = scaled_int_weights(instance.weights)
 
-    boundaries: dict[int, ArcBoundary] = {}
     tables: dict[int, DPTable] = {}
     for node in rooted.post_order:
-        boundary = rooted.boundary(node)
-        boundaries[node] = boundary
+        boundary = rooted.boundaries[node]
         kids = rooted.children[node]
         if not kids:
             tables[node] = leaf_table(instance, boundary, int_w)
         else:
             a, b = kids
-            tables[node] = join_tables(instance, boundary, boundaries[a],
-                                       boundaries[b], tables[a], tables[b],
-                                       int_w)
+            tables[node] = join_tables(boundary, tables[a], tables[b])
 
-    top = rooted.children[root_leaf][0]
+    top = rooted.children[rooted.root_leaf][0]
     ttop = tables[top]
-    e_r = dec.leaf_map[root_leaf]
+    e_r = dec.leaf_map[rooted.root_leaf]
     tail_r, head_r = g.edges[e_r]
 
     delete_cost, delete_code = None, None
@@ -323,7 +302,7 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
 
     pinned = {head_r: "ioi", tail_r: "oio"}
     keep_code = ttop.code_of_assignment(
-        {v: pinned[v] for v in ttop.mid})
+        {v: pinned[v] for v in ttop.boundary.mid})
     keep_cost = ttop.costs[keep_code]
 
     if delete_cost is None and keep_cost is None:
@@ -338,7 +317,7 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     while stack:
         node, code = stack.pop()
         table = tables[node]
-        if table.kind == "leaf":
+        if table.edge is not None:
             if not table.back[code]:
                 deleted.add(table.edge)
         else:

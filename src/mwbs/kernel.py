@@ -44,9 +44,7 @@ from .plane import (
     dart_end,
     format_weight,
     instance_document,
-    instance_from_document,
     make_solution,
-    parse_weight,
     subgraph_by_edges,
 )
 
@@ -384,19 +382,6 @@ class CutInstance:
         doc["pairs"] = [list(p) for p in self.pairs]
         doc["base_kept_weight"] = format_weight(self.base_kept_weight)
         return doc
-
-
-def cut_instance_from_document(doc) -> CutInstance:
-    instance = instance_from_document(
-        {k: doc[k] for k in ("vertices", "edges", "rotation")},
-        allow_zero_weights=True)
-    try:
-        classes = tuple(tuple(int(e) for e in c) for c in doc["classes"])
-        pairs = tuple(tuple(int(i) for i in p) for p in doc["pairs"])
-        base = parse_weight(doc["base_kept_weight"], allow_zero=True)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed cut document: {exc}") from None
-    return CutInstance(instance, classes, pairs, base)
 
 
 def to_cut_instance(instance: Instance) -> CutInstance:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import BudgetExceeded, NotAStar
+from .errors import BudgetExceeded, FormatError, NotAStar
 from .plane import Instance, Solution, dart_direction, dart_edge, make_solution
 
 
@@ -94,7 +94,7 @@ def brute_force_cut(instance: Instance, classes, budget: OracleBudget = DEFAULT_
         raise BudgetExceeded(f"{k} classes exceed the oracle budget {budget.max_classes}")
     covered = sorted(e for c in classes for e in c)
     if covered != list(range(g.edge_count)):
-        raise BudgetExceeded("classes do not partition the edge set")
+        raise FormatError("classes do not partition the edge set")
     int_w, _scale = scaled_int_weights(instance.weights)
     class_w = [sum(int_w[e] for e in c) for c in classes]
     state = _SwitchState(g)

@@ -330,8 +330,7 @@ class Solution:
         }
 
 
-def make_solution(instance: Instance, kept: Iterable[int], method: str,
-                  verify: bool = True) -> Solution:
+def make_solution(instance: Instance, kept: Iterable[int], method: str) -> Solution:
     """Assemble a Solution for ``kept``, recomputing weights and the
     per-vertex switch certificate; refuses non-bimodal kept sets."""
     g = instance.graph
@@ -340,7 +339,7 @@ def make_solution(instance: Instance, kept: Iterable[int], method: str,
         if not (0 <= e < g.edge_count):
             raise FormatError(f"solution references unknown edge {e}")
     cert = tuple(g.switch_count(v, kept) for v in range(g.vertex_count))
-    if verify and any(c > 2 for c in cert):
+    if any(c > 2 for c in cert):
         bad = [v for v, c in enumerate(cert) if c > 2]
         raise EmbeddingError(f"kept edge set is not bimodal at vertices {bad}")
     kept_w = sum((instance.weights[e] for e in kept), Fraction(0))
@@ -446,25 +445,21 @@ def instance_from_document(doc, allow_zero_weights: bool = False) -> Instance:
 
 # -- subgraph extraction ----------------------------------------------
 
-def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int],
-                      keep_isolated: bool = False):
+def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int]):
     """Restrict to a subset of edges with inherited rotation.
 
     Returns (sub_instance, vertex_ids, edge_ids) where the id lists map the
     dense sub-instance ids back to the originals.  Vertices that lose all
-    their darts are dropped unless keep_isolated is set."""
+    their darts are dropped."""
     g = instance.graph
     edge_ids = sorted(set(int(e) for e in edge_ids))
     keep = set(edge_ids)
-    if keep_isolated:
-        vertex_ids = list(range(g.vertex_count))
-    else:
-        touched = set()
-        for e in edge_ids:
-            t, h = g.edges[e]
-            touched.add(t)
-            touched.add(h)
-        vertex_ids = sorted(touched)
+    touched = set()
+    for e in edge_ids:
+        t, h = g.edges[e]
+        touched.add(t)
+        touched.add(h)
+    vertex_ids = sorted(touched)
     vmap = {v: i for i, v in enumerate(vertex_ids)}
     emap = {e: i for i, e in enumerate(edge_ids)}
     edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]]) for e in edge_ids]

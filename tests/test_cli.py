@@ -7,6 +7,7 @@ import pytest
 
 from mwbs.cli import main
 from mwbs.generate import planted_star_instance
+from mwbs.kernel import shrink_cut_instance, to_cut_instance
 from mwbs.plane import encode_instance
 
 from test_plane import k5_document, star4_instance
@@ -133,6 +134,19 @@ def test_decomp_validate_refuses_a_truncated_id(tmp_path, capsys):
     assert code == 1 and "not an integer" in error
 
 
+def test_decomp_validate_reports_every_broken_arc(tmp_path, capsys):
+    from test_decomposition import TWO_BROKEN_ARCS, star_instance
+    inst_file = tmp_path / "star6.json"
+    inst_file.write_text(encode_instance(star_instance(6)))
+    dec_file = tmp_path / "dec.json"
+    dec_file.write_text(json.dumps(TWO_BROKEN_ARCS.document()))
+    code, out = run(capsys, "decomp", "validate", str(inst_file), str(dec_file))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and len(doc["violations"]) == 2
+    assert all("not contiguous" in v for v in doc["violations"])
+
+
 def test_kernelize_and_compress(tmp_path, capsys):
     f = tmp_path / "star.json"
     f.write_text(encode_instance(star4_instance()))
@@ -141,12 +155,15 @@ def test_kernelize_and_compress(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["base_kept_weight"] == "0/1"
     assert sorted(doc) == ["banked_edges", "base_kept_weight", "instance", "orig_edge_ids"]
-    code, out = run(capsys, "compress", str(f))
-    assert code == 0
-    doc = json.loads(out)
+    cut = to_cut_instance(star4_instance())
+    for argv, want in ((("compress", str(f)), shrink_cut_instance(cut).document()),
+                       (("compress", str(f), "--no-shrink"), cut.document())):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        for key in ("classes", "pairs", "base_kept_weight"):
+            assert doc[key] == json.loads(json.dumps(want[key])), (argv, key)
     assert all(len(c) <= 2 for c in doc["classes"])
-    code, out = run(capsys, "compress", str(f), "--no-shrink")
-    assert code == 0
 
 
 def test_kernelize_output_is_pinned(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Builders, the builder policy, validator, documents, arc boundaries."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -16,11 +17,11 @@ from mwbs.decomposition import (
     middle_set,
     validate_decomposition,
 )
-from mwbs.errors import BuildError
+from mwbs.errors import BuildError, DecompositionError
 from mwbs.generate import GenParams, gen_instance
 from mwbs.kernel import reduce_to_simple
 from mwbs.oracle import is_star
-from mwbs.plane import HEAD, TAIL, PlaneDigraph, dart, subgraph_by_edges
+from mwbs.plane import HEAD, TAIL, Instance, PlaneDigraph, canonical_json, dart, subgraph_by_edges
 
 from test_plane import star4_instance, triangle_instance
 
@@ -29,6 +30,31 @@ def connected_corpus(corpus, count=None):
     out = [inst for inst in corpus
            if inst.graph.is_connected() and inst.graph.edge_count >= 1]
     return out if count is None else out[:count]
+
+
+def seed11_component():
+    """The reduced non-star component of triangulation n=24 seed 11 (63
+    edges), where greedy-sweep is wider than recursive-bisection."""
+    red = reduce_to_simple(gen_instance(GenParams(n=24, seed=11))).instance
+    (sub,) = [sub for sub in (subgraph_by_edges(red, edges)[0]
+                              for _v, edges in red.graph.components() if edges)
+              if is_star(sub.graph) is None and sub.graph.edge_count >= 2]
+    return sub.graph
+
+
+def star_instance(k):
+    """k unit-weight edges out of vertex 0, numbered in rotation order."""
+    edges = [(0, j + 1) for j in range(k)]
+    rot = [[dart(j, TAIL) for j in range(k)]] + [[dart(j, HEAD)] for j in range(k)]
+    return Instance(PlaneDigraph(k + 1, edges, rot), (Fraction(1),) * k)
+
+
+# a caterpillar over star_instance(6) absorbing edges 0, 2, 1, 4, 3, 5: the
+# prefixes {0, 2} (arc (6, 7)) and {0, 1, 2, 4} (arc (8, 9)) are not one run
+# at the center, the prefix {0, 1, 2} (arc (7, 8)) is
+TWO_BROKEN_ARCS = SphereCutDecomposition(
+    10, ((0, 6), (1, 6), (6, 7), (2, 7), (7, 8), (3, 8), (8, 9), (4, 9), (5, 9)),
+    {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 5})
 
 
 class TestBuilders:
@@ -92,13 +118,8 @@ class TestBuilderPolicy:
         assert build_sphere_cut(g).declared_width == 2
 
     def test_bisection_kept_where_greedy_is_above_five(self):
-        """The reduced non-star component of triangulation n=24 seed 11:
-        greedy alone gives width 6, the policy returns width 5."""
-        red = reduce_to_simple(gen_instance(GenParams(n=24, seed=11))).instance
-        (sub,) = [sub for sub in (subgraph_by_edges(red, edges)[0]
-                                  for _v, edges in red.graph.components() if edges)
-                  if is_star(sub.graph) is None and sub.graph.edge_count >= 2]
-        g = sub.graph
+        """Greedy alone gives width 6, the policy returns width 5."""
+        g = seed11_component()
         assert validate_decomposition(g, _greedy_sweep(g)).width == 6
         dec = build_sphere_cut(g)
         assert dec.declared_width == 5
@@ -132,6 +153,24 @@ class TestBuilderPolicy:
         for name in ("recursive-bisection", "auto"):
             with pytest.raises(BuildError):
                 build_sphere_cut(g, name)
+
+
+class TestBisectionPins:
+    """SHA-256 of canonical ``_recursive_bisection`` documents, recorded
+    before the exact and greedy splits shared one validity check."""
+
+    @staticmethod
+    def digest(graphs):
+        docs = (canonical_json(_recursive_bisection(g).document()) for g in graphs)
+        return hashlib.sha256("\n".join(docs).encode()).hexdigest()
+
+    def test_greedy_split_component(self):
+        assert self.digest([seed11_component()]) == \
+            "4432f08583509475081e204d0775e050b15767b9920e26a72fd7ec7fd39bcede"
+
+    def test_exact_split_corpus_slice(self, corpus_small):
+        assert self.digest(inst.graph for inst in corpus_small[:60]) == \
+            "33eca96ee35149c89e344cf2a5fdc5dbd85e0a3a1f66d01d35fbeefee1482ca4"
 
 
 class TestValidator:
@@ -181,6 +220,37 @@ class TestValidator:
         report = validate_decomposition(g, dec)
         assert not report.ok
         assert any("contiguous" in v for v in report.violations)
+
+    def test_every_broken_arc_reported_from_any_root(self):
+        g = star_instance(6).graph
+        want = validate_decomposition(g, TWO_BROKEN_ARCS).violations
+        assert len(want) == 2 and all("not contiguous" in v for v in want)
+        assert "(6, 7)" in want[0] and "(8, 9)" in want[1]
+        for root in TWO_BROKEN_ARCS.leaf_map:
+            report = validate_decomposition(g, TWO_BROKEN_ARCS, root)
+            assert (report.ok, report.width, report.violations, report.rooted) == \
+                (False, 0, want, None)
+
+    def test_rooted_view_at_the_chosen_leaf(self, corpus_small):
+        """ok and width do not depend on the root; the rooted view carries
+        one boundary per arc, equal to the one computed on demand."""
+        for inst in connected_corpus(corpus_small, 10):
+            g = inst.graph
+            dec = build_sphere_cut(g)
+            assert validate_decomposition(g, dec).rooted.root_leaf == min(dec.leaf_map)
+            for root in dec.leaf_map:
+                report = validate_decomposition(g, dec, root)
+                assert report.ok and report.width == dec.declared_width
+                rooted = report.rooted
+                assert rooted.root_leaf == root
+                assert sorted(rooted.boundaries) == sorted(rooted.post_order)
+                assert len(rooted.boundaries) == len(dec.arcs)
+                for node, b in rooted.boundaries.items():
+                    assert b == rooted.boundary(node)
+            internal = next(u for u in range(dec.node_count) if u not in dec.leaf_map)
+            for bad in (internal, dec.node_count):
+                with pytest.raises(DecompositionError, match="not a mapped leaf"):
+                    validate_decomposition(g, dec, bad)
 
     def test_import_export_roundtrip(self, corpus_small):
         inst = connected_corpus(corpus_small, 1)[0]

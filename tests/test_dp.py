@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import mwbs.decomposition as decomposition
 from mwbs.decomposition import (
-    RootedDecomposition,
     SphereCutDecomposition,
     _greedy_sweep,
     _recursive_bisection,
@@ -172,6 +172,14 @@ def path5_instance():
     return Instance(PlaneDigraph(6, edges, rot), (Fraction(1),) * 5)
 
 
+def path_instance(m):
+    """A directed path of m unit-weight edges."""
+    edges = [(j, j + 1) for j in range(m)]
+    rot = ([[dart(0, TAIL)]] + [[dart(j - 1, HEAD), dart(j, TAIL)] for j in range(1, m)]
+           + [[dart(m - 1, HEAD)]])
+    return Instance(PlaneDigraph(m + 1, edges, rot), (Fraction(1),) * m)
+
+
 def caterpillar_over(m):
     if m == 2:
         return SphereCutDecomposition(2, ((0, 1),), {0: 0, 1: 1})
@@ -185,15 +193,30 @@ def caterpillar_over(m):
                                   {j: j for j in range(m)})
 
 
+def rooted_tables(inst, dec, root_leaf=None):
+    """The validator's rooted view of ``dec`` and the table of every arc,
+    built bottom-up as solve_dp builds them."""
+    report = validate_decomposition(inst.graph, dec, root_leaf)
+    assert report.ok, report.violations
+    rooted = report.rooted
+    int_w, _ = scaled_int_weights(inst.weights)
+    tables = {}
+    for node in rooted.post_order:
+        b = rooted.boundaries[node]
+        kids = rooted.children[node]
+        tables[node] = (join_tables(b, *(tables[k] for k in kids)) if kids
+                        else leaf_table(inst, b, int_w))
+    return rooted, tables, int_w
+
+
 class TestLeafTable:
     def setup_method(self):
         self.inst = triangle_instance()
-        self.dec = caterpillar_over(3)
-        assert validate_decomposition(self.inst.graph, self.dec).ok
-        self.rooted = RootedDecomposition(self.inst.graph, self.dec, 2)
-        self.boundary = self.rooted.boundary(0)   # leaf arc of edge 0 = (0, 1)
-        int_w, _ = scaled_int_weights(self.inst.weights)
-        self.table = leaf_table(self.inst, self.boundary, int_w)
+        self.rooted, tables, _ = rooted_tables(self.inst, caterpillar_over(3), 2)
+        self.table = tables[0]              # leaf arc of edge 0 = (0, 1)
+
+    def cost(self, assignment):
+        return self.table.costs[encode_ref(self.table.boundary.mid, assignment)]
 
     def test_all_36_feasible(self):
         assert len(self.table.costs) == 36
@@ -201,40 +224,26 @@ class TestLeafTable:
 
     def test_keep_cases(self):
         # edge 0 = (0, 1): tail 0 needs o, head 1 needs i
-        assert self.table.cost({0: "o", 1: "i"}) == 0
-        assert self.table.cost({0: "oio", 1: "ioi"}) == 0
-        assert self.table.cost({0: "i", 1: "i"}) == 1
-        assert self.table.cost({0: "o", 1: "o"}) == 1
+        assert self.cost({0: "o", 1: "i"}) == 0
+        assert self.cost({0: "oio", 1: "ioi"}) == 0
+        assert self.cost({0: "i", 1: "i"}) == 1
+        assert self.cost({0: "o", 1: "o"}) == 1
 
     def test_wrong_boundary_rejected(self):
         top = self.rooted.children[2][0]
         with pytest.raises(DecompositionError):
-            leaf_table(self.inst, self.rooted.boundary(top))
+            leaf_table(self.inst, self.rooted.boundaries[top])
 
 
 class TestJoin:
-    def make_join(self, assignment_checks):
-        inst = path5_instance()
-        dec = caterpillar_over(5)
-        assert validate_decomposition(inst.graph, dec).ok
-        rooted = RootedDecomposition(inst.graph, dec, root_leaf=4)
-        int_w, _ = scaled_int_weights(inst.weights)
-        b0, b1 = rooted.boundary(0), rooted.boundary(1)
-        t0 = leaf_table(inst, b0, int_w)
-        t1 = leaf_table(inst, b1, int_w)
-        join_node = 5
-        parent = rooted.boundary(join_node)
-        table = join_tables(inst, parent, b0, b1, t0, t1, int_w)
-        for assignment, want in assignment_checks:
-            assert table.cost(assignment) == want, assignment
-        return inst, parent, table
-
     def test_two_out_edges(self):
-        # edges 0 and 1 both leave vertex 0; parent mid is {0, 1, 2}
-        self.make_join([
-            ({0: "o", 1: "ioi", 2: "ioi"}, 0),
-            ({0: "i", 1: "ioi", 2: "ioi"}, 2),   # both out-edges must go
-        ])
+        # edges 0 and 1 both leave vertex 0; the join of leaves 0 and 1 at
+        # node 5 has parent mid {0, 1, 2}
+        _rooted, tables, _ = rooted_tables(path5_instance(), caterpillar_over(5), 4)
+        table = tables[5]
+        for assignment, want in (({0: "o", 1: "ioi", 2: "ioi"}, 0),
+                                 ({0: "i", 1: "ioi", 2: "ioi"}, 2)):   # both out-edges must go
+            assert table.costs[encode_ref(table.boundary.mid, assignment)] == want, assignment
 
     def test_join_against_per_assignment_brute_force(self, corpus_small):
         checked = 0
@@ -242,32 +251,22 @@ class TestJoin:
             g = inst.graph
             if not (4 <= g.edge_count <= 7):
                 continue
-            dec = _recursive_bisection(g)    # balanced trees give two-sided joins
-            root = min(dec.leaf_map)
-            rooted = RootedDecomposition(g, dec, root)
-            int_w, _ = scaled_int_weights(inst.weights)
-            boundaries, tables = {}, {}
+            # balanced trees give two-sided joins
+            rooted, tables, int_w = rooted_tables(inst, _recursive_bisection(g))
             for node in rooted.post_order:
-                b = rooted.boundary(node)
-                boundaries[node] = b
-                kids = rooted.children[node]
-                if not kids:
-                    tables[node] = leaf_table(inst, b, int_w)
-                else:
-                    tables[node] = join_tables(inst, b, boundaries[kids[0]],
-                                               boundaries[kids[1]],
-                                               tables[kids[0]], tables[kids[1]], int_w)
-                    compare_table_to_brute_force(inst, b, tables[node], int_w)
+                if rooted.children[node]:
+                    compare_table_to_brute_force(inst, tables[node], int_w)
                     checked += 1
             if checked > 25:
                 break
         assert checked > 5
 
 
-def compare_table_to_brute_force(inst, boundary, table, int_w):
+def compare_table_to_brute_force(inst, table, int_w):
     """Independent semantics of a table entry: cheapest deletion of inside
     edges making interior vertices bimodal and realizing the assignment."""
     g = inst.graph
+    boundary = table.boundary
     inside = sorted(boundary.inside_edges)
     interior = [v for v in range(g.vertex_count)
                 if g.rotation[v] and v not in boundary.mid
@@ -286,13 +285,13 @@ def compare_table_to_brute_force(inst, boundary, table, int_w):
             patterns[v] = "".join(dart_direction(d) for d in run
                                   if dart_edge(d) in kept)
         for code in range(len(table.costs)):
-            assignment = table.assignment_of_code(code)
+            assignment = decode_ref(boundary.mid, code)
             if all(realizes_ref(patterns[v], assignment[v]) for v in boundary.mid):
                 if code not in best or cost < best[code]:
                     best[code] = cost
     for code in range(len(table.costs)):
         assert table.costs[code] == best.get(code), (
-            f"entry {table.assignment_of_code(code)}: "
+            f"entry {decode_ref(boundary.mid, code)}: "
             f"table {table.costs[code]} vs brute force {best.get(code)}")
 
 
@@ -300,16 +299,20 @@ def decode_ref(mid, code):
     return {v: CONFIGS[code // 6 ** k % 6] for k, v in enumerate(mid)}
 
 
+def encode_ref(mid, assignment):
+    return sum(CONFIGS.index(assignment[v]) * 6 ** k for k, v in enumerate(mid))
+
+
 def join_rule(parent, b1, b2, t1, t2):
     """The parent entries that child entries code1, code2 may combine
     into, vertex by vertex from the definition of the join."""
-    shared = set(t1.mid) & set(t2.mid)
+    shared = set(b1.mid) & set(b2.mid)
     first = {v: _first_child_at(parent, b1, b2, v) for v in shared & set(parent.mid)}
     interior = shared - set(parent.mid)
     targets = {(x, y): [t for t in CONFIGS if compatible_wrt_ref(x, y, t)]
                for x in CONFIGS for y in CONFIGS}
-    assignments1 = [decode_ref(t1.mid, code) for code in range(len(t1.costs))]
-    assignments2 = [decode_ref(t2.mid, code) for code in range(len(t2.costs))]
+    assignments1 = [decode_ref(b1.mid, code) for code in range(len(t1.costs))]
+    assignments2 = [decode_ref(b2.mid, code) for code in range(len(t2.costs))]
 
     def parents(code1, code2):
         a1, a2 = assignments1[code1], assignments2[code2]
@@ -379,6 +382,28 @@ class TestSolveDP:
             sol = solve_dp(inst, dec)
             assert max(sol.certificate, default=0) <= 2
 
+    def test_one_boundary_pass_per_solve(self, monkeypatch):
+        """The validator's boundaries are the ones the tables read: one
+        solve computes one middle set per arc, 2m - 3 on a caterpillar."""
+        calls = []
+        real = decomposition.middle_set
+
+        def counted(graph, inside):
+            calls.append(len(inside))
+            return real(graph, inside)
+
+        monkeypatch.setattr(decomposition, "middle_set", counted)
+        for m in (2, 5, 9):
+            calls.clear()
+            assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0
+            assert len(calls) == 2 * m - 3
+
+    def test_root_must_be_a_mapped_leaf(self):
+        inst, dec = path5_instance(), caterpillar_over(5)
+        for root in (5, dec.node_count):     # an internal node, one past the end
+            with pytest.raises(DecompositionError, match="not a mapped leaf"):
+                solve_dp(inst, dec, root)
+
     def test_root_invariance(self, corpus_small):
         rng = random.Random(7)
         for inst in corpus_small[:25]:
@@ -397,19 +422,13 @@ class TestSolveDP:
             g = inst.graph
             if g.edge_count > 10:
                 continue
-            dec = build_sphere_cut(g)
-            rooted = RootedDecomposition(g, dec, min(dec.leaf_map))
-            int_w, _ = scaled_int_weights(inst.weights)
-            boundaries, tables = {}, {}
+            rooted, tables, _ = rooted_tables(inst, build_sphere_cut(g))
             for node in rooted.post_order:
-                b = boundaries[node] = rooted.boundary(node)
                 kids = rooted.children[node]
                 if not kids:
-                    tables[node] = leaf_table(inst, b, int_w)
                     continue
-                b1, b2 = boundaries[kids[0]], boundaries[kids[1]]
-                t1, t2 = tables[kids[0]], tables[kids[1]]
-                table = tables[node] = join_tables(inst, b, b1, b2, t1, t2, int_w)
+                table, t1, t2 = tables[node], tables[kids[0]], tables[kids[1]]
+                b, b1, b2 = table.boundary, t1.boundary, t2.boundary
                 parents = join_rule(b, b1, b2, t1, t2)
                 assert table.costs == loose_join(b, b1, b2, t1, t2)
                 for code3, cost in enumerate(table.costs):
@@ -441,30 +460,15 @@ class TestSolveDP:
             g = inst.graph
             if not (4 <= g.edge_count <= 8):
                 continue
-            dec = build_sphere_cut(g)
-            rooted = RootedDecomposition(g, dec, min(dec.leaf_map))
-            int_w, _ = scaled_int_weights(inst.weights)
-            boundaries, tables = {}, {}
-            for node in rooted.post_order:
-                b = rooted.boundary(node)
-                boundaries[node] = b
-                kids = rooted.children[node]
-                if not kids:
-                    tables[node] = leaf_table(inst, b, int_w)
-                else:
-                    tables[node] = join_tables(inst, b, boundaries[kids[0]],
-                                               boundaries[kids[1]],
-                                               tables[kids[0]], tables[kids[1]], int_w)
+            _rooted, tables, _ = rooted_tables(inst, build_sphere_cut(g))
             for table in tables.values():
-                for code in range(len(table.costs)):
-                    assignment = table.assignment_of_code(code)
-                    for v in table.mid:
+                mid = table.boundary.mid
+                for code, a in enumerate(table.costs):
+                    assignment = decode_ref(mid, code)
+                    for v in mid:
                         for bigger in CONFIGS:
                             if assignment[v] != bigger and assignment[v] in substrings(bigger):
-                                relaxed = dict(assignment)
-                                relaxed[v] = bigger
-                                a = table.cost(assignment)
-                                b = table.cost(relaxed)
+                                b = table.costs[encode_ref(mid, {**assignment, v: bigger})]
                                 if a is not None and b is not None:
                                     assert a >= b
             checked += 1

@@ -12,7 +12,6 @@ from mwbs.kernel import (
     _check_normal_form,
     _Embedding,
     align_optimum_to_classes,
-    cut_instance_from_document,
     optimal_switches,
     partition_section,
     reduce_to_simple,
@@ -374,14 +373,6 @@ class TestToCutInstance:
             cut = to_cut_instance(inst)
             got = brute_force_cut(cut.instance, cut.classes)
             assert oracle_of(inst).kept_weight == got.kept_weight + cut.base_kept_weight
-
-    def test_document_roundtrip(self):
-        cut = to_cut_instance(star4_instance())
-        doc = cut.document()
-        again = cut_instance_from_document(doc)
-        assert again.classes == cut.classes
-        assert again.pairs == cut.pairs
-        assert again.base_kept_weight == cut.base_kept_weight
 
 
 def seven_dart_star():

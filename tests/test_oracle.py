@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mwbs.errors import BudgetExceeded, NotAStar
+from mwbs.errors import BudgetExceeded, FormatError, NotAStar
 from mwbs.generate import GenParams, gen_instance
 from mwbs.oracle import OracleBudget, brute_force_cut, brute_force_mwbs, is_star, star_solve
 from mwbs.plane import HEAD, TAIL, Instance, PlaneDigraph, dart
@@ -38,6 +38,15 @@ def test_budget_refused():
     with pytest.raises(BudgetExceeded):
         brute_force_cut(inst, [[e] for e in range(inst.graph.edge_count)],
                         OracleBudget(max_edges=16, max_classes=16))
+
+
+def test_classes_must_partition_the_edges():
+    """A class list that misses, repeats or invents an edge is malformed
+    input, not a budget matter."""
+    inst = triangle_instance()
+    for classes in ([[0], [1]], [[0, 1], [1, 2]], [[0], [1], [2], [3]]):
+        with pytest.raises(FormatError, match="partition"):
+            brute_force_cut(inst, classes)
 
 
 def test_determinism_and_tiebreak():
