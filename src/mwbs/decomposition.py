@@ -8,14 +8,22 @@ of that vertex's rotation.  This is exactly what a noose drawn on the
 sphere guarantees, and it is checkable purely combinatorially, so the
 validator enforces contiguity instead of a geometric curve.
 
-``build_sphere_cut`` is the one builder policy, over two heuristic
-builders.  Greedy-sweep absorbs one edge at a time into a growing region,
-always keeping every prefix contiguous, and emits a caterpillar tree; it
-always runs.  Recursive-bisection splits the edge set as evenly as
-possible into two contiguous halves and recurses; it runs only when the
-greedy width is above 5, and its tree is kept when narrower.  Neither is
-width-optimal; externally computed decompositions can be imported instead
-and are always re-validated (middle sets are recomputed, never trusted).
+``build_sphere_cut`` is the one builder policy.  It decomposes the
+*skeleton* of the graph and then hangs the pendants.  A *hub* is a vertex
+of degree above one; the skeleton is the set of hub-to-hub edges, and
+every other edge is a *pendant* with exactly one hub end.  In the normal
+form only hubs can sit on a middle set, so the width that the solver pays
+for (``6**width`` table entries per arc) is set by the skeleton, and the
+builders do far better on it than on the whole graph.
+
+Two heuristic builders work on the skeleton.  Greedy-sweep absorbs one
+edge at a time into a growing region, always keeping every prefix
+contiguous, and emits a caterpillar tree; it always runs.
+Recursive-bisection splits the edge set as evenly as possible into two
+contiguous halves and recurses; it runs only when the greedy width is
+above 5, and its tree is kept when narrower.  Neither is width-optimal;
+externally computed decompositions can be imported instead and are always
+re-validated (middle sets are recomputed, never trusted).
 """
 
 from __future__ import annotations
@@ -24,10 +32,11 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BuildError, DecompositionError
-from .plane import Instance, PlaneDigraph, dart_edge, instance_document
+from .plane import (Instance, PlaneDigraph, dart_edge, dart_end, instance_document,
+                    subgraph_by_edges)
 
 
 # ---------------------------------------------------------------------
@@ -295,23 +304,34 @@ _GREEDY_WIDTH_LIMIT = 5
 def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> SphereCutDecomposition:
     """Build a validated decomposition of a connected graph.
 
-    The one builder policy: greedy-sweep runs first.  Only when its width
-    is above 5 does recursive-bisection run too, and its tree is kept if
-    narrower; if bisection finds no contiguous split, greedy stands.
-    Greedy is some 30x cheaper to build, so bisection is paid for only
-    where the ``6**width`` tables outweigh the search.  A greedy failure,
-    or any tree failing the validator, raises BuildError with the instance.
+    Skeleton first: the policy below decomposes the hub-to-hub edges, and
+    each pendant is then hung next to a skeleton edge of its hub.  A graph
+    without pendants, a star and a single edge go to the policy whole.
 
-    ``strategy="greedy-sweep"`` returns the greedy tree alone; the
-    benchmark's ``perfbench/make_golden.py`` cross-checks optima with it."""
+    The policy: greedy-sweep runs first.  Only when its width is above 5
+    does recursive-bisection run too, and its tree is kept if narrower; if
+    bisection finds no contiguous split, greedy stands.  Greedy is some
+    30x cheaper to build, so bisection is paid for only where the
+    ``6**width`` tables outweigh the search.  A greedy failure, or any
+    tree failing the validator, raises BuildError with the instance.
+
+    ``strategy="greedy-sweep"`` returns the greedy tree of the whole graph
+    alone; the benchmark's ``perfbench/make_golden.py`` cross-checks optima
+    with it."""
     if graph.edge_count == 0:
         raise BuildError("cannot decompose an edgeless graph")
     if not graph.is_connected():
         raise BuildError("decompose one connected component at a time")
-    if strategy not in (None, "greedy-sweep"):
+    if strategy == "greedy-sweep":
+        return _validated(graph, _greedy_sweep(graph))
+    if strategy is not None:
         raise BuildError(f"unknown strategy {strategy!r}")
+    return _skeleton_first(graph, _policy)
+
+
+def _policy(graph: PlaneDigraph) -> SphereCutDecomposition:
     dec = _validated(graph, _greedy_sweep(graph))
-    if strategy is None and dec.declared_width > _GREEDY_WIDTH_LIMIT:
+    if dec.declared_width > _GREEDY_WIDTH_LIMIT:
         try:
             alt = _recursive_bisection(graph)
         except BuildError:
@@ -320,6 +340,71 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
         if alt.declared_width < dec.declared_width:
             return alt
     return dec
+
+
+def _skeleton_first(graph: PlaneDigraph,
+                    build: Callable[[PlaneDigraph], SphereCutDecomposition]
+                    ) -> SphereCutDecomposition:
+    """Decompose the skeleton with ``build`` (which returns a validated
+    tree of the graph it is given), then hang the pendants.
+
+    The skeleton is taken with ``subgraph_by_edges``, so it inherits the
+    rotation; it is connected, because only leaves were removed.  At each
+    hub, every pendant goes to the nearest skeleton edge before it in the
+    rotation, wrapping cyclically, so the hub's darts read: a skeleton
+    dart, its pendant run, the next skeleton dart, its run, and so on.
+    Each skeleton leaf e = (u, w) is replaced by a caterpillar over e, then
+    e's pendants at u in rotation order, then its pendants at w.  A
+    one-edge skeleton gives a caterpillar of the whole graph.
+
+    Why the tree is valid.  A skeleton arc's inside grows by the pendant
+    runs of its skeleton edges.  At a hub, the inside skeleton darts are
+    one cyclic run, each followed by its own pendant run, so the lifted
+    darts are one run too; a hub has inside (outside) darts exactly when
+    it has inside (outside) skeleton darts, and a pendant's leaf end never
+    splits, so the middle set does not change.  A caterpillar arc holds e
+    and a prefix of its pendant runs: at u and at w that is a run starting
+    at e's dart, and its middle set lies within {u, w}.  The lifted tree
+    is validated on the whole graph all the same."""
+    hub = [graph.degree(v) > 1 for v in range(graph.vertex_count)]
+    skeleton = [e for e, (t, h) in enumerate(graph.edges) if hub[t] and hub[h]]
+    if not skeleton or len(skeleton) == graph.edge_count:
+        return build(graph)
+    on_skeleton = set(skeleton)
+    runs = {e: ([], []) for e in skeleton}     # pendants at e's tail, at e's head
+    for v, row in enumerate(graph.rotation):
+        if not hub[v]:
+            continue
+        # a hub always has a skeleton dart: only a star has a hub without one
+        start = next(j for j, d in enumerate(row) if dart_edge(d) in on_skeleton)
+        for j in range(start, start + len(row)):
+            d = row[j % len(row)]
+            if dart_edge(d) in on_skeleton:
+                run = runs[dart_edge(d)][dart_end(d)]
+            else:
+                run.append(dart_edge(d))
+
+    def order(e: int) -> list[int]:
+        return [e, *runs[e][0], *runs[e][1]]
+
+    if len(skeleton) == 1:
+        return _validated(graph, _caterpillar(order(skeleton[0])))
+    sub, _vertex_ids, edge_ids = subgraph_by_edges(_unit_instance(graph), skeleton)
+    tree = build(sub.graph)
+    arcs = list(tree.arcs)
+    leaf_map: dict[int, int] = {}
+    fresh = itertools.count(tree.node_count)
+    for node, j in sorted(tree.leaf_map.items()):
+        first, *rest = order(edge_ids[j])
+        below = node if not rest else next(fresh)
+        leaf_map[below] = first
+        for k, e in enumerate(rest):
+            leaf = next(fresh)
+            leaf_map[leaf] = e
+            joint = node if k == len(rest) - 1 else next(fresh)
+            arcs += [(below, joint), (leaf, joint)]
+            below = joint
+    return _validated(graph, SphereCutDecomposition(next(fresh), tuple(arcs), leaf_map))
 
 
 def _validated(graph: PlaneDigraph, dec: SphereCutDecomposition) -> SphereCutDecomposition:
@@ -331,9 +416,12 @@ def _validated(graph: PlaneDigraph, dec: SphereCutDecomposition) -> SphereCutDec
     return SphereCutDecomposition(dec.node_count, dec.arcs, dec.leaf_map, report.width)
 
 
+def _unit_instance(graph: PlaneDigraph) -> Instance:
+    return Instance(graph, tuple(Fraction(1) for _ in range(graph.edge_count)))
+
+
 def _bare_document(graph: PlaneDigraph) -> dict:
-    unit = Instance(graph, tuple(Fraction(1) for _ in range(graph.edge_count)))
-    return instance_document(unit)
+    return instance_document(_unit_instance(graph))
 
 
 def _degenerate_single_edge() -> SphereCutDecomposition:

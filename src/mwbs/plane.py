@@ -52,8 +52,8 @@ def cyclic_switches(dirs: list) -> int:
     return sum(a != b for a, b in zip(dirs, dirs[1:] + dirs[:1]))
 
 
-def parse_weight(text: str, allow_zero: bool = False) -> Fraction:
-    """Parse a reduced ``"p/q"`` weight string."""
+def parse_weight(text: str) -> Fraction:
+    """Parse a reduced ``"p/q"`` weight string; the value must be positive."""
     if not isinstance(text, str):
         raise FormatError(f"weight must be a string, got {text!r}")
     parts = text.split("/")
@@ -68,7 +68,7 @@ def parse_weight(text: str, allow_zero: bool = False) -> Fraction:
     if math.gcd(abs(num), den) != 1:
         raise FormatError(f"weight {text!r} is not reduced")
     value = Fraction(num, den)
-    if value < 0 or (value == 0 and not allow_zero):
+    if value <= 0:
         raise FormatError(f"weight {text!r} is out of range")
     return value
 
@@ -372,7 +372,7 @@ def encode_instance(instance: Instance) -> str:
     return canonical_json(instance_document(instance))
 
 
-def decode_instance(text: str, allow_zero_weights: bool = False) -> Instance:
+def decode_instance(text: str) -> Instance:
     """Parse and fully validate a canonical instance document.
 
     Raises FormatError for grammar problems and EmbeddingError when the
@@ -381,7 +381,7 @@ def decode_instance(text: str, allow_zero_weights: bool = False) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
-    return instance_from_document(doc, allow_zero_weights=allow_zero_weights)
+    return instance_from_document(doc)
 
 
 def _is_int(value) -> bool:
@@ -389,7 +389,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def instance_from_document(doc, allow_zero_weights: bool = False) -> Instance:
+def instance_from_document(doc) -> Instance:
     if not isinstance(doc, dict):
         raise FormatError("instance document must be a JSON object")
     for key in ("vertices", "edges", "rotation"):
@@ -419,7 +419,7 @@ def instance_from_document(doc, allow_zero_weights: bool = False) -> Instance:
         if not _is_int(t) or not _is_int(h):
             raise FormatError("edge endpoints must be integers")
         edges[e] = (t, h)
-        weights[e] = parse_weight(w, allow_zero=allow_zero_weights)
+        weights[e] = parse_weight(w)
     raw_rot = doc["rotation"]
     if not isinstance(raw_rot, list) or len(raw_rot) != n:
         raise FormatError("rotation must list one dart sequence per vertex")

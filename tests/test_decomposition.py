@@ -5,13 +5,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mwbs.decomposition as decomposition
 from mwbs.decomposition import (
     ArcBoundary,
     RootedDecomposition,
     SphereCutDecomposition,
+    _caterpillar,
     _greedy_sweep,
     _recursive_bisection,
+    _skeleton_first,
+    _validated,
     build_sphere_cut,
     decomposition_from_document,
     middle_set,
@@ -19,9 +24,19 @@ from mwbs.decomposition import (
 )
 from mwbs.errors import BuildError, DecompositionError
 from mwbs.generate import GenParams, gen_instance
+from mwbs.dp import solve_dp
 from mwbs.kernel import reduce_to_simple
-from mwbs.oracle import is_star
-from mwbs.plane import HEAD, TAIL, Instance, PlaneDigraph, canonical_json, dart, subgraph_by_edges
+from mwbs.oracle import brute_force_mwbs, is_star
+from mwbs.plane import (
+    HEAD,
+    TAIL,
+    Instance,
+    PlaneDigraph,
+    canonical_json,
+    dart,
+    make_solution,
+    subgraph_by_edges,
+)
 
 from test_plane import star4_instance, triangle_instance
 
@@ -40,6 +55,25 @@ def seed11_component():
                               for _v, edges in red.graph.components() if edges)
               if is_star(sub.graph) is None and sub.graph.edge_count >= 2]
     return sub.graph
+
+
+def skeleton_of(graph):
+    """The hub-to-hub edges as a graph with the inherited rotation, or None
+    when there are no pendants or no hub-to-hub edge."""
+    hub = [graph.degree(v) > 1 for v in range(graph.vertex_count)]
+    edges = [e for e, (t, h) in enumerate(graph.edges) if hub[t] and hub[h]]
+    if not edges or len(edges) == graph.edge_count:
+        return None
+    unit = Instance(graph, (Fraction(1),) * graph.edge_count)
+    return subgraph_by_edges(unit, edges)[0].graph
+
+
+def policy_width(graph):
+    """Greedy's width up to 5, the narrower of the two builders above."""
+    greedy = validate_decomposition(graph, _greedy_sweep(graph)).width
+    if greedy <= 5:
+        return greedy
+    return min(greedy, validate_decomposition(graph, _recursive_bisection(graph)).width)
 
 
 def star_instance(k):
@@ -94,8 +128,9 @@ class TestBuilders:
             build_sphere_cut(g)
 
     def test_corpus_all_valid(self, corpus_small):
-        """Both builders' raw trees validate, and the policy keeps the
-        greedy width up to 5 and the narrower of the two above."""
+        """Both builders' raw trees validate, and on the skeleton the policy
+        keeps the greedy width up to 5 and the narrower of the two above;
+        the pendants' caterpillar arcs are at most 2 wide."""
         for inst in connected_corpus(corpus_small):
             g = inst.graph
             greedy, bisection = (validate_decomposition(g, build(g))
@@ -103,8 +138,12 @@ class TestBuilders:
             assert greedy.ok and bisection.ok, (greedy.violations, bisection.violations)
             dec = build_sphere_cut(g)
             assert validate_decomposition(g, dec).width == dec.declared_width
-            want = greedy.width if greedy.width <= 5 else min(greedy.width, bisection.width)
-            assert dec.declared_width == want
+            skel = skeleton_of(g)
+            if skel is None:
+                assert dec.declared_width == policy_width(g)
+            else:
+                want = policy_width(skel)
+                assert max(want, 1) <= dec.declared_width <= max(want, 2)
 
 
 class TestBuilderPolicy:
@@ -153,6 +192,205 @@ class TestBuilderPolicy:
         for name in ("recursive-bisection", "auto"):
             with pytest.raises(BuildError):
                 build_sphere_cut(g, name)
+
+
+def dp_components(instance):
+    """The reduced components the pipeline hands to ``solve_dp``: no star,
+    at least two edges."""
+    red = reduce_to_simple(instance).instance
+    subs = (subgraph_by_edges(red, edges)[0] for _v, edges in red.graph.components() if edges)
+    return [sub for sub in subs if is_star(sub.graph) is None and sub.graph.edge_count >= 2]
+
+
+def embedded(edges, rotation_at):
+    """An instance with weights 1, 2, ... over ``edges``; ``rotation_at``
+    lists the clockwise edge ids at the vertices that have several."""
+    n = 1 + max(max(ends) for ends in edges)
+    rot = []
+    for v in range(n):
+        ids = rotation_at.get(v) or [e for e, ends in enumerate(edges) if v in ends]
+        rot.append([dart(e, TAIL if edges[e][0] == v else HEAD) for e in ids])
+    return Instance(PlaneDigraph(n, edges, rot), tuple(Fraction(e + 1) for e in range(len(edges))))
+
+
+def arc_sides(graph, dec):
+    """Both edge sets of every arc, whatever the root."""
+    rooted = validate_decomposition(graph, dec).rooted
+    every = frozenset(range(graph.edge_count))
+    return {side for node in rooted.post_order
+            for side in (frozenset(rooted.inside[node]), every - rooted.inside[node])}
+
+
+def assert_exact_everywhere(instance, dec):
+    """The tree validates at its declared width, and solve_dp gives the
+    oracle's optimum from every root."""
+    g = instance.graph
+    report = validate_decomposition(g, dec)
+    assert report.ok and report.width == dec.declared_width, report.violations
+    want = brute_force_mwbs(instance).kept_weight
+    for root in dec.leaf_map:
+        assert solve_dp(instance, dec, root).kept_weight == want
+
+
+class TestSkeletonFirst:
+    """``build_sphere_cut`` decomposes the hub-to-hub edges and hangs each
+    pendant on the skeleton edge before it in its hub's rotation."""
+
+    def test_wrap_around_at_a_hub(self):
+        """Hub 0 reads p3, e0, e2, p4: its rotation starts inside the run
+        after e2, so e2's caterpillar is e2, p4, p3."""
+        inst = embedded([(0, 1), (1, 2), (2, 0), (0, 3), (0, 4)],
+                        {0: [3, 0, 2, 4], 1: [1, 0], 2: [2, 1]})
+        dec = build_sphere_cut(inst.graph)
+        sides = arc_sides(inst.graph, dec)
+        assert {frozenset({2, 4}), frozenset({2, 4, 3})} <= sides
+        assert frozenset({0, 3}) not in sides
+        assert_exact_everywhere(inst, dec)
+
+    def test_pendants_at_both_ends(self):
+        """e0 = (0, 1) has p3 after it at 0 and p4 after it at 1: its
+        caterpillar is e0, then its tail's pendants, then its head's."""
+        inst = embedded([(0, 1), (1, 2), (2, 0), (0, 3), (4, 1)],
+                        {0: [0, 3, 2], 1: [1, 0, 4], 2: [2, 1]})
+        dec = build_sphere_cut(inst.graph)
+        sides = arc_sides(inst.graph, dec)
+        assert {frozenset({0}), frozenset({0, 3}), frozenset({0, 3, 4})} <= sides
+        assert_exact_everywhere(inst, dec)
+
+    def test_one_edge_skeleton(self):
+        """A single hub-to-hub edge: a caterpillar of the whole graph, e0,
+        then the pendants at 0 from e0 on (wrapping), then those at 1."""
+        inst = embedded([(0, 1), (0, 2), (3, 0), (1, 4), (5, 1)],
+                        {0: [2, 0, 1], 1: [0, 3, 4]})
+        dec = build_sphere_cut(inst.graph)
+        want = _caterpillar([0, 1, 2, 3, 4])
+        assert (dec.node_count, dec.arcs, dec.leaf_map) == \
+            (want.node_count, want.arcs, want.leaf_map)
+        assert dec.declared_width == 2
+        assert_exact_everywhere(inst, dec)
+
+    def test_two_edge_skeleton(self, monkeypatch):
+        """The skeleton path 0-1-2 gets the two-node tree, whose nodes are
+        both leaves; each grows its own caterpillar."""
+        inst = embedded([(0, 1), (1, 2), (0, 3), (4, 1), (2, 5), (6, 2)],
+                        {0: [0, 2], 1: [1, 0, 3], 2: [4, 1, 5]})
+        skeleton_trees = []
+        real = decomposition._greedy_sweep
+        monkeypatch.setattr(decomposition, "_greedy_sweep",
+                            lambda g: skeleton_trees.append(real(g)) or skeleton_trees[-1])
+        dec = build_sphere_cut(inst.graph)
+        assert [t.node_count for t in skeleton_trees] == [2]
+        assert dec.node_count == 2 * inst.graph.edge_count - 2
+        assert {frozenset({0, 2}), frozenset({1, 3, 4, 5})} <= arc_sides(inst.graph, dec)
+        assert_exact_everywhere(inst, dec)
+
+    def test_corpora_raw_and_reduced(self, corpus_small, corpus_b4, oracle_of):
+        """Every tree validates and solve_dp gives the oracle's optimum,
+        on the raw instances and on their reduced components lifted back."""
+        hung = 0
+        for inst in corpus_small + corpus_b4:
+            want = oracle_of(inst).kept_weight
+            dec = build_sphere_cut(inst.graph)
+            hung += skeleton_of(inst.graph) is not None
+            assert validate_decomposition(inst.graph, dec).width == dec.declared_width
+            assert solve_dp(inst, dec).kept_weight == want
+            red = reduce_to_simple(inst)
+            kept = set()
+            for _v, edges in red.instance.graph.components():
+                if not edges:
+                    continue
+                sub, _vids, eids = subgraph_by_edges(red.instance, edges)
+                if sub.graph.edge_count < 2:
+                    kept.update(eids)
+                    continue
+                dec = build_sphere_cut(sub.graph)
+                hung += skeleton_of(sub.graph) is not None
+                assert validate_decomposition(sub.graph, dec).width == dec.declared_width
+                kept.update(eids[j] for j in solve_dp(sub, dec).kept_edges)
+            assert make_solution(inst, red.lift(kept), "dp").kept_weight == want
+        assert hung == 239      # graphs with both pendants and a skeleton
+
+    def test_pendant_free_trees_unchanged(self, corpus_small, corpus_b4):
+        """SHA-256 of the trees and widths of every pendant-free graph among
+        the raw corpora and their reduced components, recorded before the
+        skeleton-first construction: those graphs keep their tree."""
+        graphs = []
+        for inst in corpus_small + corpus_b4:
+            candidates = [inst.graph] if inst.graph.is_connected() else []
+            red = reduce_to_simple(inst).instance
+            candidates += [subgraph_by_edges(red, edges)[0].graph
+                           for _v, edges in red.graph.components() if edges]
+            graphs += [g for g in candidates if g.edge_count >= 2
+                       and all(g.degree(v) > 1 for v in range(g.vertex_count))]
+        assert len(graphs) == 542
+        docs = []
+        for g in graphs:
+            dec = build_sphere_cut(g)
+            docs.append(canonical_json(dict(dec.document(), width=dec.declared_width)))
+        assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == \
+            "b226d0fba6d5bedcc61ce1a61a381ef9d54a1a9b7ca3081124da15a99283a65d"
+
+    def test_tri_frontier_work(self, monkeypatch):
+        """Sum of 6**|mid| over the arcs of the 15 tri-frontier components
+        (triangulations n=24 seeds 0-14): 582,720 when the whole component
+        was decomposed.  Bisection only ever sees a skeleton."""
+        seen = []
+        real = decomposition._recursive_bisection
+        monkeypatch.setattr(decomposition, "_recursive_bisection",
+                            lambda g: seen.append(g) or real(g))
+        entries = 0
+        for seed in range(15):
+            for sub in dp_components(gen_instance(GenParams(n=24, seed=seed))):
+                g = sub.graph
+                skel = skeleton_of(g)
+                before = len(seen)
+                report = validate_decomposition(g, build_sphere_cut(g))
+                entries += sum(6 ** len(b.mid) for b in report.rooted.boundaries.values())
+                for h in seen[before:]:
+                    assert skel is not None and h.edge_count < g.edge_count
+                    assert (h.edges, h.rotation) == (skel.edges, skel.rotation)
+        assert seen
+        assert entries <= 260_000
+
+    def test_triangulation_60_seed_0(self):
+        """Greedy on the whole component is 10 wide, out of reach.  On the
+        skeleton greedy is above 5 too, so the policy's tree is the
+        skeleton + bisection one; it solves the component, with the same
+        optimum from three roots."""
+        (sub,) = dp_components(gen_instance(GenParams(n=60, seed=0)))
+        g = sub.graph
+        assert validate_decomposition(g, _greedy_sweep(g)).width == 10
+        dec = build_sphere_cut(g)
+        bisected = _skeleton_first(g, lambda skel: _validated(skel, _recursive_bisection(skel)))
+        assert bisected == dec and dec.declared_width == 5
+        leaves = sorted(dec.leaf_map)
+        optima = {solve_dp(sub, dec, root).kept_weight
+                  for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1])}
+        assert optima == {Fraction(7129, 12)}
+
+    @given(st.integers(0, 519), st.integers(0, 2 ** 14 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_edge_deletions(self, corpus_small, index, mask):
+        """Delete an edge subset, reduce, and decompose every component,
+        raw and reduced: each tree validates and gives the oracle's
+        optimum."""
+        inst = corpus_small[index]
+        keep = [e for e in range(inst.graph.edge_count) if not mask >> e & 1]
+        if not keep:
+            return
+        left = subgraph_by_edges(inst, keep)[0]
+        red = reduce_to_simple(left).instance
+        for whole in (left, red):
+            for _v, edges in whole.graph.components():
+                if not edges:
+                    continue
+                sub = subgraph_by_edges(whole, edges)[0]
+                dec = build_sphere_cut(sub.graph)
+                report = validate_decomposition(sub.graph, dec)
+                assert report.ok and report.width == dec.declared_width
+                if sub.graph.edge_count >= 2:
+                    assert solve_dp(sub, dec).kept_weight == \
+                        brute_force_mwbs(sub).kept_weight
 
 
 class TestBisectionPins:
