@@ -21,16 +21,19 @@ edge at a time into a growing region, always keeping every prefix
 contiguous, and emits a caterpillar tree; it always runs.
 Recursive-bisection splits the edge set as evenly as possible into two
 contiguous halves and recurses; it runs only when the greedy width is
-above 5, and its tree is kept when narrower.  Neither is width-optimal;
-externally computed decompositions can be imported instead and are always
-re-validated (middle sets are recomputed, never trusted).
+above 5, and its tree is kept when narrower.  Each candidate tree is
+lifted to the whole graph and validated once there; the kept tree
+carries that report, and ``solve_dp`` builds its tables on the report's
+rooted view when it solves at the default root.  Neither builder is
+width-optimal; externally computed decompositions can be imported instead
+and are always re-validated (middle sets are recomputed, never trusted).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -49,11 +52,20 @@ class SphereCutDecomposition:
     ``leaf_map`` sends leaf node ids to edge ids.  For single-edge graphs
     the degenerate two-node tree is used, one leaf carrying the edge and
     the other acting as a stub; its only arc has, by convention, the
-    edge's endpoints as middle set."""
+    edge's endpoints as middle set.
+
+    ``report`` is set on the trees that ``build_sphere_cut`` returns: the
+    validator's report on the graph the tree was built for, rooted at the
+    lowest mapped leaf.  A decoded or hand-made tree has none."""
     node_count: int
     arcs: tuple[tuple[int, int], ...]
     leaf_map: dict[int, int]
-    declared_width: Optional[int] = None
+    report: Optional[ValidationReport] = field(default=None, compare=False, repr=False)
+
+    @property
+    def declared_width(self) -> Optional[int]:
+        """The validated width, or None for a tree nobody validated."""
+        return None if self.report is None else self.report.width
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -304,16 +316,22 @@ _GREEDY_WIDTH_LIMIT = 5
 def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> SphereCutDecomposition:
     """Build a validated decomposition of a connected graph.
 
-    Skeleton first: the policy below decomposes the hub-to-hub edges, and
-    each pendant is then hung next to a skeleton edge of its hub.  A graph
-    without pendants, a star and a single edge go to the policy whole.
+    Skeleton first: the builders decompose the hub-to-hub edges, and
+    ``lift`` hangs each pendant next to a skeleton edge of its hub.  A
+    graph without pendants, a star and a single edge are their own
+    skeleton.
 
     The policy: greedy-sweep runs first.  Only when its width is above 5
     does recursive-bisection run too, and its tree is kept if narrower; if
     bisection finds no contiguous split, greedy stands.  Greedy is some
     30x cheaper to build, so bisection is paid for only where the
-    ``6**width`` tables outweigh the search.  A greedy failure, or any
-    tree failing the validator, raises BuildError with the instance.
+    ``6**width`` tables outweigh the search.  Each candidate is lifted and
+    then validated once, on the whole graph; a lifted tree is as wide as
+    its skeleton tree whenever either is wider than 2, so comparing lifted
+    widths picks the tree that comparing skeleton widths would.  The
+    report is kept on the returned tree, and ``solve_dp`` reuses its
+    rooted view at the default root.  A greedy failure, or any tree
+    failing the validator, raises BuildError with the instance.
 
     ``strategy="greedy-sweep"`` returns the greedy tree of the whole graph
     alone; the benchmark's ``perfbench/make_golden.py`` cross-checks optima
@@ -326,14 +344,11 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
         return _validated(graph, _greedy_sweep(graph))
     if strategy is not None:
         raise BuildError(f"unknown strategy {strategy!r}")
-    return _skeleton_first(graph, _policy)
-
-
-def _policy(graph: PlaneDigraph) -> SphereCutDecomposition:
-    dec = _validated(graph, _greedy_sweep(graph))
+    skeleton, lift = _skeleton(graph)
+    dec = _validated(graph, lift(_greedy_sweep(skeleton)))
     if dec.declared_width > _GREEDY_WIDTH_LIMIT:
         try:
-            alt = _recursive_bisection(graph)
+            alt = lift(_recursive_bisection(skeleton))
         except BuildError:
             return dec
         alt = _validated(graph, alt)
@@ -342,20 +357,21 @@ def _policy(graph: PlaneDigraph) -> SphereCutDecomposition:
     return dec
 
 
-def _skeleton_first(graph: PlaneDigraph,
-                    build: Callable[[PlaneDigraph], SphereCutDecomposition]
-                    ) -> SphereCutDecomposition:
-    """Decompose the skeleton with ``build`` (which returns a validated
-    tree of the graph it is given), then hang the pendants.
+def _skeleton(graph: PlaneDigraph) -> tuple[
+        PlaneDigraph, Callable[[SphereCutDecomposition], SphereCutDecomposition]]:
+    """Split the graph into its skeleton and a ``lift`` that turns a tree of
+    the skeleton into a tree of the whole graph.
 
     The skeleton is taken with ``subgraph_by_edges``, so it inherits the
     rotation; it is connected, because only leaves were removed.  At each
     hub, every pendant goes to the nearest skeleton edge before it in the
     rotation, wrapping cyclically, so the hub's darts read: a skeleton
     dart, its pendant run, the next skeleton dart, its run, and so on.
-    Each skeleton leaf e = (u, w) is replaced by a caterpillar over e, then
-    e's pendants at u in rotation order, then its pendants at w.  A
-    one-edge skeleton gives a caterpillar of the whole graph.
+    ``lift`` replaces each skeleton leaf e = (u, w) by a caterpillar over
+    e, then e's pendants at u in rotation order, then its pendants at w.
+    With no pendants, or no skeleton edge, the graph is its own skeleton
+    and ``lift`` is the identity; a one-edge skeleton lifts to a
+    caterpillar of the whole graph.
 
     Why the tree is valid.  A skeleton arc's inside grows by the pendant
     runs of its skeleton edges.  At a hub, the inside skeleton darts are
@@ -369,7 +385,7 @@ def _skeleton_first(graph: PlaneDigraph,
     hub = [graph.degree(v) > 1 for v in range(graph.vertex_count)]
     skeleton = [e for e, (t, h) in enumerate(graph.edges) if hub[t] and hub[h]]
     if not skeleton or len(skeleton) == graph.edge_count:
-        return build(graph)
+        return graph, lambda tree: tree
     on_skeleton = set(skeleton)
     runs = {e: ([], []) for e in skeleton}     # pendants at e's tail, at e's head
     for v, row in enumerate(graph.rotation):
@@ -387,24 +403,28 @@ def _skeleton_first(graph: PlaneDigraph,
     def order(e: int) -> list[int]:
         return [e, *runs[e][0], *runs[e][1]]
 
-    if len(skeleton) == 1:
-        return _validated(graph, _caterpillar(order(skeleton[0])))
     sub, _vertex_ids, edge_ids = subgraph_by_edges(_unit_instance(graph), skeleton)
-    tree = build(sub.graph)
-    arcs = list(tree.arcs)
-    leaf_map: dict[int, int] = {}
-    fresh = itertools.count(tree.node_count)
-    for node, j in sorted(tree.leaf_map.items()):
-        first, *rest = order(edge_ids[j])
-        below = node if not rest else next(fresh)
-        leaf_map[below] = first
-        for k, e in enumerate(rest):
-            leaf = next(fresh)
-            leaf_map[leaf] = e
-            joint = node if k == len(rest) - 1 else next(fresh)
-            arcs += [(below, joint), (leaf, joint)]
-            below = joint
-    return _validated(graph, SphereCutDecomposition(next(fresh), tuple(arcs), leaf_map))
+    if len(skeleton) == 1:
+        whole = _caterpillar(order(skeleton[0]))
+        return sub.graph, lambda _tree: whole
+
+    def lift(tree: SphereCutDecomposition) -> SphereCutDecomposition:
+        arcs = list(tree.arcs)
+        leaf_map: dict[int, int] = {}
+        fresh = itertools.count(tree.node_count)
+        for node, j in sorted(tree.leaf_map.items()):
+            first, *rest = order(edge_ids[j])
+            below = node if not rest else next(fresh)
+            leaf_map[below] = first
+            for k, e in enumerate(rest):
+                leaf = next(fresh)
+                leaf_map[leaf] = e
+                joint = node if k == len(rest) - 1 else next(fresh)
+                arcs += [(below, joint), (leaf, joint)]
+                below = joint
+        return SphereCutDecomposition(next(fresh), tuple(arcs), leaf_map)
+
+    return sub.graph, lift
 
 
 def _validated(graph: PlaneDigraph, dec: SphereCutDecomposition) -> SphereCutDecomposition:
@@ -413,7 +433,7 @@ def _validated(graph: PlaneDigraph, dec: SphereCutDecomposition) -> SphereCutDec
         raise BuildError(
             "builder produced an invalid decomposition: " + "; ".join(report.violations),
             instance_document=_bare_document(graph))
-    return SphereCutDecomposition(dec.node_count, dec.arcs, dec.leaf_map, report.width)
+    return replace(dec, report=report)
 
 
 def _unit_instance(graph: PlaneDigraph) -> Instance:

@@ -122,15 +122,14 @@ class DPTable:
         return sum(CONFIG_INDEX[assignment[v]] * _POW6[k] for k, v in enumerate(mid))
 
 
-def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights=None) -> DPTable:
-    """Table for an arc whose inside is a single edge.
+def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights: list[int]) -> DPTable:
+    """Table for an arc whose inside is a single edge; ``int_weights`` are
+    the instance weights as ``scaled_int_weights`` rescales them.
 
     Keeping the edge realizes an assignment iff each middle-set endpoint's
     configuration contains the letter of the edge's dart there (o at the
     tail, i at the head); deleting it realizes everything at cost w(e).
     Every entry is feasible."""
-    if int_weights is None:
-        int_weights, _ = scaled_int_weights(instance.weights)
     if len(boundary.inside_edges) != 1:
         raise DecompositionError("leaf_table needs a single-edge boundary")
     (e,) = boundary.inside_edges
@@ -264,16 +263,23 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     any boundary assignment of the root-adjacent arc serves; with it kept,
     the assignment is pinned to ioi at the root edge's head and oio at its
     tail, which the single outside dart then completes to a bimodal
-    pattern.  The reconstructed subgraph is re-verified before returning."""
+    pattern.  The reconstructed subgraph is re-verified before returning.
+
+    The tree is validated here unless ``build_sphere_cut`` validated it
+    for this very graph object and the root is its report's: then the
+    report's rooted view is reused.  A decoded tree, another root or
+    another graph object, even an equal one, is validated in full."""
     g = instance.graph
     if not g.is_connected():
         raise DecompositionError("solve_dp expects a connected graph")
     if g.edge_count < 2:
         raise DecompositionError("graphs with fewer than 2 edges go to star_solve")
-    report = validate_decomposition(g, dec, root_leaf)
-    if not report.ok:
-        raise DecompositionError("invalid decomposition: " + "; ".join(report.violations))
-    rooted = report.rooted
+    rooted = dec.report.rooted if dec.report is not None else None
+    if rooted is None or rooted.graph is not g or root_leaf not in (None, rooted.root_leaf):
+        report = validate_decomposition(g, dec, root_leaf)
+        if not report.ok:
+            raise DecompositionError("invalid decomposition: " + "; ".join(report.violations))
+        rooted = report.rooted
     int_w, scale = scaled_int_weights(instance.weights)
 
     tables: dict[int, DPTable] = {}

@@ -545,14 +545,14 @@ def shrink_cut_instance(cut: CutInstance) -> CutInstance:
 
 def solve_components(instance: Instance) -> set[int]:
     """Solve every connected component exactly and return the kept edge
-    ids: stars and single edges directly, everything else by the table
+    ids: stars (a single edge is one) directly, everything else by the table
     solver over the ``build_sphere_cut`` decomposition."""
     kept: set[int] = set()
     for _verts, comp_edges in instance.graph.components():
         if not comp_edges:
             continue
         sub, _vids, eids = subgraph_by_edges(instance, comp_edges)
-        if is_star(sub.graph) is not None or sub.graph.edge_count < 2:
+        if is_star(sub.graph) is not None:
             sol = star_solve(sub)
         else:
             sol = solve_dp(sub, build_sphere_cut(sub.graph))

@@ -10,20 +10,13 @@ pruning is allowed that could change which optimum the tie-break picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import BudgetExceeded, FormatError, NotAStar
 from .plane import Instance, Solution, dart_direction, dart_edge, make_solution
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_edges: int = 16
-    max_classes: int = 16
-
-
-DEFAULT_BUDGET = OracleBudget()
+# the most edges, or edge classes, an exhaustive oracle enumerates
+BUDGET = 16
 
 
 def scaled_int_weights(weights) -> tuple[list[int], int]:
@@ -58,15 +51,15 @@ class _SwitchState:
                 self.num_bad += 1 if new > 2 else -1
 
 
-def brute_force_mwbs(instance: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> Solution:
+def brute_force_mwbs(instance: Instance) -> Solution:
     """Exact optimum by enumerating all kept edge sets.
 
     Tie-break among maximum-weight feasible sets: the smallest kept bitset
     as an integer (bit e = edge e kept)."""
     g = instance.graph
     m = g.edge_count
-    if m > budget.max_edges:
-        raise BudgetExceeded(f"{m} edges exceed the oracle budget {budget.max_edges}")
+    if m > BUDGET:
+        raise BudgetExceeded(f"{m} edges exceed the oracle budget {BUDGET}")
     int_w, _scale = scaled_int_weights(instance.weights)
     state = _SwitchState(g)
     weight = 0
@@ -85,13 +78,13 @@ def brute_force_mwbs(instance: Instance, budget: OracleBudget = DEFAULT_BUDGET) 
     return make_solution(instance, kept, "oracle")
 
 
-def brute_force_cut(instance: Instance, classes, budget: OracleBudget = DEFAULT_BUDGET) -> Solution:
+def brute_force_cut(instance: Instance, classes) -> Solution:
     """Exact optimum over unions of all-or-nothing edge classes."""
     g = instance.graph
     classes = [tuple(c) for c in classes]
     k = len(classes)
-    if k > budget.max_classes:
-        raise BudgetExceeded(f"{k} classes exceed the oracle budget {budget.max_classes}")
+    if k > BUDGET:
+        raise BudgetExceeded(f"{k} classes exceed the oracle budget {BUDGET}")
     covered = sorted(e for c in classes for e in c)
     if covered != list(range(g.edge_count)):
         raise FormatError("classes do not partition the edge set")

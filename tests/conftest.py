@@ -57,13 +57,14 @@ def corpus_b4():
 
 @pytest.fixture(scope="session")
 def oracle_of():
-    """Memoized exhaustive optimum, shared across suites."""
+    """Memoized exhaustive optimum, shared across suites.  The cache keeps
+    each instance alive next to its optimum, so its id is never reused."""
     cache = {}
 
     def solve(instance):
         key = id(instance)
         if key not in cache:
-            cache[key] = brute_force_mwbs(instance)
-        return cache[key]
+            cache[key] = (instance, brute_force_mwbs(instance))
+        return cache[key][1]
 
     return solve

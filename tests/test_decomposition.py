@@ -15,8 +15,7 @@ from mwbs.decomposition import (
     _caterpillar,
     _greedy_sweep,
     _recursive_bisection,
-    _skeleton_first,
-    _validated,
+    _skeleton,
     build_sphere_cut,
     decomposition_from_document,
     middle_set,
@@ -361,8 +360,8 @@ class TestSkeletonFirst:
         g = sub.graph
         assert validate_decomposition(g, _greedy_sweep(g)).width == 10
         dec = build_sphere_cut(g)
-        bisected = _skeleton_first(g, lambda skel: _validated(skel, _recursive_bisection(skel)))
-        assert bisected == dec and dec.declared_width == 5
+        skel, lift = _skeleton(g)
+        assert lift(_recursive_bisection(skel)) == dec and dec.declared_width == 5
         leaves = sorted(dec.leaf_map)
         optima = {solve_dp(sub, dec, root).kept_weight
                   for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1])}

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 import mwbs.decomposition as decomposition
+import mwbs.dp as dp
 from mwbs.decomposition import (
     SphereCutDecomposition,
     _greedy_sweep,
     _recursive_bisection,
     build_sphere_cut,
+    decomposition_from_document,
     validate_decomposition,
 )
 from mwbs.dp import (
@@ -29,6 +31,8 @@ from mwbs.dp import (
     solve_dp,
 )
 from mwbs.errors import DecompositionError
+from mwbs.generate import GenParams, gen_instance
+from mwbs.kernel import solve_subexponential
 from mwbs.oracle import scaled_int_weights
 from mwbs.plane import (
     HEAD,
@@ -232,7 +236,8 @@ class TestLeafTable:
     def test_wrong_boundary_rejected(self):
         top = self.rooted.children[2][0]
         with pytest.raises(DecompositionError):
-            leaf_table(self.inst, self.rooted.boundaries[top])
+            leaf_table(self.inst, self.rooted.boundaries[top],
+                       scaled_int_weights(self.inst.weights)[0])
 
 
 class TestJoin:
@@ -475,3 +480,76 @@ class TestSolveDP:
             if checked >= 8:
                 break
         assert checked
+
+
+def count_validations(monkeypatch):
+    """Count the validator's calls where both the builder and solve_dp
+    bind it; each call appends its ``root_leaf``."""
+    calls = []
+    real = decomposition.validate_decomposition
+
+    def counted(graph, dec, root_leaf=None):
+        calls.append(root_leaf)
+        return real(graph, dec, root_leaf)
+
+    monkeypatch.setattr(decomposition, "validate_decomposition", counted)
+    monkeypatch.setattr(dp, "validate_decomposition", counted)
+    return calls
+
+
+class TestOneValidationPerTree:
+    """``build_sphere_cut`` validates each candidate once, on the whole
+    graph, and ``solve_dp`` reuses that report only for the graph object
+    it was made on and at its root."""
+
+    def test_tri_frontier(self, monkeypatch):
+        """One validation per component of triangulations n=24 seeds 0-14,
+        two for seed 11, whose greedy tree is wider than 5; three per
+        component, plus the bisection's, when every stage validated."""
+        calls = count_validations(monkeypatch)
+        per_seed = []
+        for seed in range(15):
+            before = len(calls)
+            solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
+            per_seed.append(len(calls) - before)
+        assert per_seed == [1] * 11 + [2] + [1] * 3
+
+    def test_revalidated_off_the_builders_graph_and_root(self, corpus_small, monkeypatch):
+        """A decoded tree, another root and an equal copy of the graph are
+        each validated in full; the built tree at its own root is not."""
+        calls = count_validations(monkeypatch)
+        for inst in corpus_small[:20]:
+            g = inst.graph
+            dec = build_sphere_cut(g)
+            calls.clear()
+            want = solve_dp(inst, dec).kept_weight
+            assert solve_dp(inst, dec, min(dec.leaf_map)).kept_weight == want
+            assert calls == []
+            copy = Instance(PlaneDigraph(g.vertex_count, g.edges, g.rotation), inst.weights)
+            assert copy.graph is not g and \
+                (copy.graph.edges, copy.graph.rotation) == (g.edges, g.rotation)
+            decoded = decomposition_from_document(dec.document())
+            for case, tree, root in ((inst, decoded, None), (inst, dec, max(dec.leaf_map)),
+                                     (copy, dec, None)):
+                calls.clear()
+                assert solve_dp(case, tree, root).kept_weight == want
+                assert calls == [root]
+
+    def test_tree_of_another_graph(self, corpus_small, oracle_of):
+        """A tree built for graph A, handed over with graph B of the same
+        edge count, fares as the validator judges it on B."""
+        by_size = {}
+        for inst in corpus_small[:150]:
+            by_size.setdefault(inst.graph.edge_count, []).append(inst)
+        outcomes = []
+        for group in by_size.values():
+            for a, b in zip(group, group[1:]):
+                dec = build_sphere_cut(a.graph)
+                report = validate_decomposition(b.graph, dec)
+                if report.ok:
+                    assert solve_dp(b, dec).kept_weight == oracle_of(b).kept_weight
+                else:
+                    with pytest.raises(DecompositionError, match="invalid decomposition"):
+                        solve_dp(b, dec)
+                outcomes.append(report.ok)
+        assert True in outcomes and False in outcomes

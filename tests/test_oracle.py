@@ -6,7 +6,7 @@ import pytest
 
 from mwbs.errors import BudgetExceeded, FormatError, NotAStar
 from mwbs.generate import GenParams, gen_instance
-from mwbs.oracle import OracleBudget, brute_force_cut, brute_force_mwbs, is_star, star_solve
+from mwbs.oracle import brute_force_cut, brute_force_mwbs, is_star, star_solve
 from mwbs.plane import HEAD, TAIL, Instance, PlaneDigraph, dart
 
 from test_plane import star4_instance, triangle_instance
@@ -36,8 +36,7 @@ def test_budget_refused():
     with pytest.raises(BudgetExceeded):
         brute_force_mwbs(inst)
     with pytest.raises(BudgetExceeded):
-        brute_force_cut(inst, [[e] for e in range(inst.graph.edge_count)],
-                        OracleBudget(max_edges=16, max_classes=16))
+        brute_force_cut(inst, [[e] for e in range(inst.graph.edge_count)])
 
 
 def test_classes_must_partition_the_edges():

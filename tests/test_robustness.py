@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwbs.decomposition import (
     SphereCutDecomposition,
@@ -15,9 +16,10 @@ from mwbs.decomposition import (
 )
 from mwbs.dp import solve_dp
 from mwbs.eptas import eptas_max, eptas_min
-from mwbs.errors import DecompositionError, FormatError
+from mwbs.errors import DecompositionError, Error, FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
-from mwbs.kernel import reduce_to_simple, solve_subexponential, to_cut_instance
+from mwbs.kernel import (reduce_to_simple, solve_components, solve_subexponential,
+                         to_cut_instance)
 from mwbs.oracle import brute_force_cut, brute_force_mwbs
 from mwbs.plane import (
     HEAD,
@@ -27,6 +29,9 @@ from mwbs.plane import (
     dart,
     decode_instance,
     encode_instance,
+    instance_document,
+    instance_from_document,
+    make_solution,
 )
 
 from test_plane import star4_instance, triangle_instance
@@ -267,3 +272,50 @@ class TestLargerDifferential:
             assert cost <= (1 + eps) * opt_min
             sol, _rep = eptas_max(inst, eps)
             assert sol.kept_weight >= (1 - eps) * exact.kept_weight
+
+
+def mutate(doc, kind, data):
+    """Apply one mutation to an instance document in place: swap two darts
+    at one vertex, flip one edge (tail and head, and both dart ends), or
+    delete a nonempty edge subset (the rest renumbered densely, every
+    vertex kept)."""
+    if kind == "swap":
+        row = data.draw(st.sampled_from([row for row in doc["rotation"] if len(row) >= 2]))
+        i, j = data.draw(st.lists(st.integers(0, len(row) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        row[i], row[j] = row[j], row[i]
+    elif kind == "flip":
+        e = data.draw(st.integers(0, len(doc["edges"]) - 1))
+        edge = doc["edges"][e]
+        edge["tail"], edge["head"] = edge["head"], edge["tail"]
+        for row in doc["rotation"]:
+            for d in row:
+                if d["edge"] == e:
+                    d["end"] = "head" if d["end"] == "tail" else "tail"
+    else:
+        m = len(doc["edges"])
+        gone = data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
+        new_id = {e: k for k, e in enumerate(e for e in range(m) if e not in gone)}
+        doc["edges"] = [dict(edge, id=new_id[edge["id"]])
+                        for edge in doc["edges"] if edge["id"] not in gone]
+        doc["rotation"] = [[dict(d, edge=new_id[d["edge"]]) for d in row
+                            if d["edge"] not in gone] for row in doc["rotation"]]
+
+
+class TestMutatedRotationSystems:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_refused_or_solved_exactly(self, corpus_small, data):
+        """A mutated corpus document is either refused with a typed error
+        when decoded, or the component solver, the oracle and the
+        subexponential pipeline agree on its optimum."""
+        inst = corpus_small[data.draw(st.integers(0, len(corpus_small) - 1))]
+        doc = instance_document(inst)
+        mutate(doc, data.draw(st.sampled_from(("swap", "flip", "delete"))), data)
+        try:
+            mutant = instance_from_document(doc)
+        except Error:
+            return
+        want = brute_force_mwbs(mutant).kept_weight
+        assert make_solution(mutant, solve_components(mutant), "dp").kept_weight == want
+        assert solve_subexponential(mutant).kept_weight == want
