@@ -1,17 +1,20 @@
 """Layer-based approximation schemes (shifting technique).
 
 Both schemes partition each component's vertices into breadth-first
-layers.  The maximization scheme deletes, for one residue class of layer
-indices, every edge joining consecutive layers there; whatever remains
-falls apart into bands of few layers, is solved exactly, and the union of
-the band optima is bimodal.  Some residue loses at most a 1/t fraction of
-the optimum, so the best residue is a (1 - eps)-approximation with
-t = ceil(1/eps).
+layers and share one loop over the residue classes i = 0, ..., t-1 of
+layer indices.  A residue cuts every edge joining layers j and j+1 with
+j = i (mod t); what is left falls apart into bands of at most t layers,
+all solved exactly by one call on the cut graph, and each component keeps
+its best residue.  The schemes differ only in the shift width t and in
+what happens to the cut edges.
 
-The minimization scheme cannot simply delete boundary edges (deleting is
-what is being charged), so boundary edges are copied into both adjacent
-bands as pendant edges on split degree-one vertices.  Solving each band
-exactly and deleting every edge with a deleted copy yields a feasible
+The maximization scheme drops them.  The union of the band optima is
+bimodal, and some residue loses at most a 1/t fraction of the optimum, so
+the best residue is a (1 - eps)-approximation with t = ceil(1/eps).
+
+The minimization scheme cannot simply drop cut edges (deleting is what is
+being charged), so each is split into two pendant copies, one in each
+adjacent band.  Deleting every edge with a deleted copy yields a feasible
 deletion set of cost at most (1 + 2/t) times the optimum; t = ceil(2/eps)
 gives the (1 + eps) guarantee.
 """
@@ -21,18 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import EmbeddingError, FormatError
 from .kernel import solve_subexponential
 from .plane import (
+    HEAD,
+    TAIL,
     Instance,
     format_weight,
     PlaneDigraph,
     Solution,
     dart,
-    dart_edge,
-    dart_end,
     make_solution,
     subgraph_by_edges,
 )
@@ -86,178 +88,118 @@ def _check_epsilon(eps) -> Fraction:
     return eps
 
 
+def _shift(instance: Instance, t: int, piece, method: str
+           ) -> tuple[Solution, list[Fraction], list[int]]:
+    """The shifting loop of both schemes.
+
+    Per component and residue i, ``piece(component, layers, i, t)`` returns
+    one instance and the component edge id of each of its edges.  That
+    instance is solved exactly; a component edge counts as kept when it has
+    a copy and every copy is kept.  Residues from ``depth - 1`` on cut
+    nothing, so the whole component is solved once and stands for all of
+    them.  Each component takes its best residue (lowest index on ties).
+    Returns the certified solution, the kept weight per residue (one entry
+    per residue below both t and the deepest layer count) and the chosen
+    residue of each component with edges."""
+    parts = []
+    for _verts, comp_edges in instance.graph.components():
+        if comp_edges:
+            sub, _vids, eids = subgraph_by_edges(instance, comp_edges)
+            parts.append((sub, eids, bfs_layers(sub.graph, 0)))
+    deepest = max((len(layers.layers) for _sub, _eids, layers in parts), default=0)
+    per_residue = [Fraction(0)] * min(t, deepest)
+    kept: set[int] = set()
+    chosen: list[int] = []
+    for sub, eids, layers in parts:
+        kept_sets: list[set[int]] = []
+        values: list[Fraction] = []
+        for i in range(min(t, len(layers.layers))):
+            split, edge_orig = piece(sub, layers, i, t)
+            sol = solve_subexponential(split)
+            dropped = {e for j, e in enumerate(edge_orig) if j not in sol.kept_edges}
+            here = set(edge_orig) - dropped
+            if sub.graph.bad_vertices(here):
+                raise EmbeddingError(f"residue {i}: mapped-back kept set is not feasible")
+            kept_sets.append(here)
+            values.append(sum((sub.weights[e] for e in here), Fraction(0)))
+        for i in range(len(per_residue)):
+            per_residue[i] += values[min(i, len(values) - 1)]
+        best = values.index(max(values))
+        kept.update(eids[e] for e in kept_sets[best])
+        chosen.append(best)
+    return make_solution(instance, kept, method), per_residue, chosen
+
+
+def _drop_cut(instance: Instance, layers: LayerDecomposition,
+              residue: int, t: int) -> tuple[Instance, list[int]]:
+    """The graph without the residue's cut edges, and its edges' ids."""
+    cut = layers.boundary_edges(instance.graph, t, residue)
+    piece, _vids, eids = subgraph_by_edges(
+        instance, [e for e in range(instance.graph.edge_count) if e not in cut])
+    return piece, eids
+
+
 def eptas_max(instance: Instance, eps) -> tuple[Solution, dict]:
     """Keep at least a (1 - eps) fraction of the optimal weight.
 
-    Per component and residue class: drop the residue's inter-layer edges,
-    solve the rest exactly, take the best residue (lowest index on ties).
+    Per component and residue class: drop the residue's cut edges, solve
+    the rest exactly, take the best residue (lowest index on ties).
     The report records the per-residue values and the guarantee factor."""
     eps = _check_epsilon(eps)
     t = math.ceil(1 / eps)
-    g = instance.graph
-    kept: set[int] = set()
-    residue_totals = [Fraction(0)] * t
-    chosen: list[int] = []
-    for verts, comp_edges in g.components():
-        if not comp_edges:
-            continue
-        sub, _vids, eids = subgraph_by_edges(instance, comp_edges)
-        layers = bfs_layers(sub.graph, 0)
-        best_kept: Optional[set[int]] = None
-        best_value: Optional[Fraction] = None
-        best_residue = 0
-        for i in range(t):
-            cut = layers.boundary_edges(sub.graph, t, i)
-            remainder = [e for e in range(sub.graph.edge_count) if e not in cut]
-            value = Fraction(0)
-            kept_here: set[int] = set()
-            if remainder:
-                piece, _pvids, peids = subgraph_by_edges(sub, remainder)
-                sol = solve_subexponential(piece)
-                value = sol.kept_weight
-                kept_here = {peids[j] for j in sol.kept_edges}
-            residue_totals[i] += value
-            if best_value is None or value > best_value:
-                best_value, best_kept, best_residue = value, kept_here, i
-        kept.update(eids[j] for j in best_kept)
-        chosen.append(best_residue)
-    solution = make_solution(instance, kept, "eptas-max")
+    solution, per_residue, chosen = _shift(instance, t, _drop_cut, "eptas-max")
     report = {
         "epsilon": format_weight(eps),
         "shift_width": t,
         "guarantee_factor": format_weight(1 - Fraction(1, t)),
-        "per_residue_kept": [format_weight(w) for w in residue_totals],
+        "per_residue_kept": [format_weight(w) for w in per_residue],
         "chosen_residues": chosen,
     }
     return solution, report
 
 
-@dataclass(frozen=True)
-class SplitLayerGraph:
-    """One band of consecutive layers with boundary vertices split to
-    degree one.  ``vertex_ids`` maps band vertices to originals (-1 for
-    split copies); ``edge_orig`` maps band edges to original edge ids.
-    Interior vertices keep their rotation unchanged."""
-    instance: Instance
-    band: tuple[int, int]              # inclusive layer range
-    vertex_ids: tuple[int, ...]
-    edge_orig: tuple[int, ...]
-
-
 def split_layer_graphs(instance: Instance, layers: LayerDecomposition,
-                       residue: int, t: int) -> list[SplitLayerGraph]:
-    """Cut the layer sequence after indices = residue (mod t) and build one
-    graph per band.  Every edge across a cut appears as a pendant copy in
-    both adjacent bands; every other edge appears exactly once."""
+                       residue: int, t: int) -> tuple[Instance, tuple[int, ...]]:
+    """Split each of the residue's cut edges e = (u, v) in two: e keeps its
+    dart at u and ends at a fresh vertex, and a new copy of e, starting at
+    another fresh vertex, takes e's slot at v.  Every vertex keeps its
+    rotation, so each component of the result lies in one band.  Returns
+    the split instance and the original id of each of its edges."""
     g = instance.graph
-    depth = len(layers.layers)
-    cuts = [c for c in range(residue, depth - 1, t)]
-    bounds = []
-    lo = 0
-    for c in cuts:
-        bounds.append((lo, c))
-        lo = c + 1
-    bounds.append((lo, depth - 1))
-    out = []
-    for lo, hi in bounds:
-        real = sorted(v for layer in layers.layers[lo:hi + 1] for v in layer)
-        if not real:
-            continue
-        vmap = {v: j for j, v in enumerate(real)}
-        vertex_ids = list(real)
-        edges: list[tuple[int, int]] = []
-        weights: list[Fraction] = []
-        edge_orig: list[int] = []
-        emap: dict[int, int] = {}
-        rotation: list[list[int]] = [[] for _ in real]
-
-        def band_edge(e: int) -> int:
-            if e not in emap:
-                emap[e] = len(edges)
-                edges.append(g.edges[e])   # endpoints fixed later
-                weights.append(instance.weights[e])
-                edge_orig.append(e)
-            return emap[e]
-
-        pending_fix: list[tuple[int, int, int]] = []  # (band edge, end, band vertex)
-        for v in real:
-            for d in g.rotation[v]:
-                e = dart_edge(d)
-                u = g.other_endpoint(d)
-                if u in vmap:
-                    be = band_edge(e)
-                    pending_fix.append((be, dart_end(d), vmap[v]))
-                    rotation[vmap[v]].append(dart(be, dart_end(d)))
-                else:
-                    lu, lv = layers.layer_of[u], layers.layer_of[v]
-                    clo = min(lu, lv)
-                    if abs(lu - lv) != 1 or clo % t != residue:
-                        raise EmbeddingError("edge leaves the band without crossing a cut")
-                    be = len(edges)
-                    edges.append((0, 0))
-                    weights.append(instance.weights[e])
-                    edge_orig.append(e)
-                    split = len(vertex_ids)
-                    vertex_ids.append(-1)
-                    rotation.append([dart(be, dart_end(d) ^ 1)])
-                    pending_fix.append((be, dart_end(d), vmap[v]))
-                    pending_fix.append((be, dart_end(d) ^ 1, split))
-                    rotation[vmap[v]].append(dart(be, dart_end(d)))
-        fixed: list[list[int]] = [[-1, -1] for _ in edges]
-        for be, end, bv in pending_fix:
-            fixed[be][end] = bv
-        band_instance = Instance(
-            PlaneDigraph(len(vertex_ids), [tuple(p) for p in fixed], rotation),
-            tuple(weights))
-        out.append(SplitLayerGraph(band_instance, (lo, hi),
-                                   tuple(vertex_ids), tuple(edge_orig)))
-    return out
+    if any(abs(layers.layer_of[u] - layers.layer_of[v]) > 1 for u, v in g.edges):
+        raise EmbeddingError("an edge skips a layer")
+    n, m = g.vertex_count, g.edge_count
+    cut = sorted(layers.boundary_edges(g, t, residue))
+    edges = list(g.edges)
+    rotation = [list(row) for row in g.rotation]
+    for k, e in enumerate(cut):
+        u, v = edges[e]
+        edges[e] = (u, n + 2 * k)
+        edges.append((n + 2 * k + 1, v))
+        rotation[v][rotation[v].index(dart(e, HEAD))] = dart(m + k, HEAD)
+        rotation += [[dart(e, HEAD)], [dart(m + k, TAIL)]]
+    split = Instance(PlaneDigraph(n + 2 * len(cut), edges, rotation),
+                     instance.weights + tuple(instance.weights[e] for e in cut))
+    return split, tuple(range(m)) + tuple(cut)
 
 
 def eptas_min(instance: Instance, eps) -> tuple[set[int], Fraction, dict]:
     """Deletion set of weight at most (1 + eps) times the minimum.
 
-    Per component and residue: solve every band exactly and delete each
-    original edge with at least one deleted copy.  Feasibility of the
-    combined deletion is unconditional; only the cost is approximate."""
+    Per component and residue: split the residue's cut edges, solve the
+    bands exactly and delete each original edge with at least one deleted
+    copy.  Feasibility of the combined deletion is unconditional; only the
+    cost is approximate."""
     eps = _check_epsilon(eps)
     t = math.ceil(2 / eps)
-    g = instance.graph
-    deleted: set[int] = set()
-    total = Fraction(0)
-    chosen: list[int] = []
-    per_residue: list[Fraction] = [Fraction(0)] * t
-    for verts, comp_edges in g.components():
-        if not comp_edges:
-            continue
-        sub, _vids, eids = subgraph_by_edges(instance, comp_edges)
-        layers = bfs_layers(sub.graph, 0)
-        best_f: Optional[set[int]] = None
-        best_cost: Optional[Fraction] = None
-        best_residue = 0
-        for i in range(t):
-            bands = split_layer_graphs(sub, layers, i, t)
-            f: set[int] = set()
-            for band in bands:
-                sol = solve_subexponential(band.instance)
-                for be in range(band.instance.graph.edge_count):
-                    if be not in sol.kept_edges:
-                        f.add(band.edge_orig[be])
-            cost = sum((sub.weights[e] for e in f), Fraction(0))
-            kept_check = set(range(sub.graph.edge_count)) - f
-            if sub.graph.bad_vertices(kept_check):
-                raise EmbeddingError("mapped-back deletion set is not feasible")
-            per_residue[i] += cost
-            if best_cost is None or cost < best_cost:
-                best_cost, best_f, best_residue = cost, f, i
-        deleted.update(eids[e] for e in best_f)
-        total += best_cost
-        chosen.append(best_residue)
+    solution, per_residue, chosen = _shift(instance, t, split_layer_graphs, "eptas-min")
+    total = instance.total_weight
     report = {
         "epsilon": format_weight(eps),
         "shift_width": t,
         "guarantee_factor": format_weight(1 + Fraction(2, t)),
-        "per_residue_cost": [format_weight(w) for w in per_residue],
+        "per_residue_cost": [format_weight(total - w) for w in per_residue],
         "chosen_residues": chosen,
     }
-    return deleted, total, report
+    deleted = set(range(instance.graph.edge_count)) - solution.kept_edges
+    return deleted, solution.deleted_weight, report

@@ -10,6 +10,7 @@ from mwbs.generate import planted_star_instance
 from mwbs.kernel import shrink_cut_instance, to_cut_instance
 from mwbs.plane import encode_instance
 
+from test_eptas import run_capped
 from test_plane import k5_document, star4_instance
 
 
@@ -187,6 +188,22 @@ def test_eptas_commands(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["deleted_weight"] == "1/1"
+
+
+def test_eptas_tiny_epsilon(tmp_path, capsys):
+    """eps = 1/10**9 asks for a shift width of 10**9 (2 * 10**9 for min);
+    both variants still answer with a JSON document, under a 1 GB cap."""
+    f = tmp_path / "gen.json"
+    code, _ = run(capsys, "gen", "--n", "8", "--seed", "3", "--density", "sparse",
+                  "--out", str(f))
+    assert code == 0
+    for variant in ("max", "min"):
+        proc = run_capped(["-m", "mwbs.cli", "eptas", variant, str(f),
+                           "--epsilon", "1/1000000000"])
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["shift_width"] == 10**9 * (1 if variant == "max" else 2)
+        assert all(c <= 2 for c in doc["solution"]["certificate"])
 
 
 def test_bench_csv(capsys):
