@@ -279,11 +279,10 @@ def _cmd_eptas(args) -> int:
         solution, report = eptas.eptas_max(instance, args.epsilon)
         report["solution"] = solution.document()
     else:
-        deleted, cost, report = eptas.eptas_min(instance, args.epsilon)
-        kept = set(range(instance.graph.edge_count)) - deleted
-        report["deleted"] = sorted(deleted)
-        report["deleted_weight"] = format_weight(cost)
-        report["solution"] = make_solution(instance, kept, "eptas-min").document()
+        solution, report = eptas._eptas_min(instance, args.epsilon)
+        report["deleted"] = sorted(set(range(instance.graph.edge_count)) - solution.kept_edges)
+        report["deleted_weight"] = format_weight(solution.deleted_weight)
+        report["solution"] = solution.document()
     _emit(canonical_json(report), args.out)
     return 0
 

@@ -158,7 +158,10 @@ def _side_positions(graph: PlaneDigraph, v: int, side: set[int]) -> set[int]:
 
 
 def _contiguous_at(graph: PlaneDigraph, v: int, side: set[int]) -> bool:
-    return _cyclic_run(_side_positions(graph, v, side), graph.degree(v)) is not None
+    """Whether the darts at v whose edges lie in ``side`` form one cyclic
+    run: their flags around the rotation switch on at most once."""
+    flags = [d >> 1 in side for d in graph.rotation[v]]
+    return sum(f > g for g, f in zip(flags[-1:] + flags, flags)) <= 1
 
 
 def middle_set(graph: PlaneDigraph, inside: set[int]) -> list[int]:

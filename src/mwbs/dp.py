@@ -10,10 +10,17 @@ concatenation collapses to a substring of oio or ioi.
 
 The solver walks a validated decomposition bottom-up.  Each arc gets a
 table mapping every assignment of configurations to the arc's middle set
-to the minimum weight of edges deleted strictly inside the arc, plus
-back-pointers for reconstruction.  Weights are handled as exact integers
-after rescaling by the common denominator; infeasible entries are an
-explicit None, never a large number.
+to the minimum weight of edges deleted strictly inside the arc.  Weights
+are handled as exact integers after rescaling by the common denominator.
+
+Every entry is feasible.  A leaf entry is: deleting the edge realizes any
+assignment.  A parent entry combines, at each shared vertex, a pair of
+child configurations from a list that is never empty (checked when the
+module loads), and every child entry is feasible by induction, so it has
+at least one candidate pair.  Tables therefore hold costs only: no
+infeasible marker and no back-pointers.  On the way down, the solver
+decodes the one chosen entry of each internal node and recomputes its
+argmin over that entry's pairs, in the join's own order.
 
 The join tries only the maximal pairs of child configurations.  Order the
 configurations by substring (i and o below io and oi, which lie below
@@ -21,18 +28,18 @@ oio and ioi).  Every set of valid child-configuration pairs at a shared
 vertex, plain compatible or compatible with respect to a parent
 configuration, is a down-set in the product of that order.  Tables are
 monotone in it: a pattern realizing a configuration realizes every
-superstring, so raising one coordinate keeps an entry feasible and never
-raises its cost.  Hence a valid pair is dominated by a maximal valid pair
-that costs no more, and the minimum over the maximal pairs is the
-minimum over all valid pairs.  The pair lists are derived from the
-compatibility tables when the module loads.
+superstring, so raising one coordinate never raises an entry's cost.
+Hence a valid pair is dominated by a maximal valid pair that costs no
+more, and the minimum over the maximal pairs is the minimum over all
+valid pairs.  The pair lists are derived from the compatibility tables
+when the module loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .decomposition import ArcBoundary, SphereCutDecomposition, validate_decomposition
 from .errors import DecompositionError
@@ -98,6 +105,50 @@ _TARGET_PAIRS = {
     2: [_maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
                   if _COMPAT_WRT[x2][x1][t]]) for t in range(6)],
 }
+# every parent entry has a candidate pair, so every table entry is feasible
+assert _INTERIOR_PAIRS and all(all(by_target) for by_target in _TARGET_PAIRS.values())
+
+
+class JoinSplit(NamedTuple):
+    """How a parent arc's middle set splits over its two children, as
+    mixed-radix code weights (``6**position``, 0 where a table lacks the
+    vertex).
+
+    ``owned`` lists, per parent position that exactly one child owns, the
+    (parent, child 1, child 2) weights.  ``interior`` lists the (child 1,
+    child 2) weights of the shared vertices interior to the parent.
+    ``targets`` lists, per shared vertex on the parent middle set, its
+    (parent, child 1, child 2) weights and its maximal pair lists indexed
+    by the parent configuration."""
+    owned: tuple[tuple[int, int, int], ...]
+    interior: tuple[tuple[int, int], ...]
+    targets: tuple[tuple[int, int, int, list[list[tuple[int, int]]]], ...]
+
+    def interior_combos(self) -> list[tuple[int, int]]:
+        """Child code offsets of every choice of maximal pairs at the
+        interior shared vertices."""
+        combos = [(0, 0)]
+        for w1, w2 in self.interior:
+            combos = _extend(combos, w1, w2, _INTERIOR_PAIRS)
+        return combos
+
+    def pairs_of(self, code: int) -> list[tuple[int, int]]:
+        """The candidate (child 1, child 2) entry codes of parent entry
+        ``code``, in the order the join tries them."""
+        o1 = o2 = 0
+        for w3, w1, w2 in self.owned:
+            x = code // w3 % 6
+            o1 += x * w1
+            o2 += x * w2
+        combos = self.interior_combos()
+        for w3, w1, w2, by_target in self.targets:
+            combos = _extend(combos, w1, w2, by_target[code // w3 % 6])
+        return [(o1 + d1, o2 + d2) for d1, d2 in combos]
+
+
+def _extend(combos: list[tuple[int, int]], w1: int, w2: int,
+            pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos for x1, x2 in pairs]
 
 
 @dataclass
@@ -107,19 +158,42 @@ class DPTable:
 
     Assignments are encoded in mixed radix: the vertex at position k of
     ``boundary.mid`` contributes config_index * 6**k.  ``costs`` holds the
-    minimum scaled deleted weight (None if infeasible); ``back`` holds the
-    leaf keep-flag or the chosen pair of child entry codes.  ``edge`` is
-    set on leaf tables only."""
+    minimum scaled deleted weight of each entry; every entry is feasible.
+    No back-pointers are stored.  A join table keeps its ``split``, from
+    which reconstruction recomputes the pair of child entries behind one
+    entry; a leaf table needs nothing beyond its boundary."""
     boundary: ArcBoundary
-    costs: list[Optional[int]]
-    back: list
-    edge: Optional[int] = None
+    costs: list[int]
+    split: Optional[JoinSplit] = None
 
     def code_of_assignment(self, assignment: dict[int, str]) -> int:
         mid = self.boundary.mid
         if sorted(assignment) != sorted(mid):
             raise KeyError(f"assignment domain must be exactly {mid}")
         return sum(CONFIG_INDEX[assignment[v]] * _POW6[k] for k, v in enumerate(mid))
+
+
+def _leaf_letters(instance: Instance, boundary: ArcBoundary) -> tuple[int, list[str]]:
+    """A leaf arc's edge and the letter of its dart at each middle-set
+    position: o at the tail, i at the head."""
+    if len(boundary.inside_edges) != 1:
+        raise DecompositionError("leaf_table needs a single-edge boundary")
+    (e,) = boundary.inside_edges
+    t, h = instance.graph.edges[e]
+    mid = boundary.mid
+    if not set(mid) <= {t, h}:
+        raise DecompositionError("leaf boundary mid must consist of the edge endpoints")
+    letters = {t: "o", h: "i"}
+    return e, [letters[v] for v in mid]
+
+
+def _keeps(letters: list[str], code: int) -> bool:
+    """Whether keeping a leaf's edge realizes the assignment ``code``."""
+    for letter in letters:
+        if letter not in CONFIGS[code % 6]:
+            return False
+        code //= 6
+    return True
 
 
 def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights: list[int]) -> DPTable:
@@ -130,28 +204,10 @@ def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights: list[int]
     configuration contains the letter of the edge's dart there (o at the
     tail, i at the head); deleting it realizes everything at cost w(e).
     Every entry is feasible."""
-    if len(boundary.inside_edges) != 1:
-        raise DecompositionError("leaf_table needs a single-edge boundary")
-    (e,) = boundary.inside_edges
-    t, h = instance.graph.edges[e]
-    mid = boundary.mid
-    if not set(mid) <= {t, h}:
-        raise DecompositionError("leaf boundary mid must consist of the edge endpoints")
-    letters = {t: "o", h: "i"}
-    size = _POW6[len(mid)]
-    costs: list[Optional[int]] = [None] * size
-    back = [False] * size
+    e, letters = _leaf_letters(instance, boundary)
     w = int_weights[e]
-    for code in range(size):
-        ok = True
-        c = code
-        for v in mid:
-            if letters[v] not in CONFIGS[c % 6]:
-                ok = False
-            c //= 6
-        costs[code] = 0 if ok else w
-        back[code] = ok
-    return DPTable(boundary, costs, back, edge=e)
+    costs = [0 if _keeps(letters, code) else w for code in range(_POW6[len(letters)])]
+    return DPTable(boundary, costs)
 
 
 def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: int) -> int:
@@ -167,25 +223,7 @@ def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: in
     raise DecompositionError(f"child runs at vertex {v} do not tile the parent run")
 
 
-def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
-    """Combine two child tables into the parent arc's table.
-
-    Constraints per vertex: present in only one child, its configuration
-    is forced to the parent's; shared by both children and on the parent
-    middle set, the two child configurations taken in clockwise run order
-    must be compatible with respect to the parent's; shared by both
-    children but interior to the parent, they must be plain compatible,
-    which certifies the vertex's cyclic bimodality once it disappears
-    from all middle sets.
-
-    Each of these valid pair sets is a down-set in the product substring
-    order, and child tables are monotone (a superstring configuration never
-    costs more, and stays feasible), so any valid pair is dominated by a
-    maximal one that costs no more.  Only the maximal pairs are tried: 6 per
-    interior shared vertex, at most 3 per shared vertex on the parent
-    middle set.  The forced positions are enumerated once per join as
-    (parent, child 1, child 2) code offsets."""
-    b1, b2 = t1.boundary, t2.boundary
+def _join_split(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary) -> JoinSplit:
     if b1.inside_edges | b2.inside_edges != parent.inside_edges or \
             (b1.inside_edges & b2.inside_edges):
         raise DecompositionError("child arcs must partition the parent inside")
@@ -199,59 +237,78 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
     pos1 = {v: k for k, v in enumerate(m1)}
     pos2 = {v: k for k, v in enumerate(m2)}
     pos3 = {v: k for k, v in enumerate(m3)}
+    owned = tuple((_POW6[pos3[v]], _POW6[pos1[v]] if v in set1 else 0,
+                   _POW6[pos2[v]] if v in set2 else 0)
+                  for v in m3 if v not in shared_set)
+    interior = tuple((_POW6[pos1[v]], _POW6[pos2[v]]) for v in shared if v not in set3)
+    targets = tuple((_POW6[pos3[v]], _POW6[pos1[v]], _POW6[pos2[v]],
+                     _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)])
+                    for v in shared if v in set3)
+    return JoinSplit(owned, interior, targets)
 
-    # (parent, child 1, child 2) offsets of every assignment to the parent
-    # positions that exactly one child owns
+
+def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
+    """Combine two child tables into the parent arc's table.
+
+    Constraints per vertex: present in only one child, its configuration
+    is forced to the parent's; shared by both children and on the parent
+    middle set, the two child configurations taken in clockwise run order
+    must be compatible with respect to the parent's; shared by both
+    children but interior to the parent, they must be plain compatible,
+    which certifies the vertex's cyclic bimodality once it disappears
+    from all middle sets.
+
+    Each of these valid pair sets is a down-set in the product substring
+    order, and child tables are monotone (a superstring configuration never
+    costs more), so any valid pair is dominated by a maximal one that costs
+    no more.  Only the maximal pairs are tried: 6 per interior shared
+    vertex, at most 3 per shared vertex on the parent middle set.  The
+    forced positions are enumerated once per join as (parent, child 1,
+    child 2) code offsets; entries are grouped by the parent
+    configurations at the shared vertices, and every entry of a group
+    tries the same pair offsets.  A group with a single pair (every
+    target i or o, no interior vertex) is a straight sum.  The table keeps
+    its ``JoinSplit``, from which ``solve_dp`` recomputes the pair behind
+    an entry."""
+    split = _join_split(parent, t1.boundary, t2.boundary)
     forced = [(0, 0, 0)]
-    for v in m3:
-        if v in shared_set:
-            continue
-        w3 = _POW6[pos3[v]]
-        w1 = _POW6[pos1[v]] if v in set1 else 0
-        w2 = _POW6[pos2[v]] if v in set2 else 0
+    for w3, w1, w2 in split.owned:
         forced = [(o3 + x * w3, o1 + x * w1, o2 + x * w2)
                   for o3, o1, o2 in forced for x in range(6)]
 
-    # child offsets of the maximal pairs at the interior shared vertices,
-    # then grouped by the parent configurations at the other shared vertices
-    combos = [(0, 0)]
-    for v in shared:
-        if v not in set3:
-            w1, w2 = _POW6[pos1[v]], _POW6[pos2[v]]
-            combos = [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
-                      for x1, x2 in _INTERIOR_PAIRS]
-    groups = [(0, combos)]
-    for v in shared:
-        if v in set3:
-            w1, w2, w3 = _POW6[pos1[v]], _POW6[pos2[v]], _POW6[pos3[v]]
-            by_target = _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)]
-            groups = [(code + tgt * w3,
-                       [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
-                        for x1, x2 in by_target[tgt]])
-                      for code, combos in groups for tgt in range(6)]
+    groups = [(0, split.interior_combos())]
+    for w3, w1, w2, by_target in split.targets:
+        groups = [(code + tgt * w3, _extend(combos, w1, w2, by_target[tgt]))
+                  for code, combos in groups for tgt in range(6)]
 
     c1, c2 = t1.costs, t2.costs
-    size3 = _POW6[len(m3)]
-    costs: list[Optional[int]] = [None] * size3
-    back: list = [None] * size3
+    costs = [0] * _POW6[len(parent.mid)]
     for code, combos in groups:
+        (e1, e2), rest = combos[0], combos[1:]
+        if not rest:
+            for o3, o1, o2 in forced:
+                costs[code + o3] = c1[o1 + e1] + c2[o2 + e2]
+            continue
         for o3, o1, o2 in forced:
-            best = None
-            best_bp = None
-            for d1, d2 in combos:
-                a = c1[o1 + d1]
-                if a is None:
-                    continue
-                b = c2[o2 + d2]
-                if b is None:
-                    continue
-                total = a + b
-                if best is None or total < best:
+            best = c1[o1 + e1] + c2[o2 + e2]
+            for d1, d2 in rest:
+                total = c1[o1 + d1] + c2[o2 + d2]
+                if total < best:
                     best = total
-                    best_bp = (o1 + d1, o2 + d2)
             costs[code + o3] = best
-            back[code + o3] = best_bp
-    return DPTable(parent, costs, back)
+    return DPTable(parent, costs, split=split)
+
+
+def _chosen_pair(table: DPTable, t1: DPTable, t2: DPTable, code: int) -> tuple[int, int]:
+    """The pair of child entries behind parent entry ``code``: the first
+    of its candidate pairs, in the join's order, of least total cost."""
+    c1, c2 = t1.costs, t2.costs
+    pairs = table.split.pairs_of(code)
+    totals = [c1[a] + c2[b] for a, b in pairs]
+    best = min(totals)
+    if best != table.costs[code]:
+        raise DecompositionError("reconstruction disagrees with the table entry")
+    return pairs[totals.index(best)]
 
 
 def solve_dp(instance: Instance, dec: SphereCutDecomposition,
@@ -263,7 +320,10 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     any boundary assignment of the root-adjacent arc serves; with it kept,
     the assignment is pinned to ioi at the root edge's head and oio at its
     tail, which the single outside dart then completes to a bimodal
-    pattern.  The reconstructed subgraph is re-verified before returning.
+    pattern.  Going down from the chosen root entry, each internal node
+    recomputes the child pair behind its one chosen entry, and each leaf
+    whether its edge is kept there.  The reconstructed subgraph is
+    re-verified before returning.
 
     The tree is validated here unless ``build_sphere_cut`` validated it
     for this very graph object and the root is its report's: then the
@@ -297,23 +357,16 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     e_r = dec.leaf_map[rooted.root_leaf]
     tail_r, head_r = g.edges[e_r]
 
-    delete_cost, delete_code = None, None
-    for code, c in enumerate(ttop.costs):
-        if c is None:
-            continue
-        if delete_cost is None or c < delete_cost:
-            delete_cost, delete_code = c, code
-    if delete_cost is not None:
-        delete_cost += int_w[e_r]
+    delete_cost = min(ttop.costs)
+    delete_code = ttop.costs.index(delete_cost)
+    delete_cost += int_w[e_r]
 
     pinned = {head_r: "ioi", tail_r: "oio"}
     keep_code = ttop.code_of_assignment(
         {v: pinned[v] for v in ttop.boundary.mid})
     keep_cost = ttop.costs[keep_code]
 
-    if delete_cost is None and keep_cost is None:
-        raise DecompositionError("no feasible root entry; decomposition unusable")
-    if keep_cost is not None and (delete_cost is None or keep_cost <= delete_cost):
+    if keep_cost <= delete_cost:
         root_cost, root_code, root_deletes = keep_cost, keep_code, set()
     else:
         root_cost, root_code, root_deletes = delete_cost, delete_code, {e_r}
@@ -322,17 +375,16 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     stack = [(top, root_code)]
     while stack:
         node, code = stack.pop()
-        table = tables[node]
-        if table.edge is not None:
-            if not table.back[code]:
-                deleted.add(table.edge)
+        kids = rooted.children[node]
+        if kids:
+            a, b = kids
+            code1, code2 = _chosen_pair(tables[node], tables[a], tables[b], code)
+            stack.append((a, code1))
+            stack.append((b, code2))
         else:
-            bp = table.back[code]
-            if bp is None:
-                raise DecompositionError("reconstruction hit an infeasible entry")
-            a, b = rooted.children[node]
-            stack.append((a, bp[0]))
-            stack.append((b, bp[1]))
+            e, letters = _leaf_letters(instance, tables[node].boundary)
+            if not _keeps(letters, code):
+                deleted.add(e)
     kept = set(range(g.edge_count)) - deleted
     solution = make_solution(instance, kept, "dp")
     if solution.deleted_weight != Fraction(root_cost, scale):

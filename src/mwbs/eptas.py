@@ -190,6 +190,13 @@ def eptas_min(instance: Instance, eps) -> tuple[set[int], Fraction, dict]:
     bands exactly and delete each original edge with at least one deleted
     copy.  Feasibility of the combined deletion is unconditional; only the
     cost is approximate."""
+    solution, report = _eptas_min(instance, eps)
+    deleted = set(range(instance.graph.edge_count)) - solution.kept_edges
+    return deleted, solution.deleted_weight, report
+
+
+def _eptas_min(instance: Instance, eps) -> tuple[Solution, dict]:
+    """``eptas_min`` with its certified solution, which the CLI prints."""
     eps = _check_epsilon(eps)
     t = math.ceil(2 / eps)
     solution, per_residue, chosen = _shift(instance, t, split_layer_graphs, "eptas-min")
@@ -201,5 +208,4 @@ def eptas_min(instance: Instance, eps) -> tuple[set[int], Fraction, dict]:
         "per_residue_cost": [format_weight(total - w) for w in per_residue],
         "chosen_residues": chosen,
     }
-    deleted = set(range(instance.graph.edge_count)) - solution.kept_edges
-    return deleted, solution.deleted_weight, report
+    return solution, report

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from mwbs import cli, dp, eptas, kernel, oracle, plane
 from mwbs.cli import main
-from mwbs.generate import planted_star_instance
+from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import shrink_cut_instance, to_cut_instance
 from mwbs.plane import encode_instance
 
@@ -188,6 +189,29 @@ def test_eptas_commands(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["deleted_weight"] == "1/1"
+
+
+def test_eptas_min_certifies_once(tmp_path, capsys, monkeypatch):
+    """``mwbs eptas min`` prints the solution that its shifting loop
+    certified, where it used to certify the same deleted set again: one
+    ``make_solution`` call fewer on sparse n=40 seed 0 at eps 1/2, and the
+    same document, recorded when it certified twice."""
+    calls = []
+    real = plane.make_solution
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    for mod in (cli, dp, eptas, kernel, oracle):
+        monkeypatch.setattr(mod, "make_solution", counted)
+    f = tmp_path / "gen.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=40, seed=0, density="sparse"))))
+    code, out = run(capsys, "eptas", "min", str(f), "--epsilon", "1/2")
+    assert code == 0
+    assert (len(calls), calls.count("eptas-min")) == (16, 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "318d880a1f5e5d65e8736fe100b28f3d00373a8421c443ee4313e339f136a5bd"
 
 
 def test_eptas_tiny_epsilon(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Configuration algebra and the table solver, checked against
 independently implemented oracles."""
 
+import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from mwbs.dp import (
     _INTERIOR_PAIRS,
     _TARGET_PAIRS,
     CONFIGS,
+    _chosen_pair,
     _first_child_at,
     collapse,
     compatible,
@@ -39,6 +42,7 @@ from mwbs.plane import (
     TAIL,
     Instance,
     PlaneDigraph,
+    canonical_json,
     dart,
     dart_direction,
     dart_edge,
@@ -354,6 +358,68 @@ def loose_join(parent, b1, b2, t1, t2):
     return costs
 
 
+def backpointer_join(parent, t1, t2):
+    """Reference costs and choices: the join as it was written when tables
+    stored a back-pointer per entry.  Returns the parent costs (None for no
+    candidate pair) and, per entry, the first cheapest (child 1, child 2)
+    entry codes in the order the maximal pairs are tried, or None."""
+    b1, b2 = t1.boundary, t2.boundary
+    m1, m2, m3 = b1.mid, b2.mid, parent.mid
+    set1, set2, set3 = set(m1), set(m2), set(m3)
+    shared = tuple(sorted(set1 & set2))
+    pos1 = {v: k for k, v in enumerate(m1)}
+    pos2 = {v: k for k, v in enumerate(m2)}
+    pos3 = {v: k for k, v in enumerate(m3)}
+
+    forced = [(0, 0, 0)]
+    for v in m3:
+        if v in shared:
+            continue
+        w3 = 6 ** pos3[v]
+        w1 = 6 ** pos1[v] if v in set1 else 0
+        w2 = 6 ** pos2[v] if v in set2 else 0
+        forced = [(o3 + x * w3, o1 + x * w1, o2 + x * w2)
+                  for o3, o1, o2 in forced for x in range(6)]
+
+    combos = [(0, 0)]
+    for v in shared:
+        if v not in set3:
+            w1, w2 = 6 ** pos1[v], 6 ** pos2[v]
+            combos = [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
+                      for x1, x2 in _INTERIOR_PAIRS]
+    groups = [(0, combos)]
+    for v in shared:
+        if v in set3:
+            w1, w2, w3 = 6 ** pos1[v], 6 ** pos2[v], 6 ** pos3[v]
+            by_target = _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)]
+            groups = [(code + tgt * w3,
+                       [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
+                        for x1, x2 in by_target[tgt]])
+                      for code, combos in groups for tgt in range(6)]
+
+    c1, c2 = t1.costs, t2.costs
+    costs = [None] * 6 ** len(m3)
+    back = [None] * 6 ** len(m3)
+    for code, combos in groups:
+        for o3, o1, o2 in forced:
+            best = None
+            best_bp = None
+            for d1, d2 in combos:
+                a = c1[o1 + d1]
+                if a is None:
+                    continue
+                b = c2[o2 + d2]
+                if b is None:
+                    continue
+                total = a + b
+                if best is None or total < best:
+                    best = total
+                    best_bp = (o1 + d1, o2 + d2)
+            costs[code + o3] = best
+            back[code + o3] = best_bp
+    return costs, back
+
+
 def realizes_ref(pattern, config):
     p = collapse_ref(pattern)
     return p == "" or p in substrings(config)
@@ -420,8 +486,9 @@ class TestSolveDP:
 
     def test_loose_join_differential(self, corpus_small):
         """Entry by entry, the join equals the reference join over every
-        pair of child entries, and each back-pointer names a valid pair of
-        feasible child entries whose costs sum to the parent's."""
+        pair of child entries, and the pair that reconstruction recomputes
+        for an entry is the back-pointer the join used to store: a valid
+        pair of child entries whose costs sum to the parent's."""
         checked = 0
         for inst in corpus_small[:40]:
             g = inst.graph
@@ -435,17 +502,55 @@ class TestSolveDP:
                 table, t1, t2 = tables[node], tables[kids[0]], tables[kids[1]]
                 b, b1, b2 = table.boundary, t1.boundary, t2.boundary
                 parents = join_rule(b, b1, b2, t1, t2)
-                assert table.costs == loose_join(b, b1, b2, t1, t2)
+                want_costs, want_back = backpointer_join(b, t1, t2)
+                assert table.costs == loose_join(b, b1, b2, t1, t2) == want_costs
                 for code3, cost in enumerate(table.costs):
-                    if cost is None:
-                        assert table.back[code3] is None
-                        continue
-                    code1, code2 = table.back[code3]
+                    code1, code2 = _chosen_pair(table, t1, t2, code3)
+                    assert (code1, code2) == want_back[code3]
                     assert code3 in parents(code1, code2)
-                    assert t1.costs[code1] is not None and t2.costs[code2] is not None
                     assert t1.costs[code1] + t2.costs[code2] == cost
                 checked += 1
         assert checked > 100
+
+    def test_reconstruction_checks_the_entry(self):
+        """A table entry that no candidate pair reaches is refused on the
+        way down."""
+        inst, dec = path5_instance(), caterpillar_over(5)
+        rooted, tables, _ = rooted_tables(inst, dec)
+        node = next(n for n in rooted.post_order if rooted.children[n])
+        a, b = rooted.children[node]
+        tables[node].costs[0] -= 1
+        with pytest.raises(DecompositionError, match="disagrees with the table entry"):
+            _chosen_pair(tables[node], tables[a], tables[b], 0)
+
+    def test_outputs_pinned(self, corpus_small):
+        """Solution documents of solve_subexponential on triangulations
+        n=24 seeds 0-14 and n=60 seeds 0, 3, 7, 8, 9, and of solve_dp at
+        the lowest, middle and highest leaf on the first 35 corpus
+        instances (the benchmark's corpus-dp pool).  Recorded with back-pointer tables."""
+        docs = [canonical_json(solve_subexponential(
+                    gen_instance(GenParams(n=n, seed=s))).document())
+                for n, seeds in ((24, range(15)), (60, (0, 3, 7, 8, 9))) for s in seeds]
+        for inst in corpus_small[:35]:
+            dec = build_sphere_cut(inst.graph)
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                docs.append(canonical_json(solve_dp(inst, dec, root).document()))
+        assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == \
+            "1b35a56c445a14b9f1f5d8df6dea3ebb478bd9a1d4c88240d2b99cac6e24a7fb"
+
+    def test_memory_peak(self):
+        """Costs-only tables: solving triangulation n=24 seed 0 peaks at
+        about 2.3 MB of traced allocations; with a back-pointer per entry
+        it took 7 MB."""
+        inst = gen_instance(GenParams(n=24, seed=0))
+        tracemalloc.start()
+        try:
+            solve_subexponential(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
     def test_scaling_invariance(self, corpus_small):
         for inst in corpus_small[:15]:
