@@ -410,6 +410,45 @@ class TestBisectionPins:
             "33eca96ee35149c89e344cf2a5fdc5dbd85e0a3a1f66d01d35fbeefee1482ca4"
 
 
+def side_by_side(g1, g2):
+    """Two plane digraphs as one disconnected graph; g2's vertices and
+    edges are numbered after g1's."""
+    n1, m1 = g1.vertex_count, g1.edge_count
+    edges = list(g1.edges) + [(t + n1, h + n1) for t, h in g2.edges]
+    rotation = list(g1.rotation) + [[d + 2 * m1 for d in row] for row in g2.rotation]
+    return PlaneDigraph(n1 + g2.vertex_count, edges, rotation)
+
+
+class TestGrowthPins:
+    """Trees recorded before the sweep and the greedy split shared one
+    region-growth loop."""
+
+    def test_triangulation_60_skeletons(self):
+        """SHA-256 of the ``_recursive_bisection`` and ``_greedy_sweep``
+        documents of the skeletons of triangulations n=60 seeds 0-9 (32-61
+        edges each): bisection splits them greedily at several depths."""
+        docs = []
+        for seed in range(10):
+            for sub in dp_components(gen_instance(GenParams(n=60, seed=seed))):
+                skel = _skeleton(sub.graph)[0]
+                docs += [canonical_json(build(skel).document())
+                         for build in (_recursive_bisection, _greedy_sweep)]
+        assert len(docs) == 20
+        assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == \
+            "d1a3019c8874d04922acc62dc64def544fa5d85914a461f98fb5597c45474374"
+
+    def test_sweep_crosses_to_a_disjoint_edge(self):
+        """The sweep's disjoint-edge fallback, reachable only on a
+        disconnected graph: once the 12 edges of the first triangulation
+        are absorbed, no edge touches the region, and the lowest edge of
+        the second graph starts a new run."""
+        g = side_by_side(gen_instance(GenParams(n=6, seed=1)).graph,
+                         gen_instance(GenParams(n=5, seed=2, density="sparse")).graph)
+        assert g.edge_count == 18 and not g.is_connected()
+        assert _greedy_sweep(g) == _caterpillar(
+            [0, 1, 2, 3, 5, 6, 7, 8, 4, 9, 10, 11, 12, 17, 13, 14, 15, 16])
+
+
 class TestValidator:
     def test_unknown_edge_in_leaf_map(self):
         g = triangle_instance().graph
