@@ -21,7 +21,7 @@ from .decomposition import (
     validate_decomposition,
 )
 from .dp import solve_dp
-from .errors import BudgetExceeded, Error, FormatError
+from .errors import Error, FormatError
 from .generate import GenParams, gen_instance
 from .plane import (
     Instance,
@@ -122,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="solve an instance")
     so.add_argument("file")
-    so.add_argument("--method", choices=["oracle", "dp", "subexp", "auto"],
-                    default="auto")
+    so.add_argument("--method", choices=["oracle", "dp", "subexp"], default="subexp")
     so.add_argument("--decomposition", help="imported decomposition for --method dp")
     so.add_argument("--out")
 
@@ -235,12 +234,7 @@ def _solution_for_method(instance: Instance, method: str, dec_doc=None):
         sub, _v, eids = subgraph_by_edges(instance, components[0])
         kept = {eids[j] for j in solve_dp(sub, dec).kept_edges}
         return make_solution(instance, kept, "dp")
-    if method == "subexp":
-        return kernel.solve_subexponential(instance)
-    try:
-        return oracle.brute_force_mwbs(instance)
-    except BudgetExceeded:
-        return kernel.solve_subexponential(instance)
+    return kernel.solve_subexponential(instance)
 
 
 def _cmd_solve(args) -> int:

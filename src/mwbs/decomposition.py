@@ -16,17 +16,20 @@ form only hubs can sit on a middle set, so the width that the solver pays
 for (``6**width`` table entries per arc) is set by the skeleton, and the
 builders do far better on it than on the whole graph.
 
-Two heuristic builders work on the skeleton.  Greedy-sweep absorbs one
-edge at a time into a growing region, always keeping every prefix
-contiguous, and emits a caterpillar tree; it always runs.
-Recursive-bisection splits the edge set as evenly as possible into two
-contiguous halves and recurses; it runs only when the greedy width is
-above 5, and its tree is kept when narrower.  Each candidate tree is
-lifted to the whole graph and validated once there; the kept tree
-carries that report, and ``solve_dp`` builds its tables on the report's
-rooted view when it solves at the default root.  Neither builder is
-width-optimal; externally computed decompositions can be imported instead
-and are always re-validated (middle sets are recomputed, never trusted).
+Two heuristic builders work on the skeleton, and they share one
+region-growth loop, ``_grow``, which absorbs one edge at a time while the
+region and the rest of its edge set stay contiguous.  Greedy-sweep grows
+one region over all edges and emits the absorption order as a caterpillar
+tree; it always runs.  Recursive-bisection splits the edge set as evenly
+as possible into two contiguous halves (exactly for small sets, by growing
+a half from several seeds for larger ones) and recurses; it runs only
+when the greedy width is above 5, and its tree is kept when narrower.
+Each candidate tree is lifted to the whole graph and validated once
+there; the kept tree carries that report, and ``solve_dp`` builds its
+tables on the report's rooted view when it solves at the default root.
+Neither builder is width-optimal; externally computed decompositions can
+be imported instead and are always re-validated (middle sets are
+recomputed, never trusted).
 """
 
 from __future__ import annotations
@@ -138,30 +141,14 @@ class ValidationReport:
 # ---------------------------------------------------------------------
 # shared helpers
 
-def _cyclic_run(positions: set[int], size: int) -> Optional[tuple[int, int]]:
-    """If the position set forms one contiguous cyclic run in 0..size-1,
-    return (start, length), else None.  The full cycle starts at 0."""
-    k = len(positions)
-    if k == 0 or k == size:
-        return (0, k)
-    starts = [p for p in positions if (p - 1) % size not in positions]
-    if len(starts) != 1:
+def _run(flags: Sequence[bool]) -> Optional[tuple[int, int]]:
+    """(start, length) of the set flags around a vertex rotation if they
+    form one cyclic run, else None: they switch on at most once.  No flag
+    or every flag set starts at 0."""
+    starts = [j for j, f in enumerate(flags) if f and not flags[j - 1]]
+    if len(starts) > 1:
         return None
-    start = starts[0]
-    if all((start + j) % size in positions for j in range(k)):
-        return (start, k)
-    return None
-
-
-def _side_positions(graph: PlaneDigraph, v: int, side: set[int]) -> set[int]:
-    return {j for j, d in enumerate(graph.rotation[v]) if dart_edge(d) in side}
-
-
-def _contiguous_at(graph: PlaneDigraph, v: int, side: set[int]) -> bool:
-    """Whether the darts at v whose edges lie in ``side`` form one cyclic
-    run: their flags around the rotation switch on at most once."""
-    flags = [d >> 1 in side for d in graph.rotation[v]]
-    return sum(f > g for g, f in zip(flags[-1:] + flags, flags)) <= 1
+    return (starts[0] if starts else 0, sum(flags))
 
 
 def middle_set(graph: PlaneDigraph, inside: set[int]) -> list[int]:
@@ -301,7 +288,7 @@ class RootedDecomposition:
         inside = self.inside[node]
         arc = (node, self.parent[node])
         mid = middle_set(g, inside)
-        runs = {v: _cyclic_run(_side_positions(g, v, inside), g.degree(v)) for v in mid}
+        runs = {v: _run([d >> 1 in inside for d in g.rotation[v]]) for v in mid}
         broken = [v for v in mid if runs[v] is None]
         if broken:
             raise DecompositionError(
@@ -326,15 +313,16 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
 
     The policy: greedy-sweep runs first.  Only when its width is above 5
     does recursive-bisection run too, and its tree is kept if narrower; if
-    bisection finds no contiguous split, greedy stands.  Greedy is some
-    30x cheaper to build, so bisection is paid for only where the
-    ``6**width`` tables outweigh the search.  Each candidate is lifted and
-    then validated once, on the whole graph; a lifted tree is as wide as
-    its skeleton tree whenever either is wider than 2, so comparing lifted
-    widths picks the tree that comparing skeleton widths would.  The
-    report is kept on the returned tree, and ``solve_dp`` reuses its
-    rooted view at the default root.  A greedy failure, or any tree
-    failing the validator, raises BuildError with the instance.
+    bisection finds no contiguous split, greedy stands.  Greedy is about
+    70x cheaper to build on the 27-edge skeleton of triangulation n=24
+    seed 11, so bisection is paid for only where the ``6**width`` tables
+    outweigh the search.  Each candidate is lifted and then validated
+    once, on the whole graph; a lifted tree is as wide as its skeleton
+    tree whenever either is wider than 2, so comparing lifted widths picks
+    the tree that comparing skeleton widths would.  The report is kept on
+    the returned tree, and ``solve_dp`` reuses its rooted view at the
+    default root.  A greedy failure, or any tree failing the validator,
+    raises BuildError with the instance.
 
     ``strategy="greedy-sweep"`` returns the greedy tree of the whole graph
     alone; the benchmark's ``perfbench/make_golden.py`` cross-checks optima
@@ -470,8 +458,8 @@ def _caterpillar(order: Sequence[int]) -> SphereCutDecomposition:
 def _greedy_sweep(graph: PlaneDigraph) -> SphereCutDecomposition:
     """Absorb one edge at a time keeping every absorbed prefix contiguous
     at every vertex; the resulting order gives a caterpillar whose arcs are
-    exactly the prefixes (and single leaves).  Next edge: the candidate
-    minimizing the new boundary size, lowest id on ties."""
+    exactly the prefixes (and single leaves).  Each start edge is tried in
+    turn until ``_sweep_order`` absorbs every edge."""
     m = graph.edge_count
     if m == 1:
         return _degenerate_single_edge()
@@ -488,52 +476,21 @@ def _greedy_sweep(graph: PlaneDigraph) -> SphereCutDecomposition:
 
 
 def _sweep_order(graph: PlaneDigraph, start: int) -> Optional[list[int]]:
+    """The sweep's absorption order from ``start``: ``_grow`` over all
+    edges, and where no edge qualifies, the lowest edge sharing no vertex
+    with the region starts a new run, as on a disconnected graph; None
+    when no such edge is left."""
     m = graph.edge_count
-    absorbed: set[int] = set()
-    order: list[int] = []
-    inside_count = [0] * graph.vertex_count
-
-    def boundary_after(e: int) -> int:
-        size = sum(1 for v in range(graph.vertex_count)
-                   if 0 < inside_count[v] < graph.degree(v))
-        for v in graph.edges[e]:
-            before, after = inside_count[v], inside_count[v] + 1
-            split_before = 0 < before < graph.degree(v)
-            split_after = 0 < after < graph.degree(v)
-            size += split_after - split_before
-        return size
-
-    def absorb(e: int):
-        absorbed.add(e)
-        order.append(e)
-        for v in graph.edges[e]:
-            inside_count[v] += 1
-
-    absorb(start)
-    while len(order) < m:
-        best = None
-        for e in range(m):
-            if e in absorbed:
-                continue
-            t, h = graph.edges[e]
-            if inside_count[t] == 0 and inside_count[h] == 0:
-                continue  # disjoint edges are the fallback below
-            trial = absorbed | {e}
-            if all(_contiguous_at(graph, v, trial) for v in (t, h)):
-                key = (boundary_after(e), e)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            absorb(best[1])
-            continue
-        disjoint = [e for e in range(m) if e not in absorbed
-                    and inside_count[graph.edges[e][0]] == 0
-                    and inside_count[graph.edges[e][1]] == 0]
-        if disjoint:
-            absorb(disjoint[0])
-            continue
-        return None
-    return order
+    order = [start]
+    while True:
+        _grow(graph, range(m), order, m)
+        if len(order) == m:
+            return order
+        touched = {v for e in order for v in graph.edges[e]}
+        disjoint = next((e for e in range(m) if touched.isdisjoint(graph.edges[e])), None)
+        if disjoint is None:
+            return None
+        order.append(disjoint)
 
 
 def _recursive_bisection(graph: PlaneDigraph) -> SphereCutDecomposition:
@@ -566,15 +523,8 @@ def _recursive_bisection(graph: PlaneDigraph) -> SphereCutDecomposition:
 
     top = tuple(range(m))
     s1, s2 = _split(graph, top)
-    a = build(s1)
-    b = build(s2)
-    arcs.append((a, b))
-    # the two top subtrees are joined directly: drop the unused extra node slots
-    used = sorted({u for arc in arcs for u in arc} | set(leaf_map))
-    remap = {u: i for i, u in enumerate(used)}
-    arcs2 = tuple((remap[x], remap[y]) for x, y in arcs)
-    leaf_map2 = {remap[u]: e for u, e in leaf_map.items()}
-    return SphereCutDecomposition(len(used), arcs2, leaf_map2)
+    arcs.append((build(s1), build(s2)))
+    return SphereCutDecomposition(next(counter), tuple(arcs), leaf_map)
 
 
 _EXACT_SPLIT_LIMIT = 14
@@ -583,8 +533,54 @@ _MAX_SEEDS = 24
 
 def _split_valid(graph: PlaneDigraph, part: set[int], rest: set[int], verts) -> bool:
     """Whether both sides are one cyclic run at each of ``verts``."""
-    return all(_contiguous_at(graph, v, part) and _contiguous_at(graph, v, rest)
-               for v in verts)
+    return all(_run([d >> 1 in side for d in graph.rotation[v]]) is not None
+               for v in verts for side in (part, rest))
+
+
+def _grow(graph: PlaneDigraph, edge_set: Sequence[int], region: list[int], size: int) -> None:
+    """Extend ``region`` in place, one edge of ``edge_set`` at a time,
+    until it holds ``size`` edges or no edge qualifies.
+
+    A candidate shares an endpoint with the region, and adding it leaves
+    both the region and the rest of ``edge_set`` one cyclic run at both of
+    its endpoints (nowhere else do the flags change).  The candidate
+    leaving the fewest middle-set vertices wins, lowest id on ties.  Only
+    its endpoints' inside counts change, so a candidate's key is its
+    change to the middle set, read off those counts; the run test is paid
+    only by a candidate whose key would win."""
+    inside = set(region)
+    rest = set(edge_set) - inside
+    degree = [len(row) for row in graph.rotation]
+    count = [0] * graph.vertex_count
+    for e in region:
+        for v in graph.edges[e]:
+            count[v] += 1
+
+    def runs_at(v: int, e: int) -> bool:
+        ids = [d >> 1 for d in graph.rotation[v]]
+        return (_run([x == e or x in inside for x in ids]) is not None
+                and _run([x != e and x in rest for x in ids]) is not None)
+
+    while len(region) < size:
+        best = None
+        for e in rest:
+            t, h = graph.edges[e]
+            ct, ch = count[t], count[h]
+            if not (ct or ch):
+                continue
+            # a vertex joins the middle set with its first inside dart, unless
+            # that is its only dart, and leaves it with its last outside one
+            key = ((ct + 1 < degree[t]) - (ct > 0) + (ch + 1 < degree[h]) - (ch > 0), e)
+            if (best is None or key < best) and runs_at(t, e) and runs_at(h, e):
+                best = key
+        if best is None:
+            return
+        e = best[1]
+        region.append(e)
+        inside.add(e)
+        rest.remove(e)
+        for v in graph.edges[e]:
+            count[v] += 1
 
 
 def _split(graph: PlaneDigraph, edge_set: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -626,7 +622,6 @@ def _split_exact(graph: PlaneDigraph, edge_set: tuple[int, ...]):
 
 def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     n = len(edge_set)
-    target = n // 2
     rest_all = set(edge_set)
     verts = {v for e in edge_set for v in graph.edges[e]}
     seeds = list(edge_set)
@@ -635,26 +630,9 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
         seeds = [seeds[int(i * step)] for i in range(_MAX_SEEDS)]
     best = None
     for seed in seeds:
-        part = {seed}
-        part_verts = set(graph.edges[seed])
-        while len(part) < target:
-            grown = None
-            for e in edge_set:
-                if e in part:
-                    continue
-                t, h = graph.edges[e]
-                if t not in part_verts and h not in part_verts:
-                    continue
-                trial = part | {e}
-                rest = rest_all - trial
-                if _split_valid(graph, trial, rest, {t, h}):
-                    key = (len(middle_set(graph, trial)), e)
-                    if grown is None or key < grown:
-                        grown = key
-            if grown is None:
-                break
-            part.add(grown[1])
-            part_verts.update(graph.edges[grown[1]])
+        grown = [seed]
+        _grow(graph, edge_set, grown, n // 2)
+        part = set(grown)
         rest = rest_all - part
         if rest and _split_valid(graph, part, rest, verts):
             key = (abs(n - 2 * len(part)), len(middle_set(graph, part)),
@@ -665,4 +643,3 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
         return None
     part = set(best[2])
     return tuple(sorted(part)), tuple(sorted(rest_all - part))
-

@@ -115,22 +115,14 @@ class JoinSplit(NamedTuple):
     vertex).
 
     ``owned`` lists, per parent position that exactly one child owns, the
-    (parent, child 1, child 2) weights.  ``interior`` lists the (child 1,
-    child 2) weights of the shared vertices interior to the parent.
-    ``targets`` lists, per shared vertex on the parent middle set, its
-    (parent, child 1, child 2) weights and its maximal pair lists indexed
-    by the parent configuration."""
+    (parent, child 1, child 2) weights.  ``combos`` lists the child code
+    offsets of every choice of maximal pairs at the shared vertices
+    interior to the parent.  ``targets`` lists, per shared vertex on the
+    parent middle set, its (parent, child 1, child 2) weights and its
+    maximal pair lists indexed by the parent configuration."""
     owned: tuple[tuple[int, int, int], ...]
-    interior: tuple[tuple[int, int], ...]
+    combos: list[tuple[int, int]]
     targets: tuple[tuple[int, int, int, list[list[tuple[int, int]]]], ...]
-
-    def interior_combos(self) -> list[tuple[int, int]]:
-        """Child code offsets of every choice of maximal pairs at the
-        interior shared vertices."""
-        combos = [(0, 0)]
-        for w1, w2 in self.interior:
-            combos = _extend(combos, w1, w2, _INTERIOR_PAIRS)
-        return combos
 
     def pairs_of(self, code: int) -> list[tuple[int, int]]:
         """The candidate (child 1, child 2) entry codes of parent entry
@@ -140,7 +132,7 @@ class JoinSplit(NamedTuple):
             x = code // w3 % 6
             o1 += x * w1
             o2 += x * w2
-        combos = self.interior_combos()
+        combos = self.combos
         for w3, w1, w2, by_target in self.targets:
             combos = _extend(combos, w1, w2, by_target[code // w3 % 6])
         return [(o1 + d1, o2 + d2) for d1, d2 in combos]
@@ -165,12 +157,6 @@ class DPTable:
     boundary: ArcBoundary
     costs: list[int]
     split: Optional[JoinSplit] = None
-
-    def code_of_assignment(self, assignment: dict[int, str]) -> int:
-        mid = self.boundary.mid
-        if sorted(assignment) != sorted(mid):
-            raise KeyError(f"assignment domain must be exactly {mid}")
-        return sum(CONFIG_INDEX[assignment[v]] * _POW6[k] for k, v in enumerate(mid))
 
 
 def _leaf_letters(instance: Instance, boundary: ArcBoundary) -> tuple[int, list[str]]:
@@ -240,11 +226,14 @@ def _join_split(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary) -> JoinSp
     owned = tuple((_POW6[pos3[v]], _POW6[pos1[v]] if v in set1 else 0,
                    _POW6[pos2[v]] if v in set2 else 0)
                   for v in m3 if v not in shared_set)
-    interior = tuple((_POW6[pos1[v]], _POW6[pos2[v]]) for v in shared if v not in set3)
+    combos = [(0, 0)]
+    for v in shared:
+        if v not in set3:
+            combos = _extend(combos, _POW6[pos1[v]], _POW6[pos2[v]], _INTERIOR_PAIRS)
     targets = tuple((_POW6[pos3[v]], _POW6[pos1[v]], _POW6[pos2[v]],
                      _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)])
                     for v in shared if v in set3)
-    return JoinSplit(owned, interior, targets)
+    return JoinSplit(owned, combos, targets)
 
 
 def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
@@ -276,7 +265,7 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
         forced = [(o3 + x * w3, o1 + x * w1, o2 + x * w2)
                   for o3, o1, o2 in forced for x in range(6)]
 
-    groups = [(0, split.interior_combos())]
+    groups = [(0, split.combos)]
     for w3, w1, w2, by_target in split.targets:
         groups = [(code + tgt * w3, _extend(combos, w1, w2, by_target[tgt]))
                   for code, combos in groups for tgt in range(6)]
@@ -361,9 +350,8 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     delete_code = ttop.costs.index(delete_cost)
     delete_cost += int_w[e_r]
 
-    pinned = {head_r: "ioi", tail_r: "oio"}
-    keep_code = ttop.code_of_assignment(
-        {v: pinned[v] for v in ttop.boundary.mid})
+    pinned = {head_r: CONFIG_INDEX["ioi"], tail_r: CONFIG_INDEX["oio"]}
+    keep_code = sum(pinned[v] * _POW6[k] for k, v in enumerate(ttop.boundary.mid))
     keep_cost = ttop.costs[keep_code]
 
     if keep_cost <= delete_cost:

@@ -221,9 +221,6 @@ class PlaneDigraph:
         return [v for v in range(self.vertex_count)
                 if self.switch_count(v, present) > 2]
 
-    def is_bimodal(self, present: Optional[set[int]] = None) -> bool:
-        return not self.bad_vertices(present)
-
     def wedges(self, v: int) -> list["Wedge"]:
         """Maximal cyclic runs of same-direction darts at v, in rotation order
         starting from the first run boundary.  Runs partition the darts and

@@ -30,11 +30,10 @@ def test_gen_validate_solve_roundtrip(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"]
 
     sol_file = tmp_path / "sol.json"
-    code, _ = run(capsys, "solve", str(inst_file), "--method", "auto",
-                  "--out", str(sol_file))
+    code, _ = run(capsys, "solve", str(inst_file), "--out", str(sol_file))
     assert code == 0
     sol = json.loads(sol_file.read_text())
-    assert sol["method"] in ("oracle", "subexp")
+    assert sol["method"] == "subexp"
     assert all(c <= 2 for c in sol["certificate"])
 
     code, out = run(capsys, "validate", str(inst_file), "--solution", str(sol_file))
@@ -54,9 +53,27 @@ def test_solve_bimodal_instance_reports_zero_deleted(tmp_path, capsys):
     from test_plane import triangle_instance
     f = tmp_path / "tri.json"
     f.write_text(encode_instance(triangle_instance()))
-    code, out = run(capsys, "solve", str(f), "--method", "auto")
+    code, out = run(capsys, "solve", str(f))
     assert code == 0
     assert json.loads(out)["deleted_weight"] == "0/1"
+
+
+def test_default_solve_runs_no_oracle(tmp_path, capsys, monkeypatch):
+    """A plain ``mwbs solve`` is the subexponential solver, even on an
+    instance small enough for the exhaustive oracle (gen n=8 seed 1
+    sparse, 14 edges); ``--method oracle`` still reaches it."""
+    f = tmp_path / "inst.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=8, seed=1, density="sparse"))))
+    calls = []
+    real = oracle.brute_force_mwbs
+    monkeypatch.setattr(oracle, "brute_force_mwbs",
+                        lambda instance: calls.append(instance) or real(instance))
+    code, out = run(capsys, "solve", str(f))
+    assert code == 0 and json.loads(out)["method"] == "subexp" and not calls
+    code, out = run(capsys, "solve", str(f), "--method", "oracle")
+    assert code == 0 and json.loads(out)["method"] == "oracle" and len(calls) == 1
+    with pytest.raises(SystemExit):
+        main(["solve", str(f), "--method", "auto"])
 
 
 def test_validate_k5_fails(tmp_path, capsys):
