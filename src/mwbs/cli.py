@@ -323,6 +323,8 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "solve" and args.decomposition and args.method != "dp":
+        parser.error("--decomposition requires --method dp")
     handlers = {
         "gen": _cmd_gen,
         "validate": _cmd_validate,

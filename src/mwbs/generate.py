@@ -118,6 +118,15 @@ def _random_weight(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     raise FormatError(f"weight range [{lo}, {hi}] contains no small rational")
 
 
+def _orient_rows(rotation, emap, directed) -> list[list[int]]:
+    """Rotation rows over the kept edges: each dart of an old edge id e in
+    ``emap`` becomes the tail or head dart of new edge ``emap[e]`` at its
+    vertex, as ``directed[emap[e]]`` orients it; other darts are dropped."""
+    return [[dart(emap[e], TAIL if directed[emap[e]][0] == v else HEAD)
+             for e in map(dart_edge, row) if e in emap]
+            for v, row in enumerate(rotation)]
+
+
 def gen_instance(params: GenParams) -> Instance:
     """Deterministically generate an instance from params."""
     params.validate()
@@ -146,21 +155,9 @@ def gen_instance(params: GenParams) -> Instance:
         lo, hi = min(a, b), max(a, b)
         directed.append((lo, hi) if _coin(rng, params.orientation_bias) else (hi, lo))
 
-    new_rotation = []
-    for row in rotation:
-        new_row = []
-        for d in row:
-            e = dart_edge(d)
-            if e not in emap:
-                continue
-            endpoint = und_edges[e][dart_end(d)]
-            tail, _head = directed[emap[e]]
-            new_row.append(dart(emap[e], TAIL if endpoint == tail else HEAD))
-        new_rotation.append(new_row)
-
     weights = tuple(_random_weight(rng, params.weight_lo, params.weight_hi)
                     for _ in keep)
-    graph = PlaneDigraph(n, directed, new_rotation)
+    graph = PlaneDigraph(n, directed, _orient_rows(rotation, emap, directed))
     return Instance(graph, weights)
 
 
@@ -201,20 +198,11 @@ def planted_star_instance(n: int, seed: int, stars: int,
                 directed[emap[e]] = (v, u)
                 queue.append(u)
 
-    new_rotation = []
-    for row in rotation:
-        new_row = []
-        for d in row:
-            e = dart_edge(d)
-            if e not in emap:
-                continue
-            endpoint = und_edges[e][dart_end(d)]
-            tail, _ = directed[emap[e]]
-            new_row.append(dart(emap[e], TAIL if endpoint == tail else HEAD))
-        new_rotation.append(new_row)
+    # tree edge ids around each vertex, in rotation order
+    rows = [[e for e in map(dart_edge, row) if e in emap] for row in rotation]
 
     # choose plant sites: non-adjacent tree vertices of degree >= 4
-    degree = [len(new_rotation[v]) for v in range(n)]
+    degree = [len(row) for row in rows]
     sites: list[int] = []
     blocked: set[int] = set()
     for v in sorted(range(1, n), key=lambda v: (-degree[v], v)):
@@ -223,27 +211,15 @@ def planted_star_instance(n: int, seed: int, stars: int,
             blocked.add(v)
             blocked.update(u for u, _ in adj[v])
     for v in sites:
-        row = new_rotation[v]
-        pe = emap[parent_edge[v]]
-        parent_pos = next(j for j, d in enumerate(row) if dart_edge(d) == pe)
-        for j, d in enumerate(row):
-            e = dart_edge(d)
-            want_in = (j - parent_pos) % 2 == 0  # parent dart stays incoming
-            t, h = directed[e]
+        parent_pos = rows[v].index(parent_edge[v])
+        for j, e in enumerate(rows[v]):
+            want_in = (j - parent_pos) % 2 == 0  # parent edge stays incoming
+            t, h = directed[emap[e]]
             other = h if t == v else t
-            directed[e] = (other, v) if want_in else (v, other)
-    # rebuild darts with final orientations
-    final_rotation = []
-    for v, row in enumerate(new_rotation):
-        final_row = []
-        for d in row:
-            e = dart_edge(d)
-            tail, _ = directed[e]
-            final_row.append(dart(e, TAIL if v == tail else HEAD))
-        final_rotation.append(final_row)
+            directed[emap[e]] = (other, v) if want_in else (v, other)
     edges = [directed[j] for j in range(len(tree))]
     weights = tuple(_random_weight(rng, weight_lo, weight_hi) for _ in tree)
-    graph = PlaneDigraph(n, edges, final_rotation)
+    graph = PlaneDigraph(n, edges, _orient_rows(rotation, emap, directed))
     instance = Instance(graph, weights)
     assert set(graph.bad_vertices()) == set(sites)
     return instance

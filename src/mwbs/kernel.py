@@ -21,7 +21,6 @@ two edges, bounding the graph polynomially in the number of bad vertices.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -37,7 +36,6 @@ from .plane import (
     Instance,
     PlaneDigraph,
     Solution,
-    cyclic_switches,
     dart,
     dart_direction,
     dart_edge,
@@ -50,7 +48,7 @@ from .plane import (
 
 
 # ---------------------------------------------------------------------
-# mutable embedding used by the rewriting rules
+# mutable embedding used by the shrinking rules
 
 class _Embedding:
     """Sparse mutable rotation system keyed by stable ids."""
@@ -65,12 +63,6 @@ class _Embedding:
         }
         self.next_vertex = g.vertex_count
         self.next_edge = g.edge_count
-
-    def degree(self, v: int) -> int:
-        return len(self.rot[v])
-
-    def is_good(self, v: int) -> bool:
-        return cyclic_switches([end for _e, end in self.rot[v]]) <= 2
 
     def endpoint(self, e: int, end: int) -> int:
         return self.edges[e][end]
@@ -92,16 +84,6 @@ class _Embedding:
         self.next_vertex += 1
         self.rot[v] = []
         return v
-
-    def reattach_end(self, e: int, end: int, new_vertex: int):
-        """Move one end of an edge to a (fresh) vertex, appending the dart
-        to the new vertex's rotation; the other endpoint keeps its slot."""
-        old = self.edges[e][end]
-        self.rot[old].remove((e, end))
-        pair = list(self.edges[e])
-        pair[end] = new_vertex
-        self.edges[e] = tuple(pair)
-        self.rot[new_vertex].append((e, end))
 
     def to_instance(self) -> tuple[Instance, list[int], list[int]]:
         """Densify; returns (instance, vertex ids, edge ids) in stable order."""
@@ -143,72 +125,66 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
     """Apply the three rules exhaustively, lowest-numbered rule first and
     lowest id first within a rule.
 
-    The rules run off a worklist: a min-heap of (rule, id) candidates with
-    lazy deletion, each re-checked against the current embedding when it
-    is popped.  Goodness is evaluated once per vertex up front and then
-    only at the vertices a rule touched (the endpoints of a banked edge; a
-    split vertex and its fresh copies, whose far endpoints keep their
-    rotation slots), so the reduction makes O(V+E) goodness evaluations.
-    A touched vertex can only newly qualify for rule 1: rules 2 and 3 take
-    darts from good vertices only, and taking darts adds no switch, so no
-    vertex changes goodness and no degree grows; and a split vertex has no
-    good neighbour, because rule 2 came first, so its fresh degree-one
-    copies start no good-good edge.
+    No rule changes any vertex's goodness: rules 2 and 3 take darts from
+    good vertices only, and taking darts adds no switch; a fresh copy has
+    degree one, and its neighbour is bad, because rule 2 came first.  So
+    goodness is evaluated once per input vertex, and three passes fire the
+    rules in that order.  Pass 1 removes the isolated input vertices.  Pass
+    2 banks every good-good edge (every one of them is present from the
+    start, and none appears later), each followed by the rule-1 removal of
+    the endpoints it left isolated.  Pass 3 splits every good vertex with
+    at least two remaining darts, giving each dart a fresh vertex in
+    rotation order, and removes the vertex it left isolated before the
+    next split.
 
     The output has good vertices of degree exactly one forming an
     independent set, and never more bad vertices than the input."""
-    emb = _Embedding(instance)
-    original_n = instance.graph.vertex_count
-    bad_before = len(instance.graph.bad_vertices())
-    trace: list[tuple] = []
-    banked: list[int] = []
-    base = Fraction(0)
+    g = instance.graph
+    n = g.vertex_count
+    bad = set(g.bad_vertices())
+    trace: list[tuple] = [("isolated", v) for v in range(n) if not g.rotation[v]]
+    degree = [len(row) for row in g.rotation]
+    banked = [e for e, (t, h) in enumerate(g.edges) if t not in bad and h not in bad]
+    for e in banked:
+        trace.append(("good_good_edge", e))
+        for u in sorted(g.edges[e]):
+            degree[u] -= 1
+            if not degree[u]:
+                trace.append(("isolated", u))
+    banked_set = set(banked)
+    rows = [[d for d in row if dart_edge(d) not in banked_set] for row in g.rotation]
+    ends = [list(pair) for pair in g.edges]
+    fresh: list[int] = []                  # the one dart of fresh vertex n + k
+    for v in range(n):
+        if v in bad or len(rows[v]) < 2:
+            continue
+        moves = tuple((dart_edge(d), dart_end(d), n + len(fresh) + j)
+                      for j, d in enumerate(rows[v]))
+        for e, end, x in moves:
+            ends[e][end] = x
+        fresh += rows[v]
+        trace += [("split", v, moves), ("isolated", v)]
+        rows[v] = []
 
-    good = {v: emb.is_good(v) for v in emb.rot}
-    queue = [(1, v) for v in emb.rot if not emb.rot[v]]
-    queue += [(2, e) for e, (t, h) in emb.edges.items() if good[t] and good[h]]
-    queue += [(3, v) for v in emb.rot if good[v] and emb.degree(v) >= 2]
-    heapq.heapify(queue)
-
-    def touch(v: int):
-        good[v] = emb.is_good(v)
-        if not emb.rot[v]:
-            heapq.heappush(queue, (1, v))
-
-    while queue:
-        rule, i = heapq.heappop(queue)
-        if rule == 1 and i in emb.rot and not emb.rot[i]:
-            emb.remove_isolated(i)
-            trace.append(("isolated", i))
-        elif rule == 2 and i in emb.edges and all(good[u] for u in emb.edges[i]):
-            ends = emb.edges[i]
-            base += emb.weights[i]
-            banked.append(i)
-            emb.remove_edge(i)
-            trace.append(("good_good_edge", i))
-            for u in ends:
-                touch(u)
-        elif rule == 3 and i in emb.rot and good[i] and emb.degree(i) >= 2:
-            moves = []
-            for e, end in list(emb.rot[i]):
-                x = emb.add_vertex()
-                emb.reattach_end(e, end, x)
-                moves.append((e, end, x))
-            trace.append(("split", i, tuple(moves)))
-            for u in [i] + [x for _e, _end, x in moves]:
-                touch(u)
-
-    reduced, vertex_ids, edge_ids = emb.to_instance()
-    orig_vertices = tuple(v if v < original_n else -1 for v in vertex_ids)
+    alive = [v for v in range(n) if rows[v]]
+    vmap = {v: i for i, v in enumerate(alive + list(range(n, n + len(fresh))))}
+    edge_ids = [e for e in range(g.edge_count) if e not in banked_set]
+    emap = {e: j for j, e in enumerate(edge_ids)}
+    rotation = [[dart(emap[dart_edge(d)], dart_end(d)) for d in row]
+                for row in [rows[v] for v in alive] + [[d] for d in fresh]]
+    reduced = Instance(
+        PlaneDigraph(len(vmap), [(vmap[ends[e][0]], vmap[ends[e][1]]) for e in edge_ids],
+                     rotation),
+        tuple(instance.weights[e] for e in edge_ids))
     out = ReducedInstance(
         instance=reduced,
-        base_kept_weight=base,
+        base_kept_weight=sum((instance.weights[e] for e in banked), Fraction(0)),
         orig_edge_ids=tuple(edge_ids),
-        orig_vertex_ids=orig_vertices,
+        orig_vertex_ids=tuple(alive) + (-1,) * len(fresh),
         banked_edges=tuple(banked),
         trace=tuple(trace),
     )
-    _check_normal_form(out, bad_before)
+    _check_normal_form(out, len(bad))
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -56,13 +57,9 @@ def parse_weight(text: str) -> Fraction:
     """Parse a reduced ``"p/q"`` weight string; the value must be positive."""
     if not isinstance(text, str):
         raise FormatError(f"weight must be a string, got {text!r}")
-    parts = text.split("/")
-    if len(parts) != 2:
+    if not re.fullmatch(r"[0-9]+/[0-9]+", text):
         raise FormatError(f"weight {text!r} is not of the form p/q")
-    try:
-        num, den = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError(f"weight {text!r} is not of the form p/q") from None
+    num, den = (int(part) for part in text.split("/"))
     if den <= 0:
         raise FormatError(f"weight {text!r} has nonpositive denominator")
     if math.gcd(abs(num), den) != 1:

@@ -122,6 +122,12 @@ def test_solve_with_imported_decomposition(tmp_path, capsys):
     dp_doc = json.loads(out)
     code, out = run(capsys, "solve", str(inst_file), "--method", "oracle")
     assert json.loads(out)["kept_weight"] == dp_doc["kept_weight"]
+    # any other method would ignore the decomposition, so it is a usage error
+    for method in ([], ["--method", "subexp"], ["--method", "oracle"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(inst_file), *method, "--decomposition", str(dec_file)])
+        assert exc.value.code == 2
+        assert "--decomposition requires --method dp" in capsys.readouterr().err
 
 
 def test_dp_method_solves_each_component(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mwbs import kernel, plane
 from mwbs.errors import EmbeddingError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import (
@@ -27,6 +28,7 @@ from mwbs.plane import (
     GoodEdgeSection,
     Instance,
     PlaneDigraph,
+    cyclic_switches,
     dart,
     dart_direction,
     encode_instance,
@@ -152,6 +154,10 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
     banked: list[int] = []
     base = Fraction(0)
 
+    def good(v):
+        ends = [end for _e, end in emb.rot[v]]
+        return sum(a != b for a, b in zip(ends, ends[1:] + ends[:1])) <= 2
+
     while True:
         isolated = sorted(v for v in emb.rot if not emb.rot[v])
         if isolated:
@@ -159,7 +165,7 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
             emb.remove_isolated(v)
             trace.append(("isolated", v))
             continue
-        goodness = {v: emb.is_good(v) for v in emb.rot}
+        goodness = {v: good(v) for v in emb.rot}
         gg = sorted(e for e, (t, h) in emb.edges.items()
                     if goodness[t] and goodness[h])
         if gg:
@@ -170,13 +176,17 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
             trace.append(("good_good_edge", e))
             continue
         splittable = sorted(v for v in emb.rot
-                            if goodness[v] and emb.degree(v) >= 2)
+                            if goodness[v] and len(emb.rot[v]) >= 2)
         if splittable:
             v = splittable[0]
             moves = []
             for e, end in list(emb.rot[v]):
                 x = emb.add_vertex()
-                emb.reattach_end(e, end, x)
+                emb.rot[v].remove((e, end))
+                pair = list(emb.edges[e])
+                pair[end] = x
+                emb.edges[e] = tuple(pair)
+                emb.rot[x].append((e, end))
                 moves.append((e, end, x))
             trace.append(("split", v, tuple(moves)))
             continue
@@ -199,8 +209,11 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
 class TestWorklistReduction:
     def test_matches_rescan(self, corpus_small, corpus_b4):
         tri_frontier = [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
+        tri_60 = [gen_instance(GenParams(n=60, seed=s)) for s in range(10)]
+        eptas_pool = [gen_instance(GenParams(n=40, seed=s, density="sparse"))
+                      for s in range(7)]
         planted = [planted_star_instance(n, s, 12) for n in (200, 400) for s in (0, 1)]
-        cases = (corpus_small + corpus_b4 + tri_frontier + planted
+        cases = (corpus_small + corpus_b4 + tri_frontier + tri_60 + eptas_pool + planted
                  + [star4_plus_leaf_edge(), good_degree3_tree(), triangle_instance()])
         for inst in cases:
             got, want = reduce_to_simple(inst), rescan_reduce(inst)
@@ -212,19 +225,19 @@ class TestWorklistReduction:
             assert encode_instance(got.instance) == encode_instance(want.instance)
 
     def test_goodness_evaluations_are_linear(self, monkeypatch):
-        # worst case: V up front, 2 per banked edge, deg + 1 per split
+        # one switch count per input vertex, then one per vertex of the
+        # normal-form check on the output; the kernel binding need not exist
         inst = planted_star_instance(2000, 0, 12)
         calls = [0]
-        is_good = _Embedding.is_good
 
-        def counted(self, v):
+        def counted(dirs):
             calls[0] += 1
-            return is_good(self, v)
+            return cyclic_switches(dirs)
 
-        monkeypatch.setattr(_Embedding, "is_good", counted)
-        reduce_to_simple(inst)
-        g = inst.graph
-        assert calls[0] <= 2 * g.vertex_count + 4 * g.edge_count
+        monkeypatch.setattr(plane, "cyclic_switches", counted)
+        monkeypatch.setattr(kernel, "cyclic_switches", counted, raising=False)
+        red = reduce_to_simple(inst)
+        assert calls[0] == inst.graph.vertex_count + red.instance.graph.vertex_count == 2232
 
 
 def linear_section_instance(dirs, weights=None):

@@ -125,7 +125,8 @@ class TestDecode:
 
     def test_weight_strings(self):
         assert parse_weight("3/2") == Fraction(3, 2)
-        for bad in ("3", "4/2", "1/0", "-1/2", "0/1"):
+        for bad in ("3", "4/2", "1/0", "-1/2", "0/1",
+                    "1_0/3", " 1/2", "+1/2", "1/+2", "\u0663/4"):
             with pytest.raises(FormatError):
                 parse_weight(bad)
 
