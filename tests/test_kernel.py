@@ -1,11 +1,12 @@
 """Normal-form rules, section partitioning, compression, shrinking."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from mwbs import kernel, plane
-from mwbs.errors import EmbeddingError
+from mwbs.errors import EmbeddingError, FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import (
     CutInstance,
@@ -28,6 +29,7 @@ from mwbs.plane import (
     GoodEdgeSection,
     Instance,
     PlaneDigraph,
+    canonical_json,
     cyclic_switches,
     dart,
     dart_direction,
@@ -438,6 +440,9 @@ class TestShrink:
         assert Fraction(7) in weights   # out-class
         sizes = sorted(len(c) for c in shrunk.classes)
         assert sizes == [1, 2, 2]
+        # the run held the row's first slot, so the gadget follows the carrier
+        assert shrunk.instance.graph.rotation[0] == (
+            dart(0, TAIL), dart(1, HEAD), dart(2, TAIL), dart(3, HEAD), dart(4, TAIL))
         before = brute_force_cut(cut.instance, cut.classes)
         after = brute_force_cut(shrunk.instance, shrunk.classes)
         assert before.kept_weight == after.kept_weight
@@ -453,6 +458,39 @@ class TestShrink:
             a = brute_force_cut(cut.instance, cut.classes)
             b = brute_force_cut(shrunk.instance, shrunk.classes)
             assert a.kept_weight == b.kept_weight
+
+    def test_removed_edge_must_leave_its_far_endpoint_isolated(self):
+        # merging edge 1 into carrier 0 would strand vertex 2 with edge 4
+        cut = CutInstance(star4_plus_leaf_edge(), ((0, 1), (2,), (3,), (4,)),
+                          ((0,), (1,), (2,), (3,)), Fraction(0))
+        with pytest.raises(EmbeddingError):
+            shrink_cut_instance(cut)
+
+    def test_split_singleton_class_refused(self):
+        cut = CutInstance(star4_instance(), ((0, 2), (1,), (3,)),
+                          ((0,), (1,), (2,)), Fraction(0))
+        with pytest.raises(FormatError, match="singleton class is not consecutive"):
+            shrink_cut_instance(cut)
+
+    def test_split_pair_refused(self):
+        cut = CutInstance(seven_dart_star(), ((0, 2), (1,), (3,), (4,), (5,), (6,)),
+                          ((0, 3), (1,), (2,), (4,), (5,)), Fraction(0))
+        with pytest.raises(FormatError, match="must occupy a consecutive run"):
+            shrink_cut_instance(cut)
+
+    def test_compress_outputs_pinned(self, corpus_b4):
+        """Cut and shrunk documents, recorded with the shrink that edited a
+        mutable rotation system in place (41 of the 221 cases hold a gadget)."""
+        cases = (corpus_b4 + [gen_instance(GenParams(n=60, seed=s)) for s in range(10)]
+                 + [planted_star_instance(400, 1, 12)])
+        digest = hashlib.sha256()
+        for inst in cases:
+            cut = to_cut_instance(inst)
+            for doc in (cut.document(), shrink_cut_instance(cut).document()):
+                digest.update((canonical_json(doc) + "\n").encode())
+        assert len(cases) == 221
+        assert digest.hexdigest() == \
+            "907d86dc94514eb37bc894f615bbf97f01098e3673ae3f50f3d5ab4e1f08039f"
 
 
 class TestSubexponential:
