@@ -21,9 +21,9 @@ two edges, bounding the graph polynomially in the number of bad vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .decomposition import build_sphere_cut
 from .dp import CONFIGS, collapse, solve_dp
@@ -34,68 +34,17 @@ from .plane import (
     TAIL,
     GoodEdgeSection,
     Instance,
-    PlaneDigraph,
     Solution,
     dart,
     dart_direction,
     dart_edge,
     dart_end,
+    dense_instance,
     format_weight,
     instance_document,
     make_solution,
     subgraph_by_edges,
 )
-
-
-# ---------------------------------------------------------------------
-# mutable embedding used by the shrinking rules
-
-class _Embedding:
-    """Sparse mutable rotation system keyed by stable ids."""
-
-    def __init__(self, instance: Instance):
-        g = instance.graph
-        self.edges: dict[int, tuple[int, int]] = dict(enumerate(g.edges))
-        self.weights: dict[int, Fraction] = dict(enumerate(instance.weights))
-        self.rot: dict[int, list[tuple[int, int]]] = {
-            v: [(dart_edge(d), dart_end(d)) for d in g.rotation[v]]
-            for v in range(g.vertex_count)
-        }
-        self.next_vertex = g.vertex_count
-        self.next_edge = g.edge_count
-
-    def endpoint(self, e: int, end: int) -> int:
-        return self.edges[e][end]
-
-    def remove_edge(self, e: int):
-        for end in (TAIL, HEAD):
-            v = self.edges[e][end]
-            self.rot[v].remove((e, end))
-        del self.edges[e]
-        del self.weights[e]
-
-    def remove_isolated(self, v: int):
-        if self.rot[v]:
-            raise EmbeddingError(f"vertex {v} is not isolated")
-        del self.rot[v]
-
-    def add_vertex(self) -> int:
-        v = self.next_vertex
-        self.next_vertex += 1
-        self.rot[v] = []
-        return v
-
-    def to_instance(self) -> tuple[Instance, list[int], list[int]]:
-        """Densify; returns (instance, vertex ids, edge ids) in stable order."""
-        vertex_ids = sorted(self.rot)
-        edge_ids = sorted(self.edges)
-        vmap = {v: i for i, v in enumerate(vertex_ids)}
-        emap = {e: i for i, e in enumerate(edge_ids)}
-        edges = [(vmap[self.edges[e][0]], vmap[self.edges[e][1]]) for e in edge_ids]
-        rotation = [[dart(emap[e], end) for e, end in self.rot[v]] for v in vertex_ids]
-        weights = tuple(self.weights[e] for e in edge_ids)
-        return Instance(PlaneDigraph(len(vertex_ids), edges, rotation), weights), \
-            vertex_ids, edge_ids
 
 
 # ---------------------------------------------------------------------
@@ -167,17 +116,10 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
         rows[v] = []
 
     alive = [v for v in range(n) if rows[v]]
-    vmap = {v: i for i, v in enumerate(alive + list(range(n, n + len(fresh))))}
     edge_ids = [e for e in range(g.edge_count) if e not in banked_set]
-    emap = {e: j for j, e in enumerate(edge_ids)}
-    rotation = [[dart(emap[dart_edge(d)], dart_end(d)) for d in row]
-                for row in [rows[v] for v in alive] + [[d] for d in fresh]]
-    reduced = Instance(
-        PlaneDigraph(len(vmap), [(vmap[ends[e][0]], vmap[ends[e][1]]) for e in edge_ids],
-                     rotation),
-        tuple(instance.weights[e] for e in edge_ids))
     out = ReducedInstance(
-        instance=reduced,
+        instance=dense_instance(ends, rows + [[d] for d in fresh], instance.weights,
+                                alive + list(range(n, n + len(fresh))), edge_ids),
         base_kept_weight=sum((instance.weights[e] for e in banked), Fraction(0)),
         orig_edge_ids=tuple(edge_ids),
         orig_vertex_ids=tuple(alive) + (-1,) * len(fresh),
@@ -340,7 +282,6 @@ class CutInstance:
     classes: tuple[tuple[int, ...], ...]
     pairs: tuple[tuple[int, ...], ...]
     base_kept_weight: Fraction
-    reduced: Optional[ReducedInstance] = field(default=None, compare=False)
 
     def __post_init__(self):
         covered = sorted(e for c in self.classes for e in c)
@@ -367,14 +308,12 @@ def to_cut_instance(instance: Instance) -> CutInstance:
     red = reduce_to_simple(instance)
     g = red.instance.graph
     classes: list[tuple[int, ...]] = []
-    class_dirs: list[str] = []
     pairs: list[tuple[int, ...]] = []
     covered: set[int] = set()
     for v, section in sections_of(red.instance):
         part = partition_section(red.instance, v, section)
         offset = len(classes)
         classes.extend(part.classes)
-        class_dirs.extend(part.class_dirs)
         pairs.extend(tuple(i + offset for i in p) for p in part.pairs)
         for c in part.classes:
             covered.update(c)
@@ -382,9 +321,7 @@ def to_cut_instance(instance: Instance) -> CutInstance:
         if e not in covered:
             pairs.append((len(classes),))
             classes.append((e,))
-            class_dirs.append("")
-    return CutInstance(red.instance, tuple(classes), tuple(pairs),
-                       red.base_kept_weight, reduced=red)
+    return CutInstance(red.instance, tuple(classes), tuple(pairs), red.base_kept_weight)
 
 
 # ---------------------------------------------------------------------
@@ -393,22 +330,33 @@ def to_cut_instance(instance: Instance) -> CutInstance:
 def shrink_cut_instance(cut: CutInstance) -> CutInstance:
     """Shrink every class to at most two edges, preserving the optimum.
 
-    A class whose edges sit consecutively in its section keeps one carrier
-    edge with the class weight.  An interleaved in/out pair occupying a
-    consecutive run becomes four fresh pendant edges in clockwise order
-    in, out, in, out with weights 0, w(out-class), w(in-class), 0; keeping
-    both gadget classes would give the vertex four switches there, so the
-    classes still exclude each other exactly as before."""
+    A class whose edges sit consecutively in its section keeps its lowest
+    edge id as the carrier, with the class weight.  An interleaved in/out
+    pair occupying a consecutive run becomes four fresh pendant edges in
+    clockwise order in, out, in, out with weights 0, w(out-class),
+    w(in-class), 0; keeping both gadget classes would give the vertex four
+    switches there, so the classes still exclude each other exactly as
+    before.
+
+    The output is built in one walk over the input rows.  A surviving dart
+    is copied and a gadget takes the place of its run, except that a gadget
+    met before anything has been placed in its row goes after the row's
+    last dart.  Surviving vertices and edges keep their order, and the
+    fresh ones follow in ``cut.pairs`` order."""
     instance = cut.instance
     g = instance.graph
-    emb = _Embedding(instance)
-
     section_at: dict[int, tuple[int, int]] = {}   # edge -> (bad vertex, position)
     for v, section in sections_of(instance):
         for pos, d in enumerate(section.darts(g)):
             section_at[dart_edge(d)] = (v, pos)
 
-    new_classes: list[list[int]] = [list(c) for c in cut.classes]
+    edges = list(g.edges)
+    rows = list(g.rotation)
+    weights = list(instance.weights)
+    classes = list(cut.classes)
+    dropped_edges: set[int] = set()
+    dropped_vertices: set[int] = set()
+    gadget_at: dict[int, list[int]] = {}   # first run edge -> the gadget's darts
 
     def located(cls: Sequence[int]):
         spots = [section_at.get(e) for e in cls]
@@ -416,97 +364,81 @@ def shrink_cut_instance(cut: CutInstance) -> CutInstance:
             return None
         return spots[0][0], sorted(s[1] for s in spots)
 
-    def merge_consecutive(ci: int):
-        cls = new_classes[ci]
-        if len(cls) < 2:
-            return
-        keep = min(cls)
-        total = sum((emb.weights[e] for e in cls), Fraction(0))
-        for e in cls:
-            if e == keep:
-                continue
-            far = emb.endpoint(e, HEAD if section_at[e][0] == emb.endpoint(e, TAIL) else TAIL)
-            emb.remove_edge(e)
-            emb.remove_isolated(far)
-        emb.weights[keep] = total
-        new_classes[ci] = [keep]
-
     def is_consecutive(positions: list[int]) -> bool:
         return positions == list(range(positions[0], positions[0] + len(positions)))
 
+    def drop(e: int, v: int):
+        far = edges[e][HEAD if edges[e][TAIL] == v else TAIL]
+        if g.degree(far) != 1:
+            raise EmbeddingError(f"vertex {far} is not isolated")
+        dropped_edges.add(e)
+        dropped_vertices.add(far)
+
+    def merge_consecutive(ci: int):
+        keep = min(classes[ci])
+        for e in classes[ci]:
+            if e != keep:
+                drop(e, section_at[e][0])
+        weights[keep] = sum((weights[e] for e in classes[ci]), Fraction(0))
+        classes[ci] = (keep,)
+
     for pair in cut.pairs:
         if len(pair) == 1:
-            ci = pair[0]
-            loc = located(new_classes[ci])
+            loc = located(classes[pair[0]])
             if loc is None:
                 continue  # bad-bad singleton, nothing to merge
-            _v, positions = loc
-            if not is_consecutive(positions):
+            if not is_consecutive(loc[1]):
                 raise FormatError("singleton class is not consecutive in its section")
-            merge_consecutive(ci)
+            merge_consecutive(pair[0])
             continue
         ca, cb = pair
-        loc_a = located(new_classes[ca])
-        loc_b = located(new_classes[cb])
+        loc_a = located(classes[ca])
+        loc_b = located(classes[cb])
         if loc_a is None or loc_b is None or loc_a[0] != loc_b[0]:
             raise FormatError("paired classes must share one good edge-section")
         v = loc_a[0]
-        union = sorted(loc_a[1] + loc_b[1])
-        if not is_consecutive(union):
+        if not is_consecutive(sorted(loc_a[1] + loc_b[1])):
             raise FormatError("paired classes must occupy a consecutive run")
         if is_consecutive(loc_a[1]) and is_consecutive(loc_b[1]):
             merge_consecutive(ca)
             merge_consecutive(cb)
             continue
         # interleaved pair: identify the in and out classes at v
-        def class_dir(cls):
-            e = cls[0]
-            return "i" if emb.endpoint(e, HEAD) == v else "o"
-        if class_dir(new_classes[ca]) == "i":
-            c_in, c_out = ca, cb
-        else:
-            c_in, c_out = cb, ca
-        w_in = sum((emb.weights[e] for e in new_classes[c_in]), Fraction(0))
-        w_out = sum((emb.weights[e] for e in new_classes[c_out]), Fraction(0))
-        block_edges = sorted(new_classes[ca] + new_classes[cb],
-                             key=lambda e: section_at[e][1])
-        # the gadget must land in the vacated cyclic slot; anchor it to the
-        # dart cyclically preceding the run (the run may wrap the list end)
-        first = block_edges[0]
-        block_set = set(block_edges)
-        row = emb.rot[v]
-        idx_first = next(j for j, (e, _end) in enumerate(row) if e == first)
-        anchor = row[(idx_first - 1) % len(row)]
-        if anchor[0] in block_set:
-            anchor = None  # the run is the whole rotation of v
-        for e in block_edges:
-            far = emb.endpoint(e, HEAD if emb.endpoint(e, TAIL) == v else TAIL)
-            emb.remove_edge(e)
-            emb.remove_isolated(far)
-        insert_at = 0 if anchor is None else emb.rot[v].index(anchor) + 1
+        c_in, c_out = (ca, cb) if edges[classes[ca][0]][HEAD] == v else (cb, ca)
+        w_in = sum((weights[e] for e in classes[c_in]), Fraction(0))
+        w_out = sum((weights[e] for e in classes[c_out]), Fraction(0))
+        run = sorted(classes[ca] + classes[cb], key=lambda e: section_at[e][1])
+        for e in run:
+            drop(e, v)
         gadget = []
-        for idx, want_in in enumerate((True, False, True, False)):
-            x = emb.add_vertex()
-            e = emb.next_edge
-            emb.next_edge += 1
-            if want_in:
-                emb.edges[e] = (x, v)
-                end_at_v = HEAD
-            else:
-                emb.edges[e] = (v, x)
-                end_at_v = TAIL
-            emb.weights[e] = (Fraction(0), w_out, w_in, Fraction(0))[idx]
-            emb.rot[x].append((e, TAIL if end_at_v == HEAD else HEAD))
-            emb.rot[v].insert(insert_at + idx, (e, end_at_v))
-            gadget.append(e)
-        new_classes[c_in] = [gadget[0], gadget[2]]
-        new_classes[c_out] = [gadget[1], gadget[3]]
+        for end, w in ((HEAD, Fraction(0)), (TAIL, w_out), (HEAD, w_in), (TAIL, Fraction(0))):
+            x, e = len(rows), len(edges)
+            edges.append((x, v) if end == HEAD else (v, x))
+            weights.append(w)
+            rows.append([dart(e, 1 - end)])
+            gadget.append(dart(e, end))
+        gadget_at[run[0]] = gadget
+        classes[c_in] = (dart_edge(gadget[0]), dart_edge(gadget[2]))
+        classes[c_out] = (dart_edge(gadget[1]), dart_edge(gadget[3]))
 
-    dense, _vertex_ids, edge_ids = emb.to_instance()
+    for v in range(g.vertex_count):
+        row: list[int] = []
+        tail: list[int] = []
+        for d in g.rotation[v]:
+            e = dart_edge(d)
+            if e in gadget_at:   # met before anything was placed: to the row's end
+                (row if row else tail).extend(gadget_at[e])
+            elif e not in dropped_edges:
+                row.append(d)
+        rows[v] = row + tail
+
+    edge_ids = [e for e in range(len(edges)) if e not in dropped_edges]
+    dense = dense_instance(edges, rows, weights,
+                           [v for v in range(len(rows)) if v not in dropped_vertices],
+                           edge_ids)
     emap = {e: j for j, e in enumerate(edge_ids)}
-    classes = tuple(tuple(sorted(emap[e] for e in c)) for c in new_classes)
-    shrunk = CutInstance(dense, classes, cut.pairs, cut.base_kept_weight,
-                         reduced=cut.reduced)
+    shrunk = CutInstance(dense, tuple(tuple(sorted(emap[e] for e in c)) for c in classes),
+                         cut.pairs, cut.base_kept_weight)
     if any(len(c) > 2 for c in shrunk.classes):
         raise EmbeddingError("a class kept more than two edges after shrinking")
     if dense.graph.edge_count > 2 * len(shrunk.classes):
@@ -570,6 +502,7 @@ def align_optimum_to_classes(instance: Instance, kept: set[int]) -> set[int]:
         if pattern not in CONFIGS:
             raise EmbeddingError("kept set is not bimodal inside a section")
         _bounds, deleted, _cost = optimal_switches(instance, v, section, pattern)
+        deleted = set(deleted)
         out.difference_update(edges)
-        out.update(e for e in edges if e not in set(deleted))
+        out.update(e for e in edges if e not in deleted)
     return out

@@ -437,6 +437,26 @@ def instance_from_document(doc) -> Instance:
     return Instance(graph, tuple(weights))
 
 
+# -- dense renumbering ------------------------------------------------
+
+def dense_instance(edges, rows, weights, vertex_ids: Sequence[int],
+                   edge_ids: Sequence[int]) -> Instance:
+    """Renumber the listed vertices and edges densely, in list order.
+
+    ``edges``, ``rows`` and ``weights`` are indexed by the old ids (lists
+    or dicts will do); a row's darts on edges not in ``edge_ids`` are
+    dropped."""
+    vmap = {v: i for i, v in enumerate(vertex_ids)}
+    emap = {e: i for i, e in enumerate(edge_ids)}
+    # dart arithmetic inlined: this runs once per dart of every derived instance
+    graph = PlaneDigraph(
+        len(vertex_ids),
+        [(vmap[edges[e][0]], vmap[edges[e][1]]) for e in edge_ids],
+        [[2 * emap[d >> 1] + (d & 1) for d in rows[v] if d >> 1 in emap]
+         for v in vertex_ids])
+    return Instance(graph, tuple(weights[e] for e in edge_ids))
+
+
 # -- subgraph extraction ----------------------------------------------
 
 def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int]):
@@ -447,21 +467,6 @@ def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int]):
     their darts are dropped."""
     g = instance.graph
     edge_ids = sorted(set(int(e) for e in edge_ids))
-    keep = set(edge_ids)
-    touched = set()
-    for e in edge_ids:
-        t, h = g.edges[e]
-        touched.add(t)
-        touched.add(h)
-    vertex_ids = sorted(touched)
-    vmap = {v: i for i, v in enumerate(vertex_ids)}
-    emap = {e: i for i, e in enumerate(edge_ids)}
-    edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]]) for e in edge_ids]
-    rotation = [
-        [dart(emap[dart_edge(d)], dart_end(d))
-         for d in g.rotation[v] if dart_edge(d) in keep]
-        for v in vertex_ids
-    ]
-    sub = Instance(PlaneDigraph(len(vertex_ids), edges, rotation),
-                   tuple(instance.weights[e] for e in edge_ids))
+    vertex_ids = sorted({v for e in edge_ids for v in g.edges[e]})
+    sub = dense_instance(g.edges, g.rotation, instance.weights, vertex_ids, edge_ids)
     return sub, vertex_ids, edge_ids

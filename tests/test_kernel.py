@@ -12,7 +12,6 @@ from mwbs.kernel import (
     CutInstance,
     ReducedInstance,
     _check_normal_form,
-    _Embedding,
     align_optimum_to_classes,
     optimal_switches,
     partition_section,
@@ -33,6 +32,8 @@ from mwbs.plane import (
     cyclic_switches,
     dart,
     dart_direction,
+    dart_edge,
+    dart_end,
     encode_instance,
     make_solution,
 )
@@ -146,6 +147,50 @@ class TestReduceToSimple:
         assert red.base_kept_weight == inst.total_weight
 
 
+class _Embedding:
+    """Sparse mutable rotation system keyed by stable ids."""
+
+    def __init__(self, instance: Instance):
+        g = instance.graph
+        self.edges: dict[int, tuple[int, int]] = dict(enumerate(g.edges))
+        self.weights: dict[int, Fraction] = dict(enumerate(instance.weights))
+        self.rot: dict[int, list[tuple[int, int]]] = {
+            v: [(dart_edge(d), dart_end(d)) for d in g.rotation[v]]
+            for v in range(g.vertex_count)
+        }
+        self.next_vertex = g.vertex_count
+
+    def remove_edge(self, e: int):
+        for end in (TAIL, HEAD):
+            v = self.edges[e][end]
+            self.rot[v].remove((e, end))
+        del self.edges[e]
+        del self.weights[e]
+
+    def remove_isolated(self, v: int):
+        if self.rot[v]:
+            raise EmbeddingError(f"vertex {v} is not isolated")
+        del self.rot[v]
+
+    def add_vertex(self) -> int:
+        v = self.next_vertex
+        self.next_vertex += 1
+        self.rot[v] = []
+        return v
+
+    def to_instance(self) -> tuple[Instance, list[int], list[int]]:
+        """Densify; returns (instance, vertex ids, edge ids) in stable order."""
+        vertex_ids = sorted(self.rot)
+        edge_ids = sorted(self.edges)
+        vmap = {v: i for i, v in enumerate(vertex_ids)}
+        emap = {e: i for i, e in enumerate(edge_ids)}
+        edges = [(vmap[self.edges[e][0]], vmap[self.edges[e][1]]) for e in edge_ids]
+        rotation = [[dart(emap[e], end) for e, end in self.rot[v]] for v in vertex_ids]
+        weights = tuple(self.weights[e] for e in edge_ids)
+        return Instance(PlaneDigraph(len(vertex_ids), edges, rotation), weights), \
+            vertex_ids, edge_ids
+
+
 def rescan_reduce(instance: Instance) -> ReducedInstance:
     """Reference normal form: rescan the whole embedding after every rule
     and fire the lowest-numbered rule at its lowest id."""
@@ -208,7 +253,7 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
     return out
 
 
-class TestWorklistReduction:
+class TestThreePassReduction:
     def test_matches_rescan(self, corpus_small, corpus_b4):
         tri_frontier = [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
         tri_60 = [gen_instance(GenParams(n=60, seed=s)) for s in range(10)]
