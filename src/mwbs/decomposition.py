@@ -13,8 +13,8 @@ validator enforces contiguity instead of a geometric curve.
 of degree above one; the skeleton is the set of hub-to-hub edges, and
 every other edge is a *pendant* with exactly one hub end.  In the normal
 form only hubs can sit on a middle set, so the width that the solver pays
-for (``6**width`` table entries per arc) is set by the skeleton, and the
-builders do far better on it than on the whole graph.
+for (up to ``6**width`` table entries per arc) is set by the skeleton, and
+the builders do far better on it than on the whole graph.
 
 Two heuristic builders work on the skeleton, and they share one
 region-growth loop, ``_grow``, which absorbs one edge at a time while the
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from .configs import CLASS_MAPS
 from .errors import BuildError, DecompositionError
 from .plane import (Instance, PlaneDigraph, dart_edge, dart_end, instance_document,
                     subgraph_by_edges)
@@ -119,11 +120,15 @@ class ArcBoundary:
 
     ``mid`` lists the middle-set vertices sorted by id (the order used to
     index tables).  ``runs`` maps each mid vertex to (start, length) of its
-    contiguous inside-dart run in the vertex rotation."""
+    contiguous inside-dart run in the vertex rotation.  ``classes`` holds,
+    per mid position, the class map of that vertex's run (configuration
+    index -> class index, see ``configs.class_map``): the table digit of
+    the position counts classes, not configurations."""
     arc: tuple[int, int]              # (child node, parent node), inside below child
     mid: tuple[int, ...]
     runs: dict[int, tuple[int, int]]
     inside_edges: frozenset[int]
+    classes: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -149,6 +154,15 @@ def _run(flags: Sequence[bool]) -> Optional[tuple[int, int]]:
     if len(starts) > 1:
         return None
     return (starts[0] if starts else 0, sum(flags))
+
+
+def _switch_prefix(row: Sequence[int]) -> list[int]:
+    """Entry j counts the positions k < j where dart k and dart k + 1 of
+    the row, read twice around, have different ends; the switches of a run
+    of ``length`` darts from ``start`` are then entry start + length - 1
+    minus entry start."""
+    ends = [d & 1 for d in row] * 2
+    return [0, *itertools.accumulate(a != b for a, b in zip(ends, ends[1:]))]
 
 
 def middle_set(graph: PlaneDigraph, inside: set[int]) -> list[int]:
@@ -279,22 +293,37 @@ class RootedDecomposition:
         self.children = {u: [w for w in adj[u] if parent.get(w) == u] for u in order}
         self.post_order = [u for u in reversed(order) if u != root_leaf]
         self.boundaries: dict[int, ArcBoundary] = {}
+        # only a hub, a vertex of degree above one, can be on a middle set
+        self._switches = [_switch_prefix(row) if len(row) > 1 else None
+                          for row in graph.rotation]
 
     def boundary(self, node: int) -> ArcBoundary:
-        """ArcBoundary for the arc from ``node`` toward the root.  Raises
-        DecompositionError naming every middle-set vertex whose inside
-        darts are not one cyclic run."""
+        """ArcBoundary for the arc from ``node`` toward the root, with the
+        class map of every run.  Raises DecompositionError naming every
+        middle-set vertex whose inside darts are not one cyclic run."""
         g = self.graph
         inside = self.inside[node]
         arc = (node, self.parent[node])
         mid = middle_set(g, inside)
-        runs = {v: _run([d >> 1 in inside for d in g.rotation[v]]) for v in mid}
-        broken = [v for v in mid if runs[v] is None]
+        runs = {}
+        classes = []
+        broken = []
+        for v in mid:
+            row = g.rotation[v]
+            run = _run([d >> 1 in inside for d in row])
+            if run is None:
+                broken.append(v)
+                continue
+            runs[v] = start, length = run
+            # the run's class map depends on its first dart's end and its switches
+            switches = self._switches[v]
+            classes.append(CLASS_MAPS[row[start] & 1,
+                                      min(switches[start + length - 1] - switches[start], 3)])
         if broken:
             raise DecompositionError(
                 f"arc {tuple(sorted(arc))}: darts of vertices {broken} "
                 "on one side are not contiguous")
-        return ArcBoundary(arc, tuple(mid), runs, frozenset(inside))
+        return ArcBoundary(arc, tuple(mid), runs, frozenset(inside), tuple(classes))
 
 
 # ---------------------------------------------------------------------

@@ -1,26 +1,29 @@
-"""Configuration algebra and the exact bottom-up solver.
+"""The exact bottom-up solver over class-indexed tables.
 
-A configuration describes, for one vertex on a noose, the clockwise
-pattern of in- and out-edge blocks inside the noose; the six possible
-patterns are the strings i, o, io, oi, oio, ioi.  Two facts drive the
-solver: a vertex whose inside pattern collapses to a substring of the
-assigned configuration realizes it (empty blocks are allowed), and two
-configurations merge into a bimodal vertex exactly when their
-concatenation collapses to a substring of oio or ioi.
+The configuration algebra (``configs``) gives each middle-set vertex one
+of six configurations.  The solver walks a validated decomposition
+bottom-up.  Each arc gets a table mapping every assignment of
+configurations to the arc's middle set to the minimum weight of edges
+deleted strictly inside the arc.  Weights are handled as exact integers
+after rescaling by the common denominator.
 
-The solver walks a validated decomposition bottom-up.  Each arc gets a
-table mapping every assignment of configurations to the arc's middle set
-to the minimum weight of edges deleted strictly inside the arc.  Weights
-are handled as exact integers after rescaling by the common denominator.
+Tables are indexed by configuration classes, not configurations.  An
+entry depends on a vertex's configuration only through its class, the set
+of collapsed subsequences of the vertex's inside run that realize it (see
+``configs``): a kept set fits the configuration exactly when its pattern
+at the vertex is empty or lies in that set.  So configurations of one
+class have equal entries, and a table stores one entry per class vector:
+the digit of a position counts that run's classes (2 for a run in one
+direction, 4 for io or oi, 6 otherwise), in mixed radix with the first
+position least significant.  A configuration code (index times 6**k at
+position k) is read through the class maps; ``DPTable.cost`` does that.
 
 Every entry is feasible.  A leaf entry is: deleting the edge realizes any
 assignment.  A parent entry combines, at each shared vertex, a pair of
 child configurations from a list that is never empty (checked when the
 module loads), and every child entry is feasible by induction, so it has
 at least one candidate pair.  Tables therefore hold costs only: no
-infeasible marker and no back-pointers.  On the way down, the solver
-decodes the one chosen entry of each internal node and recomputes its
-argmin over that entry's pairs, in the join's own order.
+infeasible marker and no back-pointers.
 
 The join tries only the maximal pairs of child configurations.  Order the
 configurations by substring (i and o below io and oi, which lie below
@@ -32,57 +35,37 @@ superstring, so raising one coordinate never raises an entry's cost.
 Hence a valid pair is dominated by a maximal valid pair that costs no
 more, and the minimum over the maximal pairs is the minimum over all
 valid pairs.  The pair lists are derived from the compatibility tables
-when the module loads.
+when the module loads.  The join evaluates each parent class at its
+representative, the class's smallest configuration, and maps the child
+configurations of every pair to child classes; pairs that land on the
+same pair of classes cost the same and are tried once.
+
+Reconstruction stays in configuration space, so that the solution is the
+one a configuration-indexed table would give.  Classes are numbered by
+their smallest configuration, so the first minimizing class code at the
+root decodes, position by position, to the first minimizing
+configuration code.  On the way down, each internal node tries the
+candidate configuration pairs of its one chosen entry in the order a
+configuration-indexed join would, reads the child costs through the
+class maps, and keeps the first of least cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .configs import CLASS_MAPS, CONFIG_INDEX, CONFIGS, compatible, compatible_wrt
 from .decomposition import ArcBoundary, SphereCutDecomposition, validate_decomposition
 from .errors import DecompositionError
 from .oracle import scaled_int_weights
 from .plane import Instance, Solution, make_solution
 
-CONFIGS = ("i", "o", "io", "oi", "oio", "ioi")
-CONFIG_INDEX = {c: k for k, c in enumerate(CONFIGS)}
-
-
-def collapse(letters: str) -> str:
-    out = []
-    for ch in letters:
-        if not out or out[-1] != ch:
-            out.append(ch)
-    return "".join(out)
-
-
-def compatible(x: str, y: str) -> bool:
-    """Whether two configurations merge into a bimodal cyclic pattern:
-    their concatenation, collapsed, is a substring of oio or ioi.  The
-    concatenation order does not matter."""
-    merged = collapse(x + y)
-    return merged in "oio" or merged in "ioi"
-
-
-def compatible_wrt(x: str, y: str, target: str) -> bool:
-    """Whether x followed by y (order matters) collapses to a substring of
-    the target configuration."""
-    return collapse(x + y) in target
-
-
-def realizes(pattern: str, config: str) -> bool:
-    """Whether a dart direction sequence fits a configuration, i.e. its
-    collapse is a substring of the configuration (empty always fits)."""
-    p = collapse(pattern)
-    return p == "" or p in config
-
-
 _COMPAT = [[compatible(a, b) for b in CONFIGS] for a in CONFIGS]
 _COMPAT_WRT = [[[compatible_wrt(a, b, t) for t in CONFIGS] for b in CONFIGS]
                for a in CONFIGS]
-_POW6 = [6 ** k for k in range(20)]
 # substring order: _LE[a][b] iff configuration a is a substring of b
 _LE = [[a in b for b in CONFIGS] for a in CONFIGS]
 
@@ -108,55 +91,139 @@ _TARGET_PAIRS = {
 # every parent entry has a candidate pair, so every table entry is feasible
 assert _INTERIOR_PAIRS and all(all(by_target) for by_target in _TARGET_PAIRS.values())
 
+# class map -> the representative (smallest configuration) of each class
+_REPS = {cmap: tuple(cmap.index(k) for k in range(max(cmap) + 1))
+         for cmap in CLASS_MAPS.values()}
+
+
+def _class_pair_tables() -> tuple[dict, dict]:
+    """The maximal pair lists in classes, per pair of child class maps:
+    each configuration pair mapped to its (child 1, child 2) class pair,
+    each class pair once, in order of first occurrence.  Equal pairs and
+    equal lists are one object, which keeps the tables small."""
+    shared: dict = {}
+
+    def classes(pairs, m1, m2):
+        found = tuple(dict.fromkeys(shared.setdefault(q, q)
+                                    for q in ((m1[x1], m2[x2]) for x1, x2 in pairs)))
+        return shared.setdefault(found, found)
+
+    interior = {(m1, m2): classes(_INTERIOR_PAIRS, m1, m2) for m1 in _REPS for m2 in _REPS}
+    target = {first: {(m1, m2): [classes(pairs, m1, m2) for pairs in by_target]
+                      for m1 in _REPS for m2 in _REPS}
+              for first, by_target in _TARGET_PAIRS.items()}
+    return interior, target
+
+
+_INTERIOR_CLASS_PAIRS, _TARGET_CLASS_PAIRS = _class_pair_tables()
+
+
+# A table's place for a vertex: (configuration weight 6**position, class
+# weight, class map); a table without the vertex has weights 0.
+_Place = tuple[int, int, tuple[int, ...]]
+_ABSENT: _Place = (0, 0, (0,) * 6)
+
 
 class JoinSplit(NamedTuple):
-    """How a parent arc's middle set splits over its two children, as
-    mixed-radix code weights (``6**position``, 0 where a table lacks the
-    vertex).
+    """How a parent arc's middle set splits over its two children: per
+    vertex, its place in the parent (3) and child (1, 2) tables.
 
-    ``owned`` lists, per parent position that exactly one child owns, the
-    (parent, child 1, child 2) weights.  ``combos`` lists the child code
-    offsets of every choice of maximal pairs at the shared vertices
-    interior to the parent.  ``targets`` lists, per shared vertex on the
-    parent middle set, its (parent, child 1, child 2) weights and its
-    maximal pair lists indexed by the parent configuration."""
-    owned: tuple[tuple[int, int, int], ...]
-    combos: list[tuple[int, int]]
-    targets: tuple[tuple[int, int, int, list[list[tuple[int, int]]]], ...]
+    ``owned`` lists the (parent, child 1, child 2) places of each parent
+    position that exactly one child owns.  ``interior`` lists the (child 1,
+    child 2) places of each shared vertex interior to the parent, whose
+    candidate pairs are ``_INTERIOR_PAIRS``.  ``targets`` lists, per shared
+    vertex on the parent middle set, its (parent, child 1, child 2) places
+    and which child's run comes first there, which selects its pair lists
+    ``_TARGET_PAIRS[first]``.  Shared vertices are in id order."""
+    owned: tuple[tuple[_Place, _Place, _Place], ...]
+    interior: tuple[tuple[_Place, _Place], ...]
+    targets: tuple[tuple[_Place, _Place, _Place, int], ...]
 
-    def pairs_of(self, code: int) -> list[tuple[int, int]]:
-        """The candidate (child 1, child 2) entry codes of parent entry
-        ``code``, in the order the join tries them."""
-        o1 = o2 = 0
-        for w3, w1, w2 in self.owned:
+    def pairs_of(self, code: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+        """The table index of parent configuration code ``code``, and its
+        candidate pairs in the order a configuration-indexed join tries
+        them, each as (child 1 code, child 2 code, child 1 index, child 2
+        index): interior vertices' pairs vary slowest, then the targets'."""
+        index = o1 = o2 = i1 = i2 = 0
+        for (w3, k3, m3), (w1, k1, m1), (w2, k2, m2) in self.owned:
             x = code // w3 % 6
+            index += m3[x] * k3
             o1 += x * w1
             o2 += x * w2
-        combos = self.combos
-        for w3, w1, w2, by_target in self.targets:
-            combos = _extend(combos, w1, w2, by_target[code // w3 % 6])
-        return [(o1 + d1, o2 + d2) for d1, d2 in combos]
+            i1 += m1[x] * k1
+            i2 += m2[x] * k2
+        combos = [(o1, o2, i1, i2)]
+        for p1, p2 in self.interior:
+            combos = _extend_codes(combos, p1, p2, _INTERIOR_PAIRS)
+        for (w3, k3, m3), p1, p2, first in self.targets:
+            x = code // w3 % 6
+            index += m3[x] * k3
+            combos = _extend_codes(combos, p1, p2, _TARGET_PAIRS[first][x])
+        return index, combos
 
 
-def _extend(combos: list[tuple[int, int]], w1: int, w2: int,
+def _extend_codes(combos: list[tuple[int, int, int, int]], p1: _Place, p2: _Place,
+                  pairs: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    (w1, k1, m1), (w2, k2, m2) = p1, p2
+    return [(o1 + x1 * w1, o2 + x2 * w2, i1 + m1[x1] * k1, i2 + m2[x2] * k2)
+            for o1, o2, i1, i2 in combos for x1, x2 in pairs]
+
+
+def _extend(combos: list[tuple[int, int]], k1: int, k2: int,
             pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos for x1, x2 in pairs]
+    return [(d1 + c1 * k1, d2 + c2 * k2) for d1, d2 in combos for c1, c2 in pairs]
+
+
+def _places(boundary: ArcBoundary) -> dict[int, _Place]:
+    """Each middle-set vertex's place in the boundary's tables, in
+    ``mid`` order."""
+    places = {}
+    code_weight = index_weight = 1
+    for v, cmap in zip(boundary.mid, boundary.classes):
+        places[v] = (code_weight, index_weight, cmap)
+        code_weight *= 6
+        index_weight *= len(_REPS[cmap])
+    return places
 
 
 @dataclass
 class DPTable:
-    """Per-arc table: one entry per configuration assignment on the middle
-    set.
+    """Per-arc table: one entry per vector of configuration classes on the
+    middle set.
 
-    Assignments are encoded in mixed radix: the vertex at position k of
-    ``boundary.mid`` contributes config_index * 6**k.  ``costs`` holds the
-    minimum scaled deleted weight of each entry; every entry is feasible.
-    No back-pointers are stored.  A join table keeps its ``split``, from
-    which reconstruction recomputes the pair of child entries behind one
-    entry; a leaf table needs nothing beyond its boundary."""
+    The vertex at position k of ``boundary.mid`` contributes its class
+    index times the product of the class counts of positions 0..k-1
+    (``boundary.classes`` holds the maps).  ``costs`` holds the minimum
+    scaled deleted weight of each entry; every entry is feasible.  Read an
+    entry by configuration code, index times 6**k at position k, with
+    ``cost``.  ``places`` holds each vertex's place, the weights that a
+    join reads.  No back-pointers are stored.  A join table keeps its
+    ``split``, from which reconstruction recomputes the pair of child
+    entries behind one configuration code; a leaf table needs nothing
+    beyond its boundary."""
     boundary: ArcBoundary
     costs: list[int]
     split: Optional[JoinSplit] = None
+    places: Optional[dict[int, _Place]] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.places is None:
+            self.places = _places(self.boundary)
+
+    def cost(self, code: int) -> int:
+        """The entry of configuration code ``code``."""
+        return self.costs[sum(cmap[code // w % 6] * k for w, k, cmap in self.places.values())]
+
+
+def _first_code(table: DPTable, index: int) -> int:
+    """The smallest configuration code whose entry is table index ``index``:
+    each position's class representative."""
+    code = 0
+    for w, _k, cmap in table.places.values():
+        reps = _REPS[cmap]
+        index, c = divmod(index, len(reps))
+        code += reps[c] * w
+    return code
 
 
 def _leaf_letters(instance: Instance, boundary: ArcBoundary) -> tuple[int, list[str]]:
@@ -189,10 +256,15 @@ def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights: list[int]
     Keeping the edge realizes an assignment iff each middle-set endpoint's
     configuration contains the letter of the edge's dart there (o at the
     tail, i at the head); deleting it realizes everything at cost w(e).
+    Each endpoint's run is that one dart, so it has two classes, and the
+    letter is tested against their representatives: 2**|mid| entries.
     Every entry is feasible."""
     e, letters = _leaf_letters(instance, boundary)
     w = int_weights[e]
-    costs = [0 if _keeps(letters, code) else w for code in range(_POW6[len(letters)])]
+    fits = [[letter in CONFIGS[r] for r in _REPS[cmap]]
+            for letter, cmap in zip(letters, boundary.classes)]
+    # the first position is the least significant digit, so it varies fastest
+    costs = [0 if all(flags) else w for flags in itertools.product(*reversed(fits))]
     return DPTable(boundary, costs)
 
 
@@ -209,31 +281,23 @@ def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: in
     raise DecompositionError(f"child runs at vertex {v} do not tile the parent run")
 
 
-def _join_split(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary) -> JoinSplit:
+def _join_split(parent: ArcBoundary, p3: dict[int, _Place],
+                t1: DPTable, t2: DPTable) -> JoinSplit:
+    b1, b2 = t1.boundary, t2.boundary
     if b1.inside_edges | b2.inside_edges != parent.inside_edges or \
             (b1.inside_edges & b2.inside_edges):
         raise DecompositionError("child arcs must partition the parent inside")
-    m1, m2, m3 = b1.mid, b2.mid, parent.mid
-    set1, set2, set3 = set(m1), set(m2), set(m3)
-    shared = tuple(sorted(set1 & set2))
-    shared_set = set(shared)
-    if not (set3 <= set1 | set2 and set1 - shared_set <= set3
-            and set2 - shared_set <= set3):
+    p1, p2 = t1.places, t2.places
+    shared = sorted(p1.keys() & p2.keys())
+    if not (p3.keys() <= p1.keys() | p2.keys()
+            and p1.keys() - shared <= p3.keys() and p2.keys() - shared <= p3.keys()):
         raise DecompositionError("arc middle sets are inconsistent")
-    pos1 = {v: k for k, v in enumerate(m1)}
-    pos2 = {v: k for k, v in enumerate(m2)}
-    pos3 = {v: k for k, v in enumerate(m3)}
-    owned = tuple((_POW6[pos3[v]], _POW6[pos1[v]] if v in set1 else 0,
-                   _POW6[pos2[v]] if v in set2 else 0)
-                  for v in m3 if v not in shared_set)
-    combos = [(0, 0)]
-    for v in shared:
-        if v not in set3:
-            combos = _extend(combos, _POW6[pos1[v]], _POW6[pos2[v]], _INTERIOR_PAIRS)
-    targets = tuple((_POW6[pos3[v]], _POW6[pos1[v]], _POW6[pos2[v]],
-                     _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)])
-                    for v in shared if v in set3)
-    return JoinSplit(owned, combos, targets)
+    owned = tuple((p3[v], p1.get(v, _ABSENT), p2.get(v, _ABSENT))
+                  for v in parent.mid if not (v in p1 and v in p2))
+    interior = tuple((p1[v], p2[v]) for v in shared if v not in p3)
+    targets = tuple((p3[v], p1[v], p2[v], _first_child_at(parent, b1, b2, v))
+                    for v in shared if v in p3)
+    return JoinSplit(owned, interior, targets)
 
 
 def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
@@ -251,32 +315,43 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
     order, and child tables are monotone (a superstring configuration never
     costs more), so any valid pair is dominated by a maximal one that costs
     no more.  Only the maximal pairs are tried: 6 per interior shared
-    vertex, at most 3 per shared vertex on the parent middle set.  The
-    forced positions are enumerated once per join as (parent, child 1,
-    child 2) code offsets; entries are grouped by the parent
-    configurations at the shared vertices, and every entry of a group
-    tries the same pair offsets.  A group with a single pair (every
-    target i or o, no interior vertex) is a straight sum.  The table keeps
-    its ``JoinSplit``, from which ``solve_dp`` recomputes the pair behind
-    an entry."""
-    split = _join_split(parent, t1.boundary, t2.boundary)
+    vertex, at most 3 per shared vertex on the parent middle set.  Each
+    parent class stands for its representative configuration.  The forced
+    positions are enumerated once per join as (parent, child 1, child 2)
+    index offsets, the representative mapped through each child's class
+    map; entries are grouped by the parent classes at the shared vertices,
+    and every entry of a group tries the same child offsets, the maximal
+    pairs mapped to child classes and each pair of classes tried once.  A
+    group with a single pair is a straight sum.  The table keeps its
+    ``JoinSplit``, from which ``solve_dp`` recomputes the pair behind an
+    entry."""
+    places = _places(parent)
+    split = _join_split(parent, places, t1, t2)
     forced = [(0, 0, 0)]
-    for w3, w1, w2 in split.owned:
-        forced = [(o3 + x * w3, o1 + x * w1, o2 + x * w2)
-                  for o3, o1, o2 in forced for x in range(6)]
+    for (_w3, k3, m3), (_w1, k1, m1), (_w2, k2, m2) in split.owned:
+        digits = [(k * k3, m1[r] * k1, m2[r] * k2) for k, r in enumerate(_REPS[m3])]
+        forced = [(o3 + a3, o1 + a1, o2 + a2)
+                  for o3, o1, o2 in forced for a3, a1, a2 in digits]
 
-    groups = [(0, split.combos)]
-    for w3, w1, w2, by_target in split.targets:
-        groups = [(code + tgt * w3, _extend(combos, w1, w2, by_target[tgt]))
-                  for code, combos in groups for tgt in range(6)]
+    combos = [(0, 0)]
+    for (_w1, k1, m1), (_w2, k2, m2) in split.interior:
+        combos = _extend(combos, k1, k2, _INTERIOR_CLASS_PAIRS[m1, m2])
+    groups = [(0, combos)]
+    size = len(forced)
+    for (_w3, k3, m3), (_w1, k1, m1), (_w2, k2, m2), first in split.targets:
+        by_target = _TARGET_CLASS_PAIRS[first][m1, m2]
+        reps = _REPS[m3]
+        groups = [(index + k * k3, _extend(combos, k1, k2, by_target[r]))
+                  for index, combos in groups for k, r in enumerate(reps)]
+        size *= len(reps)
 
     c1, c2 = t1.costs, t2.costs
-    costs = [0] * _POW6[len(parent.mid)]
-    for code, combos in groups:
+    costs = [0] * size
+    for index, combos in groups:
         (e1, e2), rest = combos[0], combos[1:]
         if not rest:
             for o3, o1, o2 in forced:
-                costs[code + o3] = c1[o1 + e1] + c2[o2 + e2]
+                costs[index + o3] = c1[o1 + e1] + c2[o2 + e2]
             continue
         for o3, o1, o2 in forced:
             best = c1[o1 + e1] + c2[o2 + e2]
@@ -284,20 +359,22 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
                 total = c1[o1 + d1] + c2[o2 + d2]
                 if total < best:
                     best = total
-            costs[code + o3] = best
-    return DPTable(parent, costs, split=split)
+            costs[index + o3] = best
+    return DPTable(parent, costs, split, places)
 
 
 def _chosen_pair(table: DPTable, t1: DPTable, t2: DPTable, code: int) -> tuple[int, int]:
-    """The pair of child entries behind parent entry ``code``: the first
-    of its candidate pairs, in the join's order, of least total cost."""
+    """The pair of child configuration codes behind parent configuration
+    code ``code``: the first of its candidate pairs, in the order of a
+    configuration-indexed join, of least total cost."""
     c1, c2 = t1.costs, t2.costs
-    pairs = table.split.pairs_of(code)
-    totals = [c1[a] + c2[b] for a, b in pairs]
+    index, pairs = table.split.pairs_of(code)
+    totals = [c1[i1] + c2[i2] for _o1, _o2, i1, i2 in pairs]
     best = min(totals)
-    if best != table.costs[code]:
+    if best != table.costs[index]:
         raise DecompositionError("reconstruction disagrees with the table entry")
-    return pairs[totals.index(best)]
+    code1, code2, _i1, _i2 = pairs[totals.index(best)]
+    return code1, code2
 
 
 def solve_dp(instance: Instance, dec: SphereCutDecomposition,
@@ -347,12 +424,12 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     tail_r, head_r = g.edges[e_r]
 
     delete_cost = min(ttop.costs)
-    delete_code = ttop.costs.index(delete_cost)
+    delete_code = _first_code(ttop, ttop.costs.index(delete_cost))
     delete_cost += int_w[e_r]
 
     pinned = {head_r: CONFIG_INDEX["ioi"], tail_r: CONFIG_INDEX["oio"]}
-    keep_code = sum(pinned[v] * _POW6[k] for k, v in enumerate(ttop.boundary.mid))
-    keep_cost = ttop.costs[keep_code]
+    keep_code = sum(pinned[v] * 6 ** k for k, v in enumerate(ttop.boundary.mid))
+    keep_cost = ttop.cost(keep_code)
 
     if keep_cost <= delete_cost:
         root_cost, root_code, root_deletes = keep_cost, keep_code, set()

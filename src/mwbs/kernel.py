@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .configs import CONFIGS, collapse
 from .decomposition import build_sphere_cut
-from .dp import CONFIGS, collapse, solve_dp
+from .dp import solve_dp
 from .errors import EmbeddingError, FormatError
 from .oracle import is_star, star_solve
 from .plane import (

@@ -19,18 +19,24 @@ from mwbs.decomposition import (
     decomposition_from_document,
     validate_decomposition,
 )
-from mwbs.dp import (
-    _INTERIOR_PAIRS,
-    _TARGET_PAIRS,
+from mwbs.configs import (
+    CLASS_MAPS,
     CONFIGS,
-    _chosen_pair,
-    _first_child_at,
+    class_map,
     collapse,
     compatible,
     compatible_wrt,
+    realizes,
+)
+from mwbs.dp import (
+    _INTERIOR_PAIRS,
+    _TARGET_PAIRS,
+    DPTable,
+    _chosen_pair,
+    _first_child_at,
+    _first_code,
     join_tables,
     leaf_table,
-    realizes,
     solve_dp,
 )
 from mwbs.errors import DecompositionError
@@ -168,6 +174,58 @@ class TestConfigurationAlgebra:
         assert realizes("ooo", "oio")
 
 
+# -- configuration classes -----------------------------------------------
+
+class TestClassMaps:
+    COUNTS = {"i": 2, "o": 2, "io": 4, "oi": 4, "ioi": 6, "oio": 6, "ioio": 6, "oioi": 6}
+
+    def test_class_counts(self):
+        assert {run: max(class_map(run)) + 1 for run in self.COUNTS} == self.COUNTS
+
+    def test_numbered_by_smallest_config(self):
+        assert class_map("i") == (0, 1, 0, 0, 0, 0)
+        assert class_map("o") == (0, 1, 1, 1, 1, 1)
+        assert class_map("io") == (0, 1, 2, 3, 2, 2)
+        assert class_map("oi") == (0, 1, 2, 3, 3, 3)
+        for run in self.COUNTS:
+            cmap = class_map(run)
+            firsts = [cmap.index(k) for k in range(max(cmap) + 1)]
+            assert firsts == sorted(firsts)
+
+    def test_classes_are_the_realized_pattern_sets(self):
+        """Two configurations share a class iff the same subsequences of
+        the run realize them, read off uncollapsed runs."""
+        for run in ("i", "ii", "o", "io", "iioo", "oi", "ioi", "oio", "iooi", "ioio", "oioio"):
+            subsequences = {"".join(pick) for r in range(1, len(run) + 1)
+                            for pick in itertools.combinations(run, r)}
+            cmap = class_map(run)
+            fits = [frozenset(p for p in subsequences if realizes_ref(p, c)) for c in CONFIGS]
+            for x, y in itertools.product(range(6), repeat=2):
+                assert (cmap[x] == cmap[y]) == (fits[x] == fits[y]), (run, x, y)
+
+    def test_long_runs_share_the_six_class_map(self):
+        six = tuple(range(6))
+        for run in ("ioi", "oio", "ioio", "oioi", "ioioi", "oioio"):
+            assert class_map(run) == six
+        assert sorted(CLASS_MAPS) == [(end, s) for end in (0, 1) for s in range(4)]
+        for (end, switches), cmap in CLASS_MAPS.items():
+            assert cmap == class_map(("oioi", "ioio")[end][:switches + 1])
+            assert (cmap == six) == (switches >= 2)
+
+    def test_boundaries_carry_the_class_map_of_their_runs(self, corpus_small):
+        checked = 0
+        for inst in corpus_small[:60]:
+            g = inst.graph
+            rooted = validate_decomposition(g, build_sphere_cut(g)).rooted
+            for b in rooted.boundaries.values():
+                assert len(b.classes) == len(b.mid)
+                for v, cmap in zip(b.mid, b.classes):
+                    run = "".join(dart_direction(d) for d in run_darts(g, b, v))
+                    assert cmap == class_map(run)
+                    checked += 1
+        assert checked > 1000
+
+
 # -- leaf tables ---------------------------------------------------------
 
 def path5_instance():
@@ -217,6 +275,45 @@ def rooted_tables(inst, dec, root_leaf=None):
     return rooted, tables, int_w
 
 
+def fan_instance(k):
+    """Hub 0 with out-edges (spokes) 0..k-1 to vertices 1..k, and the path
+    1 -> 2 -> ... -> k along the rim (edges k..2k-2); unit weights."""
+    edges = [(0, j) for j in range(1, k + 1)] + [(j, j + 1) for j in range(1, k)]
+    rot = [[dart(j, TAIL) for j in range(k)]]
+    for j in range(1, k + 1):
+        row = [dart(j - 1, HEAD)]
+        if j > 1:
+            row.append(dart(k + j - 2, HEAD))
+        if j < k:
+            row.append(dart(k + j - 1, TAIL))
+        rot.append(row)
+    return Instance(PlaneDigraph(k + 1, edges, rot), (Fraction(1),) * len(edges))
+
+
+def tree_of(nested):
+    """The decomposition of a nested pair of pairs over edge ids, the two
+    halves of the outermost pair joined by one arc."""
+    arcs, leaf_map = [], {}
+    count = itertools.count()
+
+    def build(t):
+        node = next(count)
+        if isinstance(t, int):
+            leaf_map[node] = t
+        else:
+            for sub in t:
+                arcs.append((build(sub), node))
+        return node
+
+    left, right = nested
+    arcs.append((build(left), build(right)))
+    return SphereCutDecomposition(next(count), tuple(arcs), leaf_map)
+
+
+def halves(ids):
+    return ids[0] if len(ids) == 1 else (halves(ids[:len(ids) // 2]), halves(ids[len(ids) // 2:]))
+
+
 class TestLeafTable:
     def setup_method(self):
         self.inst = triangle_instance()
@@ -224,11 +321,17 @@ class TestLeafTable:
         self.table = tables[0]              # leaf arc of edge 0 = (0, 1)
 
     def cost(self, assignment):
-        return self.table.costs[encode_ref(self.table.boundary.mid, assignment)]
+        return self.table.cost(encode_ref(self.table.boundary.mid, assignment))
 
     def test_all_36_feasible(self):
-        assert len(self.table.costs) == 36
-        assert all(c is not None for c in self.table.costs)
+        """Each endpoint's run is the edge's one dart, so two classes each:
+        four entries stand for all 36 assignments, and every one of them
+        reads the cost of keeping or deleting the edge."""
+        assert len(self.table.costs) == 4
+        assert self.table.boundary.mid == (0, 1)
+        for x0, x1 in itertools.product(CONFIGS, repeat=2):
+            want = 0 if "o" in x0 and "i" in x1 else 1
+            assert self.cost({0: x0, 1: x1}) == want, (x0, x1)
 
     def test_keep_cases(self):
         # edge 0 = (0, 1): tail 0 needs o, head 1 needs i
@@ -252,7 +355,44 @@ class TestJoin:
         table = tables[5]
         for assignment, want in (({0: "o", 1: "ioi", 2: "ioi"}, 0),
                                  ({0: "i", 1: "ioi", 2: "ioi"}, 2)):   # both out-edges must go
-            assert table.costs[encode_ref(table.boundary.mid, assignment)] == want, assignment
+            assert table.cost(encode_ref(table.boundary.mid, assignment)) == want, assignment
+
+    def test_twenty_single_direction_positions(self):
+        """The arc over the spokes of a 20-spoke fan has the 20 rim
+        vertices on its middle set, each with one in-dart inside: two
+        classes each, so 2**20 entries, read by configuration codes up to
+        6**20 - 1.  An entry deletes one spoke per rim vertex assigned o,
+        and the hub, interior to the arc, only has out-edges."""
+        k = 20
+        inst = fan_instance(k)
+        nested = halves(list(range(k)))
+        for e in range(k, 2 * k - 1):
+            nested = (e, nested)
+        dec = tree_of(nested)
+        root = next(node for node, e in dec.leaf_map.items() if e == 2 * k - 2)
+        report = validate_decomposition(inst.graph, dec, root)
+        assert report.ok and report.width == k
+        rooted = report.rooted
+        int_w, _ = scaled_int_weights(inst.weights)
+        tables = {}
+        for node in rooted.post_order:      # up to the spokes' arc
+            b = rooted.boundaries[node]
+            kids = rooted.children[node]
+            tables[node] = (join_tables(b, *(tables[c] for c in kids)) if kids
+                            else leaf_table(inst, b, int_w))
+            if len(b.mid) == k:
+                break
+        table = tables[node]
+        assert table.boundary.mid == tuple(range(1, k + 1))
+        assert table.boundary.classes == (class_map("i"),) * k
+        assert len(table.costs) == 2 ** k
+        assert table.cost(6 ** k - 1) == 0                    # every vertex ioi
+        assert table.cost(CONFIGS.index("o") * 6 ** (k - 1)) == 1
+        rng = random.Random(20)
+        for _ in range(200):
+            assignment = {v: rng.choice(CONFIGS) for v in table.boundary.mid}
+            want = sum(c == "o" for c in assignment.values())
+            assert table.cost(encode_ref(table.boundary.mid, assignment)) == want
 
     def test_join_against_per_assignment_brute_force(self, corpus_small):
         checked = 0
@@ -273,35 +413,40 @@ class TestJoin:
 
 def compare_table_to_brute_force(inst, table, int_w):
     """Independent semantics of a table entry: cheapest deletion of inside
-    edges making interior vertices bimodal and realizing the assignment."""
+    edges making interior vertices bimodal and realizing the assignment.
+    Every configuration code is read through the class maps."""
     g = inst.graph
     boundary = table.boundary
     inside = sorted(boundary.inside_edges)
     interior = [v for v in range(g.vertex_count)
                 if g.rotation[v] and v not in boundary.mid
                 and all(dart_edge(d) in boundary.inside_edges for d in g.rotation[v])]
+    codes = range(6 ** len(boundary.mid))
     best = {}
     for keep_mask in range(1 << len(inside)):
         kept = {inside[j] for j in range(len(inside)) if (keep_mask >> j) & 1}
         if any(g.switch_count(v, kept) > 2 for v in interior):
             continue
         cost = sum(int_w[e] for e in inside if e not in kept)
-        patterns = {}
-        for v in boundary.mid:
-            start, length = boundary.runs[v]
-            row = g.rotation[v]
-            run = [row[(start + j) % len(row)] for j in range(length)]
-            patterns[v] = "".join(dart_direction(d) for d in run
-                                  if dart_edge(d) in kept)
-        for code in range(len(table.costs)):
+        patterns = {v: "".join(dart_direction(d) for d in run_darts(g, boundary, v)
+                               if dart_edge(d) in kept)
+                    for v in boundary.mid}
+        for code in codes:
             assignment = decode_ref(boundary.mid, code)
             if all(realizes_ref(patterns[v], assignment[v]) for v in boundary.mid):
                 if code not in best or cost < best[code]:
                     best[code] = cost
-    for code in range(len(table.costs)):
-        assert table.costs[code] == best.get(code), (
+    for code in codes:
+        assert table.cost(code) == best.get(code), (
             f"entry {decode_ref(boundary.mid, code)}: "
-            f"table {table.costs[code]} vs brute force {best.get(code)}")
+            f"table {table.cost(code)} vs brute force {best.get(code)}")
+
+
+def run_darts(g, boundary, v):
+    """The darts of v's inside run on the arc, in rotation order."""
+    start, length = boundary.runs[v]
+    row = g.rotation[v]
+    return [row[(start + j) % len(row)] for j in range(length)]
 
 
 def decode_ref(mid, code):
@@ -312,7 +457,7 @@ def encode_ref(mid, assignment):
     return sum(CONFIGS.index(assignment[v]) * 6 ** k for k, v in enumerate(mid))
 
 
-def join_rule(parent, b1, b2, t1, t2):
+def join_rule(parent, b1, b2):
     """The parent entries that child entries code1, code2 may combine
     into, vertex by vertex from the definition of the join."""
     shared = set(b1.mid) & set(b2.mid)
@@ -320,8 +465,8 @@ def join_rule(parent, b1, b2, t1, t2):
     interior = shared - set(parent.mid)
     targets = {(x, y): [t for t in CONFIGS if compatible_wrt_ref(x, y, t)]
                for x in CONFIGS for y in CONFIGS}
-    assignments1 = [decode_ref(b1.mid, code) for code in range(len(t1.costs))]
-    assignments2 = [decode_ref(b2.mid, code) for code in range(len(t2.costs))]
+    assignments1 = [decode_ref(b1.mid, code) for code in range(6 ** len(b1.mid))]
+    assignments2 = [decode_ref(b2.mid, code) for code in range(6 ** len(b2.mid))]
 
     def parents(code1, code2):
         a1, a2 = assignments1[code1], assignments2[code2]
@@ -341,83 +486,89 @@ def join_rule(parent, b1, b2, t1, t2):
     return parents
 
 
-def loose_join(parent, b1, b2, t1, t2):
-    """Reference costs: every pair of feasible child entries, offered to
-    every parent entry it may combine into."""
-    parents = join_rule(parent, b1, b2, t1, t2)
+def config_costs(table):
+    """A table's entry for every configuration code of its middle set."""
+    return [table.cost(code) for code in range(6 ** len(table.boundary.mid))]
+
+
+def loose_join(parent, b1, b2, c1, c2):
+    """Reference costs by configuration code: every pair of child entries,
+    offered to every parent entry it may combine into."""
+    parents = join_rule(parent, b1, b2)
     costs = [None] * 6 ** len(parent.mid)
-    for code1, a in enumerate(t1.costs):
-        if a is None:
-            continue
-        for code2, b in enumerate(t2.costs):
-            if b is None:
-                continue
+    for code1, a in enumerate(c1):
+        for code2, b in enumerate(c2):
             for code3 in parents(code1, code2):
                 if costs[code3] is None or a + b < costs[code3]:
                     costs[code3] = a + b
     return costs
 
 
-def backpointer_join(parent, t1, t2):
-    """Reference costs and choices: the join as it was written when tables
-    stored a back-pointer per entry.  Returns the parent costs (None for no
-    candidate pair) and, per entry, the first cheapest (child 1, child 2)
-    entry codes in the order the maximal pairs are tried, or None."""
-    b1, b2 = t1.boundary, t2.boundary
+# -- the configuration-indexed join, the oracle of the class-indexed one --
+
+def reference_split(parent, b1, b2):
+    """How the parent middle set splits over the children, as 6**position
+    code weights (0 where a table lacks the vertex): the (parent, child 1,
+    child 2) weights of each owned position, the child code offsets of
+    every choice of maximal pairs at the interior shared vertices, and per
+    shared vertex on the parent middle set its weights and pair lists."""
     m1, m2, m3 = b1.mid, b2.mid, parent.mid
     set1, set2, set3 = set(m1), set(m2), set(m3)
-    shared = tuple(sorted(set1 & set2))
+    shared = sorted(set1 & set2)
     pos1 = {v: k for k, v in enumerate(m1)}
     pos2 = {v: k for k, v in enumerate(m2)}
     pos3 = {v: k for k, v in enumerate(m3)}
-
-    forced = [(0, 0, 0)]
-    for v in m3:
-        if v in shared:
-            continue
-        w3 = 6 ** pos3[v]
-        w1 = 6 ** pos1[v] if v in set1 else 0
-        w2 = 6 ** pos2[v] if v in set2 else 0
-        forced = [(o3 + x * w3, o1 + x * w1, o2 + x * w2)
-                  for o3, o1, o2 in forced for x in range(6)]
-
+    owned = [(6 ** pos3[v], 6 ** pos1[v] if v in set1 else 0,
+              6 ** pos2[v] if v in set2 else 0)
+             for v in m3 if v not in shared]
     combos = [(0, 0)]
     for v in shared:
         if v not in set3:
-            w1, w2 = 6 ** pos1[v], 6 ** pos2[v]
-            combos = [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
-                      for x1, x2 in _INTERIOR_PAIRS]
-    groups = [(0, combos)]
-    for v in shared:
-        if v in set3:
-            w1, w2, w3 = 6 ** pos1[v], 6 ** pos2[v], 6 ** pos3[v]
-            by_target = _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)]
-            groups = [(code + tgt * w3,
-                       [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos
-                        for x1, x2 in by_target[tgt]])
-                      for code, combos in groups for tgt in range(6)]
+            combos = extend_ref(combos, 6 ** pos1[v], 6 ** pos2[v], _INTERIOR_PAIRS)
+    targets = [(6 ** pos3[v], 6 ** pos1[v], 6 ** pos2[v],
+                _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)])
+               for v in shared if v in set3]
+    return owned, combos, targets
 
-    c1, c2 = t1.costs, t2.costs
-    costs = [None] * 6 ** len(m3)
-    back = [None] * 6 ** len(m3)
+
+def extend_ref(combos, w1, w2, pairs):
+    return [(d1 + x1 * w1, d2 + x2 * w2) for d1, d2 in combos for x1, x2 in pairs]
+
+
+def reference_join(parent, b1, b2, c1, c2):
+    """Parent costs by configuration code from child costs by
+    configuration code: forced positions enumerated once, entries grouped
+    by the parent configurations at the shared vertices, the maximal pairs
+    of each group tried in order."""
+    owned, combos, targets = reference_split(parent, b1, b2)
+    forced = [(0, 0, 0)]
+    for w3, w1, w2 in owned:
+        forced = [(o3 + x * w3, o1 + x * w1, o2 + x * w2)
+                  for o3, o1, o2 in forced for x in range(6)]
+    groups = [(0, combos)]
+    for w3, w1, w2, by_target in targets:
+        groups = [(code + tgt * w3, extend_ref(combos, w1, w2, by_target[tgt]))
+                  for code, combos in groups for tgt in range(6)]
+    costs = [None] * 6 ** len(parent.mid)
     for code, combos in groups:
         for o3, o1, o2 in forced:
-            best = None
-            best_bp = None
-            for d1, d2 in combos:
-                a = c1[o1 + d1]
-                if a is None:
-                    continue
-                b = c2[o2 + d2]
-                if b is None:
-                    continue
-                total = a + b
-                if best is None or total < best:
-                    best = total
-                    best_bp = (o1 + d1, o2 + d2)
-            costs[code + o3] = best
-            back[code + o3] = best_bp
-    return costs, back
+            costs[code + o3] = min(c1[o1 + d1] + c2[o2 + d2] for d1, d2 in combos)
+    return costs
+
+
+def reference_pairs(split, code):
+    """The candidate (child 1, child 2) codes of parent code ``code``, in
+    the order ``reference_join`` tries them; ``split`` is the join's
+    ``reference_split``."""
+    owned, combos, targets = split
+    o1 = o2 = 0
+    for w3, w1, w2 in owned:
+        x = code // w3 % 6
+        o1 += x * w1
+        o2 += x * w2
+    for w3, w1, w2, by_target in targets:
+        combos = extend_ref(combos, w1, w2, by_target[code // w3 % 6])
+    return [(o1 + d1, o2 + d2) for d1, d2 in combos]
 
 
 def realizes_ref(pattern, config):
@@ -485,32 +636,69 @@ class TestSolveDP:
                 assert solve_dp(inst, dec, root_leaf=root).deleted_weight == base
 
     def test_loose_join_differential(self, corpus_small):
-        """Entry by entry, the join equals the reference join over every
-        pair of child entries, and the pair that reconstruction recomputes
-        for an entry is the back-pointer the join used to store: a valid
-        pair of child entries whose costs sum to the parent's."""
+        """Read by configuration code, every entry of every join equals the
+        configuration-indexed reference join, and on the builder's trees
+        also the loose join over every pair of child entries.  The pair
+        that reconstruction recomputes for a code is the reference's first
+        cheapest pair in its order: a valid pair of child entries whose
+        costs sum to the parent's.  Balanced trees add joins with shared
+        vertices both interior to the parent and on its middle set, where
+        the order of the pairs decides between equal costs (corpus
+        instance 58)."""
         checked = 0
-        for inst in corpus_small[:40]:
+        cases = ([(inst, build_sphere_cut) for inst in corpus_small[:40]]
+                 + [(inst, _recursive_bisection) for inst in corpus_small[:60]])
+        for inst, build in cases:
             g = inst.graph
             if g.edge_count > 10:
                 continue
-            rooted, tables, _ = rooted_tables(inst, build_sphere_cut(g))
+            rooted, tables, _ = rooted_tables(inst, build(g))
             for node in rooted.post_order:
                 kids = rooted.children[node]
                 if not kids:
                     continue
                 table, t1, t2 = tables[node], tables[kids[0]], tables[kids[1]]
                 b, b1, b2 = table.boundary, t1.boundary, t2.boundary
-                parents = join_rule(b, b1, b2, t1, t2)
-                want_costs, want_back = backpointer_join(b, t1, t2)
-                assert table.costs == loose_join(b, b1, b2, t1, t2) == want_costs
-                for code3, cost in enumerate(table.costs):
+                c1, c2 = config_costs(t1), config_costs(t2)
+                costs = config_costs(table)
+                assert costs == reference_join(b, b1, b2, c1, c2)
+                if build is build_sphere_cut:
+                    assert costs == loose_join(b, b1, b2, c1, c2)
+                parents = join_rule(b, b1, b2)
+                split = reference_split(b, b1, b2)
+                for code3, cost in enumerate(costs):
+                    pairs = reference_pairs(split, code3)
+                    totals = [c1[x] + c2[y] for x, y in pairs]
                     code1, code2 = _chosen_pair(table, t1, t2, code3)
-                    assert (code1, code2) == want_back[code3]
+                    assert (code1, code2) == pairs[totals.index(min(totals))]
                     assert code3 in parents(code1, code2)
-                    assert t1.costs[code1] + t2.costs[code2] == cost
+                    assert c1[code1] + c2[code2] == cost
                 checked += 1
-        assert checked > 100
+        assert checked > 250
+
+    def test_first_minimum_decodes_to_the_first_minimizing_code(self, corpus_small):
+        """Classes are numbered by their smallest configuration, so each
+        table index decodes to the smallest configuration code read from it,
+        and the first minimum over a table's entries to the first minimizing
+        configuration code, which the root of ``solve_dp`` starts from."""
+        checked = 0
+        for inst in corpus_small[:40]:
+            if inst.graph.edge_count > 10:
+                continue
+            _rooted, tables, _ = rooted_tables(inst, build_sphere_cut(inst.graph))
+            for table in tables.values():
+                b = table.boundary
+                index_of = DPTable(b, list(range(len(table.costs)))).cost
+                first = {}
+                for code in range(6 ** len(b.mid)):
+                    first.setdefault(index_of(code), code)
+                assert sorted(first) == list(range(len(table.costs)))
+                assert all(_first_code(table, index) == code for index, code in first.items())
+                costs = config_costs(table)
+                best = min(table.costs)
+                assert _first_code(table, table.costs.index(best)) == costs.index(best)
+                checked += 1
+        assert checked > 200
 
     def test_reconstruction_checks_the_entry(self):
         """A table entry that no candidate pair reaches is refused on the
@@ -538,6 +726,24 @@ class TestSolveDP:
                 docs.append(canonical_json(solve_dp(inst, dec, root).document()))
         assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == \
             "1b35a56c445a14b9f1f5d8df6dea3ebb478bd9a1d4c88240d2b99cac6e24a7fb"
+
+    def test_frontier_triangulation_n80_seed1(self, monkeypatch):
+        """Triangulation n=80 seed 1 reduces to a component whose tree has
+        width 9: 22,435,986 entries indexed by configuration, 231,862 by
+        class.  Pinned: the optimum and the exact entry count."""
+        entries = []
+        for name in ("leaf_table", "join_tables"):
+            real = getattr(dp, name)
+
+            def counted(*args, _real=real):
+                table = _real(*args)
+                entries.append(len(table.costs))
+                return table
+
+            monkeypatch.setattr(dp, name, counted)
+        sol = solve_subexponential(gen_instance(GenParams(n=80, seed=1)))
+        assert sol.deleted_weight == Fraction(4039, 20)
+        assert sum(entries) == 231_862
 
     def test_memory_peak(self):
         """Costs-only tables: solving triangulation n=24 seed 0 peaks at
@@ -573,14 +779,12 @@ class TestSolveDP:
             _rooted, tables, _ = rooted_tables(inst, build_sphere_cut(g))
             for table in tables.values():
                 mid = table.boundary.mid
-                for code, a in enumerate(table.costs):
+                for code, a in enumerate(config_costs(table)):
                     assignment = decode_ref(mid, code)
                     for v in mid:
                         for bigger in CONFIGS:
                             if assignment[v] != bigger and assignment[v] in substrings(bigger):
-                                b = table.costs[encode_ref(mid, {**assignment, v: bigger})]
-                                if a is not None and b is not None:
-                                    assert a >= b
+                                assert a >= table.cost(encode_ref(mid, {**assignment, v: bigger}))
             checked += 1
             if checked >= 8:
                 break

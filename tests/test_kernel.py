@@ -347,7 +347,7 @@ class TestOptimalSwitches:
         assert cost == 9 and len(deleted) == 3
 
     def test_matches_exhaustive_minimum(self, corpus_small):
-        from mwbs.dp import realizes
+        from mwbs.configs import realizes
         checked = 0
         for inst in corpus_small:
             red = reduce_to_simple(inst)
