@@ -30,6 +30,17 @@ tables on the report's rooted view when it solves at the default root.
 Neither builder is width-optimal; externally computed decompositions can
 be imported instead and are always re-validated (middle sets are
 recomputed, never trusted).
+
+Every run test reads a rotation-position bitmask: bit j of a vertex's
+mask is the dart at position j of its rotation, and the mask is one
+cyclic run when at most one set bit follows an unset one (``_run``).  The
+rooted view builds the masks bottom up: a leaf arc holds its edge's two
+darts, an arc ORs its children's masks, and a vertex whose mask is full
+leaves; the vertices left are the arc's middle set, and its runs and
+class maps are read off their masks.  ``_grow`` keeps the region's and
+the rest's masks per vertex as it absorbs edges, and a split computes,
+once per vertex, every restriction of a part that leaves both sides one
+run there, so each candidate part costs one lookup per vertex.
 """
 
 from __future__ import annotations
@@ -146,14 +157,15 @@ class ValidationReport:
 # ---------------------------------------------------------------------
 # shared helpers
 
-def _run(flags: Sequence[bool]) -> Optional[tuple[int, int]]:
-    """(start, length) of the set flags around a vertex rotation if they
-    form one cyclic run, else None: they switch on at most once.  No flag
-    or every flag set starts at 0."""
-    starts = [j for j, f in enumerate(flags) if f and not flags[j - 1]]
-    if len(starts) > 1:
+def _run(mask: int, k: int) -> Optional[tuple[int, int]]:
+    """(start, length) of the darts of a k-dart rotation in ``mask`` (bit
+    j is the dart at position j) if they form one cyclic run, else None.
+    A dart starts the run when the dart before it, cyclically, is out; at
+    most one may.  No dart or every dart starts at 0."""
+    starts = mask & ~(mask << 1 | mask >> k - 1)
+    if starts & (starts - 1):
         return None
-    return (starts[0] if starts else 0, sum(flags))
+    return (starts.bit_length() - 1 if starts else 0, mask.bit_count())
 
 
 def _switch_prefix(row: Sequence[int]) -> list[int]:
@@ -163,16 +175,6 @@ def _switch_prefix(row: Sequence[int]) -> list[int]:
     minus entry start."""
     ends = [d & 1 for d in row] * 2
     return [0, *itertools.accumulate(a != b for a, b in zip(ends, ends[1:]))]
-
-
-def middle_set(graph: PlaneDigraph, inside: set[int]) -> list[int]:
-    """Vertices with darts on both sides of the edge bipartition."""
-    deg_inside: dict[int, int] = {}
-    for e in inside:
-        t, h = graph.edges[e]
-        deg_inside[t] = deg_inside.get(t, 0) + 1
-        deg_inside[h] = deg_inside.get(h, 0) + 1
-    return sorted(v for v, k in deg_inside.items() if k < graph.degree(v))
 
 
 # ---------------------------------------------------------------------
@@ -280,18 +282,31 @@ class RootedDecomposition:
                     order.append(w)
                     stack.append(w)
         self.parent = parent
-        inside: dict[int, set[int]] = {}
-        for u in reversed(order):
-            s = set()
-            if u in dec.leaf_map and u != root_leaf:
-                s.add(dec.leaf_map[u])
-            for w in adj[u]:
-                if parent.get(w) == u:
-                    s |= inside[w]
-            inside[u] = s
-        self.inside = inside           # node -> inside edges of arc (node, parent)
         self.children = {u: [w for w in adj[u] if parent.get(w) == u] for u in order}
         self.post_order = [u for u in reversed(order) if u != root_leaf]
+        # node -> inside edges of arc (node, parent), and the inside-dart
+        # mask of each vertex with darts on both sides: a leaf holds its
+        # edge's two darts, a node ORs its children's masks, and a vertex
+        # whose mask is full has no dart outside and drops out for good
+        full = [(1 << len(row)) - 1 for row in graph.rotation]
+        position = graph.dart_position
+        inside: dict[int, frozenset[int]] = {}
+        darts: dict[int, dict[int, int]] = {}
+        for u in self.post_order:
+            kids = self.children[u]
+            own = (dec.leaf_map[u],) if u in dec.leaf_map else ()
+            inside[u] = frozenset(own).union(*(inside[w] for w in kids))
+            masks: dict[int, int] = {}
+            for e in own:
+                t, h = graph.edges[e]
+                masks[t] = 1 << position(2 * e)
+                masks[h] = 1 << position(2 * e + 1)
+            for w in kids:
+                for v, mask in darts[w].items():
+                    masks[v] = masks.get(v, 0) | mask
+            darts[u] = {v: mask for v, mask in masks.items() if mask != full[v]}
+        self.inside = inside
+        self.darts = darts             # node -> {middle-set vertex: inside-dart mask}
         self.boundaries: dict[int, ArcBoundary] = {}
         # only a hub, a vertex of degree above one, can be on a middle set
         self._switches = [_switch_prefix(row) if len(row) > 1 else None
@@ -302,15 +317,15 @@ class RootedDecomposition:
         class map of every run.  Raises DecompositionError naming every
         middle-set vertex whose inside darts are not one cyclic run."""
         g = self.graph
-        inside = self.inside[node]
+        darts = self.darts[node]
         arc = (node, self.parent[node])
-        mid = middle_set(g, inside)
+        mid = sorted(darts)
         runs = {}
         classes = []
         broken = []
         for v in mid:
             row = g.rotation[v]
-            run = _run([d >> 1 in inside for d in row])
+            run = _run(darts[v], len(row))
             if run is None:
                 broken.append(v)
                 continue
@@ -323,7 +338,7 @@ class RootedDecomposition:
             raise DecompositionError(
                 f"arc {tuple(sorted(arc))}: darts of vertices {broken} "
                 "on one side are not contiguous")
-        return ArcBoundary(arc, tuple(mid), runs, frozenset(inside), tuple(classes))
+        return ArcBoundary(arc, tuple(mid), runs, self.inside[node], tuple(classes))
 
 
 # ---------------------------------------------------------------------
@@ -343,9 +358,9 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
     The policy: greedy-sweep runs first.  Only when its width is above 5
     does recursive-bisection run too, and its tree is kept if narrower; if
     bisection finds no contiguous split, greedy stands.  Greedy is about
-    70x cheaper to build on the 27-edge skeleton of triangulation n=24
-    seed 11, so bisection is paid for only where the ``6**width`` tables
-    outweigh the search.  Each candidate is lifted and then validated
+    27x cheaper to build on the 27-edge skeleton of triangulation n=24
+    seed 11 (medians of 30 builds each, Python 3.11), so bisection is
+    paid for only where the ``6**width`` tables outweigh the search.  Each candidate is lifted and then validated
     once, on the whole graph; a lifted tree is as wide as its skeleton
     tree whenever either is wider than 2, so comparing lifted widths picks
     the tree that comparing skeleton widths would.  The report is kept on
@@ -534,36 +549,38 @@ def _recursive_bisection(graph: PlaneDigraph) -> SphereCutDecomposition:
     if m == 1:
         return _degenerate_single_edge()
 
+    # Built from an explicit stack, so no depth of splitting reaches the
+    # recursion limit.  It holds the edge sets still to build, first half
+    # on top, and the nodes whose two subtrees are pending: nodes are
+    # numbered in preorder, and a node's two arcs are added once both of
+    # its subtrees are done.
     arcs: list[tuple[int, int]] = []
     leaf_map: dict[int, int] = {}
     counter = itertools.count()
-
-    def build(edge_set: tuple[int, ...]) -> int:
+    done: list[int] = []          # the top nodes of the finished subtrees
+    s1, s2 = _split(graph, tuple(range(m)))
+    todo: list[tuple[int, ...] | int] = [s2, s1]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, int):
+            b, a = done.pop(), done.pop()
+            arcs += [(a, item), (b, item)]
+            done.append(item)
+            continue
         node = next(counter)
-        if len(edge_set) == 1:
-            leaf_map[node] = edge_set[0]
-            return node
-        s1, s2 = _split(graph, edge_set)
-        a = build(s1)
-        b = build(s2)
-        arcs.append((a, node))
-        arcs.append((b, node))
-        return node
-
-    top = tuple(range(m))
-    s1, s2 = _split(graph, top)
-    arcs.append((build(s1), build(s2)))
+        if len(item) == 1:
+            leaf_map[node] = item[0]
+            done.append(node)
+        else:
+            s1, s2 = _split(graph, item)
+            todo += [node, s2, s1]
+    a, b = done
+    arcs.append((a, b))
     return SphereCutDecomposition(next(counter), tuple(arcs), leaf_map)
 
 
 _EXACT_SPLIT_LIMIT = 14
 _MAX_SEEDS = 24
-
-
-def _split_valid(graph: PlaneDigraph, part: set[int], rest: set[int], verts) -> bool:
-    """Whether both sides are one cyclic run at each of ``verts``."""
-    return all(_run([d >> 1 in side for d in graph.rotation[v]]) is not None
-               for v in verts for side in (part, rest))
 
 
 def _grow(graph: PlaneDigraph, edge_set: Sequence[int], region: list[int], size: int) -> None:
@@ -572,23 +589,30 @@ def _grow(graph: PlaneDigraph, edge_set: Sequence[int], region: list[int], size:
 
     A candidate shares an endpoint with the region, and adding it leaves
     both the region and the rest of ``edge_set`` one cyclic run at both of
-    its endpoints (nowhere else do the flags change).  The candidate
+    its endpoints (nowhere else do the sides change).  The candidate
     leaving the fewest middle-set vertices wins, lowest id on ties.  Only
     its endpoints' inside counts change, so a candidate's key is its
-    change to the middle set, read off those counts; the run test is paid
-    only by a candidate whose key would win."""
-    inside = set(region)
-    rest = set(edge_set) - inside
+    change to the middle set, read off those counts; the run test, on the
+    region's and the rest's dart masks at the endpoints, is paid only by a
+    candidate whose key would win."""
+    rest = set(edge_set) - set(region)
     degree = [len(row) for row in graph.rotation]
     count = [0] * graph.vertex_count
+    inner = [0] * graph.vertex_count       # per vertex, the region's darts
+    outer = [0] * graph.vertex_count       # and the rest's, as rotation masks
+    position = graph.dart_position
+    for side, edges in ((inner, region), (outer, rest)):
+        for e in edges:
+            t, h = graph.edges[e]
+            side[t] |= 1 << position(2 * e)
+            side[h] |= 1 << position(2 * e + 1)
     for e in region:
         for v in graph.edges[e]:
             count[v] += 1
 
-    def runs_at(v: int, e: int) -> bool:
-        ids = [d >> 1 for d in graph.rotation[v]]
-        return (_run([x == e or x in inside for x in ids]) is not None
-                and _run([x != e and x in rest for x in ids]) is not None)
+    def runs_at(v: int, bit: int) -> bool:
+        return (_run(inner[v] | bit, degree[v]) is not None
+                and _run(outer[v] ^ bit, degree[v]) is not None)
 
     while len(region) < size:
         best = None
@@ -600,16 +624,19 @@ def _grow(graph: PlaneDigraph, edge_set: Sequence[int], region: list[int], size:
             # a vertex joins the middle set with its first inside dart, unless
             # that is its only dart, and leaves it with its last outside one
             key = ((ct + 1 < degree[t]) - (ct > 0) + (ch + 1 < degree[h]) - (ch > 0), e)
-            if (best is None or key < best) and runs_at(t, e) and runs_at(h, e):
+            if (best is None or key < best) and runs_at(t, 1 << position(2 * e)) \
+                    and runs_at(h, 1 << position(2 * e + 1)):
                 best = key
         if best is None:
             return
         e = best[1]
         region.append(e)
-        inside.add(e)
         rest.remove(e)
-        for v in graph.edges[e]:
+        t, h = graph.edges[e]
+        for v, bit in ((t, 1 << position(2 * e)), (h, 1 << position(2 * e + 1))):
             count[v] += 1
+            inner[v] |= bit
+            outer[v] ^= bit
 
 
 def _split(graph: PlaneDigraph, edge_set: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -627,32 +654,80 @@ def _split(graph: PlaneDigraph, edge_set: tuple[int, ...]) -> tuple[tuple[int, .
     return found
 
 
+def _split_checks(graph: PlaneDigraph, edge_set: Sequence[int]) -> list[tuple[int, dict[int, int]]]:
+    """The run tests of a split of ``edge_set``, with bit i of a part mask
+    standing for ``edge_set[i]``: per endpoint v of the set, the mask
+    ``local`` of the set's edges at v, and a dict over the restrictions
+    ``part & local`` for which the part and the rest of the set are both
+    one cyclic run at v, giving 1 when v is then on the part's middle set
+    and 0 when not.
+
+    A proper nonempty part at v is a run of consecutive darts of the set,
+    so a vertex of degree k has at most k**2 + 2 admissible restrictions,
+    found without enumerating subsets."""
+    bit = {e: 1 << i for i, e in enumerate(edge_set)}
+    checks = []
+    for v in sorted({v for e in edge_set for v in graph.edges[e]}):
+        row = graph.rotation[v]
+        k = len(row)
+        edge_bits = [bit.get(d >> 1, 0) for d in row]
+        local = sum(edge_bits)
+        ours = sum(1 << j for j, b in enumerate(edge_bits) if b)   # the set's darts
+        ok: dict[int, int] = {}
+        if _run(ours, k) is not None:
+            # the part takes none or all of the set's darts at v
+            ok[0] = 0
+            ok[local] = int(ours != (1 << k) - 1)
+        for start in range(k):
+            part = darts = 0
+            for j in range(start, start + k - 1):
+                if not edge_bits[j % k]:
+                    break
+                part |= edge_bits[j % k]
+                darts |= 1 << j % k
+                if _run(ours ^ darts, k) is not None:
+                    ok[part] = 1
+        checks.append((local, ok))
+    return checks
+
+
+def _split_cost(checks: list[tuple[int, dict[int, int]]], part: int) -> Optional[int]:
+    """The middle-set size of ``part``, or None unless the part and the
+    rest are one cyclic run at every vertex; see ``_split_checks``."""
+    cost = 0
+    for local, ok in checks:
+        c = ok.get(part & local)
+        if c is None:
+            return None
+        cost += c
+    return cost
+
+
 def _split_exact(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     n = len(edge_set)
-    rest_all = set(edge_set)
-    verts = {v for e in edge_set for v in graph.edges[e]}
-    anchor = edge_set[0]
-    others = edge_set[1:]
+    checks = _split_checks(graph, edge_set)
+    # the anchor edge_set[0] is bit 0 of every part
+    others = [1 << i for i in range(1, n)]
     sizes = sorted(range(1, n), key=lambda s: (abs(2 * s - n), s))
     for size in sizes:
         best = None
         for combo in itertools.combinations(others, size - 1):
-            part = {anchor, *combo}
-            rest = rest_all - part
-            if _split_valid(graph, part, rest, verts):
-                key = (len(middle_set(graph, part)), tuple(sorted(part)))
-                if best is None or key < best:
-                    best = key
+            part = sum(combo, 1)
+            cost = _split_cost(checks, part)
+            if cost is None or (best is not None and cost > best[0]):
+                continue
+            key = (cost, tuple(sorted(e for i, e in enumerate(edge_set) if part >> i & 1)))
+            if best is None or key < best:
+                best = key
         if best is not None:
-            part = set(best[1])
-            return tuple(sorted(part)), tuple(sorted(rest_all - part))
+            return best[1], tuple(sorted(set(edge_set).difference(best[1])))
     return None
 
 
 def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     n = len(edge_set)
-    rest_all = set(edge_set)
-    verts = {v for e in edge_set for v in graph.edges[e]}
+    checks = _split_checks(graph, edge_set)
+    bit = {e: 1 << i for i, e in enumerate(edge_set)}
     seeds = list(edge_set)
     if len(seeds) > _MAX_SEEDS:
         step = len(seeds) / _MAX_SEEDS
@@ -660,15 +735,12 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     best = None
     for seed in seeds:
         grown = [seed]
-        _grow(graph, edge_set, grown, n // 2)
-        part = set(grown)
-        rest = rest_all - part
-        if rest and _split_valid(graph, part, rest, verts):
-            key = (abs(n - 2 * len(part)), len(middle_set(graph, part)),
-                   tuple(sorted(part)))
+        _grow(graph, edge_set, grown, n // 2)    # the rest keeps n - n // 2 edges
+        cost = _split_cost(checks, sum(bit[e] for e in grown))
+        if cost is not None:
+            key = (abs(n - 2 * len(grown)), cost, tuple(sorted(grown)))
             if best is None or key < best:
                 best = key
     if best is None:
         return None
-    part = set(best[2])
-    return tuple(sorted(part)), tuple(sorted(rest_all - part))
+    return best[2], tuple(sorted(set(edge_set).difference(best[2])))

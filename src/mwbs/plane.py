@@ -168,6 +168,10 @@ class PlaneDigraph:
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
+    def dart_position(self, d: int) -> int:
+        """The position of dart ``d`` in its vertex's rotation."""
+        return self._dart_pos[d]
+
     def next_face_dart(self, d: int) -> int:
         """The dart following ``d`` on its face: rotation successor of the twin."""
         t = d ^ 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from mwbs.decomposition import (
     _greedy_sweep,
     _recursive_bisection,
     _skeleton,
+    _split_checks,
+    _split_cost,
     build_sphere_cut,
     decomposition_from_document,
-    middle_set,
     validate_decomposition,
 )
 from mwbs.errors import BuildError, DecompositionError
@@ -37,7 +39,28 @@ from mwbs.plane import (
     subgraph_by_edges,
 )
 
+from test_dp import path_instance
 from test_plane import star4_instance, triangle_instance
+
+
+def flag_run(flags):
+    """The run test on a flag per rotation position: (start, length) of
+    the set flags if they switch on at most once around the rotation, else
+    None; no flag or every flag set starts at 0."""
+    starts = [j for j, f in enumerate(flags) if f and not flags[j - 1]]
+    if len(starts) > 1:
+        return None
+    return (starts[0] if starts else 0, sum(flags))
+
+
+def middle_set(graph, inside):
+    """Vertices with darts on both sides of the edge bipartition, from
+    the inside edges alone."""
+    deg_inside = {}
+    for e in inside:
+        for v in graph.edges[e]:
+            deg_inside[v] = deg_inside.get(v, 0) + 1
+    return sorted(v for v, k in deg_inside.items() if k < graph.degree(v))
 
 
 def connected_corpus(corpus, count=None):
@@ -392,6 +415,30 @@ class TestSkeletonFirst:
                         brute_force_mwbs(sub).kept_weight
 
 
+class TestDeepBisection:
+    """A split that peels one edge at a time nests as deep as the graph
+    has edges."""
+
+    @staticmethod
+    def peel(monkeypatch):
+        monkeypatch.setattr(decomposition, "_split", lambda _g, edge_set:
+                            ((edge_set[0],), edge_set[1:]))
+
+    def test_node_numbering_and_arc_order(self, monkeypatch):
+        """Nodes in preorder, first half first; a node's two arcs once both
+        of its subtrees are built; the top split's arc last."""
+        self.peel(monkeypatch)
+        assert _recursive_bisection(path_instance(4).graph) == SphereCutDecomposition(
+            6, ((4, 3), (5, 3), (2, 1), (3, 1), (0, 1)), {0: 0, 2: 1, 4: 2, 5: 3})
+
+    def test_path_of_2000_edges(self, monkeypatch):
+        self.peel(monkeypatch)
+        g = path_instance(2000).graph
+        dec = _recursive_bisection(g)
+        report = validate_decomposition(g, dec)
+        assert report.ok and report.width == 2 and dec.node_count == 2 * 2000 - 2
+
+
 class TestBisectionPins:
     """SHA-256 of canonical ``_recursive_bisection`` documents, recorded
     before the exact and greedy splits shared one validity check."""
@@ -609,4 +656,44 @@ class TestArcBoundary:
                         darts_in[v] = darts_in.get(v, 0) + 1
                 mid_inc = sorted(v for v, c in darts_in.items() if c < g.degree(v))
                 assert mid_inc == middle_set(g, inside)
-                assert mid_inc == list(rooted.boundary(node).mid)
+                b = rooted.boundary(node)
+                assert mid_inc == list(b.mid)
+                assert b.runs == {v: flag_run([d >> 1 in inside for d in g.rotation[v]])
+                                  for v in mid_inc}
+
+
+class TestRunMasks:
+    """The run test on rotation-position masks against the flag-list test
+    (``flag_run``) and the middle sets of ``middle_set``."""
+
+    def test_every_mask_up_to_ten_darts(self):
+        for k in range(1, 11):
+            for mask in range(1 << k):
+                flags = [bool(mask >> j & 1) for j in range(k)]
+                assert decomposition._run(mask, k) == flag_run(flags), (k, mask)
+
+    def test_split_cost_matches_flags(self, corpus_small):
+        """For the parts of whole edge sets and of random subsets,
+        ``_split_cost`` is None exactly when the part or the rest is not
+        one run at some endpoint of the set, and else the part's
+        middle-set size."""
+        rng = random.Random(5)
+        for inst in connected_corpus(corpus_small, 40):
+            g = inst.graph
+            m = g.edge_count
+            if m < 2:
+                continue
+            sets = [tuple(range(m))] + [tuple(sorted(rng.sample(range(m), rng.randint(2, m))))
+                                        for _ in range(2)]
+            for edge_set in sets:
+                checks = _split_checks(g, edge_set)
+                verts = {v for e in edge_set for v in g.edges[e]}
+                n = len(edge_set)
+                masks = range(1 << n) if n <= 9 else [rng.getrandbits(n) for _ in range(300)]
+                for mask in masks:
+                    part = {e for i, e in enumerate(edge_set) if mask >> i & 1}
+                    rest = set(edge_set) - part
+                    valid = all(flag_run([d >> 1 in side for d in g.rotation[v]]) is not None
+                                for v in verts for side in (part, rest))
+                    want = len(middle_set(g, part)) if valid else None
+                    assert _split_cost(checks, mask) == want, (edge_set, mask)

@@ -606,15 +606,15 @@ class TestSolveDP:
 
     def test_one_boundary_pass_per_solve(self, monkeypatch):
         """The validator's boundaries are the ones the tables read: one
-        solve computes one middle set per arc, 2m - 3 on a caterpillar."""
+        solve computes one boundary per arc, 2m - 3 on a caterpillar."""
         calls = []
-        real = decomposition.middle_set
+        real = decomposition.RootedDecomposition.boundary
 
-        def counted(graph, inside):
-            calls.append(len(inside))
-            return real(graph, inside)
+        def counted(rooted, node):
+            calls.append(node)
+            return real(rooted, node)
 
-        monkeypatch.setattr(decomposition, "middle_set", counted)
+        monkeypatch.setattr(decomposition.RootedDecomposition, "boundary", counted)
         for m in (2, 5, 9):
             calls.clear()
             assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0

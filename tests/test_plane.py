@@ -138,6 +138,13 @@ class TestDecode:
         with pytest.raises(EmbeddingError):
             PlaneDigraph(2, [(0, 1)], [[dart(0, TAIL)], []])
 
+    def test_dart_position(self, corpus_small):
+        for inst in corpus_small[:60]:
+            g = inst.graph
+            for row in g.rotation:
+                for j, d in enumerate(row):
+                    assert g.dart_position(d) == j
+
 
 class TestSwitchesAndWedges:
     def test_switch_count_examples(self):
