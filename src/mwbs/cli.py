@@ -25,13 +25,13 @@ from .errors import Error, FormatError
 from .generate import GenParams, gen_instance
 from .plane import (
     Instance,
+    component_instances,
     decode_instance,
     encode_instance,
     canonical_json,
     format_weight,
     instance_document,
     make_solution,
-    subgraph_by_edges,
 )
 
 
@@ -228,10 +228,10 @@ def _solution_for_method(instance: Instance, method: str, dec_doc=None):
         if dec_doc is None:
             return make_solution(instance, kernel.solve_components(instance), "dp")
         dec = decomposition_from_document(dec_doc)
-        components = [edges for _v, edges in instance.graph.components() if edges]
-        if len(components) != 1:
+        parts = list(component_instances(instance))
+        if len(parts) != 1:
             raise Error("imported decompositions require a connected instance with edges")
-        sub, _v, eids = subgraph_by_edges(instance, components[0])
+        ((sub, eids),) = parts
         kept = {eids[j] for j in solve_dp(sub, dec).kept_edges}
         return make_solution(instance, kept, "dp")
     return kernel.solve_subexponential(instance)

@@ -131,14 +131,15 @@ class ArcBoundary:
 
     ``mid`` lists the middle-set vertices sorted by id (the order used to
     index tables).  ``runs`` maps each mid vertex to (start, length) of its
-    contiguous inside-dart run in the vertex rotation.  ``classes`` holds,
-    per mid position, the class map of that vertex's run (configuration
-    index -> class index, see ``configs.class_map``): the table digit of
-    the position counts classes, not configurations."""
+    contiguous inside-dart run in the vertex rotation.  ``inside_count``
+    is the number of edges inside the arc.  ``classes`` holds, per mid
+    position, the class map of that vertex's run (configuration index ->
+    class index, see ``configs.class_map``): the table digit of the
+    position counts classes, not configurations."""
     arc: tuple[int, int]              # (child node, parent node), inside below child
     mid: tuple[int, ...]
     runs: dict[int, tuple[int, int]]
-    inside_edges: frozenset[int]
+    inside_count: int
     classes: tuple[tuple[int, ...], ...]
 
 
@@ -284,18 +285,19 @@ class RootedDecomposition:
         self.parent = parent
         self.children = {u: [w for w in adj[u] if parent.get(w) == u] for u in order}
         self.post_order = [u for u in reversed(order) if u != root_leaf]
-        # node -> inside edges of arc (node, parent), and the inside-dart
-        # mask of each vertex with darts on both sides: a leaf holds its
-        # edge's two darts, a node ORs its children's masks, and a vertex
-        # whose mask is full has no dart outside and drops out for good
+        # node -> number of inside edges of arc (node, parent), and the
+        # inside-dart mask of each vertex with darts on both sides: a leaf
+        # holds its edge's two darts, a node ORs its children's masks, and
+        # a vertex whose mask is full has no dart outside and drops out for
+        # good
         full = [(1 << len(row)) - 1 for row in graph.rotation]
         position = graph.dart_position
-        inside: dict[int, frozenset[int]] = {}
+        inside_count: dict[int, int] = {}
         darts: dict[int, dict[int, int]] = {}
         for u in self.post_order:
             kids = self.children[u]
             own = (dec.leaf_map[u],) if u in dec.leaf_map else ()
-            inside[u] = frozenset(own).union(*(inside[w] for w in kids))
+            inside_count[u] = len(own) + sum(inside_count[w] for w in kids)
             masks: dict[int, int] = {}
             for e in own:
                 t, h = graph.edges[e]
@@ -305,7 +307,7 @@ class RootedDecomposition:
                 for v, mask in darts[w].items():
                     masks[v] = masks.get(v, 0) | mask
             darts[u] = {v: mask for v, mask in masks.items() if mask != full[v]}
-        self.inside = inside
+        self.inside_count = inside_count
         self.darts = darts             # node -> {middle-set vertex: inside-dart mask}
         self.boundaries: dict[int, ArcBoundary] = {}
         # only a hub, a vertex of degree above one, can be on a middle set
@@ -338,7 +340,7 @@ class RootedDecomposition:
             raise DecompositionError(
                 f"arc {tuple(sorted(arc))}: darts of vertices {broken} "
                 "on one side are not contiguous")
-        return ArcBoundary(arc, tuple(mid), runs, self.inside[node], tuple(classes))
+        return ArcBoundary(arc, tuple(mid), runs, self.inside_count[node], tuple(classes))
 
 
 # ---------------------------------------------------------------------

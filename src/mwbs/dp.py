@@ -4,8 +4,10 @@ The configuration algebra (``configs``) gives each middle-set vertex one
 of six configurations.  The solver walks a validated decomposition
 bottom-up.  Each arc gets a table mapping every assignment of
 configurations to the arc's middle set to the minimum weight of edges
-deleted strictly inside the arc.  Weights are handled as exact integers
-after rescaling by the common denominator.
+deleted strictly inside the arc.  Weights are exact integers: the
+instance's ``int_weights``, its weights over their least common
+denominator, which the instance computes once and keeps, so every table
+and the certificate of the solution read the same scaling.
 
 Tables are indexed by configuration classes, not configurations.  An
 entry depends on a vertex's configuration only through its class, the set
@@ -60,7 +62,6 @@ from typing import NamedTuple, Optional
 from .configs import CLASS_MAPS, CONFIG_INDEX, CONFIGS, compatible, compatible_wrt
 from .decomposition import ArcBoundary, SphereCutDecomposition, validate_decomposition
 from .errors import DecompositionError
-from .oracle import scaled_int_weights
 from .plane import Instance, Solution, make_solution
 
 _COMPAT = [[compatible(a, b) for b in CONFIGS] for a in CONFIGS]
@@ -226,18 +227,17 @@ def _first_code(table: DPTable, index: int) -> int:
     return code
 
 
-def _leaf_letters(instance: Instance, boundary: ArcBoundary) -> tuple[int, list[str]]:
-    """A leaf arc's edge and the letter of its dart at each middle-set
-    position: o at the tail, i at the head."""
-    if len(boundary.inside_edges) != 1:
+def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> list[str]:
+    """The letter of leaf edge ``e``'s dart at each middle-set position of
+    its leaf arc: o at the tail, i at the head."""
+    if boundary.inside_count != 1:
         raise DecompositionError("leaf_table needs a single-edge boundary")
-    (e,) = boundary.inside_edges
     t, h = instance.graph.edges[e]
     mid = boundary.mid
     if not set(mid) <= {t, h}:
         raise DecompositionError("leaf boundary mid must consist of the edge endpoints")
     letters = {t: "o", h: "i"}
-    return e, [letters[v] for v in mid]
+    return [letters[v] for v in mid]
 
 
 def _keeps(letters: list[str], code: int) -> bool:
@@ -249,18 +249,18 @@ def _keeps(letters: list[str], code: int) -> bool:
     return True
 
 
-def leaf_table(instance: Instance, boundary: ArcBoundary, int_weights: list[int]) -> DPTable:
-    """Table for an arc whose inside is a single edge; ``int_weights`` are
-    the instance weights as ``scaled_int_weights`` rescales them.
+def leaf_table(instance: Instance, boundary: ArcBoundary, e: int) -> DPTable:
+    """Table for the arc of the leaf mapped to edge ``e``.
 
     Keeping the edge realizes an assignment iff each middle-set endpoint's
     configuration contains the letter of the edge's dart there (o at the
-    tail, i at the head); deleting it realizes everything at cost w(e).
+    tail, i at the head); deleting it realizes everything at cost w(e),
+    read from the instance's ``int_weights``.
     Each endpoint's run is that one dart, so it has two classes, and the
     letter is tested against their representatives: 2**|mid| entries.
     Every entry is feasible."""
-    e, letters = _leaf_letters(instance, boundary)
-    w = int_weights[e]
+    letters = _leaf_letters(instance, boundary, e)
+    w = instance.int_weights.values[e]
     fits = [[letter in CONFIGS[r] for r in _REPS[cmap]]
             for letter, cmap in zip(letters, boundary.classes)]
     # the first position is the least significant digit, so it varies fastest
@@ -284,8 +284,7 @@ def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: in
 def _join_split(parent: ArcBoundary, p3: dict[int, _Place],
                 t1: DPTable, t2: DPTable) -> JoinSplit:
     b1, b2 = t1.boundary, t2.boundary
-    if b1.inside_edges | b2.inside_edges != parent.inside_edges or \
-            (b1.inside_edges & b2.inside_edges):
+    if b1.inside_count + b2.inside_count != parent.inside_count:
         raise DecompositionError("child arcs must partition the parent inside")
     p1, p2 = t1.places, t2.places
     shared = sorted(p1.keys() & p2.keys())
@@ -406,14 +405,14 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
         if not report.ok:
             raise DecompositionError("invalid decomposition: " + "; ".join(report.violations))
         rooted = report.rooted
-    int_w, scale = scaled_int_weights(instance.weights)
+    int_w, scale, _total = instance.int_weights
 
     tables: dict[int, DPTable] = {}
     for node in rooted.post_order:
         boundary = rooted.boundaries[node]
         kids = rooted.children[node]
         if not kids:
-            tables[node] = leaf_table(instance, boundary, int_w)
+            tables[node] = leaf_table(instance, boundary, dec.leaf_map[node])
         else:
             a, b = kids
             tables[node] = join_tables(boundary, tables[a], tables[b])
@@ -447,8 +446,8 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
             stack.append((a, code1))
             stack.append((b, code2))
         else:
-            e, letters = _leaf_letters(instance, tables[node].boundary)
-            if not _keeps(letters, code):
+            e = dec.leaf_map[node]
+            if not _keeps(_leaf_letters(instance, tables[node].boundary, e), code):
                 deleted.add(e)
     kept = set(range(g.edge_count)) - deleted
     solution = make_solution(instance, kept, "dp")

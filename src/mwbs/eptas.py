@@ -34,6 +34,7 @@ from .plane import (
     format_weight,
     PlaneDigraph,
     Solution,
+    component_instances,
     dart,
     make_solution,
     subgraph_by_edges,
@@ -101,18 +102,17 @@ def _shift(instance: Instance, t: int, piece, method: str
     Returns the certified solution, the kept weight per residue (one entry
     per residue below both t and the deepest layer count) and the chosen
     residue of each component with edges."""
-    parts = []
-    for _verts, comp_edges in instance.graph.components():
-        if comp_edges:
-            sub, _vids, eids = subgraph_by_edges(instance, comp_edges)
-            parts.append((sub, eids, bfs_layers(sub.graph, 0)))
+    parts = [(sub, eids, bfs_layers(sub.graph, 0))
+             for sub, eids in component_instances(instance)]
     deepest = max((len(layers.layers) for _sub, _eids, layers in parts), default=0)
-    per_residue = [Fraction(0)] * min(t, deepest)
+    # kept weights in the instance's integer scaling, shared by every component
+    int_w, scale, _total = instance.int_weights
+    per_residue = [0] * min(t, deepest)
     kept: set[int] = set()
     chosen: list[int] = []
     for sub, eids, layers in parts:
         kept_sets: list[set[int]] = []
-        values: list[Fraction] = []
+        values: list[int] = []
         for i in range(min(t, len(layers.layers))):
             split, edge_orig = piece(sub, layers, i, t)
             sol = solve_subexponential(split)
@@ -121,13 +121,14 @@ def _shift(instance: Instance, t: int, piece, method: str
             if sub.graph.bad_vertices(here):
                 raise EmbeddingError(f"residue {i}: mapped-back kept set is not feasible")
             kept_sets.append(here)
-            values.append(sum((sub.weights[e] for e in here), Fraction(0)))
+            values.append(sum([int_w[eids[e]] for e in here]))
         for i in range(len(per_residue)):
             per_residue[i] += values[min(i, len(values) - 1)]
         best = values.index(max(values))
         kept.update(eids[e] for e in kept_sets[best])
         chosen.append(best)
-    return make_solution(instance, kept, method), per_residue, chosen
+    return (make_solution(instance, kept, method),
+            [Fraction(w, scale) for w in per_residue], chosen)
 
 
 def _drop_cut(instance: Instance, layers: LayerDecomposition,

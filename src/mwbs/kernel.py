@@ -36,6 +36,7 @@ from .plane import (
     GoodEdgeSection,
     Instance,
     Solution,
+    component_instances,
     dart,
     dart_direction,
     dart_edge,
@@ -44,7 +45,6 @@ from .plane import (
     format_weight,
     instance_document,
     make_solution,
-    subgraph_by_edges,
 )
 
 
@@ -118,10 +118,11 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
 
     alive = [v for v in range(n) if rows[v]]
     edge_ids = [e for e in range(g.edge_count) if e not in banked_set]
+    int_w, scale, _total = instance.int_weights
     out = ReducedInstance(
         instance=dense_instance(ends, rows + [[d] for d in fresh], instance.weights,
                                 alive + list(range(n, n + len(fresh))), edge_ids),
-        base_kept_weight=sum((instance.weights[e] for e in banked), Fraction(0)),
+        base_kept_weight=Fraction(sum([int_w[e] for e in banked]), scale),
         orig_edge_ids=tuple(edge_ids),
         orig_vertex_ids=tuple(alive) + (-1,) * len(fresh),
         banked_edges=tuple(banked),
@@ -455,12 +456,11 @@ def shrink_cut_instance(cut: CutInstance) -> CutInstance:
 def solve_components(instance: Instance) -> set[int]:
     """Solve every connected component exactly and return the kept edge
     ids: stars (a single edge is one) directly, everything else by the table
-    solver over the ``build_sphere_cut`` decomposition."""
+    solver over the ``build_sphere_cut`` decomposition.  A component
+    spanning every vertex is solved in place, on the instance itself;
+    ``component_instances`` renumbers the others."""
     kept: set[int] = set()
-    for _verts, comp_edges in instance.graph.components():
-        if not comp_edges:
-            continue
-        sub, _vids, eids = subgraph_by_edges(instance, comp_edges)
+    for sub, eids in component_instances(instance):
         if is_star(sub.graph) is not None:
             sol = star_solve(sub)
         else:

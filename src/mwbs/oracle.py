@@ -10,22 +10,11 @@ pruning is allowed that could change which optimum the tie-break picks.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import BudgetExceeded, FormatError, NotAStar
-from .plane import Instance, Solution, dart_direction, dart_edge, make_solution
+from .plane import HEAD, Instance, Solution, make_solution
 
 # the most edges, or edge classes, an exhaustive oracle enumerates
 BUDGET = 16
-
-
-def scaled_int_weights(weights) -> tuple[list[int], int]:
-    """Rescale rational weights to integers by the common denominator.
-
-    All solver-internal arithmetic runs on these exact integers; divide by
-    the returned scale to recover the rational value."""
-    scale = lcm(*(w.denominator for w in weights)) if weights else 1
-    return [int(w * scale) for w in weights], scale
 
 
 class _SwitchState:
@@ -60,7 +49,7 @@ def brute_force_mwbs(instance: Instance) -> Solution:
     m = g.edge_count
     if m > BUDGET:
         raise BudgetExceeded(f"{m} edges exceed the oracle budget {BUDGET}")
-    int_w, _scale = scaled_int_weights(instance.weights)
+    int_w = instance.int_weights.values
     state = _SwitchState(g)
     weight = 0
     best_weight, best_mask = 0, 0
@@ -88,7 +77,7 @@ def brute_force_cut(instance: Instance, classes) -> Solution:
     covered = sorted(e for c in classes for e in c)
     if covered != list(range(g.edge_count)):
         raise FormatError("classes do not partition the edge set")
-    int_w, _scale = scaled_int_weights(instance.weights)
+    int_w = instance.int_weights.values
     class_w = [sum(int_w[e] for e in c) for c in classes]
     state = _SwitchState(g)
     weight = 0
@@ -139,10 +128,11 @@ def star_solve(instance: Instance) -> Solution:
         raise NotAStar("input is not a star")
     row = g.rotation[center]
     deg = len(row)
-    int_w, _scale = scaled_int_weights(instance.weights)
-    dirs = [dart_direction(d) for d in row]
-    w_in = [int_w[dart_edge(d)] if dirs[j] == "i" else 0 for j, d in enumerate(row)]
-    w_out = [int_w[dart_edge(d)] if dirs[j] == "o" else 0 for j, d in enumerate(row)]
+    int_w = instance.int_weights.values
+    # a head dart enters the center, a tail dart leaves it
+    heads = [d & 1 == HEAD for d in row]
+    w_in = [int_w[d >> 1] if heads[j] else 0 for j, d in enumerate(row)]
+    w_out = [0 if heads[j] else int_w[d >> 1] for j, d in enumerate(row)]
     pre_in = [0]
     pre_out = [0]
     for j in range(deg):
@@ -168,10 +158,5 @@ def star_solve(instance: Instance) -> Solution:
                     best = key
     c, p, q, not_first_in = best
     first_in = not not_first_in
-    kept = []
-    for j, d in enumerate(row):
-        in_arc = p <= j < q
-        want = ("i" if first_in else "o") if in_arc else ("o" if first_in else "i")
-        if dirs[j] == want:
-            kept.append(dart_edge(d))
+    kept = [d >> 1 for j, d in enumerate(row) if heads[j] == (first_in == (p <= j < q))]
     return make_solution(instance, kept, "star")

@@ -8,8 +8,11 @@ notions used elsewhere (bimodality, wedges, good edge-sections, nooses,
 configurations) are statements about this rotation order, so darts are the
 primitive and everything else is derived.
 
-Weights are exact ``fractions.Fraction`` values throughout; no floating
-point is used anywhere in the solvers.
+Weights are exact ``fractions.Fraction`` values at the document
+boundary; each instance scales them, once and on first use, to integers
+over one common denominator (``Instance.int_weights``), on which the
+solvers and the certificate compute.  No floating point is used anywhere
+in the solvers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from operator import ne
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import EmbeddingError, FormatError
 
@@ -47,10 +52,11 @@ def dart_direction(d: int) -> str:
     return OUT if (d & 1) == TAIL else IN
 
 
-def cyclic_switches(dirs: list) -> int:
-    """Number of cyclic transitions in a list of dart directions: the
-    positions j with ``dirs[j] != dirs[j+1]``, indices taken mod its length."""
-    return sum(a != b for a, b in zip(dirs, dirs[1:] + dirs[:1]))
+def cyclic_switches(ends: list) -> int:
+    """Number of cyclic transitions in a list of dart ends (or directions):
+    the positions j with ``ends[j] != ends[j+1]``, indices taken mod its
+    length."""
+    return sum(map(ne, ends, ends[1:] + ends[:1]))
 
 
 def parse_weight(text: str) -> Fraction:
@@ -148,7 +154,10 @@ class PlaneDigraph:
         self.faces = tuple(faces)
 
     def _check_euler(self):
-        for verts, edge_ids in self.components():
+        """Find the connected components, which ``components`` then returns,
+        and apply the Euler test to each."""
+        self._components = self._find_components()
+        for verts, edge_ids in self._components:
             if not edge_ids:
                 continue  # isolated vertex: V - E + F = 1 - 0 + 1 = 2
             face_ids = {self._face_of[dart(e, TAIL)] for e in edge_ids}
@@ -158,6 +167,27 @@ class PlaneDigraph:
                 raise EmbeddingError(
                     f"Euler check failed on a component: V={len(verts)} "
                     f"E={len(edge_ids)} F={len(face_ids)} gives {euler}, not 2")
+
+    def _find_components(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        parent = list(range(self.vertex_count))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for t, h in self.edges:
+            rt, rh = find(t), find(h)
+            if rt != rh:
+                parent[rt] = rh
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for v in range(self.vertex_count):
+            groups.setdefault(find(v), ([], []))[0].append(v)
+        for e, (t, _h) in enumerate(self.edges):
+            groups[find(t)][1].append(e)
+        return tuple((tuple(verts), tuple(edge_ids))
+                     for verts, edge_ids in (groups[r] for r in sorted(groups)))
 
     # -- basic queries -------------------------------------------------
 
@@ -182,29 +212,14 @@ class PlaneDigraph:
     def other_endpoint(self, d: int) -> int:
         return self._dart_vertex[d ^ 1]
 
-    def components(self) -> list[tuple[list[int], list[int]]]:
-        """Connected components as (vertex ids, edge ids), both sorted."""
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, h in self.edges:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rt] = rh
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for v in range(self.vertex_count):
-            groups.setdefault(find(v), ([], []))[0].append(v)
-        for e, (t, _h) in enumerate(self.edges):
-            groups[find(t)][1].append(e)
-        return [groups[r] for r in sorted(groups)]
+    def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Connected components as (vertex ids, edge ids), both sorted; found
+        once, during construction.  The list is a fresh copy, and its
+        tuples cannot be changed, so no caller can alter the next result."""
+        return list(self._components)
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self._components) <= 1
 
     # -- bimodality ----------------------------------------------------
 
@@ -212,15 +227,22 @@ class PlaneDigraph:
         """Number of cyclic in/out transitions among v's darts restricted to
         the given edge set (all edges when None).  Always even; the vertex is
         bimodal in the subgraph iff the result is at most 2."""
-        return cyclic_switches([dart_direction(d) for d in self.rotation[v]
-                                if present is None or dart_edge(d) in present])
+        if present is None:
+            return cyclic_switches([d & 1 for d in self.rotation[v]])
+        return cyclic_switches([d & 1 for d in self.rotation[v] if d >> 1 in present])
 
     def is_bimodal_vertex(self, v: int, present: Optional[set[int]] = None) -> bool:
         return self.switch_count(v, present) <= 2
 
     def bad_vertices(self, present: Optional[set[int]] = None) -> list[int]:
-        return [v for v in range(self.vertex_count)
-                if self.switch_count(v, present) > 2]
+        return [v for v, c in enumerate(self.switch_counts(present)) if c > 2]
+
+    def switch_counts(self, present: Optional[set[int]] = None) -> list[int]:
+        """``switch_count`` of every vertex, in id order."""
+        if present is None:
+            return [cyclic_switches([d & 1 for d in row]) for row in self.rotation]
+        return [cyclic_switches([d & 1 for d in row if d >> 1 in present])
+                for row in self.rotation]
 
     def wedges(self, v: int) -> list["Wedge"]:
         """Maximal cyclic runs of same-direction darts at v, in rotation order
@@ -294,9 +316,21 @@ class GoodEdgeSection:
         return [row[(self.start + j) % len(row)] for j in range(self.length)]
 
 
+class IntWeights(NamedTuple):
+    """Edge weights as integers over one common denominator: weight e is
+    ``values[e] / scale``, and ``total`` is the sum of ``values``."""
+    values: tuple[int, ...]
+    scale: int
+    total: int
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A plane digraph together with its edge weights."""
+    """A plane digraph together with its edge weights.
+
+    ``int_weights``, the weights scaled to integers, is computed on first
+    use and then kept; it is not a field, so equality, hashing and the
+    documents ignore it."""
     graph: PlaneDigraph
     weights: tuple[Fraction, ...]
 
@@ -304,9 +338,18 @@ class Instance:
         if len(self.weights) != self.graph.edge_count:
             raise FormatError("weight list length differs from edge count")
 
+    @cached_property
+    def int_weights(self) -> IntWeights:
+        """The weights rescaled to integers by their least common
+        denominator; all solver-internal arithmetic runs on these."""
+        scale = math.lcm(*(w.denominator for w in self.weights)) if self.weights else 1
+        values = tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+        return IntWeights(values, scale, sum(values))
+
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        scaled = self.int_weights
+        return Fraction(scaled.total, scaled.scale)
 
 
 @dataclass(frozen=True)
@@ -332,16 +375,18 @@ def make_solution(instance: Instance, kept: Iterable[int], method: str) -> Solut
     """Assemble a Solution for ``kept``, recomputing weights and the
     per-vertex switch certificate; refuses non-bimodal kept sets."""
     g = instance.graph
-    kept = frozenset(int(e) for e in kept)
-    for e in kept:
-        if not (0 <= e < g.edge_count):
-            raise FormatError(f"solution references unknown edge {e}")
-    cert = tuple(g.switch_count(v, kept) for v in range(g.vertex_count))
-    if any(c > 2 for c in cert):
+    kept = frozenset(map(int, kept))
+    if kept and (min(kept) < 0 or max(kept) >= g.edge_count):
+        e = next(e for e in kept if not 0 <= e < g.edge_count)
+        raise FormatError(f"solution references unknown edge {e}")
+    cert = tuple(g.switch_counts(kept))
+    if max(cert, default=0) > 2:
         bad = [v for v, c in enumerate(cert) if c > 2]
         raise EmbeddingError(f"kept edge set is not bimodal at vertices {bad}")
-    kept_w = sum((instance.weights[e] for e in kept), Fraction(0))
-    return Solution(kept, kept_w, instance.total_weight - kept_w, method, cert)
+    values, scale, total = instance.int_weights
+    kept_w = sum([values[e] for e in kept])
+    return Solution(kept, Fraction(kept_w, scale), Fraction(total - kept_w, scale),
+                    method, cert)
 
 
 # -- canonical instance documents -------------------------------------
@@ -474,3 +519,19 @@ def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int]):
     vertex_ids = sorted({v for e in edge_ids for v in g.edges[e]})
     sub = dense_instance(g.edges, g.rotation, instance.weights, vertex_ids, edge_ids)
     return sub, vertex_ids, edge_ids
+
+
+def component_instances(instance: Instance):
+    """Yield (sub-instance, original edge ids) for each connected component
+    with edges, in ``components`` order.  A component spanning every
+    vertex is the instance itself, with identity ids and no copy; any other
+    is renumbered by ``subgraph_by_edges``."""
+    g = instance.graph
+    for verts, edge_ids in g.components():
+        if not edge_ids:
+            continue
+        if len(verts) == g.vertex_count:
+            yield instance, range(g.edge_count)
+        else:
+            sub, _vids, eids = subgraph_by_edges(instance, edge_ids)
+            yield sub, eids

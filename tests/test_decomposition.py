@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from mwbs.plane import (
     subgraph_by_edges,
 )
 
-from test_dp import path_instance
+from test_dp import inside_sets, path_instance
 from test_plane import star4_instance, triangle_instance
 
 
@@ -239,8 +240,9 @@ def arc_sides(graph, dec):
     """Both edge sets of every arc, whatever the root."""
     rooted = validate_decomposition(graph, dec).rooted
     every = frozenset(range(graph.edge_count))
+    inside = inside_sets(rooted, dec.leaf_map)
     return {side for node in rooted.post_order
-            for side in (frozenset(rooted.inside[node]), every - rooted.inside[node])}
+            for side in (inside[node], every - inside[node])}
 
 
 def assert_exact_everywhere(instance, dec):
@@ -647,8 +649,9 @@ class TestArcBoundary:
             dec = build_sphere_cut(g)
             root = min(dec.leaf_map)
             rooted = RootedDecomposition(g, dec, root)
+            inside_of = inside_sets(rooted, dec.leaf_map)
             for node in rooted.post_order:
-                inside = rooted.inside[node]
+                inside = inside_of[node]
                 # incremental bookkeeping: count darts per vertex
                 darts_in = {}
                 for e in inside:
@@ -658,8 +661,25 @@ class TestArcBoundary:
                 assert mid_inc == middle_set(g, inside)
                 b = rooted.boundary(node)
                 assert mid_inc == list(b.mid)
+                assert b.inside_count == len(inside)
                 assert b.runs == {v: flag_run([d >> 1 in inside for d in g.rotation[v]])
                                   for v in mid_inc}
+
+    def test_long_caterpillar_validates_in_linear_memory(self):
+        """A 4000-edge path under its caterpillar tree: arcs keep inside
+        edge counts, not edge sets, so validation stays linear in memory
+        (one frozenset of inside edges per arc took hundreds of MB)."""
+        m = 4000
+        g = path_instance(m).graph
+        dec = _caterpillar(range(m))
+        tracemalloc.start()
+        try:
+            report = validate_decomposition(g, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.width == 2
+        assert peak < 50_000_000
 
 
 class TestRunMasks:

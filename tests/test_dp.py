@@ -42,7 +42,6 @@ from mwbs.dp import (
 from mwbs.errors import DecompositionError
 from mwbs.generate import GenParams, gen_instance
 from mwbs.kernel import solve_subexponential
-from mwbs.oracle import scaled_int_weights
 from mwbs.plane import (
     HEAD,
     TAIL,
@@ -265,14 +264,23 @@ def rooted_tables(inst, dec, root_leaf=None):
     report = validate_decomposition(inst.graph, dec, root_leaf)
     assert report.ok, report.violations
     rooted = report.rooted
-    int_w, _ = scaled_int_weights(inst.weights)
     tables = {}
     for node in rooted.post_order:
         b = rooted.boundaries[node]
         kids = rooted.children[node]
         tables[node] = (join_tables(b, *(tables[k] for k in kids)) if kids
-                        else leaf_table(inst, b, int_w))
-    return rooted, tables, int_w
+                        else leaf_table(inst, b, dec.leaf_map[node]))
+    return rooted, tables, inst.int_weights.values
+
+
+def inside_sets(rooted, leaf_map):
+    """The inside edge set of every arc of a rooted view, keyed like its
+    boundaries: a leaf's edge, or the union of the children's sets."""
+    inside = {}
+    for node in rooted.post_order:
+        own = {leaf_map[node]} if node in leaf_map else set()
+        inside[node] = frozenset(own.union(*(inside[k] for k in rooted.children[node])))
+    return inside
 
 
 def fan_instance(k):
@@ -343,8 +351,7 @@ class TestLeafTable:
     def test_wrong_boundary_rejected(self):
         top = self.rooted.children[2][0]
         with pytest.raises(DecompositionError):
-            leaf_table(self.inst, self.rooted.boundaries[top],
-                       scaled_int_weights(self.inst.weights)[0])
+            leaf_table(self.inst, self.rooted.boundaries[top], 0)
 
 
 class TestJoin:
@@ -356,6 +363,13 @@ class TestJoin:
         for assignment, want in (({0: "o", 1: "ioi", 2: "ioi"}, 0),
                                  ({0: "i", 1: "ioi", 2: "ioi"}, 2)):   # both out-edges must go
             assert table.cost(encode_ref(table.boundary.mid, assignment)) == want, assignment
+
+    def test_children_must_partition_the_parent(self):
+        rooted, tables, _ = rooted_tables(path5_instance(), caterpillar_over(5), 4)
+        top = rooted.children[4][0]
+        assert rooted.boundaries[top].inside_count == 4
+        with pytest.raises(DecompositionError, match="partition the parent inside"):
+            join_tables(rooted.boundaries[top], tables[0], tables[1])
 
     def test_twenty_single_direction_positions(self):
         """The arc over the spokes of a 20-spoke fan has the 20 rim
@@ -373,13 +387,12 @@ class TestJoin:
         report = validate_decomposition(inst.graph, dec, root)
         assert report.ok and report.width == k
         rooted = report.rooted
-        int_w, _ = scaled_int_weights(inst.weights)
         tables = {}
         for node in rooted.post_order:      # up to the spokes' arc
             b = rooted.boundaries[node]
             kids = rooted.children[node]
             tables[node] = (join_tables(b, *(tables[c] for c in kids)) if kids
-                            else leaf_table(inst, b, int_w))
+                            else leaf_table(inst, b, dec.leaf_map[node]))
             if len(b.mid) == k:
                 break
         table = tables[node]
@@ -401,26 +414,28 @@ class TestJoin:
             if not (4 <= g.edge_count <= 7):
                 continue
             # balanced trees give two-sided joins
-            rooted, tables, int_w = rooted_tables(inst, _recursive_bisection(g))
+            dec = _recursive_bisection(g)
+            rooted, tables, int_w = rooted_tables(inst, dec)
+            inside = inside_sets(rooted, dec.leaf_map)
             for node in rooted.post_order:
                 if rooted.children[node]:
-                    compare_table_to_brute_force(inst, tables[node], int_w)
+                    compare_table_to_brute_force(inst, tables[node], inside[node], int_w)
                     checked += 1
             if checked > 25:
                 break
         assert checked > 5
 
 
-def compare_table_to_brute_force(inst, table, int_w):
+def compare_table_to_brute_force(inst, table, inside_edges, int_w):
     """Independent semantics of a table entry: cheapest deletion of inside
     edges making interior vertices bimodal and realizing the assignment.
     Every configuration code is read through the class maps."""
     g = inst.graph
     boundary = table.boundary
-    inside = sorted(boundary.inside_edges)
+    inside = sorted(inside_edges)
     interior = [v for v in range(g.vertex_count)
                 if g.rotation[v] and v not in boundary.mid
-                and all(dart_edge(d) in boundary.inside_edges for d in g.rotation[v])]
+                and all(dart_edge(d) in inside_edges for d in g.rotation[v])]
     codes = range(6 ** len(boundary.mid))
     best = {}
     for keep_mask in range(1 << len(inside)):

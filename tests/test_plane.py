@@ -1,6 +1,7 @@
 """Rotation-system core: documents, Euler checks, bimodality queries."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from mwbs.errors import EmbeddingError, FormatError
 from mwbs.generate import GenParams, gen_instance
+from mwbs.kernel import shrink_cut_instance, to_cut_instance
 from mwbs.plane import (
     HEAD,
     TAIL,
     Instance,
     PlaneDigraph,
+    Solution,
+    component_instances,
     dart,
+    dart_direction,
+    dart_edge,
     decode_instance,
     encode_instance,
     instance_document,
@@ -300,3 +306,114 @@ class TestSolutionAndSubgraph:
             dirs = [d % 2 for d in sub.graph.rotation[sv]]
             orig = [d % 2 for d in g.rotation[ov] if (d >> 1) in set(keep)]
             assert dirs == orig
+
+
+def make_solution_ref(instance, kept, method):
+    """Reference certificate: Fraction sums of the weights and a direction
+    string per dart, with every refusal of ``make_solution``."""
+    g = instance.graph
+    kept = frozenset(int(e) for e in kept)
+    for e in kept:
+        if not (0 <= e < g.edge_count):
+            raise FormatError(f"solution references unknown edge {e}")
+    cert = []
+    for v in range(g.vertex_count):
+        dirs = [dart_direction(d) for d in g.rotation[v] if dart_edge(d) in kept]
+        cert.append(sum(a != b for a, b in zip(dirs, dirs[1:] + dirs[:1])))
+    if any(c > 2 for c in cert):
+        bad = [v for v, c in enumerate(cert) if c > 2]
+        raise EmbeddingError(f"kept edge set is not bimodal at vertices {bad}")
+    kept_w = sum((instance.weights[e] for e in kept), Fraction(0))
+    total = sum(instance.weights, Fraction(0))
+    return Solution(kept, kept_w, total - kept_w, method, tuple(cert))
+
+
+def outcome(fn, *args):
+    """A solution's fields, or the type and text of its refusal."""
+    try:
+        sol = fn(*args)
+    except (FormatError, EmbeddingError) as exc:
+        return type(exc), str(exc)
+    return sol.kept_edges, sol.kept_weight, sol.deleted_weight, sol.method, sol.certificate
+
+
+def kept_set_samples(instance, rng):
+    """Kept sets of every kind: empty, all, random (mostly not bimodal), a
+    random maximal bimodal set and random subsets of it, and sets naming an
+    unknown edge."""
+    g = instance.graph
+    m = g.edge_count
+    greedy: set[int] = set()
+    for e in rng.sample(range(m), m):
+        greedy.add(e)
+        if any(g.switch_count(v, greedy) > 2 for v in g.edges[e]):
+            greedy.discard(e)
+    samples = [set(), set(range(m)), greedy]
+    samples += [{e for e in range(m) if rng.random() < p} for p in (0.3, 0.7)]
+    samples += [{e for e in greedy if rng.random() < 0.5} for _ in range(2)]
+    samples += [greedy | {m}, {-1, 0}, [e for e in greedy] + [m + 5]]
+    return samples
+
+
+class TestCertificateAgainstReference:
+    def test_matches_reference(self, corpus_b4):
+        """Certificate, both weights and every refusal agree with the
+        reference on the corpus, the triangulation and sparse pools of the
+        benchmark, and shrunk cut instances, whose gadget edges weigh 0."""
+        tri = [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
+        sparse = [gen_instance(GenParams(n=40, seed=s, density="sparse")) for s in range(7)]
+        shrunk = [shrink_cut_instance(to_cut_instance(inst)).instance
+                  for inst in corpus_b4[:120] + tri[:5]]
+        assert any(w == 0 for inst in shrunk for w in inst.weights)
+        assert any(len({w.denominator for w in inst.weights}) > 1 for inst in shrunk)
+        rng = random.Random(15)
+        kinds = set()
+        for inst in corpus_b4 + tri + sparse + shrunk:
+            for kept in kept_set_samples(inst, rng):
+                got = outcome(make_solution, inst, kept, "test")
+                assert got == outcome(make_solution_ref, inst, kept, "test")
+                kinds.add(got[0] if isinstance(got[0], type) else Solution)
+        assert kinds == {Solution, FormatError, EmbeddingError}
+
+
+class TestCachedBookkeeping:
+    def test_instance_equality_and_hash_ignore_the_scaling(self):
+        inst = star4_instance((Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(5)))
+        twin = Instance(inst.graph, inst.weights)
+        assert inst.int_weights == ((6, 4, 9, 60), 12, 79)
+        assert inst.int_weights is inst.int_weights
+        assert "int_weights" not in repr(inst)
+        assert inst == twin and hash(inst) == hash(twin)
+        assert inst.total_weight == twin.total_weight == Fraction(79, 12)
+        assert "int_weights" in vars(twin)
+        assert inst == twin and hash(inst) == hash(twin)
+
+    def test_components_cannot_be_altered_by_a_caller(self, corpus_small):
+        g = next(inst.graph for inst in corpus_small if inst.graph.edge_count >= 3)
+        first = g.components()
+        saved = [(list(verts), list(edges)) for verts, edges in first]
+        first.append(((99,), ()))
+        first[0] = ((), ())
+        with pytest.raises(TypeError):
+            g.components()[0][1][0] = 99
+        assert [(list(v), list(e)) for v, e in g.components()] == saved
+
+    def test_component_instances_copy_only_proper_components(self):
+        inst = triangle_instance()
+        ((sub, eids),) = component_instances(inst)
+        assert sub is inst and list(eids) == [0, 1, 2]
+        # two triangles side by side
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+        rot = [[dart(0, TAIL), dart(2, HEAD)], [dart(1, TAIL), dart(0, HEAD)],
+               [dart(2, TAIL), dart(1, HEAD)], [dart(3, TAIL), dart(5, HEAD)],
+               [dart(4, TAIL), dart(3, HEAD)], [dart(5, TAIL), dart(4, HEAD)]]
+        two = Instance(PlaneDigraph(6, edges, rot), tuple(Fraction(e + 1) for e in range(6)))
+        parts = list(component_instances(two))
+        assert [list(eids) for _sub, eids in parts] == [[0, 1, 2], [3, 4, 5]]
+        assert all(sub is not two and sub.graph.vertex_count == 3 for sub, _ in parts)
+        assert parts[1][0].weights == (4, 5, 6)
+        # the triangle plus an isolated vertex
+        lonely = Instance(PlaneDigraph(4, inst.graph.edges, list(inst.graph.rotation) + [[]]),
+                          inst.weights)
+        ((sub, eids),) = component_instances(lonely)
+        assert sub is not lonely and sub.graph.vertex_count == 3 and list(eids) == [0, 1, 2]
