@@ -32,6 +32,7 @@ from .plane import (
     format_weight,
     instance_document,
     make_solution,
+    parse_json,
 )
 
 
@@ -53,10 +54,7 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str):
-    try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    return parse_json(_read(path), path)
 
 
 def _emit(text: str, out: str | None):
@@ -226,7 +224,7 @@ def _solution_for_method(instance: Instance, method: str, dec_doc=None):
         return oracle.brute_force_mwbs(instance)
     if method == "dp":
         if dec_doc is None:
-            return make_solution(instance, kernel.solve_components(instance), "dp")
+            return kernel.solve_subexponential(instance, "dp")
         dec = decomposition_from_document(dec_doc)
         parts = list(component_instances(instance))
         if len(parts) != 1:

@@ -469,14 +469,15 @@ def solve_components(instance: Instance) -> set[int]:
     return kept
 
 
-def solve_subexponential(instance: Instance) -> Solution:
-    """Reduce to the normal form, solve each component exactly, lift back.
+def solve_subexponential(instance: Instance, method: str = "subexp") -> Solution:
+    """Reduce to the normal form, solve each component exactly, lift back;
+    ``method`` names the solution.
 
     After reduction at most one vertex per original bad vertex has degree
     above one, which keeps the component branchwidths small."""
     red = reduce_to_simple(instance)
     lifted = red.lift(solve_components(red.instance))
-    return make_solution(instance, lifted, "subexp")
+    return make_solution(instance, lifted, method)
 
 
 # ---------------------------------------------------------------------

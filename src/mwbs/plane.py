@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,7 +66,11 @@ def parse_weight(text: str) -> Fraction:
         raise FormatError(f"weight must be a string, got {text!r}")
     if not re.fullmatch(r"[0-9]+/[0-9]+", text):
         raise FormatError(f"weight {text!r} is not of the form p/q")
-    num, den = (int(part) for part in text.split("/"))
+    try:
+        num, den = (int(part) for part in text.split("/"))
+    except ValueError:  # a part longer than the interpreter converts
+        raise FormatError(f"weight of {len(text)} characters has a part with more "
+                          f"than {sys.get_int_max_str_digits()} digits") from None
     if den <= 0:
         raise FormatError(f"weight {text!r} has nonpositive denominator")
     if math.gcd(abs(num), den) != 1:
@@ -87,107 +92,108 @@ class PlaneDigraph:
 
     The constructor checks all structural invariants, including the genus-0
     Euler test applied to every connected component, so any constructed
-    instance is a genuine sphere embedding.
+    instance is a genuine sphere embedding.  Endpoints and darts must be
+    ints; they are stored as given, in tuples.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int]],
                  rotation: Sequence[Sequence[int]]):
-        self.vertex_count = int(vertex_count)
-        self.edges = tuple((int(t), int(h)) for t, h in edges)
-        self.rotation = tuple(tuple(int(d) for d in row) for row in rotation)
-        self._check_structure()
-        self._index_darts()
-        self._trace_faces()
-        self._check_euler()
-
-    # -- construction-time checks ------------------------------------
-
-    def _check_structure(self):
-        if self.vertex_count < 0:
+        n = self.vertex_count = int(vertex_count)
+        edges = self.edges = tuple(map(tuple, edges))
+        rotation = self.rotation = tuple(map(tuple, rotation))
+        if n < 0:
             raise EmbeddingError("negative vertex count")
-        if len(self.rotation) != self.vertex_count:
+        if len(rotation) != n:
             raise EmbeddingError("rotation table length differs from vertex count")
-        for e, (t, h) in enumerate(self.edges):
-            if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
+        for e, (t, h) in enumerate(edges):
+            if not (0 <= t < n and 0 <= h < n):
                 raise EmbeddingError(f"edge {e} endpoint out of range")
             if t == h:
                 raise EmbeddingError(f"edge {e} is a self-loop")
 
-    def _index_darts(self):
-        m = len(self.edges)
-        self._dart_vertex = [-1] * (2 * m)
-        self._dart_pos = [-1] * (2 * m)
-        seen = 0
-        for v, row in enumerate(self.rotation):
-            for pos, d in enumerate(row):
-                if not (0 <= d < 2 * m):
+        # One walk over the rotation checks the dart bookkeeping and records
+        # each dart's position and its rotation successor.  Dart 2e + end
+        # belongs to edges[e][end], so the flattened edge list is the
+        # dart-to-vertex table once every dart has been found there.
+        m2 = 2 * len(edges)
+        owner = [v for te in edges for v in te]
+        pos = [-1] * m2
+        succ = [-1] * m2
+        for v, row in enumerate(rotation):
+            k = len(row)
+            for j, d in enumerate(row):
+                if not 0 <= d < m2:
                     raise EmbeddingError(f"unknown dart {d} at vertex {v}")
-                if self._dart_vertex[d] != -1:
+                if pos[d] != -1:
                     raise EmbeddingError(f"dart {d} appears twice")
-                want = self.edges[dart_edge(d)][dart_end(d)]
-                if want != v:
+                if owner[d] != v:
                     raise EmbeddingError(
-                        f"dart {d} listed at vertex {v} but belongs to vertex {want}")
-                self._dart_vertex[d] = v
-                self._dart_pos[d] = pos
-                seen += 1
-        if seen != 2 * m:
+                        f"dart {d} listed at vertex {v} but belongs to vertex {owner[d]}")
+                pos[d] = j
+                succ[d] = row[j + 1 - k]
+        if sum(map(len, rotation)) != m2:
             raise EmbeddingError("some darts are missing from the rotation system")
+        self._dart_vertex = owner
+        self._dart_pos = pos
 
-    def _trace_faces(self):
-        """Orbits of d -> successor(twin(d)) are the faces of the embedding."""
-        m = len(self.edges)
-        self._face_of = [-1] * (2 * m)
+        # Faces are the orbits of d -> successor(twin(d)).
+        face_of = [-1] * m2
         faces = []
-        for start in range(2 * m):
-            if self._face_of[start] != -1:
+        for start in range(m2):
+            if face_of[start] != -1:
                 continue
+            f = len(faces)
             face = []
             d = start
-            while self._face_of[d] == -1:
-                self._face_of[d] = len(faces)
+            while face_of[d] == -1:
+                face_of[d] = f
                 face.append(d)
-                d = self.next_face_dart(d)
+                d = succ[d ^ 1]
             if d != start:
                 raise EmbeddingError("face tracing did not close a cycle")
             faces.append(tuple(face))
         self.faces = tuple(faces)
 
-    def _check_euler(self):
-        """Find the connected components, which ``components`` then returns,
-        and apply the Euler test to each."""
-        self._components = self._find_components()
-        for verts, edge_ids in self._components:
-            if not edge_ids:
-                continue  # isolated vertex: V - E + F = 1 - 0 + 1 = 2
-            face_ids = {self._face_of[dart(e, TAIL)] for e in edge_ids}
-            face_ids |= {self._face_of[dart(e, HEAD)] for e in edge_ids}
-            euler = len(verts) - len(edge_ids) + len(face_ids)
-            if euler != 2:
-                raise EmbeddingError(
-                    f"Euler check failed on a component: V={len(verts)} "
-                    f"E={len(edge_ids)} F={len(face_ids)} gives {euler}, not 2")
-
-    def _find_components(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, h in self.edges:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rt] = rh
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for v in range(self.vertex_count):
-            groups.setdefault(find(v), ([], []))[0].append(v)
-        for e, (t, _h) in enumerate(self.edges):
-            groups[find(t)][1].append(e)
-        return tuple((tuple(verts), tuple(edge_ids))
-                     for verts, edge_ids in (groups[r] for r in sorted(groups)))
+        # Components by union-find with path halving, in root order; each
+        # face lies in one component, so the Euler test counts a
+        # component's faces through their first darts.
+        parent = list(range(n))
+        for t, h in edges:
+            while parent[t] != t:
+                parent[t] = parent[parent[t]]
+                t = parent[t]
+            while parent[h] != h:
+                parent[h] = parent[parent[h]]
+                h = parent[h]
+            if t != h:
+                parent[t] = h
+        root = parent  # each entry is replaced by its root
+        for v in range(n):
+            r = v
+            while parent[r] != r:
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            root[v] = r
+        verts_of: dict[int, list[int]] = {}
+        for v, r in enumerate(root):
+            verts_of.setdefault(r, []).append(v)
+        edges_of: dict[int, list[int]] = {r: [] for r in verts_of}
+        for e, (t, _h) in enumerate(edges):
+            edges_of[root[t]].append(e)
+        faces_of = dict.fromkeys(verts_of, 0)
+        for face in faces:
+            faces_of[root[owner[face[0]]]] += 1
+        components = []
+        for r in sorted(verts_of):
+            verts, edge_ids = verts_of[r], edges_of[r]
+            if edge_ids:  # an isolated vertex has V - E + F = 1 - 0 + 1 = 2
+                euler = len(verts) - len(edge_ids) + faces_of[r]
+                if euler != 2:
+                    raise EmbeddingError(
+                        f"Euler check failed on a component: V={len(verts)} "
+                        f"E={len(edge_ids)} F={faces_of[r]} gives {euler}, not 2")
+            components.append((tuple(verts), tuple(edge_ids)))
+        self._components = tuple(components)
 
     # -- basic queries -------------------------------------------------
 
@@ -201,13 +207,6 @@ class PlaneDigraph:
     def dart_position(self, d: int) -> int:
         """The position of dart ``d`` in its vertex's rotation."""
         return self._dart_pos[d]
-
-    def next_face_dart(self, d: int) -> int:
-        """The dart following ``d`` on its face: rotation successor of the twin."""
-        t = d ^ 1
-        v = self._dart_vertex[t]
-        row = self.rotation[v]
-        return row[(self._dart_pos[t] + 1) % len(row)]
 
     def other_endpoint(self, d: int) -> int:
         return self._dart_vertex[d ^ 1]
@@ -415,72 +414,86 @@ def encode_instance(instance: Instance) -> str:
     return canonical_json(instance_document(instance))
 
 
+def parse_json(text: str, source: Optional[str] = None):
+    """``json.loads`` with every parse failure a FormatError: bad syntax,
+    an integer literal longer than the interpreter converts, or nesting
+    deeper than the recursion limit.  ``source`` names the document in
+    the message."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        subject = f"{source} is not" if source else "not"
+        raise FormatError(f"{subject} valid JSON: {exc}") from None
+
+
 def decode_instance(text: str) -> Instance:
     """Parse and fully validate a canonical instance document.
 
     Raises FormatError for grammar problems and EmbeddingError when the
     rotation system is not a sphere embedding."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
-    return instance_from_document(doc)
+    return instance_from_document(parse_json(text))
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; booleans are ints to Python but not to the grammar."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_END_CODE = {"tail": TAIL, "head": HEAD}
 
 
 def instance_from_document(doc) -> Instance:
-    if not isinstance(doc, dict):
+    """Build an instance from a decoded JSON document, checking its grammar
+    in one pass over each list.  Values must have the JSON types exactly
+    (a boolean is not an integer), and each distinct weight string is
+    parsed once."""
+    if type(doc) is not dict:
         raise FormatError("instance document must be a JSON object")
     for key in ("vertices", "edges", "rotation"):
         if key not in doc:
             raise FormatError(f"instance document lacks {key!r}")
     n = doc["vertices"]
-    if not _is_int(n) or n < 0:
+    if type(n) is not int or n < 0:
         raise FormatError("vertices must be a nonnegative integer")
     raw_edges = doc["edges"]
-    if not isinstance(raw_edges, list):
+    if type(raw_edges) is not list:
         raise FormatError("edges must be a list")
     m = len(raw_edges)
     edges: list[Optional[tuple[int, int]]] = [None] * m
     weights: list[Optional[Fraction]] = [None] * m
+    parsed: dict[str, Fraction] = {}
     for item in raw_edges:
-        if not isinstance(item, dict):
+        if type(item) is not dict:
             raise FormatError("each edge must be an object")
         try:
             e, t, h = item["id"], item["tail"], item["head"]
             w = item["weight"]
         except KeyError as exc:
             raise FormatError(f"edge lacks field {exc}") from None
-        if not _is_int(e) or not (0 <= e < m):
+        if type(e) is not int or not 0 <= e < m:
             raise FormatError(f"edge id {e!r} is not dense in 0..{m - 1}")
         if edges[e] is not None:
             raise FormatError(f"duplicate edge id {e}")
-        if not _is_int(t) or not _is_int(h):
+        if type(t) is not int or type(h) is not int:
             raise FormatError("edge endpoints must be integers")
         edges[e] = (t, h)
-        weights[e] = parse_weight(w)
+        value = parsed.get(w) if type(w) is str else None
+        if value is None:
+            value = parsed[w] = parse_weight(w)
+        weights[e] = value
     raw_rot = doc["rotation"]
-    if not isinstance(raw_rot, list) or len(raw_rot) != n:
+    if type(raw_rot) is not list or len(raw_rot) != n:
         raise FormatError("rotation must list one dart sequence per vertex")
-    end_code = {"tail": TAIL, "head": HEAD}
     rotation = []
     for row in raw_rot:
-        if not isinstance(row, list):
+        if type(row) is not list:
             raise FormatError("each rotation entry must be a list")
         darts = []
         for item in row:
-            if not isinstance(item, dict) or "edge" not in item or "end" not in item:
+            if type(item) is not dict or "edge" not in item or "end" not in item:
                 raise FormatError("each dart must be an object with edge and end")
             e, end = item["edge"], item["end"]
-            if not _is_int(e) or not (0 <= e < m):
+            if type(e) is not int or not 0 <= e < m:
                 raise FormatError(f"dart references unknown edge {e!r}")
-            if end not in end_code:
+            code = _END_CODE.get(end) if type(end) is str else None
+            if code is None:
                 raise FormatError(f"dart end must be 'tail' or 'head', got {end!r}")
-            darts.append(dart(e, end_code[end]))
+            darts.append(2 * e + code)
         rotation.append(darts)
     graph = PlaneDigraph(n, edges, rotation)
     return Instance(graph, tuple(weights))

@@ -13,6 +13,7 @@ from mwbs.plane import encode_instance
 
 from test_eptas import run_capped
 from test_plane import k5_document, star4_instance
+from test_robustness import one_edge_document
 
 
 def run(capsys, *argv):
@@ -146,6 +147,32 @@ def test_dp_method_solves_each_component(tmp_path, capsys):
     code, error = run_failing(capsys, "solve", str(f), "--method", "dp",
                               "--decomposition", str(dec_file))
     assert code == 1 and "connected" in error
+
+
+def test_dp_method_reduces_first(tmp_path, capsys, monkeypatch):
+    """Without an imported tree, ``--method dp`` solves the components of
+    the normal form, as ``subexp`` does; on the unreduced triangulation
+    the tables would not fit in memory."""
+    f = tmp_path / "tri.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=40, seed=0))))
+    reduce, solve = kernel.reduce_to_simple, kernel.solve_components
+    reduced = []
+
+    def recording_reduce(instance):
+        red = reduce(instance)
+        reduced.append(red.instance)
+        return red
+
+    def solve_reduced_only(instance):
+        assert any(instance is r for r in reduced), "components of an unreduced instance"
+        return solve(instance)
+
+    monkeypatch.setattr(kernel, "reduce_to_simple", recording_reduce)
+    monkeypatch.setattr(kernel, "solve_components", solve_reduced_only)
+    code, out = run(capsys, "solve", str(f), "--method", "dp")
+    assert code == 0 and json.loads(out)["method"] == "dp"
+    code, want = run(capsys, "solve", str(f), "--method", "subexp")
+    assert json.loads(out)["kept_weight"] == json.loads(want)["kept_weight"] == "29287/60"
 
 
 def test_decomp_validate_refuses_a_truncated_id(tmp_path, capsys):
@@ -337,3 +364,34 @@ def test_missing_input_file_exits_1(tmp_path, capsys, verb):
     missing = str(tmp_path / "absent.json")
     code, error = run_failing(capsys, *verb, missing)
     assert code == 1 and "absent.json" in error
+
+
+def one_edge_text(weight="1/1", end="tail"):
+    doc = one_edge_document()
+    doc["edges"][0]["weight"] = weight
+    doc["rotation"][0][0]["end"] = end
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('{"vertices": ' + "1" * 5000 + ', "edges": [], "rotation": []}', "not valid JSON"),
+    ("[" * 200_000, "not valid JSON"),
+    (one_edge_text(weight="9" * 5000 + "/1"), "weight of 5002 characters"),
+    (one_edge_text(end=["tail"]), "dart end must be 'tail' or 'head'"),
+    (one_edge_text(end={"end": "tail"}), "dart end must be 'tail' or 'head'"),
+], ids=["long-integer", "deep-nesting", "long-weight", "list-end", "dict-end"])
+def test_malformed_instance_exits_1(tmp_path, capsys, text, expected):
+    f = tmp_path / "inst.json"
+    f.write_text(text)
+    code, error = run_failing(capsys, "validate", str(f))
+    assert code == 1 and expected in error and len(error) < 300
+
+
+@pytest.mark.parametrize("text", ['{"nodes": ' + "7" * 5000 + "}", "[" * 200_000],
+                         ids=["long-integer", "deep-nesting"])
+def test_unparseable_side_document_exits_1(tmp_path, capsys, text):
+    broken = tmp_path / "broken.json"
+    broken.write_text(text)
+    code, error = run_failing(capsys, "decomp", "validate", str(star_file(tmp_path)),
+                              str(broken))
+    assert code == 1 and "broken.json is not valid JSON" in error

@@ -1,14 +1,17 @@
 """Rotation-system core: documents, Euler checks, bimodality queries."""
 
 import json
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwbs.errors import EmbeddingError, FormatError
-from mwbs.generate import GenParams, gen_instance
+from mwbs import plane
+from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import shrink_cut_instance, to_cut_instance
 from mwbs.plane import (
     HEAD,
@@ -20,9 +23,11 @@ from mwbs.plane import (
     dart,
     dart_direction,
     dart_edge,
+    dart_end,
     decode_instance,
     encode_instance,
     instance_document,
+    instance_from_document,
     make_solution,
     parse_weight,
     subgraph_by_edges,
@@ -417,3 +422,274 @@ class TestCachedBookkeeping:
                           inst.weights)
         ((sub, eids),) = component_instances(lonely)
         assert sub is not lonely and sub.graph.vertex_count == 3 and list(eids) == [0, 1, 2]
+
+
+# -- reference decoder ------------------------------------------------
+
+def _ref_is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ref_weight(text):
+    if not isinstance(text, str):
+        raise FormatError(f"weight must be a string, got {text!r}")
+    if not re.fullmatch(r"[0-9]+/[0-9]+", text):
+        raise FormatError(f"weight {text!r} is not of the form p/q")
+    num, den = (int(part) for part in text.split("/"))
+    if den <= 0:
+        raise FormatError(f"weight {text!r} has nonpositive denominator")
+    if math.gcd(abs(num), den) != 1:
+        raise FormatError(f"weight {text!r} is not reduced")
+    value = Fraction(num, den)
+    if value <= 0:
+        raise FormatError(f"weight {text!r} is out of range")
+    return value
+
+
+def reference_decode(doc):
+    """Grammar checks, dart bookkeeping, face tracing and the per-component
+    Euler test, one stage after another, with the refusal texts of the
+    decoder.  Returns (vertex count, edges, rotation, weights, faces,
+    components, dart positions)."""
+    if not isinstance(doc, dict):
+        raise FormatError("instance document must be a JSON object")
+    for key in ("vertices", "edges", "rotation"):
+        if key not in doc:
+            raise FormatError(f"instance document lacks {key!r}")
+    n = doc["vertices"]
+    if not _ref_is_int(n) or n < 0:
+        raise FormatError("vertices must be a nonnegative integer")
+    raw_edges = doc["edges"]
+    if not isinstance(raw_edges, list):
+        raise FormatError("edges must be a list")
+    m = len(raw_edges)
+    edges, weights = [None] * m, [None] * m
+    for item in raw_edges:
+        if not isinstance(item, dict):
+            raise FormatError("each edge must be an object")
+        try:
+            e, t, h = item["id"], item["tail"], item["head"]
+            w = item["weight"]
+        except KeyError as exc:
+            raise FormatError(f"edge lacks field {exc}") from None
+        if not _ref_is_int(e) or not (0 <= e < m):
+            raise FormatError(f"edge id {e!r} is not dense in 0..{m - 1}")
+        if edges[e] is not None:
+            raise FormatError(f"duplicate edge id {e}")
+        if not _ref_is_int(t) or not _ref_is_int(h):
+            raise FormatError("edge endpoints must be integers")
+        edges[e] = (t, h)
+        weights[e] = _ref_weight(w)
+    raw_rot = doc["rotation"]
+    if not isinstance(raw_rot, list) or len(raw_rot) != n:
+        raise FormatError("rotation must list one dart sequence per vertex")
+    end_code = {"tail": TAIL, "head": HEAD}
+    rotation = []
+    for row in raw_rot:
+        if not isinstance(row, list):
+            raise FormatError("each rotation entry must be a list")
+        darts = []
+        for item in row:
+            if not isinstance(item, dict) or "edge" not in item or "end" not in item:
+                raise FormatError("each dart must be an object with edge and end")
+            e, end = item["edge"], item["end"]
+            if not _ref_is_int(e) or not (0 <= e < m):
+                raise FormatError(f"dart references unknown edge {e!r}")
+            if end not in end_code:
+                raise FormatError(f"dart end must be 'tail' or 'head', got {end!r}")
+            darts.append(dart(e, end_code[end]))
+        rotation.append(darts)
+
+    for e, (t, h) in enumerate(edges):
+        if not (0 <= t < n and 0 <= h < n):
+            raise EmbeddingError(f"edge {e} endpoint out of range")
+        if t == h:
+            raise EmbeddingError(f"edge {e} is a self-loop")
+    vertex_of, pos = [-1] * (2 * m), [-1] * (2 * m)
+    for v, row in enumerate(rotation):
+        for j, d in enumerate(row):
+            if vertex_of[d] != -1:
+                raise EmbeddingError(f"dart {d} appears twice")
+            want = edges[dart_edge(d)][dart_end(d)]
+            if want != v:
+                raise EmbeddingError(
+                    f"dart {d} listed at vertex {v} but belongs to vertex {want}")
+            vertex_of[d], pos[d] = v, j
+    if -1 in vertex_of:
+        raise EmbeddingError("some darts are missing from the rotation system")
+
+    face_of, faces = [-1] * (2 * m), []
+    for start in range(2 * m):
+        if face_of[start] != -1:
+            continue
+        face, d = [], start
+        while face_of[d] == -1:
+            face_of[d] = len(faces)
+            face.append(d)
+            row = rotation[vertex_of[d ^ 1]]
+            d = row[(pos[d ^ 1] + 1) % len(row)]
+        faces.append(tuple(face))
+
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for t, h in edges:
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            parent[rt] = rh
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), ([], []))[0].append(v)
+    for e, (t, _h) in enumerate(edges):
+        groups[find(t)][1].append(e)
+    components = [(tuple(verts), tuple(eids))
+                  for verts, eids in (groups[r] for r in sorted(groups))]
+    for verts, eids in components:
+        if not eids:
+            continue
+        face_ids = {face_of[dart(e, end)] for e in eids for end in (TAIL, HEAD)}
+        euler = len(verts) - len(eids) + len(face_ids)
+        if euler != 2:
+            raise EmbeddingError(
+                f"Euler check failed on a component: V={len(verts)} "
+                f"E={len(eids)} F={len(face_ids)} gives {euler}, not 2")
+    return (n, tuple(edges), tuple(map(tuple, rotation)), tuple(weights),
+            tuple(faces), components, pos)
+
+
+def decoded(doc):
+    """What ``instance_from_document`` builds, in ``reference_decode``'s
+    terms."""
+    inst = instance_from_document(doc)
+    g = inst.graph
+    return (g.vertex_count, g.edges, g.rotation, inst.weights, g.faces,
+            g.components(), [g.dart_position(d) for d in range(2 * g.edge_count)])
+
+
+def refusal(fn, doc):
+    with pytest.raises((FormatError, EmbeddingError)) as info:
+        fn(doc)
+    return type(info.value), str(info.value)
+
+
+def _edit(change):
+    """A fault: ``change`` edits a fresh two-triangle document in place."""
+    def fault():
+        doc = two_triangles_document()
+        change(doc)
+        return doc
+    return fault
+
+
+def two_triangles_document():
+    """Two directed triangles side by side plus an isolated vertex."""
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    rot = [[dart(0, TAIL), dart(2, HEAD)], [dart(1, TAIL), dart(0, HEAD)],
+           [dart(2, TAIL), dart(1, HEAD)], [dart(3, TAIL), dart(5, HEAD)],
+           [dart(4, TAIL), dart(3, HEAD)], [dart(5, TAIL), dart(4, HEAD)], []]
+    weights = tuple(Fraction(e + 1, 2) for e in range(6))
+    return instance_document(Instance(PlaneDigraph(7, edges, rot), weights))
+
+
+def _self_loop(doc):
+    doc["edges"][0]["head"] = 0
+    doc["rotation"][1].remove({"edge": 0, "end": "head"})
+    doc["rotation"][0].append({"edge": 0, "end": "head"})
+
+
+def _several(doc):
+    doc["edges"][4]["weight"] = "2/4"
+    doc["edges"][1]["id"] = 0
+    doc["rotation"][0][0]["end"] = "side"
+
+
+DECODE_FAULTS = {
+    "list-document": lambda: [two_triangles_document()],
+    "string-document": lambda: "{}",
+    "no-vertices": _edit(lambda doc: doc.pop("vertices")),
+    "no-rotation": _edit(lambda doc: doc.pop("rotation")),
+    "bool-vertices": _edit(lambda doc: doc.update(vertices=True)),
+    "negative-vertices": _edit(lambda doc: doc.update(vertices=-1)),
+    "edges-not-a-list": _edit(lambda doc: doc.update(edges={"0": doc["edges"][0]})),
+    "edge-not-an-object": _edit(lambda doc: doc["edges"].__setitem__(2, [0, 1])),
+    "edge-lacks-weight": _edit(lambda doc: doc["edges"][3].pop("weight")),
+    "bool-id": _edit(lambda doc: doc["edges"][0].update(id=False)),
+    "float-id": _edit(lambda doc: doc["edges"][0].update(id=0.0)),
+    "negative-id": _edit(lambda doc: doc["edges"][0].update(id=-1)),
+    "out-of-range-id": _edit(lambda doc: doc["edges"][5].update(id=6)),
+    "duplicate-id": _edit(lambda doc: doc["edges"][3].update(id=1)),
+    "float-endpoint": _edit(lambda doc: doc["edges"][2].update(tail=2.0)),
+    "string-endpoint": _edit(lambda doc: doc["edges"][2].update(head="0")),
+    "bool-endpoint": _edit(lambda doc: doc["edges"][0].update(tail=False)),
+    "endpoint-out-of-range": _edit(lambda doc: doc["edges"][4].update(head=7)),
+    "int-weight": _edit(lambda doc: doc["edges"][1].update(weight=1)),
+    "list-weight": _edit(lambda doc: doc["edges"][1].update(weight=["1/2"])),
+    "unreduced-weight": _edit(lambda doc: doc["edges"][1].update(weight="2/4")),
+    "zero-weight": _edit(lambda doc: doc["edges"][1].update(weight="0/1")),
+    "zero-denominator": _edit(lambda doc: doc["edges"][1].update(weight="1/0")),
+    "decimal-weight": _edit(lambda doc: doc["edges"][1].update(weight="0.5")),
+    "rotation-not-a-list": _edit(lambda doc: doc.update(rotation={})),
+    "rotation-too-short": _edit(lambda doc: doc["rotation"].pop()),
+    "row-not-a-list": _edit(lambda doc: doc["rotation"].__setitem__(6, {})),
+    "dart-not-an-object": _edit(lambda doc: doc["rotation"][0].__setitem__(0, "0/tail")),
+    "dart-lacks-end": _edit(lambda doc: doc["rotation"][2][1].pop("end")),
+    "dart-unknown-edge": _edit(lambda doc: doc["rotation"][2][1].update(edge=6)),
+    "dart-bool-edge": _edit(lambda doc: doc["rotation"][2][1].update(edge=True)),
+    "bad-end": _edit(lambda doc: doc["rotation"][3][0].update(end="Tail")),
+    "integer-end": _edit(lambda doc: doc["rotation"][3][0].update(end=0)),
+    "null-end": _edit(lambda doc: doc["rotation"][3][0].update(end=None)),
+    "dart-twice": _edit(lambda doc: doc["rotation"][1].append(dict(doc["rotation"][1][0]))),
+    "dart-twice-elsewhere": _edit(
+        lambda doc: doc["rotation"][2].append(dict(doc["rotation"][1][0]))),
+    "dart-at-wrong-vertex": _edit(
+        lambda doc: doc["rotation"][6].append(doc["rotation"][5].pop())),
+    "missing-dart": _edit(lambda doc: doc["rotation"][4].pop()),
+    "self-loop": _edit(_self_loop),
+    "k5": k5_document,
+    "several-faults": _edit(_several),
+}
+
+
+class TestDecoderAgainstReference:
+    @pytest.mark.parametrize("fault", DECODE_FAULTS.values(), ids=DECODE_FAULTS.keys())
+    def test_refusal_matches_reference(self, fault):
+        want = refusal(reference_decode, fault())
+        assert refusal(instance_from_document, fault()) == want
+        assert refusal(decode_instance, json.dumps(fault())) == want
+
+    def test_valid_documents_match_reference(self, corpus_small):
+        instances = corpus_small[:120]
+        instances += [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
+        instances += [planted_star_instance(n, s, 12)
+                      for s, n in enumerate((400, 500, 600, 700, 800))]
+        docs = [instance_document(inst) for inst in instances]
+        # two paths whose vertex ids interleave: components come in root order
+        paths = Instance(PlaneDigraph(5, [(4, 0), (1, 3), (3, 2)],
+                                      [[dart(0, HEAD)], [dart(1, TAIL)], [dart(2, HEAD)],
+                                       [dart(1, HEAD), dart(2, TAIL)], [dart(0, TAIL)]]),
+                         (Fraction(1),) * 3)
+        docs += [two_triangles_document(), instance_document(paths)]
+        assert len(reference_decode(docs[-2])[5]) == 3
+        assert reference_decode(docs[-1])[5] == [((0, 4), (0,)), ((1, 2, 3), (1, 2))]
+        for doc in docs:
+            assert decoded(doc) == reference_decode(doc)
+
+    def test_each_distinct_weight_string_is_parsed_once(self, monkeypatch):
+        doc = instance_document(planted_star_instance(400, 0, 12))
+        seen = []
+        parse = plane.parse_weight
+
+        def counting(text):
+            seen.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(plane, "parse_weight", counting)
+        decode_instance(json.dumps(doc))
+        distinct = {item["weight"] for item in doc["edges"]}
+        assert len(distinct) < len(doc["edges"])
+        assert sorted(seen) == sorted(distinct)
