@@ -19,17 +19,20 @@ the builders do far better on it than on the whole graph.
 Two heuristic builders work on the skeleton, and they share one
 region-growth loop, ``_grow``, which absorbs one edge at a time while the
 region and the rest of its edge set stay contiguous.  Greedy-sweep grows
-one region over all edges and emits the absorption order as a caterpillar
-tree; it always runs.  Recursive-bisection splits the edge set as evenly
-as possible into two contiguous halves (exactly for small sets, by growing
-a half from several seeds for larger ones) and recurses; it runs only
-when the greedy width is above 5, and its tree is kept when narrower.
-Each candidate tree is lifted to the whole graph and validated once
-there; the kept tree carries that report, and ``solve_dp`` builds its
-tables on the report's rooted view when it solves at the default root.
-Neither builder is width-optimal; externally computed decompositions can
-be imported instead and are always re-validated (middle sets are
-recomputed, never trusted).
+one region, once, from edge 0 over all edges and emits the absorption
+order as a caterpillar tree; it always runs.  On a connected graph the
+growth absorbs every edge (an exhaustive search found an addable edge for
+every connected contiguous region of small graphs), and a growth that
+stops short raises BuildError with the instance.  Recursive-bisection
+splits the edge set as evenly as possible into two contiguous halves
+(exactly for small sets, by growing a half from several seeds for larger
+ones) and recurses; it runs only when the greedy width is above 5, and
+its tree is kept when narrower.  Each candidate tree is lifted to the
+whole graph and validated once there; the kept tree carries that report,
+and ``solve_dp`` builds its tables on the report's rooted view when it
+solves at the default root.  Neither builder is width-optimal;
+externally computed decompositions can be imported instead and are
+always re-validated (middle sets are recomputed, never trusted).
 
 Every run test reads a rotation-position bitmask: bit j of a vertex's
 mask is the dart at position j of its rotation, and the mask is one
@@ -53,7 +56,7 @@ from typing import Callable, Optional, Sequence
 
 from .configs import CLASS_MAPS
 from .errors import BuildError, DecompositionError
-from .plane import (Instance, PlaneDigraph, dart_edge, dart_end, instance_document,
+from .plane import (Instance, PlaneDigraph, cyclic_runs, excerpt, instance_document,
                     subgraph_by_edges)
 
 
@@ -102,13 +105,13 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 
 def _integer(value) -> int:
     if type(value) is not int:     # refuses booleans, floats and strings alike
-        raise ValueError(f"{value!r} is not an integer")
+        raise ValueError(f"{excerpt(value)} is not an integer")
     return value
 
 
 def _leaf_key(key) -> int:
     if not (isinstance(key, str) and _DECIMAL.fullmatch(key)):
-        raise ValueError(f"leaf_map key {key!r} is not a decimal string")
+        raise ValueError(f"leaf_map key {excerpt(key)} is not a decimal string")
     return int(key)
 
 
@@ -367,8 +370,10 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
     tree whenever either is wider than 2, so comparing lifted widths picks
     the tree that comparing skeleton widths would.  The report is kept on
     the returned tree, and ``solve_dp`` reuses its rooted view at the
-    default root.  A greedy failure, or any tree failing the validator,
-    raises BuildError with the instance.
+    default root.  The sweep grows once, from edge 0; a growth that stops
+    short of every edge, or any tree failing the validator, raises
+    BuildError with the instance.  A disconnected graph is refused before
+    any builder runs, and the skeleton of a connected graph is connected.
 
     ``strategy="greedy-sweep"`` returns the greedy tree of the whole graph
     alone; the benchmark's ``perfbench/make_golden.py`` cross-checks optima
@@ -419,7 +424,7 @@ def _skeleton(graph: PlaneDigraph) -> tuple[
     and a prefix of its pendant runs: at u and at w that is a run starting
     at e's dart, and its middle set lies within {u, w}.  The lifted tree
     is validated on the whole graph all the same."""
-    hub = [graph.degree(v) > 1 for v in range(graph.vertex_count)]
+    hub = [len(row) > 1 for row in graph.rotation]
     skeleton = [e for e, (t, h) in enumerate(graph.edges) if hub[t] and hub[h]]
     if not skeleton or len(skeleton) == graph.edge_count:
         return graph, lambda tree: tree
@@ -428,14 +433,14 @@ def _skeleton(graph: PlaneDigraph) -> tuple[
     for v, row in enumerate(graph.rotation):
         if not hub[v]:
             continue
-        # a hub always has a skeleton dart: only a star has a hub without one
-        start = next(j for j, d in enumerate(row) if dart_edge(d) in on_skeleton)
-        for j in range(start, start + len(row)):
-            d = row[j % len(row)]
-            if dart_edge(d) in on_skeleton:
-                run = runs[dart_edge(d)][dart_end(d)]
-            else:
-                run.append(dart_edge(d))
+        # a hub always has a skeleton dart (only a star has a hub without
+        # one), so each pendant run follows a skeleton dart
+        skeletal = [d >> 1 in on_skeleton for d in row]
+        ring = row + row
+        for start, length in cyclic_runs(skeletal):
+            if not skeletal[start]:
+                d = row[start - 1]
+                runs[d >> 1][d & 1].extend([p >> 1 for p in ring[start:start + length]])
 
     def order(e: int) -> list[int]:
         return [e, *runs[e][0], *runs[e][1]]
@@ -474,7 +479,7 @@ def _validated(graph: PlaneDigraph, dec: SphereCutDecomposition) -> SphereCutDec
 
 
 def _unit_instance(graph: PlaneDigraph) -> Instance:
-    return Instance(graph, tuple(Fraction(1) for _ in range(graph.edge_count)))
+    return Instance(graph, (Fraction(1),) * graph.edge_count)
 
 
 def _bare_document(graph: PlaneDigraph) -> dict:
@@ -502,41 +507,19 @@ def _caterpillar(order: Sequence[int]) -> SphereCutDecomposition:
 
 
 def _greedy_sweep(graph: PlaneDigraph) -> SphereCutDecomposition:
-    """Absorb one edge at a time keeping every absorbed prefix contiguous
-    at every vertex; the resulting order gives a caterpillar whose arcs are
-    exactly the prefixes (and single leaves).  Each start edge is tried in
-    turn until ``_sweep_order`` absorbs every edge."""
+    """Absorb one edge at a time, from edge 0, keeping every absorbed prefix
+    contiguous at every vertex; the order gives a caterpillar whose arcs
+    are exactly the prefixes (and single leaves).  A growth that stops
+    short, which no connected graph tried has caused, raises BuildError
+    with the instance."""
     m = graph.edge_count
-    if m == 1:
-        return _degenerate_single_edge()
-    last_error = None
-    for start in range(m):
-        order = _sweep_order(graph, start)
-        if order is not None:
-            return _caterpillar(order)
-        last_error = start
-    raise BuildError(
-        f"greedy sweep got stuck from every start edge (last tried {last_error}); "
-        "instance preserved for triage",
-        instance_document=_bare_document(graph))
-
-
-def _sweep_order(graph: PlaneDigraph, start: int) -> Optional[list[int]]:
-    """The sweep's absorption order from ``start``: ``_grow`` over all
-    edges, and where no edge qualifies, the lowest edge sharing no vertex
-    with the region starts a new run, as on a disconnected graph; None
-    when no such edge is left."""
-    m = graph.edge_count
-    order = [start]
-    while True:
-        _grow(graph, range(m), order, m)
-        if len(order) == m:
-            return order
-        touched = {v for e in order for v in graph.edges[e]}
-        disjoint = next((e for e in range(m) if touched.isdisjoint(graph.edges[e])), None)
-        if disjoint is None:
-            return None
-        order.append(disjoint)
+    order = [0]
+    _grow(graph, range(m), order, m)
+    if len(order) != m:
+        raise BuildError(f"greedy sweep stopped after {len(order)} of {m} edges; "
+                         "instance preserved for triage",
+                         instance_document=_bare_document(graph))
+    return _caterpillar(order)
 
 
 def _recursive_bisection(graph: PlaneDigraph) -> SphereCutDecomposition:

@@ -6,7 +6,9 @@ edge, encoded as the integer ``2*edge_id + end`` where end 0 is the tail
 (outgoing side) and end 1 is the head (incoming side).  All structural
 notions used elsewhere (bimodality, wedges, good edge-sections, nooses,
 configurations) are statements about this rotation order, so darts are the
-primitive and everything else is derived.
+primitive and everything else is derived.  Wedges, good edge-sections
+and pendant runs are maximal cyclic runs of one per-dart value around a
+vertex, and ``cyclic_runs`` finds them all.
 
 Weights are exact ``fractions.Fraction`` values at the document
 boundary; each instance scales them, once and on first use, to integers
@@ -60,24 +62,45 @@ def cyclic_switches(ends: list) -> int:
     return sum(map(ne, ends, ends[1:] + ends[:1]))
 
 
+def cyclic_runs(values: Sequence) -> list[tuple[int, int]]:
+    """(start, length) of each maximal cyclic run of equal values, in order
+    of start.  A run starts where a value differs from the one before it,
+    cyclically; when none does, the values are one run from 0."""
+    k = len(values)
+    starts = [j for j in range(k) if values[j] != values[j - 1]]
+    if not starts:
+        return [(0, k)] if k else []
+    return [(s, (t - s) % k) for s, t in zip(starts, starts[1:] + starts[:1])]
+
+
+def excerpt(value) -> str:
+    """``repr(value)`` for a refusal text, cut to its first 40 characters
+    and its length when longer, so no input value is repeated whole."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int longer than the interpreter converts
+        return f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def parse_weight(text: str) -> Fraction:
     """Parse a reduced ``"p/q"`` weight string; the value must be positive."""
     if not isinstance(text, str):
-        raise FormatError(f"weight must be a string, got {text!r}")
+        raise FormatError(f"weight must be a string, got {excerpt(text)}")
     if not re.fullmatch(r"[0-9]+/[0-9]+", text):
-        raise FormatError(f"weight {text!r} is not of the form p/q")
+        raise FormatError(f"weight {excerpt(text)} is not of the form p/q")
     try:
         num, den = (int(part) for part in text.split("/"))
     except ValueError:  # a part longer than the interpreter converts
         raise FormatError(f"weight of {len(text)} characters has a part with more "
                           f"than {sys.get_int_max_str_digits()} digits") from None
     if den <= 0:
-        raise FormatError(f"weight {text!r} has nonpositive denominator")
+        raise FormatError(f"weight {excerpt(text)} has nonpositive denominator")
     if math.gcd(abs(num), den) != 1:
-        raise FormatError(f"weight {text!r} is not reduced")
+        raise FormatError(f"weight {excerpt(text)} is not reduced")
     value = Fraction(num, den)
     if value <= 0:
-        raise FormatError(f"weight {text!r} is out of range")
+        raise FormatError(f"weight {excerpt(text)} is out of range")
     return value
 
 
@@ -244,29 +267,11 @@ class PlaneDigraph:
                 for row in self.rotation]
 
     def wedges(self, v: int) -> list["Wedge"]:
-        """Maximal cyclic runs of same-direction darts at v, in rotation order
-        starting from the first run boundary.  Runs partition the darts and
-        alternate direction; a bimodal vertex has at most two."""
-        row = self.rotation[v]
-        k = len(row)
-        if k == 0:
-            return []
-        dirs = [dart_direction(d) for d in row]
-        if all(x == dirs[0] for x in dirs):
-            return [Wedge(v, 0, k, dirs[0])]
-        # rotate so position `first` starts a run
-        first = next(j for j in range(k) if dirs[j] != dirs[j - 1])
-        out = []
-        start = first
-        while True:
-            end = start
-            while dirs[(end + 1) % k] == dirs[start % k]:
-                end += 1
-            out.append(Wedge(v, start % k, end - start + 1, dirs[start % k]))
-            start = end + 1
-            if start % k == first:
-                break
-        return out
+        """Maximal cyclic runs of same-direction darts at v, in order of
+        start.  Runs partition the darts and alternate direction; a bimodal
+        vertex has at most two."""
+        dirs = [dart_direction(d) for d in self.rotation[v]]
+        return [Wedge(v, start, length, dirs[start]) for start, length in cyclic_runs(dirs)]
 
     def good_edge_sections(self, v: int) -> list["GoodEdgeSection"]:
         """Maximal runs of v's darts whose edges lead to good vertices.
@@ -276,23 +281,10 @@ class PlaneDigraph:
         (flagged, since a linear start position is then a convention)."""
         if self.is_bimodal_vertex(v):
             raise EmbeddingError(f"vertex {v} is bimodal, it has no good edge-sections")
-        bad = set(self.bad_vertices())
         row = self.rotation[v]
-        k = len(row)
-        good_dart = [self.other_endpoint(d) not in bad for d in row]
-        if not any(good_dart):
-            return []
-        if all(good_dart):
-            return [GoodEdgeSection(v, 0, k, cyclic=True)]
-        sections = []
-        for j in range(k):
-            if good_dart[j] and not good_dart[j - 1]:
-                length = 1
-                while good_dart[(j + length) % k]:
-                    length += 1
-                sections.append(GoodEdgeSection(v, j, length, cyclic=False))
-        sections.sort(key=lambda s: s.start)
-        return sections
+        good = [self.is_bimodal_vertex(self.other_endpoint(d)) for d in row]
+        return [GoodEdgeSection(v, start, length, cyclic=length == len(row))
+                for start, length in cyclic_runs(good) if good[start]]
 
 
 @dataclass(frozen=True)
@@ -377,7 +369,7 @@ def make_solution(instance: Instance, kept: Iterable[int], method: str) -> Solut
     kept = frozenset(map(int, kept))
     if kept and (min(kept) < 0 or max(kept) >= g.edge_count):
         e = next(e for e in kept if not 0 <= e < g.edge_count)
-        raise FormatError(f"solution references unknown edge {e}")
+        raise FormatError(f"solution references unknown edge {excerpt(e)}")
     cert = tuple(g.switch_counts(kept))
     if max(cert, default=0) > 2:
         bad = [v for v, c in enumerate(cert) if c > 2]
@@ -466,7 +458,7 @@ def instance_from_document(doc) -> Instance:
         except KeyError as exc:
             raise FormatError(f"edge lacks field {exc}") from None
         if type(e) is not int or not 0 <= e < m:
-            raise FormatError(f"edge id {e!r} is not dense in 0..{m - 1}")
+            raise FormatError(f"edge id {excerpt(e)} is not dense in 0..{m - 1}")
         if edges[e] is not None:
             raise FormatError(f"duplicate edge id {e}")
         if type(t) is not int or type(h) is not int:
@@ -489,10 +481,10 @@ def instance_from_document(doc) -> Instance:
                 raise FormatError("each dart must be an object with edge and end")
             e, end = item["edge"], item["end"]
             if type(e) is not int or not 0 <= e < m:
-                raise FormatError(f"dart references unknown edge {e!r}")
+                raise FormatError(f"dart references unknown edge {excerpt(e)}")
             code = _END_CODE.get(end) if type(end) is str else None
             if code is None:
-                raise FormatError(f"dart end must be 'tail' or 'head', got {end!r}")
+                raise FormatError(f"dart end must be 'tail' or 'head', got {excerpt(end)}")
             darts.append(2 * e + code)
         rotation.append(darts)
     graph = PlaneDigraph(n, edges, rotation)

@@ -16,6 +16,7 @@ from mwbs.decomposition import (
     SphereCutDecomposition,
     _caterpillar,
     _greedy_sweep,
+    _grow,
     _recursive_bisection,
     _skeleton,
     _split_checks,
@@ -24,7 +25,7 @@ from mwbs.decomposition import (
     decomposition_from_document,
     validate_decomposition,
 )
-from mwbs.errors import BuildError, DecompositionError
+from mwbs.errors import BuildError, DecompositionError, EmbeddingError
 from mwbs.generate import GenParams, gen_instance
 from mwbs.dp import solve_dp
 from mwbs.kernel import reduce_to_simple
@@ -36,6 +37,7 @@ from mwbs.plane import (
     PlaneDigraph,
     canonical_json,
     dart,
+    instance_document,
     make_solution,
     subgraph_by_edges,
 )
@@ -486,16 +488,70 @@ class TestGrowthPins:
         assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == \
             "d1a3019c8874d04922acc62dc64def544fa5d85914a461f98fb5597c45474374"
 
-    def test_sweep_crosses_to_a_disjoint_edge(self):
-        """The sweep's disjoint-edge fallback, reachable only on a
-        disconnected graph: once the 12 edges of the first triangulation
-        are absorbed, no edge touches the region, and the lowest edge of
-        the second graph starts a new run."""
+    def test_sweep_refuses_a_disconnected_graph(self):
+        """The sweep grows once, from edge 0: on a disconnected graph it
+        stops after the 12 edges of the first triangulation and raises
+        BuildError carrying the instance."""
         g = side_by_side(gen_instance(GenParams(n=6, seed=1)).graph,
                          gen_instance(GenParams(n=5, seed=2, density="sparse")).graph)
         assert g.edge_count == 18 and not g.is_connected()
-        assert _greedy_sweep(g) == _caterpillar(
-            [0, 1, 2, 3, 5, 6, 7, 8, 4, 9, 10, 11, 12, 17, 13, 14, 15, 16])
+        with pytest.raises(BuildError, match="12 of 18") as info:
+            _greedy_sweep(g)
+        assert info.value.instance_document == \
+            instance_document(Instance(g, (Fraction(1),) * 18))
+
+    def test_growth_never_stalls_on_a_connected_graph(self):
+        """``_grow`` from edge 0 absorbs every edge of 300 seeded random
+        connected plane multigraphs (random edge ids, parallel edges,
+        random rotations kept where they are a sphere embedding), and
+        every proper connected region of small triangulations that is one
+        run at every vertex, with its rest, has an edge to add."""
+        rng = random.Random(0)
+        graphs = []
+        while len(graphs) < 300:
+            n = rng.randint(2, 8)
+            pairs = [(rng.randrange(v), v) for v in range(1, n)]
+            pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 6))]
+            rng.shuffle(pairs)
+            rows = [[] for _ in range(n)]
+            for e, (t, h) in enumerate(pairs):
+                rows[t].append(dart(e, TAIL))
+                rows[h].append(dart(e, HEAD))
+            for row in rows:
+                rng.shuffle(row)
+            try:
+                graphs.append(PlaneDigraph(n, pairs, rows))
+            except EmbeddingError:
+                continue
+        assert sum(len(set(g.edges)) < g.edge_count for g in graphs) > 50
+        for g in graphs:
+            order = [0]
+            _grow(g, range(g.edge_count), order, g.edge_count)
+            assert sorted(order) == list(range(g.edge_count))
+
+        regions = 0
+        for n, seed in ((5, 0), (6, 0), (7, 0)):
+            g = gen_instance(GenParams(n=n, seed=seed)).graph
+            m = g.edge_count
+            for mask in range(1, (1 << m) - 1):
+                if not all(flag_run([mask >> (d >> 1) & 1 for d in row]) is not None and
+                           flag_run([not mask >> (d >> 1) & 1 for d in row]) is not None
+                           for row in g.rotation):
+                    continue
+                region = [e for e in range(m) if mask >> e & 1]
+                reached, stack = {region[0]}, [region[0]]
+                while stack:
+                    ends = set(g.edges[stack.pop()])
+                    near = [f for f in region if f not in reached and ends.intersection(g.edges[f])]
+                    reached.update(near)
+                    stack += near
+                if len(reached) < len(region):
+                    continue
+                regions += 1
+                grown = list(region)
+                _grow(g, range(m), grown, len(region) + 1)
+                assert len(grown) == len(region) + 1, (n, seed, region)
+        assert regions > 1000
 
 
 class TestValidator:

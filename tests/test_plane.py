@@ -1,5 +1,7 @@
 """Rotation-system core: documents, Euler checks, bimodality queries."""
 
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -9,8 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwbs.errors import EmbeddingError, FormatError
+from mwbs.errors import DecompositionError, EmbeddingError, FormatError
 from mwbs import plane
+from mwbs.decomposition import decomposition_from_document
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import shrink_cut_instance, to_cut_instance
 from mwbs.plane import (
@@ -20,6 +23,7 @@ from mwbs.plane import (
     PlaneDigraph,
     Solution,
     component_instances,
+    cyclic_runs,
     dart,
     dart_direction,
     dart_edge,
@@ -199,6 +203,25 @@ class TestSwitchesAndWedges:
                     for j in range(len(ws)):
                         assert ws[j].direction != ws[(j + 1) % len(ws)].direction
 
+    def test_cyclic_runs_against_brute_force(self):
+        """Every list over {0, 1, 2} of length 0 to 7: the runs are the
+        (start, length) windows of equal values that cannot grow on either
+        side, in order of start; a constant list is one run from 0."""
+        def reference(values):
+            k = len(values)
+            if len(set(values)) <= 1:
+                return [(0, k)] if k else []
+            return [(start, length) for start in range(k) for length in range(1, k)
+                    if len({values[(start + j) % k] for j in range(length)}) == 1
+                    and values[start - 1] != values[start]
+                    and values[(start + length) % k] != values[start]]
+
+        lists = [list(values) for k in range(8)
+                 for values in itertools.product(range(3), repeat=k)]
+        assert len(lists) == 3280
+        for values in lists:
+            assert cyclic_runs(values) == reference(values), values
+
     @given(st.integers(0, 10_000), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_switch_count_even_on_subgraphs(self, seed, drop):
@@ -287,6 +310,26 @@ class TestSections:
                     assert len(sections) <= len(bad) - 1
                 elif sections:
                     assert len(sections) == 1 and sections[0].cyclic
+
+    def test_wedges_and_sections_pinned(self):
+        """SHA-256 of ``wedges(v)`` at every vertex and
+        ``good_edge_sections(v)`` at every bad vertex of triangulations
+        n=60 seeds 0-9 and ``planted_star_instance(400, 0, 12)``, recorded
+        before both were rewritten on ``cyclic_runs``."""
+        graphs = [gen_instance(GenParams(n=60, seed=s)).graph for s in range(10)]
+        graphs.append(planted_star_instance(400, 0, 12).graph)
+        lines = []
+        for g in graphs:
+            bad = set(g.bad_vertices())
+            for v in range(g.vertex_count):
+                lines.append(repr([(w.vertex, w.start, w.length, w.direction)
+                                   for w in g.wedges(v)]))
+                if v in bad:
+                    lines.append(repr([(s.vertex, s.start, s.length, s.cyclic)
+                                       for s in g.good_edge_sections(v)]))
+        assert len(lines) == 1193
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "7dcf415e1f573e12c698a4e6f29ca8d801d2ebb743c3e5830c8fa73d9fe6e8e6"
 
 
 class TestSolutionAndSubgraph:
@@ -430,19 +473,26 @@ def _ref_is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _ref_shown(value):
+    """A refused value as the refusal texts show it: its repr, or the
+    first 40 characters of a longer repr followed by the repr's length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _ref_weight(text):
     if not isinstance(text, str):
-        raise FormatError(f"weight must be a string, got {text!r}")
+        raise FormatError(f"weight must be a string, got {_ref_shown(text)}")
     if not re.fullmatch(r"[0-9]+/[0-9]+", text):
-        raise FormatError(f"weight {text!r} is not of the form p/q")
+        raise FormatError(f"weight {_ref_shown(text)} is not of the form p/q")
     num, den = (int(part) for part in text.split("/"))
     if den <= 0:
-        raise FormatError(f"weight {text!r} has nonpositive denominator")
+        raise FormatError(f"weight {_ref_shown(text)} has nonpositive denominator")
     if math.gcd(abs(num), den) != 1:
-        raise FormatError(f"weight {text!r} is not reduced")
+        raise FormatError(f"weight {_ref_shown(text)} is not reduced")
     value = Fraction(num, den)
     if value <= 0:
-        raise FormatError(f"weight {text!r} is out of range")
+        raise FormatError(f"weight {_ref_shown(text)} is out of range")
     return value
 
 
@@ -473,7 +523,7 @@ def reference_decode(doc):
         except KeyError as exc:
             raise FormatError(f"edge lacks field {exc}") from None
         if not _ref_is_int(e) or not (0 <= e < m):
-            raise FormatError(f"edge id {e!r} is not dense in 0..{m - 1}")
+            raise FormatError(f"edge id {_ref_shown(e)} is not dense in 0..{m - 1}")
         if edges[e] is not None:
             raise FormatError(f"duplicate edge id {e}")
         if not _ref_is_int(t) or not _ref_is_int(h):
@@ -494,9 +544,9 @@ def reference_decode(doc):
                 raise FormatError("each dart must be an object with edge and end")
             e, end = item["edge"], item["end"]
             if not _ref_is_int(e) or not (0 <= e < m):
-                raise FormatError(f"dart references unknown edge {e!r}")
+                raise FormatError(f"dart references unknown edge {_ref_shown(e)}")
             if end not in end_code:
-                raise FormatError(f"dart end must be 'tail' or 'head', got {end!r}")
+                raise FormatError(f"dart end must be 'tail' or 'head', got {_ref_shown(end)}")
             darts.append(dart(e, end_code[end]))
         rotation.append(darts)
 
@@ -651,6 +701,12 @@ DECODE_FAULTS = {
     "missing-dart": _edit(lambda doc: doc["rotation"][4].pop()),
     "self-loop": _edit(_self_loop),
     "k5": k5_document,
+    "long-weight": _edit(lambda doc: doc["edges"][1].update(weight="9" * 4000)),
+    "long-unreduced-weight": _edit(lambda doc: doc["edges"][1].update(weight="2" * 40 + "/2")),
+    "long-list-weight": _edit(lambda doc: doc["edges"][1].update(weight=["1/2"] * 1000)),
+    "long-id": _edit(lambda doc: doc["edges"][0].update(id=10 ** 3999)),
+    "long-dart-edge": _edit(lambda doc: doc["rotation"][2][1].update(edge=-10 ** 3999)),
+    "long-end": _edit(lambda doc: doc["rotation"][3][0].update(end="x" * 100_000)),
     "several-faults": _edit(_several),
 }
 
@@ -678,6 +734,29 @@ class TestDecoderAgainstReference:
         assert reference_decode(docs[-1])[5] == [((0, 4), (0,)), ((1, 2, 3), (1, 2))]
         for doc in docs:
             assert decoded(doc) == reference_decode(doc)
+
+    def test_refusals_of_long_values_stay_short(self):
+        """A refusal text shows at most 40 characters of the refused value
+        and its length, however long the value."""
+        texts = [refusal(parse_weight, text)[1]
+                 for text in ("9" * 4000, "4" * 4000 + "/2", ["1/2"] * 10_000, 10 ** 4000)]
+        texts += [refusal(instance_from_document, DECODE_FAULTS[name]())[1]
+                  for name in ("long-weight", "long-list-weight", "long-id",
+                               "long-dart-edge", "long-end")]
+        inst = triangle_instance()
+        texts += [refusal(lambda kept: make_solution(inst, kept, "test"), [e])[1]
+                  for e in (10 ** 4000, -10 ** 4000, 10 ** 5000)]
+        star = {"nodes": 4, "arcs": [[0, 3], [1, 3], [2, 3]],
+                "leaf_map": {"0": 0, "1": 1, "2": 2}}
+        for damaged in ({**star, "nodes": "9" * 100_000},
+                        {**star, "arcs": [[0, [3] * 10_000], [1, 3], [2, 3]]},
+                        {**star, "leaf_map": {"x" * 100_000: 0, "1": 1, "2": 2}}):
+            with pytest.raises(DecompositionError) as info:
+                decomposition_from_document(damaged)
+            texts.append(str(info.value))
+        assert len(texts) == 15
+        assert max(map(len, texts)) < 200, max(texts, key=len)
+        assert all("characters)" in text or "digits" in text for text in texts)
 
     def test_each_distinct_weight_string_is_parsed_once(self, monkeypatch):
         doc = instance_document(planted_star_instance(400, 0, 12))
