@@ -17,7 +17,9 @@ through the set {p in P : realizes(p, c)}: its *class*.  ``class_map``
 numbers the classes by their smallest configuration.  The map depends
 only on the run's first letter and its switch count, and every run with
 two or more switches has six classes, so ``CLASS_MAPS`` holds the eight
-maps keyed by (first dart end, switches capped at 3).
+maps keyed by (first dart end, switches capped at 3).  ``CLASS_ORDERS``
+orders the classes of each map by inclusion of their sets, on every run
+that has the map.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ def realizes(pattern: str, config: str) -> bool:
     return p == "" or p in config
 
 
-def class_map(run: str) -> tuple[int, ...]:
-    """Configuration index -> class index for a vertex whose inside darts
-    read ``run`` (o at a tail, i at a head), classes numbered in the order
-    of their smallest configuration."""
+def _pattern_sets(run: str) -> tuple[frozenset, ...]:
+    """Per configuration, its class's pattern set for a vertex whose
+    inside darts read ``run`` (o at a tail, i at a head): the
+    configurations that are subsequences of the collapsed run and realize
+    it."""
     run = collapse(run)
 
     def fits(p: str) -> bool:
@@ -66,13 +69,41 @@ def class_map(run: str) -> tuple[int, ...]:
         return all(ch in letters for ch in p)
 
     patterns = [p for p in CONFIGS if fits(p)]
+    return tuple(frozenset(p for p in patterns if realizes(p, c)) for c in CONFIGS)
+
+
+def _numbered(sets: tuple[frozenset, ...]) -> tuple[int, ...]:
     number: dict[frozenset, int] = {}
-    return tuple(number.setdefault(frozenset(p for p in patterns if realizes(p, c)),
-                                   len(number))
-                 for c in CONFIGS)
+    return tuple(number.setdefault(s, len(number)) for s in sets)
+
+
+def class_map(run: str) -> tuple[int, ...]:
+    """Configuration index -> class index for a vertex whose inside darts
+    read ``run``, classes numbered in the order of their smallest
+    configuration."""
+    return _numbered(_pattern_sets(run))
+
+
+def _class_maps_and_orders() -> tuple[dict, dict]:
+    """``CLASS_MAPS`` and ``CLASS_ORDERS``, from the pattern sets of each
+    run shape, which are not kept.  A run longer than its capped shape
+    has the same pattern sets: every configuration is a subsequence."""
+    sets = {(end, switches): _pattern_sets(("oioi", "ioio")[end][:switches + 1])
+            for end in (0, 1) for switches in range(4)}
+    maps = {key: _numbered(by_config) for key, by_config in sets.items()}
+    orders = {}
+    for cmap in dict.fromkeys(maps.values()):
+        reps = [cmap.index(k) for k in range(max(cmap) + 1)]
+        runs = [by_config for key, by_config in sets.items() if maps[key] == cmap]
+        orders[cmap] = tuple(tuple(all(run[a] <= run[b] for run in runs) for b in reps)
+                             for a in reps)
+    return maps, orders
 
 
 # (end of the run's first dart, switches capped at 3) -> class map; dart
-# end 0 is a tail (o), 1 a head (i)
-CLASS_MAPS = {(end, switches): class_map(("oioi", "ioio")[end][:switches + 1])
-              for end in (0, 1) for switches in range(4)}
+# end 0 is a tail (o), 1 a head (i).  Class map -> le, where le[a][b] iff
+# class a's pattern set lies within class b's on every run with that map.
+# Tables are monotone in it: a kept set that fits a class fits every class
+# above it.  One run's inclusion order alone is unsound for a shared map:
+# under oio the ioi class lies within the oio class, under oioi it does not.
+CLASS_MAPS, CLASS_ORDERS = _class_maps_and_orders()

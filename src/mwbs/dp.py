@@ -27,20 +27,26 @@ module loads), and every child entry is feasible by induction, so it has
 at least one candidate pair.  Tables therefore hold costs only: no
 infeasible marker and no back-pointers.
 
-The join tries only the maximal pairs of child configurations.  Order the
-configurations by substring (i and o below io and oi, which lie below
-oio and ioi).  Every set of valid child-configuration pairs at a shared
-vertex, plain compatible or compatible with respect to a parent
-configuration, is a down-set in the product of that order.  Tables are
-monotone in it: a pattern realizing a configuration realizes every
-superstring, so raising one coordinate never raises an entry's cost.
-Hence a valid pair is dominated by a maximal valid pair that costs no
-more, and the minimum over the maximal pairs is the minimum over all
-valid pairs.  The pair lists are derived from the compatibility tables
-when the module loads.  The join evaluates each parent class at its
-representative, the class's smallest configuration, and maps the child
-configurations of every pair to child classes; pairs that land on the
-same pair of classes cost the same and are tried once.
+The join tries only maximal pairs, cut in two steps when the module
+loads.  First in configurations: order them by substring (i and o below
+io and oi, which lie below oio and ioi).  Every set of valid
+child-configuration pairs at a shared vertex, plain compatible or
+compatible with respect to a parent configuration, is a down-set in the
+product of that order, and tables are monotone in it: a pattern realizing
+a configuration realizes every superstring, so raising one coordinate
+never raises an entry's cost.  Hence a valid pair is dominated by a
+maximal valid pair that costs no more, and the minimum over the maximal
+pairs (``_INTERIOR_PAIRS``, ``_TARGET_PAIRS``) is the minimum over all
+valid pairs.  Then in classes: each maximal pair is mapped to its pair of
+child classes, and only the class pairs maximal in the product of the two
+class maps' orders (``configs.CLASS_ORDERS``: a below b when a's pattern
+set lies within b's on every run with that map) are kept, in
+``_INTERIOR_CLASS_PAIRS`` and ``_TARGET_CLASS_PAIRS``.  Tables are
+monotone in that order too, since a kept set that fits a class fits every
+class above it, and it is finer than the substring order: on an io run
+the oi class lies below the io class.  Pairs that land on the same pair
+of classes cost the same, so each is tried once.  The join evaluates each
+parent class at its representative, the class's smallest configuration.
 
 Reconstruction stays in configuration space, so that the solution is the
 one a configuration-indexed table would give.  Classes are numbered by
@@ -59,36 +65,40 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .configs import CLASS_MAPS, CONFIG_INDEX, CONFIGS, compatible, compatible_wrt
+from .configs import (CLASS_MAPS, CLASS_ORDERS, CONFIG_INDEX, CONFIGS, compatible,
+                      compatible_wrt)
 from .decomposition import ArcBoundary, SphereCutDecomposition, validate_decomposition
 from .errors import DecompositionError
 from .plane import Instance, Solution, make_solution
 
-_COMPAT = [[compatible(a, b) for b in CONFIGS] for a in CONFIGS]
-_COMPAT_WRT = [[[compatible_wrt(a, b, t) for t in CONFIGS] for b in CONFIGS]
-               for a in CONFIGS]
 # substring order: _LE[a][b] iff configuration a is a substring of b
 _LE = [[a in b for b in CONFIGS] for a in CONFIGS]
 
 
-def _maximal(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The maximal elements of a set of configuration pairs under the
-    product substring order."""
-    return [p for p in pairs
-            if not any(q != p and _LE[p[0]][q[0]] and _LE[p[1]][q[1]] for q in pairs)]
+def _maximal(pairs, le1=_LE, le2=_LE) -> list:
+    """The maximal elements of a list of pairs under the product of two
+    orders, each given as le[a][b]; by default configuration pairs under
+    the product substring order."""
+    kept = []
+    for p in pairs:
+        for q in pairs:
+            if le1[p[0]][q[0]] and le2[p[1]][q[1]] and q != p:
+                break
+        else:
+            kept.append(p)
+    return kept
 
 
 # maximal (child 1, child 2) configuration pairs at a shared vertex interior
 # to the parent, and, at a shared vertex on the parent middle set, per the
-# child whose run comes first (1 or 2) and per parent configuration
+# child whose run comes first (1 or 2) and per parent configuration; the
+# lists of child 2 first are those of child 1 first, each pair swapped
 _INTERIOR_PAIRS = _maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
-                            if _COMPAT[x1][x2]])
-_TARGET_PAIRS = {
-    1: [_maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
-                  if _COMPAT_WRT[x1][x2][t]]) for t in range(6)],
-    2: [_maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
-                  if _COMPAT_WRT[x2][x1][t]]) for t in range(6)],
-}
+                            if compatible(CONFIGS[x1], CONFIGS[x2])])
+_TARGET_PAIRS = {1: [_maximal([(x1, x2) for x1 in range(6) for x2 in range(6)
+                               if compatible_wrt(CONFIGS[x1], CONFIGS[x2], t)])
+                     for t in CONFIGS]}
+_TARGET_PAIRS[2] = [sorted((x2, x1) for x1, x2 in pairs) for pairs in _TARGET_PAIRS[1]]
 # every parent entry has a candidate pair, so every table entry is feasible
 assert _INTERIOR_PAIRS and all(all(by_target) for by_target in _TARGET_PAIRS.values())
 
@@ -100,20 +110,31 @@ _REPS = {cmap: tuple(cmap.index(k) for k in range(max(cmap) + 1))
 def _class_pair_tables() -> tuple[dict, dict]:
     """The maximal pair lists in classes, per pair of child class maps:
     each configuration pair mapped to its (child 1, child 2) class pair,
-    each class pair once, in order of first occurrence.  Equal pairs and
-    equal lists are one object, which keeps the tables small."""
+    each class pair once, and of those only the pairs maximal in the
+    product of the two maps' ``CLASS_ORDERS``.  Plain compatibility is
+    symmetric and ``_TARGET_PAIRS[2]`` mirrors ``_TARGET_PAIRS[1]``, so
+    half the lists are read off their mirror images.  Equal lists are one
+    object, which keeps the tables small."""
     shared: dict = {}
 
     def classes(pairs, m1, m2):
-        found = tuple(dict.fromkeys(shared.setdefault(q, q)
-                                    for q in ((m1[x1], m2[x2]) for x1, x2 in pairs)))
+        found = dict.fromkeys((m1[x1], m2[x2]) for x1, x2 in pairs)
+        found = tuple(_maximal(found, CLASS_ORDERS[m1], CLASS_ORDERS[m2]))
         return shared.setdefault(found, found)
 
-    interior = {(m1, m2): classes(_INTERIOR_PAIRS, m1, m2) for m1 in _REPS for m2 in _REPS}
-    target = {first: {(m1, m2): [classes(pairs, m1, m2) for pairs in by_target]
-                      for m1 in _REPS for m2 in _REPS}
-              for first, by_target in _TARGET_PAIRS.items()}
-    return interior, target
+    def mirror(found):
+        swapped = tuple((c2, c1) for c1, c2 in found)
+        return shared.setdefault(swapped, swapped)
+
+    maps = list(_REPS)
+    interior = {(m1, m2): classes(_INTERIOR_PAIRS, m1, m2)
+                for j, m1 in enumerate(maps) for m2 in maps[j:]}
+    interior.update({(m2, m1): mirror(found) for (m1, m2), found in interior.items()
+                     if m1 != m2})
+    first = {(m1, m2): [classes(pairs, m1, m2) for pairs in _TARGET_PAIRS[1]]
+             for m1 in maps for m2 in maps}
+    second = {(m1, m2): [mirror(found) for found in first[m2, m1]] for m1, m2 in first}
+    return interior, {1: first, 2: second}
 
 
 _INTERIOR_CLASS_PAIRS, _TARGET_CLASS_PAIRS = _class_pair_tables()
@@ -311,32 +332,33 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
     from all middle sets.
 
     Each of these valid pair sets is a down-set in the product substring
-    order, and child tables are monotone (a superstring configuration never
-    costs more), so any valid pair is dominated by a maximal one that costs
-    no more.  Only the maximal pairs are tried: 6 per interior shared
-    vertex, at most 3 per shared vertex on the parent middle set.  Each
-    parent class stands for its representative configuration.  The forced
-    positions are enumerated once per join as (parent, child 1, child 2)
-    index offsets, the representative mapped through each child's class
-    map; entries are grouped by the parent classes at the shared vertices,
-    and every entry of a group tries the same child offsets, the maximal
-    pairs mapped to child classes and each pair of classes tried once.  A
-    group with a single pair is a straight sum.  The table keeps its
-    ``JoinSplit``, from which ``solve_dp`` recomputes the pair behind an
-    entry."""
+    order, and child tables are monotone in the finer class orders (a
+    class above another never costs more), so only the class pairs
+    maximal in the product of the children's class orders are tried (see
+    the module docstring): at most 6 per interior shared vertex and at
+    most 3 per shared vertex on the parent middle set, fewer when a
+    child's run has fewer classes.  Each parent class stands for its
+    representative configuration.  The forced positions are enumerated
+    once per join as three flat lists of parent, child 1 and child 2 index
+    offsets, the representative mapped through each child's class map;
+    entries are grouped by the parent classes at the shared vertices, and
+    every entry of a group tries the same child class pairs.  A group with
+    a single pair is a straight sum.  The table keeps its ``JoinSplit``,
+    from which ``solve_dp`` recomputes the pair behind an entry."""
     places = _places(parent)
     split = _join_split(parent, places, t1, t2)
-    forced = [(0, 0, 0)]
+    f3, f1, f2 = [0], [0], [0]
     for (_w3, k3, m3), (_w1, k1, m1), (_w2, k2, m2) in split.owned:
-        digits = [(k * k3, m1[r] * k1, m2[r] * k2) for k, r in enumerate(_REPS[m3])]
-        forced = [(o3 + a3, o1 + a1, o2 + a2)
-                  for o3, o1, o2 in forced for a3, a1, a2 in digits]
+        reps = _REPS[m3]
+        f3 = [o + k * k3 for o in f3 for k in range(len(reps))]
+        f1 = [o + m1[r] * k1 for o in f1 for r in reps]
+        f2 = [o + m2[r] * k2 for o in f2 for r in reps]
 
     combos = [(0, 0)]
     for (_w1, k1, m1), (_w2, k2, m2) in split.interior:
         combos = _extend(combos, k1, k2, _INTERIOR_CLASS_PAIRS[m1, m2])
     groups = [(0, combos)]
-    size = len(forced)
+    size = len(f3)
     for (_w3, k3, m3), (_w1, k1, m1), (_w2, k2, m2), first in split.targets:
         by_target = _TARGET_CLASS_PAIRS[first][m1, m2]
         reps = _REPS[m3]
@@ -349,10 +371,10 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
     for index, combos in groups:
         (e1, e2), rest = combos[0], combos[1:]
         if not rest:
-            for o3, o1, o2 in forced:
+            for o3, o1, o2 in zip(f3, f1, f2):
                 costs[index + o3] = c1[o1 + e1] + c2[o2 + e2]
             continue
-        for o3, o1, o2 in forced:
+        for o3, o1, o2 in zip(f3, f1, f2):
             best = c1[o1 + e1] + c2[o2 + e2]
             for d1, d2 in rest:
                 total = c1[o1 + d1] + c2[o2 + d2]

@@ -3,6 +3,7 @@ independently implemented oracles."""
 
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -21,6 +22,7 @@ from mwbs.decomposition import (
 )
 from mwbs.configs import (
     CLASS_MAPS,
+    CLASS_ORDERS,
     CONFIGS,
     class_map,
     collapse,
@@ -175,6 +177,38 @@ class TestConfigurationAlgebra:
 
 # -- configuration classes -----------------------------------------------
 
+def run_of(key):
+    """The collapsed run of a ``CLASS_MAPS`` key (first dart end, switches)."""
+    end, switches = key
+    return ("oioi", "ioio")[end][:switches + 1]
+
+
+def pattern_sets_ref(run, cmap):
+    """Per class of ``cmap``, the configurations that are subsequences of
+    ``run`` and realize the class's smallest configuration."""
+    subsequences = {"".join(pick) for r in range(1, len(run) + 1)
+                    for pick in itertools.combinations(run, r)}
+    reps = [cmap.index(k) for k in range(max(cmap) + 1)]
+    return [{p for p in CONFIGS if p in subsequences and realizes(p, CONFIGS[r])}
+            for r in reps]
+
+
+def class_orders_ref():
+    """Class map -> le[a][b]: class a's pattern set lies within class b's
+    on every run of ``CLASS_MAPS`` that has the map."""
+    runs = {}
+    for key, cmap in CLASS_MAPS.items():
+        runs.setdefault(cmap, []).append(pattern_sets_ref(run_of(key), cmap))
+    return {cmap: [[all(sets[a] <= sets[b] for sets in per_run) for b in range(len(per_run[0]))]
+                   for a in range(len(per_run[0]))]
+            for cmap, per_run in runs.items()}
+
+
+def maximal_ref(pairs, le1, le2):
+    return {p for p in pairs
+            if not any(q != p and le1[p[0]][q[0]] and le2[p[1]][q[1]] for q in pairs)}
+
+
 class TestClassMaps:
     COUNTS = {"i": 2, "o": 2, "io": 4, "oi": 4, "ioi": 6, "oio": 6, "ioio": 6, "oioi": 6}
 
@@ -210,6 +244,49 @@ class TestClassMaps:
         for (end, switches), cmap in CLASS_MAPS.items():
             assert cmap == class_map(("oioi", "ioio")[end][:switches + 1])
             assert (cmap == six) == (switches >= 2)
+
+    def test_class_orders_intersect_every_run(self):
+        """The six-class map is shared by the runs oio, ioi, oioi and ioio,
+        whose inclusion orders differ: under oio alone the ioi class lies
+        within the oio class, under oioi it does not, so only the order
+        common to all four is sound for the map."""
+        orders = class_orders_ref()
+        assert {cmap: [list(row) for row in le] for cmap, le in CLASS_ORDERS.items()} == orders
+        six = tuple(range(6))
+        oio, ioi = CONFIGS.index("oio"), CONFIGS.index("ioi")
+        assert pattern_sets_ref("oio", six)[ioi] <= pattern_sets_ref("oio", six)[oio]
+        assert not pattern_sets_ref("oioi", six)[ioi] <= pattern_sets_ref("oioi", six)[oio]
+        assert not orders[six][ioi][oio]
+        # on the six-class map the common order is the substring order
+        assert orders[six] == [[a in substrings(b) for b in CONFIGS] for a in CONFIGS]
+        # finer than the substring order elsewhere: on io, oi lies below io
+        io_map = class_map("io")
+        assert orders[io_map][io_map[CONFIGS.index("oi")]][io_map[CONFIGS.index("io")]]
+
+    def test_class_pair_lists_are_the_maximal_class_images(self):
+        """Per pair of child class maps, the join's class pair lists are
+        exactly the maximal elements, in the product of the two class
+        orders, of the class images of all valid configuration pairs, each
+        listed once."""
+        orders = class_orders_ref()
+        rules = {("interior", None): lambda x, y, t: compatible_ref(x, y),
+                 ("target", 1): lambda x, y, t: compatible_wrt_ref(x, y, t),
+                 ("target", 2): lambda x, y, t: compatible_wrt_ref(y, x, t)}
+        checked = 0
+        for m1, m2 in itertools.product(orders, repeat=2):
+            for (kind, first), rule in rules.items():
+                for k, t in enumerate(CONFIGS):
+                    if kind == "interior" and k:
+                        continue
+                    listed = (dp._INTERIOR_CLASS_PAIRS[m1, m2] if kind == "interior"
+                              else dp._TARGET_CLASS_PAIRS[first][m1, m2][k])
+                    images = {(m1[x1], m2[x2]) for x1, x2 in itertools.product(range(6), repeat=2)
+                              if rule(CONFIGS[x1], CONFIGS[x2], t)}
+                    assert len(listed) == len(set(listed))
+                    assert set(listed) == maximal_ref(images, orders[m1], orders[m2]), \
+                        (kind, first, t, m1, m2)
+                    checked += 1
+        assert checked == 25 * 13
 
     def test_boundaries_carry_the_class_map_of_their_runs(self, corpus_small):
         checked = 0
@@ -298,6 +375,31 @@ def fan_instance(k):
     return Instance(PlaneDigraph(k + 1, edges, rot), (Fraction(1),) * len(edges))
 
 
+def spokes_join(k):
+    """The arguments of the join that makes the arc over the spokes of
+    ``fan_instance(k)``: that arc's boundary and its children's tables.
+    The tree is balanced over the spokes, with the rim edges hung above
+    it one at a time and the last rim edge at the root."""
+    inst = fan_instance(k)
+    nested = halves(list(range(k)))
+    for e in range(k, 2 * k - 1):
+        nested = (e, nested)
+    dec = tree_of(nested)
+    root = next(node for node, e in dec.leaf_map.items() if e == 2 * k - 2)
+    report = validate_decomposition(inst.graph, dec, root)
+    assert report.ok and report.width == k
+    rooted = report.rooted
+    tables = {}
+    for node in rooted.post_order:
+        b = rooted.boundaries[node]
+        kids = rooted.children[node]
+        if len(b.mid) == k:
+            return (b, *(tables[c] for c in kids))
+        tables[node] = (join_tables(b, *(tables[c] for c in kids)) if kids
+                        else leaf_table(inst, b, dec.leaf_map[node]))
+    raise AssertionError("no arc has all rim vertices on its middle set")
+
+
 def tree_of(nested):
     """The decomposition of a nested pair of pairs over edge ids, the two
     halves of the outermost pair joined by one arc."""
@@ -378,24 +480,7 @@ class TestJoin:
         6**20 - 1.  An entry deletes one spoke per rim vertex assigned o,
         and the hub, interior to the arc, only has out-edges."""
         k = 20
-        inst = fan_instance(k)
-        nested = halves(list(range(k)))
-        for e in range(k, 2 * k - 1):
-            nested = (e, nested)
-        dec = tree_of(nested)
-        root = next(node for node, e in dec.leaf_map.items() if e == 2 * k - 2)
-        report = validate_decomposition(inst.graph, dec, root)
-        assert report.ok and report.width == k
-        rooted = report.rooted
-        tables = {}
-        for node in rooted.post_order:      # up to the spokes' arc
-            b = rooted.boundaries[node]
-            kids = rooted.children[node]
-            tables[node] = (join_tables(b, *(tables[c] for c in kids)) if kids
-                            else leaf_table(inst, b, dec.leaf_map[node]))
-            if len(b.mid) == k:
-                break
-        table = tables[node]
+        table = join_tables(*spokes_join(k))
         assert table.boundary.mid == tuple(range(1, k + 1))
         assert table.boundary.classes == (class_map("i"),) * k
         assert len(table.costs) == 2 ** k
@@ -406,6 +491,21 @@ class TestJoin:
             assignment = {v: rng.choice(CONFIGS) for v in table.boundary.mid}
             want = sum(c == "o" for c in assignment.values())
             assert table.cost(encode_ref(table.boundary.mid, assignment)) == want
+
+    def test_forced_offsets_memory(self):
+        """The join over the spokes of a 14-spoke fan forces every one of
+        its 2**14 entries' positions.  Kept as three flat offset lists,
+        the join peaks at about 1.1 MB of traced allocations; one offset
+        triple per entry took 2.55 MB."""
+        args = spokes_join(14)
+        tracemalloc.start()
+        try:
+            table = join_tables(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.costs) == 2 ** 14
+        assert peak <= 1_600_000
 
     def test_join_against_per_assignment_brute_force(self, corpus_small):
         checked = 0
@@ -760,6 +860,38 @@ class TestSolveDP:
         assert sol.deleted_weight == Fraction(4039, 20)
         assert sum(entries) == 231_862
 
+    def test_tri_frontier_pairs(self, monkeypatch):
+        """The joins' pair evaluations over triangulations n=24 seeds 0-14
+        (the tri-frontier pool): per join, the forced offsets times the
+        class pairs summed over the groups.  152,644 with each class pair
+        list cut to its maximal elements in the class orders; 299,803 when
+        the lists were cut in the substring order only."""
+        pairs = []
+        real = dp.join_tables
+
+        def counted(parent, t1, t2):
+            table = real(parent, t1, t2)
+            split = table.split
+            n = math.prod(max(m3) + 1 for (_w3, _k3, m3), _p1, _p2 in split.owned)
+            for (_w1, _k1, m1), (_w2, _k2, m2) in split.interior:
+                n *= len(dp._INTERIOR_CLASS_PAIRS[m1, m2])
+            for (_w3, _k3, m3), (_w1, _k1, m1), (_w2, _k2, m2), first in split.targets:
+                lists = dp._TARGET_CLASS_PAIRS[first][m1, m2]
+                n *= sum(len(lists[m3.index(c)]) for c in range(max(m3) + 1))
+            pairs.append(n)
+            return table
+
+        monkeypatch.setattr(dp, "join_tables", counted)
+        for seed in range(15):
+            solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
+        assert sum(pairs) == 152_644
+
+    def test_frontier_triangulation_n100_seed1(self):
+        """Triangulation n=100 seed 1 solves in about 0.4 s; with class
+        pairs cut in the substring order only it took about 2 s."""
+        sol = solve_subexponential(gen_instance(GenParams(n=100, seed=1)))
+        assert sol.deleted_weight == Fraction(3428, 15)
+
     def test_memory_peak(self):
         """Costs-only tables: solving triangulation n=24 seed 0 peaks at
         about 2.3 MB of traced allocations; with a back-pointer per entry
@@ -784,9 +916,11 @@ class TestSolveDP:
             assert b.kept_edges == a.kept_edges
 
     def test_monotone_in_assignment(self, corpus_small):
-        """Relaxing one coordinate to a superstring configuration never
-        increases the deleted weight."""
-        checked = 0
+        """Relaxing one coordinate to a superstring configuration, or one
+        position to a class above its own in the class order common to all
+        runs of its map, never increases the deleted weight."""
+        orders = class_orders_ref()
+        checked = raised = 0
         for inst in corpus_small:
             g = inst.graph
             if not (4 <= g.edge_count <= 8):
@@ -800,10 +934,19 @@ class TestSolveDP:
                         for bigger in CONFIGS:
                             if assignment[v] != bigger and assignment[v] in substrings(bigger):
                                 assert a >= table.cost(encode_ref(mid, {**assignment, v: bigger}))
+                radices = [max(cmap) + 1 for cmap in table.boundary.classes]
+                weights = [math.prod(radices[:k]) for k in range(len(radices))]
+                for index, a in enumerate(table.costs):
+                    for cmap, radix, weight in zip(table.boundary.classes, radices, weights):
+                        c = index // weight % radix
+                        for above in range(radix):
+                            if above != c and orders[cmap][c][above]:
+                                assert a >= table.costs[index + (above - c) * weight]
+                                raised += 1
             checked += 1
             if checked >= 8:
                 break
-        assert checked
+        assert checked and raised > 100
 
 
 def count_validations(monkeypatch):
