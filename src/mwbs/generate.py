@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import FormatError
+from .errors import EmbeddingError, FormatError
 from .plane import HEAD, TAIL, Instance, PlaneDigraph, dart, dart_edge, dart_end
 
 
@@ -220,6 +220,7 @@ def planted_star_instance(n: int, seed: int, stars: int,
     edges = [directed[j] for j in range(len(tree))]
     weights = tuple(_random_weight(rng, weight_lo, weight_hi) for _ in tree)
     graph = PlaneDigraph(n, edges, _orient_rows(rotation, emap, directed))
-    instance = Instance(graph, weights)
-    assert set(graph.bad_vertices()) == set(sites)
-    return instance
+    bad = graph.bad_vertices()
+    if bad != sorted(sites):
+        raise EmbeddingError(f"planted sites {sorted(sites)} but the bad vertices are {bad}")
+    return Instance(graph, weights)

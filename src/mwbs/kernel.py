@@ -97,12 +97,17 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
     banked = [e for e, (t, h) in enumerate(g.edges) if t not in bad and h not in bad]
     for e in banked:
         trace.append(("good_good_edge", e))
-        for u in sorted(g.edges[e]):
+        t, h = g.edges[e]
+        for u in ((t, h) if t < h else (h, t)):
             degree[u] -= 1
             if not degree[u]:
                 trace.append(("isolated", u))
     banked_set = set(banked)
-    rows = [[d for d in row if dart_edge(d) not in banked_set] for row in g.rotation]
+    # degree[v] counts v's unbanked darts: only a row that lost some but
+    # not all of them is filtered
+    rows = [row if k == len(row) else
+            [d for d in row if dart_edge(d) not in banked_set] if k else []
+            for row, k in zip(g.rotation, degree)]
     ends = [list(pair) for pair in g.edges]
     fresh: list[int] = []                  # the one dart of fresh vertex n + k
     for v in range(n):

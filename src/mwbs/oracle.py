@@ -2,7 +2,7 @@
 
 These are deliberately simple: subset enumeration over edges (or over
 all-or-nothing edge classes) with incremental per-vertex switch counts,
-and a direct quadratic solver for stars.  They define the reference
+and a direct one-scan solver for stars.  They define the reference
 semantics that the dynamic program, the kernelization and the
 approximation schemes are tested against, so clarity beats speed and no
 pruning is allowed that could change which optimum the tie-break picks.
@@ -118,8 +118,17 @@ def is_star(graph) -> int | None:
 
 
 def star_solve(instance: Instance) -> Solution:
-    """Optimal bimodal subgraph of a star, by trying all placements of the
-    at-most-two switches around the center's rotation."""
+    """Optimal bimodal subgraph of a star, in one scan of the center's
+    rotation.
+
+    A placement keeps the in-darts of a block [p, q), p <= q < deg, and
+    the out-darts around it, or the reverse, and deletes the rest.  With
+    A[j] the out weight minus the in weight of the first j darts, and IN
+    and OUT the total in and out weights, keeping the block's in-darts
+    deletes IN + A[q] - A[p] and keeping its out-darts deletes
+    OUT - A[q] + A[p].  For each q the cheapest p is the first index of
+    the running maximum, or minimum, of A[0..q], so one scan finds the
+    least (cost, p, q, block keeps out-darts) key over all placements."""
     g = instance.graph
     if g.edge_count <= 1:
         return make_solution(instance, range(g.edge_count), "star")
@@ -127,36 +136,24 @@ def star_solve(instance: Instance) -> Solution:
     if center is None:
         raise NotAStar("input is not a star")
     row = g.rotation[center]
-    deg = len(row)
     int_w = instance.int_weights.values
     # a head dart enters the center, a tail dart leaves it
     heads = [d & 1 == HEAD for d in row]
-    w_in = [int_w[d >> 1] if heads[j] else 0 for j, d in enumerate(row)]
-    w_out = [0 if heads[j] else int_w[d >> 1] for j, d in enumerate(row)]
-    pre_in = [0]
-    pre_out = [0]
-    for j in range(deg):
-        pre_in.append(pre_in[-1] + w_in[j])
-        pre_out.append(pre_out[-1] + w_out[j])
-
-    def cost(p, q, first_in):
-        # arc [p, q) is the in-block (or out-block when not first_in),
-        # the complement is the other block; deleted = wrong-direction edges
-        inside_in = pre_in[q] - pre_in[p]
-        inside_out = pre_out[q] - pre_out[p]
-        outside_in = pre_in[deg] - inside_in
-        outside_out = pre_out[deg] - inside_out
-        return inside_out + outside_in if first_in else inside_in + outside_out
-
+    total_in = sum([int_w[d >> 1] for j, d in enumerate(row) if heads[j]])
+    total_out = instance.int_weights.total - total_in
+    a = 0                 # A[q]
+    hi = lo = 0           # first indices of the running max and min of A
+    a_hi = a_lo = 0
     best = None
-    for p in range(deg):
-        for q in range(p, deg):
-            for first_in in (True, False):
-                c = cost(p, q, first_in)
-                key = (c, p, q, not first_in)
-                if best is None or key < best:
-                    best = key
-    c, p, q, not_first_in = best
-    first_in = not not_first_in
-    kept = [d >> 1 for j, d in enumerate(row) if heads[j] == (first_in == (p <= j < q))]
+    for q, d in enumerate(row):
+        if a > a_hi:
+            hi, a_hi = q, a
+        elif a < a_lo:
+            lo, a_lo = q, a
+        key = min((total_in + a - a_hi, hi, q, False), (total_out - a + a_lo, lo, q, True))
+        if best is None or key < best:
+            best = key
+        a += -int_w[d >> 1] if heads[q] else int_w[d >> 1]
+    _cost, p, q, out_first = best
+    kept = [d >> 1 for j, d in enumerate(row) if heads[j] != (out_first == (p <= j < q))]
     return make_solution(instance, kept, "star")

@@ -257,13 +257,19 @@ class PlaneDigraph:
         return self.switch_count(v, present) <= 2
 
     def bad_vertices(self, present: Optional[set[int]] = None) -> list[int]:
-        return [v for v, c in enumerate(self.switch_counts(present)) if c > 2]
+        """The vertices with more than two switches, in id order.  A row of
+        at most two darts has at most two switches, so it is not counted."""
+        return [v for v, row in enumerate(self.rotation)
+                if len(row) > 2 and self.switch_count(v, present) > 2]
 
     def switch_counts(self, present: Optional[set[int]] = None) -> list[int]:
-        """``switch_count`` of every vertex, in id order."""
+        """``switch_count`` of every vertex, in id order.  A row of at most
+        one dart has no switch, so it is not counted."""
         if present is None:
-            return [cyclic_switches([d & 1 for d in row]) for row in self.rotation]
+            return [cyclic_switches([d & 1 for d in row]) if len(row) > 1 else 0
+                    for row in self.rotation]
         return [cyclic_switches([d & 1 for d in row if d >> 1 in present])
+                if len(row) > 1 else 0
                 for row in self.rotation]
 
     def wedges(self, v: int) -> list["Wedge"]:

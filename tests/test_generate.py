@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from mwbs.errors import FormatError
+from mwbs.errors import EmbeddingError, FormatError
 from mwbs.generate import (
     GenParams,
     _grow_triangulation,
     gen_instance,
     planted_star_instance,
 )
-from mwbs.plane import dart, dart_edge, dart_end, encode_instance
+from mwbs.plane import PlaneDigraph, dart, dart_edge, dart_end, encode_instance
 
 
 def retrace_grow(n, rng):
@@ -113,6 +113,18 @@ def test_planted_bad_vertex_count():
     # the host without the planted centers stays a tree (connected, n-1 edges)
     assert inst.graph.edge_count == inst.graph.vertex_count - 1
     assert inst.graph.is_connected()
+
+
+def test_planted_postcondition_raises_a_typed_error(monkeypatch):
+    """A host whose bad vertices are not the planted sites is refused with
+    an EmbeddingError naming both, not an assertion."""
+    bad_vertices = PlaneDigraph.bad_vertices
+    monkeypatch.setattr(PlaneDigraph, "bad_vertices",
+                        lambda self, present=None: bad_vertices(self, present)[1:])
+    with pytest.raises(EmbeddingError,
+                       match=r"planted sites \[(\d+, ){4}\d+\] but the bad vertices are "
+                             r"\[(\d+, ){3}\d+\]$"):
+        planted_star_instance(120, 9, 5)
 
 
 def test_grower_matches_full_retrace():

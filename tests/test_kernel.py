@@ -272,8 +272,9 @@ class TestThreePassReduction:
             assert encode_instance(got.instance) == encode_instance(want.instance)
 
     def test_goodness_evaluations_are_linear(self, monkeypatch):
-        # one switch count per input vertex, then one per vertex of the
-        # normal-form check on the output; the kernel binding need not exist
+        # one switch count per input row of more than two darts, then one
+        # per such row in the normal-form check on the output (a shorter row
+        # is never bad); the kernel binding need not exist
         inst = planted_star_instance(2000, 0, 12)
         calls = [0]
 
@@ -284,7 +285,11 @@ class TestThreePassReduction:
         monkeypatch.setattr(plane, "cyclic_switches", counted)
         monkeypatch.setattr(kernel, "cyclic_switches", counted, raising=False)
         red = reduce_to_simple(inst)
-        assert calls[0] == inst.graph.vertex_count + red.instance.graph.vertex_count == 2232
+
+        def long_rows(g):
+            return sum(len(row) > 2 for row in g.rotation)
+
+        assert calls[0] == long_rows(inst.graph) + long_rows(red.instance.graph) == 388
 
 
 def linear_section_instance(dirs, weights=None):

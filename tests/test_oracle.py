@@ -7,9 +7,60 @@ import pytest
 from mwbs.errors import BudgetExceeded, FormatError, NotAStar
 from mwbs.generate import GenParams, gen_instance
 from mwbs.oracle import brute_force_cut, brute_force_mwbs, is_star, star_solve
-from mwbs.plane import HEAD, TAIL, Instance, PlaneDigraph, dart
+from mwbs.plane import HEAD, TAIL, Instance, PlaneDigraph, dart, make_solution
 
 from test_plane import star4_instance, triangle_instance
+
+
+def star_solve_ref(instance):
+    """Reference star solver: every placement, keeping the in-darts of a
+    block [p, q), p <= q < deg, and the out-darts around it, or the
+    reverse, costed from prefix sums; the least (cost, p, q, block keeps
+    out-darts) key wins."""
+    g = instance.graph
+    if g.edge_count <= 1:
+        return make_solution(instance, range(g.edge_count), "star")
+    row = g.rotation[is_star(g)]
+    deg = len(row)
+    int_w = instance.int_weights.values
+    heads = [d & 1 == HEAD for d in row]
+    pre_in, pre_out = [0], [0]
+    for j, d in enumerate(row):
+        pre_in.append(pre_in[-1] + (int_w[d >> 1] if heads[j] else 0))
+        pre_out.append(pre_out[-1] + (0 if heads[j] else int_w[d >> 1]))
+
+    def cost(p, q, first_in):
+        # deleted: the wrong-direction edges of [p, q) and of its complement
+        inside_in = pre_in[q] - pre_in[p]
+        inside_out = pre_out[q] - pre_out[p]
+        outside_in = pre_in[deg] - inside_in
+        outside_out = pre_out[deg] - inside_out
+        return inside_out + outside_in if first_in else inside_in + outside_out
+
+    _c, p, q, not_first_in = min((cost(p, q, first_in), p, q, not first_in)
+                                 for p in range(deg) for q in range(p, deg)
+                                 for first_in in (True, False))
+    first_in = not not_first_in
+    kept = [d >> 1 for j, d in enumerate(row) if heads[j] == (first_in == (p <= j < q))]
+    return make_solution(instance, kept, "star")
+
+
+def random_star(rng, deg, weights):
+    """A star of the given degree at vertex 0: random directions, weights
+    drawn from ``weights``."""
+    edges, rot0, rots = [], [], [None] * (deg + 1)
+    for j in range(deg):
+        if rng.random() < 0.5:
+            edges.append((0, j + 1))
+            rot0.append(dart(j, TAIL))
+            rots[j + 1] = [dart(j, HEAD)]
+        else:
+            edges.append((j + 1, 0))
+            rot0.append(dart(j, HEAD))
+            rots[j + 1] = [dart(j, TAIL)]
+    rots[0] = rot0
+    w = tuple(rng.choice(weights) for _ in range(deg))
+    return Instance(PlaneDigraph(deg + 1, edges, rots), w)
 
 
 def test_empty_edge_set():
@@ -122,3 +173,16 @@ class TestStarSolve:
             w = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(deg))
             inst = Instance(PlaneDigraph(deg + 1, edges, rots), w)
             assert star_solve(inst).kept_weight == brute_force_mwbs(inst).kept_weight
+
+    def test_random_stars_match_reference(self):
+        """The whole solution, kept set included, equals the quadratic
+        reference's on stars of degree 2-40 whose weights come from a few
+        values, so that optimal placements often tie."""
+        import random
+        rng = random.Random(19)
+        pools = ([Fraction(1)], [Fraction(1), Fraction(2)],
+                 [Fraction(1, 2), Fraction(1), Fraction(3, 2)],
+                 [Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
+        for _ in range(3000):
+            inst = random_star(rng, rng.randint(2, 40), rng.choice(pools))
+            assert star_solve(inst) == star_solve_ref(inst)

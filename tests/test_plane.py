@@ -235,6 +235,27 @@ class TestSwitchesAndWedges:
             assert c % 2 == 0
             assert (c <= 2) == naive_bimodal(g, v, present)
 
+    def test_switch_counts_match_per_vertex(self, corpus_small):
+        """``switch_counts`` and ``bad_vertices`` agree with ``switch_count``
+        at every vertex, for all edges, for none and for random subsets, on
+        graphs with vertices of 0, 1 and 2 darts."""
+        rng = random.Random(19)
+        star = star4_instance().graph
+        with_isolated = PlaneDigraph(star.vertex_count + 1, star.edges, star.rotation + ((),))
+        graphs = ([with_isolated] + [inst.graph for inst in corpus_small[:80]]
+                  + [planted_star_instance(*params).graph for params in ((120, 9, 5),
+                                                                          (400, 3, 12))]
+                  + [gen_instance(GenParams(n=24, seed=s)).graph for s in range(5)])
+        degrees = {g.degree(v) for g in graphs for v in range(g.vertex_count)}
+        assert {0, 1, 2} <= degrees
+        for g in graphs:
+            m = g.edge_count
+            subsets = [{e for e in range(m) if rng.random() < p} for p in (0.2, 0.5, 0.8)]
+            for present in [None, set()] + subsets:
+                want = [g.switch_count(v, present) for v in range(g.vertex_count)]
+                assert g.switch_counts(present) == want
+                assert g.bad_vertices(present) == [v for v, c in enumerate(want) if c > 2]
+
 
 def naive_bimodal(g, v, present):
     """Independent check: can the present darts be split into at most two
