@@ -244,6 +244,8 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
     if violations:
         return ValidationReport(False, 0, violations)
     if m < 2:
+        if root_leaf is not None and root_leaf not in mapped:
+            raise DecompositionError(f"root {root_leaf} is not a mapped leaf")
         # a one-edge graph's arc passes both endpoints by convention
         return ValidationReport(True, 2 if degenerate else 0, [])
 

@@ -415,18 +415,22 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     The tree is validated here unless ``build_sphere_cut`` validated it
     for this very graph object and the root is its report's: then the
     report's rooted view is reused.  A decoded tree, another root or
-    another graph object, even an equal one, is validated in full."""
+    another graph object, even an equal one, is validated in full.  On a
+    graph of one edge, a valid tree (the degenerate two-node one) gives
+    the solution keeping that edge."""
     g = instance.graph
     if not g.is_connected():
         raise DecompositionError("solve_dp expects a connected graph")
-    if g.edge_count < 2:
-        raise DecompositionError("graphs with fewer than 2 edges go to star_solve")
     rooted = dec.report.rooted if dec.report is not None else None
     if rooted is None or rooted.graph is not g or root_leaf not in (None, rooted.root_leaf):
         report = validate_decomposition(g, dec, root_leaf)
         if not report.ok:
             raise DecompositionError("invalid decomposition: " + "; ".join(report.violations))
         rooted = report.rooted
+    if rooted is None:
+        # a valid tree over fewer than two edges has no arc to tabulate, and
+        # a lone edge is bimodal: it is kept
+        return make_solution(instance, range(g.edge_count), "dp")
     int_w, scale, _total = instance.int_weights
 
     tables: dict[int, DPTable] = {}

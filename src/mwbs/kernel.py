@@ -29,14 +29,15 @@ from .configs import CONFIGS, collapse
 from .decomposition import build_sphere_cut
 from .dp import solve_dp
 from .errors import EmbeddingError, FormatError
-from .oracle import is_star, star_solve
+from .oracle import _star_kept
 from .plane import (
     HEAD,
     TAIL,
     GoodEdgeSection,
     Instance,
     Solution,
-    component_instances,
+    component_instance,
+    cyclic_switches,
     dart,
     dart_direction,
     dart_edge,
@@ -460,17 +461,32 @@ def shrink_cut_instance(cut: CutInstance) -> CutInstance:
 
 def solve_components(instance: Instance) -> set[int]:
     """Solve every connected component exactly and return the kept edge
-    ids: stars (a single edge is one) directly, everything else by the table
-    solver over the ``build_sphere_cut`` decomposition.  A component
-    spanning every vertex is solved in place, on the instance itself;
-    ``component_instances`` renumbers the others."""
+    ids.  A component is classified by its hubs, the vertices of more than
+    one dart.  A single edge is kept.  A component with one hub is a star:
+    ``_star_kept`` scans the hub's row of ``instance`` itself, on its
+    integer weights, with no copy and no certificate.  Any other component
+    is solved by the table solver over the ``build_sphere_cut``
+    decomposition of its ``component_instance``."""
+    g = instance.graph
+    rotation = g.rotation
+    int_w = instance.int_weights.values
     kept: set[int] = set()
-    for sub, eids in component_instances(instance):
-        if is_star(sub.graph) is not None:
-            sol = star_solve(sub)
+    for verts, edge_ids in g.components():
+        if len(edge_ids) < 2:
+            kept.update(edge_ids)
+            continue
+        hubs = [v for v in verts if len(rotation[v]) > 1]
+        if len(hubs) == 1:
+            row = rotation[hubs[0]]
+            here = set(_star_kept(row, int_w))
+            # each leaf has one dart, so only the center can switch more than twice
+            if cyclic_switches([d & 1 for d in row if d >> 1 in here]) > 2:
+                raise EmbeddingError(f"kept edge set is not bimodal at star center {hubs[0]}")
+            kept |= here
         else:
+            sub, eids = component_instance(instance, verts, edge_ids)
             sol = solve_dp(sub, build_sphere_cut(sub.graph))
-        kept.update(eids[j] for j in sol.kept_edges)
+            kept.update(eids[j] for j in sol.kept_edges)
     return kept
 
 

@@ -6,9 +6,15 @@ and a direct one-scan solver for stars.  They define the reference
 semantics that the dynamic program, the kernelization and the
 approximation schemes are tested against, so clarity beats speed and no
 pruning is allowed that could change which optimum the tie-break picks.
+
+The star scan, ``_star_kept``, is the only one in the package:
+``star_solve`` runs it on a star instance, and ``kernel.solve_components``
+on the center row of each star component, in place.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .errors import BudgetExceeded, FormatError, NotAStar
 from .plane import HEAD, Instance, Solution, make_solution
@@ -118,8 +124,23 @@ def is_star(graph) -> int | None:
 
 
 def star_solve(instance: Instance) -> Solution:
-    """Optimal bimodal subgraph of a star, in one scan of the center's
-    rotation.
+    """Optimal bimodal subgraph of a star: ``is_star`` finds the center,
+    ``_star_kept`` scans its rotation once, and the kept set is certified."""
+    g = instance.graph
+    if g.edge_count <= 1:
+        return make_solution(instance, range(g.edge_count), "star")
+    center = is_star(g)
+    if center is None:
+        raise NotAStar("input is not a star")
+    return make_solution(instance, _star_kept(g.rotation[center], instance.int_weights.values),
+                         "star")
+
+
+def _star_kept(row: Sequence[int], int_w: Sequence[int]) -> list[int]:
+    """The kept edges of an optimal placement at a star's center, whose
+    rotation is ``row`` (at least one dart), with ``int_w`` the integer
+    edge weights.  The leaves have one dart each, so only the center
+    constrains the kept set.
 
     A placement keeps the in-darts of a block [p, q), p <= q < deg, and
     the out-darts around it, or the reverse, and deletes the rest.  With
@@ -128,19 +149,13 @@ def star_solve(instance: Instance) -> Solution:
     deletes IN + A[q] - A[p] and keeping its out-darts deletes
     OUT - A[q] + A[p].  For each q the cheapest p is the first index of
     the running maximum, or minimum, of A[0..q], so one scan finds the
-    least (cost, p, q, block keeps out-darts) key over all placements."""
-    g = instance.graph
-    if g.edge_count <= 1:
-        return make_solution(instance, range(g.edge_count), "star")
-    center = is_star(g)
-    if center is None:
-        raise NotAStar("input is not a star")
-    row = g.rotation[center]
-    int_w = instance.int_weights.values
+    least (cost, p, q, block keeps out-darts) key over all placements.
+    Scaling every weight by one positive integer keeps that key's
+    placement, so any common scale of the weights serves."""
     # a head dart enters the center, a tail dart leaves it
     heads = [d & 1 == HEAD for d in row]
     total_in = sum([int_w[d >> 1] for j, d in enumerate(row) if heads[j]])
-    total_out = instance.int_weights.total - total_in
+    total_out = sum([int_w[d >> 1] for d in row]) - total_in
     a = 0                 # A[q]
     hi = lo = 0           # first indices of the running max and min of A
     a_hi = a_lo = 0
@@ -155,5 +170,4 @@ def star_solve(instance: Instance) -> Solution:
             best = key
         a += -int_w[d >> 1] if heads[q] else int_w[d >> 1]
     _cost, p, q, out_first = best
-    kept = [d >> 1 for j, d in enumerate(row) if heads[j] != (out_first == (p <= j < q))]
-    return make_solution(instance, kept, "star")
+    return [d >> 1 for j, d in enumerate(row) if heads[j] != (out_first == (p <= j < q))]

@@ -532,17 +532,21 @@ def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int]):
     return sub, vertex_ids, edge_ids
 
 
-def component_instances(instance: Instance):
-    """Yield (sub-instance, original edge ids) for each connected component
-    with edges, in ``components`` order.  A component spanning every
-    vertex is the instance itself, with identity ids and no copy; any other
-    is renumbered by ``subgraph_by_edges``."""
+def component_instance(instance: Instance, verts: Sequence[int], edge_ids: Sequence[int]):
+    """(sub-instance, original edge ids) of one component ``(verts,
+    edge_ids)`` of ``instance.graph.components()``.  A component spanning
+    every vertex is the instance itself, with identity ids and no copy;
+    any other is renumbered by ``subgraph_by_edges``."""
     g = instance.graph
-    for verts, edge_ids in g.components():
-        if not edge_ids:
-            continue
-        if len(verts) == g.vertex_count:
-            yield instance, range(g.edge_count)
-        else:
-            sub, _vids, eids = subgraph_by_edges(instance, edge_ids)
-            yield sub, eids
+    if len(verts) == g.vertex_count:
+        return instance, range(g.edge_count)
+    sub, _vids, eids = subgraph_by_edges(instance, edge_ids)
+    return sub, eids
+
+
+def component_instances(instance: Instance):
+    """Yield ``component_instance`` of each connected component with edges,
+    in ``components`` order."""
+    for verts, edge_ids in instance.graph.components():
+        if edge_ids:
+            yield component_instance(instance, verts, edge_ids)

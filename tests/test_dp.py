@@ -701,6 +701,23 @@ class TestSolveDP:
         sol = solve_dp(inst, dec)
         assert sol.deleted_weight == 0 and sol.kept_edges == {0, 1}
 
+    def test_one_edge(self):
+        """A valid tree over one edge, built or decoded, keeps the edge;
+        an invalid tree or an unmapped root is refused."""
+        inst = Instance(PlaneDigraph(2, [(1, 0)], [[dart(0, HEAD)], [dart(0, TAIL)]]),
+                        (Fraction(5, 3),))
+        decoded = decomposition_from_document(
+            {"arcs": [[0, 1]], "leaf_map": {"0": 0}, "nodes": 2})
+        for dec in (build_sphere_cut(inst.graph), decoded):
+            sol = solve_dp(inst, dec)
+            assert (sol.kept_edges, sol.kept_weight, sol.method) == ({0}, Fraction(5, 3), "dp")
+        with pytest.raises(DecompositionError, match="not a mapped leaf"):
+            solve_dp(inst, decoded, root_leaf=1)
+        broken = decomposition_from_document(
+            {"arcs": [[0, 1], [1, 2]], "leaf_map": {"0": 0}, "nodes": 3})
+        with pytest.raises(DecompositionError, match="invalid decomposition"):
+            solve_dp(inst, broken)
+
     def test_alternating_star(self):
         inst = star4_instance()
         for build in (_greedy_sweep, _recursive_bisection):

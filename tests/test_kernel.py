@@ -1,11 +1,14 @@
 """Normal-form rules, section partitioning, compression, shrinking."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from mwbs import kernel, plane
+from mwbs import kernel, oracle, plane
+from mwbs.decomposition import build_sphere_cut
+from mwbs.dp import solve_dp
 from mwbs.errors import EmbeddingError, FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import (
@@ -18,10 +21,11 @@ from mwbs.kernel import (
     reduce_to_simple,
     sections_of,
     shrink_cut_instance,
+    solve_components,
     solve_subexponential,
     to_cut_instance,
 )
-from mwbs.oracle import brute_force_cut, brute_force_mwbs
+from mwbs.oracle import brute_force_cut, brute_force_mwbs, is_star, star_solve
 from mwbs.plane import (
     HEAD,
     TAIL,
@@ -29,6 +33,7 @@ from mwbs.plane import (
     Instance,
     PlaneDigraph,
     canonical_json,
+    component_instances,
     cyclic_switches,
     dart,
     dart_direction,
@@ -570,6 +575,123 @@ class TestSubexponential:
                 sub, _v, _e = subgraph_by_edges(red.instance, comp_edges)
                 want += brute_force_mwbs(sub).kept_weight
         assert sol.kept_weight == want
+
+
+def solve_components_ref(instance: Instance) -> set[int]:
+    """The per-component path ``solve_components`` replaced: each
+    component is copied (one spanning every vertex is the instance
+    itself), a star is solved by ``star_solve`` on its copy, on the copy's
+    own integer weights, and any other by the table solver."""
+    kept: set[int] = set()
+    for sub, eids in component_instances(instance):
+        if is_star(sub.graph) is not None:
+            sol = star_solve(sub)
+        else:
+            sol = solve_dp(sub, build_sphere_cut(sub.graph))
+        kept.update(eids[j] for j in sol.kept_edges)
+    return kept
+
+
+def random_star_forest(rng: random.Random) -> Instance:
+    """Stars with tie-heavy weights, each over its own denominator (2 and
+    3 for the first two, so no star's own lcm is the instance's), next to a
+    one-edge component, a two-edge path and a three-edge path; or, one
+    time in four, a single star.  Every edge is directed at random, so a
+    center is the head of some edges and the tail of others."""
+    edges: list[tuple[int, int]] = []
+    rot: list[list[int]] = []
+    weights: list[Fraction] = []
+
+    def star(degree: int, den: int):
+        center = len(rot)
+        rot.append([])
+        for _ in range(degree):
+            leaf, e = len(rot), len(edges)
+            weights.append(Fraction(rng.randint(1, 3), den))
+            if rng.random() < 0.5:
+                edges.append((center, leaf))
+                rot[center].append(dart(e, TAIL))
+                rot.append([dart(e, HEAD)])
+            else:
+                edges.append((leaf, center))
+                rot[center].append(dart(e, HEAD))
+                rot.append([dart(e, TAIL)])
+
+    if rng.random() < 0.25:
+        star(rng.randint(2, 12), rng.choice((1, 2, 3, 4, 6)))
+    else:
+        for k in range(rng.randint(2, 5)):
+            star(rng.randint(3, 12), (2, 3)[k] if k < 2 else rng.choice((1, 2, 3, 4, 6)))
+        star(1, 5)      # one edge
+        star(2, 5)      # a two-edge path: a star at its middle vertex
+        v, e = len(rot), len(edges)  # a three-edge path has two hubs: table-solved
+        edges += [(v, v + 1), (v + 1, v + 2), (v + 2, v + 3)]
+        weights += [Fraction(rng.randint(1, 3), 7) for _ in range(3)]
+        rot += [[dart(e, TAIL)], [dart(e, HEAD), dart(e + 1, TAIL)],
+                [dart(e + 1, HEAD), dart(e + 2, TAIL)], [dart(e + 2, HEAD)]]
+    return Instance(PlaneDigraph(len(rot), edges, rot), tuple(weights))
+
+
+class TestSolveComponents:
+    """``solve_components`` against ``solve_components_ref``, on whole
+    ``solve_subexponential`` solutions."""
+
+    @staticmethod
+    def assert_same_solutions(monkeypatch, instances):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "solve_components", solve_components_ref)
+            want = [solve_subexponential(inst) for inst in instances]
+        for inst, sol in zip(instances, want):
+            assert solve_subexponential(inst) == sol
+
+    def test_planted_instances(self, monkeypatch):
+        self.assert_same_solutions(monkeypatch, [
+            planted_star_instance(n, seed, stars)
+            for n in (100, 200, 300, 400) for seed in range(4) for stars in (4, 12)])
+
+    def test_triangulations_and_corpus(self, monkeypatch, corpus_small):
+        self.assert_same_solutions(
+            monkeypatch, [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
+            + corpus_small[:200])
+
+    def test_random_star_forests(self, monkeypatch):
+        rng = random.Random(20)
+        forests = [random_star_forest(rng) for _ in range(300)]
+        for inst in forests:
+            assert solve_components(inst) == solve_components_ref(inst)
+        self.assert_same_solutions(monkeypatch, forests)
+
+    def test_stars_are_solved_in_place(self, monkeypatch):
+        """The 12 star components of a planted normal form cost no
+        ``PlaneDigraph`` (the per-component path built 12), no ``is_star``
+        and no ``make_solution``."""
+        red = reduce_to_simple(planted_star_instance(400, 0, 12)).instance
+        comps = [edges for _verts, edges in red.graph.components() if edges]
+        assert len(comps) == 12
+        want = solve_components_ref(red)
+        built = []
+        real_init = PlaneDigraph.__init__
+
+        def counted_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        def refuse(*_args):
+            raise AssertionError("called on the star path")
+
+        monkeypatch.setattr(PlaneDigraph, "__init__", counted_init)
+        monkeypatch.setattr(oracle, "is_star", refuse)
+        for mod in (kernel, oracle, plane):
+            monkeypatch.setattr(mod, "make_solution", refuse)
+        assert solve_components(red) == want
+        assert built == []
+
+    def test_non_bimodal_star_center_is_refused(self, monkeypatch):
+        """Keeping every dart of the alternating star gives its center four
+        switches, and the check after the scan refuses it."""
+        monkeypatch.setattr(kernel, "_star_kept", lambda row, _int_w: [d >> 1 for d in row])
+        with pytest.raises(EmbeddingError, match="star center 0"):
+            solve_components(star4_instance())
 
 
 class TestClassAlignment:
