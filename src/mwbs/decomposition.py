@@ -27,12 +27,12 @@ stops short raises BuildError with the instance.  Recursive-bisection
 splits the edge set as evenly as possible into two contiguous halves
 (exactly for small sets, by growing a half from several seeds for larger
 ones) and recurses; it runs only when the greedy width is above 5, and
-its tree is kept when narrower.  Each candidate tree is lifted to the
-whole graph and validated once there; the kept tree carries that report,
-and ``solve_dp`` builds its tables on the report's rooted view when it
-solves at the default root.  Neither builder is width-optimal;
-externally computed decompositions can be imported instead and are
-always re-validated (middle sets are recomputed, never trusted).
+its tree is kept when its tables hold fewer entries.  Each candidate tree
+is lifted to the whole graph and validated once there; the kept tree
+carries that report, and ``solve_dp`` builds its tables on the report's
+rooted view when it solves at the default root.  Neither builder is
+width-optimal; externally computed decompositions can be imported instead
+and are always re-validated (middle sets are recomputed, never trusted).
 
 Every run test reads a rotation-position bitmask: bit j of a vertex's
 mask is the dart at position j of its rotation, and the mask is one
@@ -49,6 +49,7 @@ run there, so each candidate part costs one lookup per vertex.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -363,19 +364,25 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
     skeleton.
 
     The policy: greedy-sweep runs first.  Only when its width is above 5
-    does recursive-bisection run too, and its tree is kept if narrower; if
-    bisection finds no contiguous split, greedy stands.  Greedy is about
-    27x cheaper to build on the 27-edge skeleton of triangulation n=24
-    seed 11 (medians of 30 builds each, Python 3.11), so bisection is
-    paid for only where the ``6**width`` tables outweigh the search.  Each candidate is lifted and then validated
-    once, on the whole graph; a lifted tree is as wide as its skeleton
-    tree whenever either is wider than 2, so comparing lifted widths picks
-    the tree that comparing skeleton widths would.  The report is kept on
-    the returned tree, and ``solve_dp`` reuses its rooted view at the
-    default root.  The sweep grows once, from edge 0; a growth that stops
-    short of every edge, or any tree failing the validator, raises
-    BuildError with the instance.  A disconnected graph is refused before
-    any builder runs, and the skeleton of a connected graph is connected.
+    does recursive-bisection run too, and its tree is kept if its tables
+    hold fewer entries (Σ over the arcs of the product of the middle set's
+    class counts, read off the validated boundaries), or as many and it
+    is narrower; if bisection finds no contiguous split, greedy stands.
+    Width alone misjudges: on triangulation n=100 seed 2 both trees have
+    width 11, and greedy's tables would hold 118 times bisection's
+    entries.  Greedy is about 27x cheaper to build on the 27-edge skeleton
+    of triangulation n=24 seed 11 (medians of 30 builds each, Python
+    3.11), so bisection is paid for only where the ``6**width`` tables
+    outweigh the search.  Each candidate is lifted and then validated
+    once, on the whole graph, so its entries and width are read off the
+    lifted tree's boundaries, the ones the solver tabulates; a lifted tree
+    is as wide as its skeleton tree whenever either is wider than 2.  The
+    report is kept on the returned tree, and ``solve_dp`` reuses its
+    rooted view at the default root.  The sweep grows once, from edge 0; a
+    growth that stops short of every edge, or any tree failing the
+    validator, raises BuildError with the instance.  A disconnected graph
+    is refused before any builder runs, and the skeleton of a connected
+    graph is connected.
 
     ``strategy="greedy-sweep"`` returns the greedy tree of the whole graph
     alone; the benchmark's ``perfbench/make_golden.py`` cross-checks optima
@@ -396,9 +403,16 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
         except BuildError:
             return dec
         alt = _validated(graph, alt)
-        if alt.declared_width < dec.declared_width:
+        if (_entries(alt), alt.declared_width) < (_entries(dec), dec.declared_width):
             return alt
     return dec
+
+
+def _entries(dec: SphereCutDecomposition) -> int:
+    """The entries of a validated tree's all-class tables: over the arcs of
+    its report's rooted view, the product of the middle set's class counts."""
+    return sum(math.prod(max(cmap) + 1 for cmap in boundary.classes)
+               for boundary in dec.report.rooted.boundaries.values())
 
 
 def _skeleton(graph: PlaneDigraph) -> tuple[

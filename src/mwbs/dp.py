@@ -14,11 +14,11 @@ entry depends on a vertex's configuration only through its class, the set
 of collapsed subsequences of the vertex's inside run that realize it (see
 ``configs``): a kept set fits the configuration exactly when its pattern
 at the vertex is empty or lies in that set.  So configurations of one
-class have equal entries, and a table stores one entry per class vector:
-the digit of a position counts that run's classes (2 for a run in one
-direction, 4 for io or oi, 6 otherwise), in mixed radix with the first
-position least significant.  A configuration code (index times 6**k at
-position k) is read through the class maps; ``DPTable.cost`` does that.
+class have equal entries, and a table stores one entry per vector of
+tabulated classes: the digit of a position counts the classes tabulated
+there, in mixed radix with the first position least significant.  A
+configuration code (index times 6**k at position k) is read through the
+class maps; ``DPTable.cost`` does that.
 
 Every entry is feasible.  A leaf entry is: deleting the edge realizes any
 assignment.  A parent entry combines, at each shared vertex, a pair of
@@ -48,18 +48,35 @@ the oi class lies below the io class.  Pairs that land on the same pair
 of classes cost the same, so each is tried once.  The join evaluates each
 parent class at its representative, the class's smallest configuration.
 
-Reconstruction stays in configuration space, so that the solution is the
-one a configuration-indexed table would give.  Classes are numbered by
-their smallest configuration, so the first minimizing class code at the
-root decodes, position by position, to the first minimizing
-configuration code.  On the way down, each internal node tries the
-candidate configuration pairs of its one chosen entry in the order a
-configuration-indexed join would, reads the child costs through the
-class maps, and keeps the first of least cost.
+A table holds only the classes that an ancestor can read: its *demand*,
+a bitmask of classes per middle-set position, computed top-down before
+any table is built.  The root reads the arc below it in two ways: the
+minimum over all entries, which by monotonicity is a minimum over the
+entries whose positions all sit on classes maximal in their order, and
+the keep entry, ioi at the root edge's head and oio at its tail, which
+fall on maximal classes under every map (checked when the module loads).
+So the top arc demands each position's maximal classes.  Below a join,
+the join reads exactly this of its children: at an owned position, the
+child class of each demanded parent class's representative; at a shared
+vertex interior to the parent, the classes of ``_INTERIOR_CLASS_PAIRS``;
+at a shared vertex on the parent middle set, the classes of
+``_TARGET_CLASS_PAIRS`` over the demanded parent classes'
+representatives.  The walk computes each join's ``JoinSplit`` once, and
+the join and reconstruction reuse it.  Without a demand, ``leaf_table``
+and ``join_tables`` tabulate every class.
+
+Reconstruction stays in class space.  The root takes the keep entry when
+it costs no more than deleting the root edge, else the first minimum of
+the top table.  On the way down, each internal node takes the first class
+pair, in the order the join tried them, whose child entries sum to its
+entry, and each leaf keeps its edge when the letters of its darts fit the
+representatives of its entry's classes.  Where optima tie, the kept set
+is the one these first choices give; its weight is the optimum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -140,55 +157,82 @@ def _class_pair_tables() -> tuple[dict, dict]:
 _INTERIOR_CLASS_PAIRS, _TARGET_CLASS_PAIRS = _class_pair_tables()
 
 
-# A table's place for a vertex: (configuration weight 6**position, class
-# weight, class map); a table without the vertex has weights 0.
-_Place = tuple[int, int, tuple[int, ...]]
-_ABSENT: _Place = (0, 0, (0,) * 6)
+# class map -> bitmask of its classes maximal in ``CLASS_ORDERS``, what the
+# root reads of the top arc
+_MAXIMAL = {cmap: sum(1 << a for a, row in enumerate(le)
+                      if not any(row[b] for b in range(len(le)) if b != a))
+            for cmap, le in CLASS_ORDERS.items()}
+# the root's keep entry pins ioi and oio, so they must fall on classes that
+# the top arc's demand holds
+assert all(_MAXIMAL[cmap] >> cmap[CONFIG_INDEX[c]] & 1 for cmap in _REPS for c in ("ioi", "oio"))
+
+
+# Class bitmasks: what a table holds at a position (``_tabulated``) and
+# what a join reads of its children (``_*_reads``), per class maps and
+# parent bitmask; each domain is a few hundred keys, so the caches stay
+# small.
+
+@functools.cache
+def _tabulated(cmap: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The representatives of the classes in ``mask``, in class order, and
+    per class its digit among them (-1 when absent)."""
+    reps = _REPS[cmap]
+    return (tuple(r for c, r in enumerate(reps) if mask >> c & 1),
+            tuple((mask & ((1 << c) - 1)).bit_count() if mask >> c & 1 else -1
+                  for c in range(len(reps))))
+
+
+def _union(masks) -> int:
+    found = 0
+    for mask in masks:
+        found |= mask
+    return found
+
+
+@functools.cache
+def _owned_reads(cmap: tuple[int, ...], mask: int, child: tuple[int, ...]) -> int:
+    """The classes of an owned position's child map that the join reads:
+    those of the parent classes' representatives."""
+    return _union(1 << child[r] for r in _tabulated(cmap, mask)[0])
+
+
+@functools.cache
+def _interior_reads(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, int]:
+    """The (child 1, child 2) classes that an interior pair list reads."""
+    pairs = _INTERIOR_CLASS_PAIRS[m1, m2]
+    return _union(1 << c1 for c1, _c2 in pairs), _union(1 << c2 for _c1, c2 in pairs)
+
+
+@functools.cache
+def _target_reads(cmap: tuple[int, ...], mask: int, first: int,
+                  m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, int]:
+    """The (child 1, child 2) classes that the target pair lists of the
+    parent classes' representatives read."""
+    lists = _TARGET_CLASS_PAIRS[first][m1, m2]
+    pairs = [pair for r in _tabulated(cmap, mask)[0] for pair in lists[r]]
+    return _union(1 << c1 for c1, _c2 in pairs), _union(1 << c2 for _c1, c2 in pairs)
+
+
+# A table's place for a vertex: (index weight, class map, the
+# representatives of its tabulated classes, class -> digit); a table
+# without the vertex has weight 0 and reads digit 0.
+_Place = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_ABSENT: _Place = (0, (0,) * 6, (0,), (0,))
 
 
 class JoinSplit(NamedTuple):
-    """How a parent arc's middle set splits over its two children: per
-    vertex, its place in the parent (3) and child (1, 2) tables.
+    """How a parent arc's middle set splits over its two children.
 
-    ``owned`` lists the (parent, child 1, child 2) places of each parent
-    position that exactly one child owns.  ``interior`` lists the (child 1,
-    child 2) places of each shared vertex interior to the parent, whose
-    candidate pairs are ``_INTERIOR_PAIRS``.  ``targets`` lists, per shared
-    vertex on the parent middle set, its (parent, child 1, child 2) places
-    and which child's run comes first there, which selects its pair lists
-    ``_TARGET_PAIRS[first]``.  Shared vertices are in id order."""
-    owned: tuple[tuple[_Place, _Place, _Place], ...]
-    interior: tuple[tuple[_Place, _Place], ...]
-    targets: tuple[tuple[_Place, _Place, _Place, int], ...]
-
-    def pairs_of(self, code: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-        """The table index of parent configuration code ``code``, and its
-        candidate pairs in the order a configuration-indexed join tries
-        them, each as (child 1 code, child 2 code, child 1 index, child 2
-        index): interior vertices' pairs vary slowest, then the targets'."""
-        index = o1 = o2 = i1 = i2 = 0
-        for (w3, k3, m3), (w1, k1, m1), (w2, k2, m2) in self.owned:
-            x = code // w3 % 6
-            index += m3[x] * k3
-            o1 += x * w1
-            o2 += x * w2
-            i1 += m1[x] * k1
-            i2 += m2[x] * k2
-        combos = [(o1, o2, i1, i2)]
-        for p1, p2 in self.interior:
-            combos = _extend_codes(combos, p1, p2, _INTERIOR_PAIRS)
-        for (w3, k3, m3), p1, p2, first in self.targets:
-            x = code // w3 % 6
-            index += m3[x] * k3
-            combos = _extend_codes(combos, p1, p2, _TARGET_PAIRS[first][x])
-        return index, combos
-
-
-def _extend_codes(combos: list[tuple[int, int, int, int]], p1: _Place, p2: _Place,
-                  pairs: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
-    (w1, k1, m1), (w2, k2, m2) = p1, p2
-    return [(o1 + x1 * w1, o2 + x2 * w2, i1 + m1[x1] * k1, i2 + m2[x2] * k2)
-            for o1, o2, i1, i2 in combos for x1, x2 in pairs]
+    ``owned`` lists, in parent middle-set order, the parent vertices that
+    exactly one child has.  ``interior`` lists the shared vertices
+    interior to the parent, whose candidate pairs are
+    ``_INTERIOR_CLASS_PAIRS``.  ``targets`` lists each shared vertex on
+    the parent middle set with the child whose run comes first there,
+    which selects its pair lists ``_TARGET_CLASS_PAIRS[first]``.  Shared
+    vertices are in id order."""
+    owned: list[int]
+    interior: list[int]
+    targets: list[tuple[int, int]]
 
 
 def _extend(combos: list[tuple[int, int]], k1: int, k2: int,
@@ -196,56 +240,60 @@ def _extend(combos: list[tuple[int, int]], k1: int, k2: int,
     return [(d1 + c1 * k1, d2 + c2 * k2) for d1, d2 in combos for c1, c2 in pairs]
 
 
-def _places(boundary: ArcBoundary) -> dict[int, _Place]:
-    """Each middle-set vertex's place in the boundary's tables, in
-    ``mid`` order."""
+def _places(boundary: ArcBoundary, demand: Optional[tuple[int, ...]]) -> dict[int, _Place]:
+    """Each middle-set vertex's place in the boundary's table, in ``mid``
+    order: its demanded classes, or every class without a demand."""
     places = {}
-    code_weight = index_weight = 1
-    for v, cmap in zip(boundary.mid, boundary.classes):
-        places[v] = (code_weight, index_weight, cmap)
-        code_weight *= 6
-        index_weight *= len(_REPS[cmap])
+    weight = 1
+    masks = demand or [(1 << len(_REPS[cmap])) - 1 for cmap in boundary.classes]
+    for v, cmap, mask in zip(boundary.mid, boundary.classes, masks):
+        reps, digits = _tabulated(cmap, mask)
+        places[v] = (weight, cmap, reps, digits)
+        weight *= len(reps)
     return places
 
 
 @dataclass
 class DPTable:
-    """Per-arc table: one entry per vector of configuration classes on the
-    middle set.
+    """Per-arc table: one entry per vector of tabulated configuration
+    classes on the middle set.
 
-    The vertex at position k of ``boundary.mid`` contributes its class
-    index times the product of the class counts of positions 0..k-1
-    (``boundary.classes`` holds the maps).  ``costs`` holds the minimum
+    ``demand`` holds, per position of ``boundary.mid``, the bitmask of the
+    classes tabulated there (``boundary.classes`` holds the maps); None
+    tabulates every class.  The vertex at position k contributes the
+    digit of its class among its tabulated classes times the product of
+    the tabulated counts of positions 0..k-1.  ``costs`` holds the minimum
     scaled deleted weight of each entry; every entry is feasible.  Read an
     entry by configuration code, index times 6**k at position k, with
-    ``cost``.  ``places`` holds each vertex's place, the weights that a
-    join reads.  No back-pointers are stored.  A join table keeps its
-    ``split``, from which reconstruction recomputes the pair of child
-    entries behind one configuration code; a leaf table needs nothing
-    beyond its boundary."""
+    ``cost``.  ``places`` holds each vertex's place, what a join reads.
+    No back-pointers are stored.  A join table keeps its ``split``, with
+    which reconstruction recomputes the pair of child entries behind one
+    entry; a leaf table needs nothing beyond its boundary."""
     boundary: ArcBoundary
     costs: list[int]
+    demand: Optional[tuple[int, ...]] = None
     split: Optional[JoinSplit] = None
     places: Optional[dict[int, _Place]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.places is None:
-            self.places = _places(self.boundary)
+            self.places = _places(self.boundary, self.demand)
+
+    def index(self, code: int) -> int:
+        """The index of configuration code ``code``; KeyError when one of
+        its classes is not tabulated."""
+        index = 0
+        for weight, cmap, _reps, digits in self.places.values():
+            digit = digits[cmap[code % 6]]
+            if digit < 0:
+                raise KeyError(f"configuration code {code} reads an untabulated class")
+            index += digit * weight
+            code //= 6
+        return index
 
     def cost(self, code: int) -> int:
         """The entry of configuration code ``code``."""
-        return self.costs[sum(cmap[code // w % 6] * k for w, k, cmap in self.places.values())]
-
-
-def _first_code(table: DPTable, index: int) -> int:
-    """The smallest configuration code whose entry is table index ``index``:
-    each position's class representative."""
-    code = 0
-    for w, _k, cmap in table.places.values():
-        reps = _REPS[cmap]
-        index, c = divmod(index, len(reps))
-        code += reps[c] * w
-    return code
+        return self.costs[self.index(code)]
 
 
 def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> list[str]:
@@ -261,32 +309,25 @@ def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> list[str
     return [letters[v] for v in mid]
 
 
-def _keeps(letters: list[str], code: int) -> bool:
-    """Whether keeping a leaf's edge realizes the assignment ``code``."""
-    for letter in letters:
-        if letter not in CONFIGS[code % 6]:
-            return False
-        code //= 6
-    return True
-
-
-def leaf_table(instance: Instance, boundary: ArcBoundary, e: int) -> DPTable:
+def leaf_table(instance: Instance, boundary: ArcBoundary, e: int,
+               demand: Optional[tuple[int, ...]] = None) -> DPTable:
     """Table for the arc of the leaf mapped to edge ``e``.
 
     Keeping the edge realizes an assignment iff each middle-set endpoint's
     configuration contains the letter of the edge's dart there (o at the
     tail, i at the head); deleting it realizes everything at cost w(e),
-    read from the instance's ``int_weights``.
-    Each endpoint's run is that one dart, so it has two classes, and the
-    letter is tested against their representatives: 2**|mid| entries.
+    read from the instance's ``int_weights``.  Each endpoint's run is that
+    one dart, so it has two classes, and the letter is tested against the
+    representatives of the tabulated ones: at most 2**|mid| entries.
     Every entry is feasible."""
     letters = _leaf_letters(instance, boundary, e)
     w = instance.int_weights.values[e]
-    fits = [[letter in CONFIGS[r] for r in _REPS[cmap]]
-            for letter, cmap in zip(letters, boundary.classes)]
+    places = _places(boundary, demand)
+    fits = [[letter in CONFIGS[r] for r in reps]
+            for letter, (_weight, _cmap, reps, _digits) in zip(letters, places.values())]
     # the first position is the least significant digit, so it varies fastest
     costs = [0 if all(flags) else w for flags in itertools.product(*reversed(fits))]
-    return DPTable(boundary, costs)
+    return DPTable(boundary, costs, demand, places=places)
 
 
 def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: int) -> int:
@@ -302,25 +343,21 @@ def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: in
     raise DecompositionError(f"child runs at vertex {v} do not tile the parent run")
 
 
-def _join_split(parent: ArcBoundary, p3: dict[int, _Place],
-                t1: DPTable, t2: DPTable) -> JoinSplit:
-    b1, b2 = t1.boundary, t2.boundary
+def _join_split(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary) -> JoinSplit:
     if b1.inside_count + b2.inside_count != parent.inside_count:
         raise DecompositionError("child arcs must partition the parent inside")
-    p1, p2 = t1.places, t2.places
-    shared = sorted(p1.keys() & p2.keys())
-    if not (p3.keys() <= p1.keys() | p2.keys()
-            and p1.keys() - shared <= p3.keys() and p2.keys() - shared <= p3.keys()):
+    s1, s2, s3 = b1.runs.keys(), b2.runs.keys(), parent.runs.keys()
+    if not s1 ^ s2 <= s3 <= s1 | s2:
         raise DecompositionError("arc middle sets are inconsistent")
-    owned = tuple((p3[v], p1.get(v, _ABSENT), p2.get(v, _ABSENT))
-                  for v in parent.mid if not (v in p1 and v in p2))
-    interior = tuple((p1[v], p2[v]) for v in shared if v not in p3)
-    targets = tuple((p3[v], p1[v], p2[v], _first_child_at(parent, b1, b2, v))
-                    for v in shared if v in p3)
-    return JoinSplit(owned, interior, targets)
+    shared = sorted(s1 & s2)
+    return JoinSplit([v for v in parent.mid if v not in s1 or v not in s2],
+                     [v for v in shared if v not in s3],
+                     [(v, _first_child_at(parent, b1, b2, v)) for v in shared if v in s3])
 
 
-def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
+def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
+                demand: Optional[tuple[int, ...]] = None,
+                split: Optional[JoinSplit] = None) -> DPTable:
     """Combine two child tables into the parent arc's table.
 
     Constraints per vertex: present in only one child, its configuration
@@ -337,33 +374,46 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
     maximal in the product of the children's class orders are tried (see
     the module docstring): at most 6 per interior shared vertex and at
     most 3 per shared vertex on the parent middle set, fewer when a
-    child's run has fewer classes.  Each parent class stands for its
-    representative configuration.  The forced positions are enumerated
-    once per join as three flat lists of parent, child 1 and child 2 index
-    offsets, the representative mapped through each child's class map;
-    entries are grouped by the parent classes at the shared vertices, and
-    every entry of a group tries the same child class pairs.  A group with
-    a single pair is a straight sum.  The table keeps its ``JoinSplit``,
-    from which ``solve_dp`` recomputes the pair behind an entry."""
-    places = _places(parent)
-    split = _join_split(parent, places, t1, t2)
+    child's run has fewer classes.  Each parent class tabulated under
+    ``demand`` (every class without one) stands for its representative
+    configuration; the children must tabulate every class the join reads,
+    which ``solve_dp``'s demand walk ensures.  The forced positions are
+    enumerated once per join as three flat lists of parent, child 1 and
+    child 2 index offsets, the representative mapped through each child's
+    class map; entries are grouped by the parent classes at the shared
+    vertices, and every entry of a group tries the same child class pairs.
+    A group with a single pair is a straight sum.  ``split`` is computed
+    from the boundaries unless given; the table keeps it, and
+    ``solve_dp`` recomputes the pair behind an entry from it."""
+    if split is None:
+        split = _join_split(parent, t1.boundary, t2.boundary)
+    places = _places(parent, demand)
+    p1, p2 = t1.places, t2.places
     f3, f1, f2 = [0], [0], [0]
-    for (_w3, k3, m3), (_w1, k1, m1), (_w2, k2, m2) in split.owned:
-        reps = _REPS[m3]
-        f3 = [o + k * k3 for o in f3 for k in range(len(reps))]
-        f1 = [o + m1[r] * k1 for o in f1 for r in reps]
-        f2 = [o + m2[r] * k2 for o in f2 for r in reps]
+    for v in split.owned:
+        k3, _m3, reps, _d3 = places[v]
+        k1, m1, _r1, d1 = p1.get(v, _ABSENT)
+        k2, m2, _r2, d2 = p2.get(v, _ABSENT)
+        f3 = [o + j * k3 for o in f3 for j in range(len(reps))]
+        f1 = [o + d1[m1[r]] * k1 for o in f1 for r in reps]
+        f2 = [o + d2[m2[r]] * k2 for o in f2 for r in reps]
 
     combos = [(0, 0)]
-    for (_w1, k1, m1), (_w2, k2, m2) in split.interior:
-        combos = _extend(combos, k1, k2, _INTERIOR_CLASS_PAIRS[m1, m2])
+    for v in split.interior:
+        k1, m1, _r1, d1 = p1[v]
+        k2, m2, _r2, d2 = p2[v]
+        pairs = [(d1[c1], d2[c2]) for c1, c2 in _INTERIOR_CLASS_PAIRS[m1, m2]]
+        combos = _extend(combos, k1, k2, pairs)
     groups = [(0, combos)]
     size = len(f3)
-    for (_w3, k3, m3), (_w1, k1, m1), (_w2, k2, m2), first in split.targets:
+    for v, first in split.targets:
+        k3, _m3, reps, _d3 = places[v]
+        k1, m1, _r1, d1 = p1[v]
+        k2, m2, _r2, d2 = p2[v]
         by_target = _TARGET_CLASS_PAIRS[first][m1, m2]
-        reps = _REPS[m3]
-        groups = [(index + k * k3, _extend(combos, k1, k2, by_target[r]))
-                  for index, combos in groups for k, r in enumerate(reps)]
+        lists = [[(d1[c1], d2[c2]) for c1, c2 in by_target[r]] for r in reps]
+        groups = [(index + j * k3, _extend(combos, k1, k2, pairs))
+                  for index, combos in groups for j, pairs in enumerate(lists)]
         size *= len(reps)
 
     c1, c2 = t1.costs, t2.costs
@@ -381,21 +431,86 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable) -> DPTable:
                 if total < best:
                     best = total
             costs[index + o3] = best
-    return DPTable(parent, costs, split, places)
+    return DPTable(parent, costs, demand, split, places)
 
 
-def _chosen_pair(table: DPTable, t1: DPTable, t2: DPTable, code: int) -> tuple[int, int]:
-    """The pair of child configuration codes behind parent configuration
-    code ``code``: the first of its candidate pairs, in the order of a
-    configuration-indexed join, of least total cost."""
-    c1, c2 = t1.costs, t2.costs
-    index, pairs = table.split.pairs_of(code)
-    totals = [c1[i1] + c2[i2] for _o1, _o2, i1, i2 in pairs]
-    best = min(totals)
-    if best != table.costs[index]:
-        raise DecompositionError("reconstruction disagrees with the table entry")
-    code1, code2, _i1, _i2 = pairs[totals.index(best)]
-    return code1, code2
+def _chosen_pair(table: DPTable, t1: DPTable, t2: DPTable, index: int) -> tuple[int, int]:
+    """The child entries behind entry ``index`` of a join table: the first
+    class pair, in the order the join tries them, whose child entries sum
+    to the entry.  Interior vertices' pairs vary slowest, then the
+    targets' in id order."""
+    split, places, p1, p2 = table.split, table.places, t1.places, t2.places
+    o1 = o2 = 0
+    for v in split.owned:
+        weight, _m3, reps, _d3 = places[v]
+        r = reps[index // weight % len(reps)]
+        k1, m1, _r1, d1 = p1.get(v, _ABSENT)
+        k2, m2, _r2, d2 = p2.get(v, _ABSENT)
+        o1 += d1[m1[r]] * k1
+        o2 += d2[m2[r]] * k2
+    combos = [(o1, o2)]
+    for v in split.interior:
+        k1, m1, _r1, d1 = p1[v]
+        k2, m2, _r2, d2 = p2[v]
+        combos = [(i1 + d1[c1] * k1, i2 + d2[c2] * k2)
+                  for i1, i2 in combos for c1, c2 in _INTERIOR_CLASS_PAIRS[m1, m2]]
+    for v, first in split.targets:
+        weight, _m3, reps, _d3 = places[v]
+        k1, m1, _r1, d1 = p1[v]
+        k2, m2, _r2, d2 = p2[v]
+        pairs = _TARGET_CLASS_PAIRS[first][m1, m2][reps[index // weight % len(reps)]]
+        combos = [(i1 + d1[c1] * k1, i2 + d2[c2] * k2) for i1, i2 in combos for c1, c2 in pairs]
+    c1, c2, want = t1.costs, t2.costs, table.costs[index]
+    for i1, i2 in combos:
+        if c1[i1] + c2[i2] == want:
+            return i1, i2
+    raise DecompositionError("reconstruction disagrees with the table entry")
+
+
+def _leaf_keeps(instance: Instance, table: DPTable, e: int, index: int) -> bool:
+    """Whether leaf edge ``e`` is kept at entry ``index`` of its table: the
+    letter of its dart at each middle-set endpoint (o at the tail, i at the
+    head) fits the class representative there.  ``leaf_table`` checked the
+    boundary against the edge when it built the table."""
+    tail, _head = instance.graph.edges[e]
+    return all(("o" if v == tail else "i") in CONFIGS[reps[index // weight % len(reps)]]
+               for v, (weight, _cmap, reps, _digits) in table.places.items())
+
+
+def _demand_walk(rooted, top: int) -> tuple[dict[int, tuple[int, ...]], dict[int, JoinSplit]]:
+    """Each arc's demand, top-down from ``top``, the arc below the root
+    leaf, and each join's split (see the module docstring)."""
+    bounds = rooted.boundaries
+    demand = {top: tuple(_MAXIMAL[cmap] for cmap in bounds[top].classes)}
+    splits = {}
+    # reversed post-order visits each parent before its children
+    for node in reversed(rooted.post_order):
+        kids = rooted.children[node]
+        if not kids:
+            continue
+        a, b = kids
+        parent, b1, b2 = bounds[node], bounds[a], bounds[b]
+        split = splits[node] = _join_split(parent, b1, b2)
+        mid3, maps3, want3 = parent.mid, parent.classes, demand[node]
+        mid1, maps1, mid2, maps2 = b1.mid, b1.classes, b2.mid, b2.classes
+        want1, want2 = [0] * len(mid1), [0] * len(mid2)
+        for v in split.owned:
+            k = mid3.index(v)
+            if v in b1.runs:
+                j = mid1.index(v)
+                want1[j] = _owned_reads(maps3[k], want3[k], maps1[j])
+            else:
+                j = mid2.index(v)
+                want2[j] = _owned_reads(maps3[k], want3[k], maps2[j])
+        for v in split.interior:
+            j1, j2 = mid1.index(v), mid2.index(v)
+            want1[j1], want2[j2] = _interior_reads(maps1[j1], maps2[j2])
+        for v, first in split.targets:
+            k, j1, j2 = mid3.index(v), mid1.index(v), mid2.index(v)
+            want1[j1], want2[j2] = _target_reads(maps3[k], want3[k], first,
+                                                 maps1[j1], maps2[j2])
+        demand[a], demand[b] = tuple(want1), tuple(want2)
+    return demand, splits
 
 
 def solve_dp(instance: Instance, dec: SphereCutDecomposition,
@@ -407,10 +522,11 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     any boundary assignment of the root-adjacent arc serves; with it kept,
     the assignment is pinned to ioi at the root edge's head and oio at its
     tail, which the single outside dart then completes to a bimodal
-    pattern.  Going down from the chosen root entry, each internal node
-    recomputes the child pair behind its one chosen entry, and each leaf
-    whether its edge is kept there.  The reconstructed subgraph is
-    re-verified before returning.
+    pattern.  A walk down the tree first fixes the classes each table
+    must hold; then the tables are built bottom-up.  Going down from the
+    chosen root entry, each internal node recomputes the child entries
+    behind its one chosen entry, and each leaf whether its edge is kept
+    there.  The reconstructed subgraph is re-verified before returning.
 
     The tree is validated here unless ``build_sphere_cut`` validated it
     for this very graph object and the root is its report's: then the
@@ -433,48 +549,43 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
         return make_solution(instance, range(g.edge_count), "dp")
     int_w, scale, _total = instance.int_weights
 
+    top = rooted.children[rooted.root_leaf][0]
+    demand, splits = _demand_walk(rooted, top)
     tables: dict[int, DPTable] = {}
     for node in rooted.post_order:
         boundary = rooted.boundaries[node]
         kids = rooted.children[node]
         if not kids:
-            tables[node] = leaf_table(instance, boundary, dec.leaf_map[node])
+            tables[node] = leaf_table(instance, boundary, dec.leaf_map[node], demand[node])
         else:
             a, b = kids
-            tables[node] = join_tables(boundary, tables[a], tables[b])
+            tables[node] = join_tables(boundary, tables[a], tables[b], demand[node],
+                                       splits[node])
 
-    top = rooted.children[rooted.root_leaf][0]
     ttop = tables[top]
     e_r = dec.leaf_map[rooted.root_leaf]
     tail_r, head_r = g.edges[e_r]
-
-    delete_cost = min(ttop.costs)
-    delete_code = _first_code(ttop, ttop.costs.index(delete_cost))
-    delete_cost += int_w[e_r]
-
     pinned = {head_r: CONFIG_INDEX["ioi"], tail_r: CONFIG_INDEX["oio"]}
-    keep_code = sum(pinned[v] * 6 ** k for k, v in enumerate(ttop.boundary.mid))
-    keep_cost = ttop.cost(keep_code)
-
-    if keep_cost <= delete_cost:
-        root_cost, root_code, root_deletes = keep_cost, keep_code, set()
+    keep_index = ttop.index(sum(pinned[v] * 6 ** k for k, v in enumerate(ttop.boundary.mid)))
+    keep_cost = ttop.costs[keep_index]
+    delete_cost = min(ttop.costs)
+    if keep_cost <= delete_cost + int_w[e_r]:
+        root_cost, root_index, deleted = keep_cost, keep_index, set()
     else:
-        root_cost, root_code, root_deletes = delete_cost, delete_code, {e_r}
+        root_cost, root_index, deleted = (delete_cost + int_w[e_r],
+                                          ttop.costs.index(delete_cost), {e_r})
 
-    deleted = set(root_deletes)
-    stack = [(top, root_code)]
+    stack = [(top, root_index)]
     while stack:
-        node, code = stack.pop()
+        node, index = stack.pop()
         kids = rooted.children[node]
         if kids:
             a, b = kids
-            code1, code2 = _chosen_pair(tables[node], tables[a], tables[b], code)
-            stack.append((a, code1))
-            stack.append((b, code2))
-        else:
-            e = dec.leaf_map[node]
-            if not _keeps(_leaf_letters(instance, tables[node].boundary, e), code):
-                deleted.add(e)
+            i1, i2 = _chosen_pair(tables[node], tables[a], tables[b], index)
+            stack.append((a, i1))
+            stack.append((b, i2))
+        elif not _leaf_keeps(instance, tables[node], dec.leaf_map[node], index):
+            deleted.add(dec.leaf_map[node])
     kept = set(range(g.edge_count)) - deleted
     solution = make_solution(instance, kept, "dp")
     if solution.deleted_weight != Fraction(root_cost, scale):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .configs import CONFIGS, collapse
+from .configs import CONFIGS
 from .decomposition import build_sphere_cut
 from .dp import solve_dp
 from .errors import EmbeddingError, FormatError
@@ -499,33 +499,3 @@ def solve_subexponential(instance: Instance, method: str = "subexp") -> Solution
     red = reduce_to_simple(instance)
     lifted = red.lift(solve_components(red.instance))
     return make_solution(instance, lifted, method)
-
-
-# ---------------------------------------------------------------------
-# exchange canonicalization (used to certify class-aligned optima)
-
-def align_optimum_to_classes(instance: Instance, kept: set[int]) -> set[int]:
-    """Rewrite an optimal kept set, section by section, into one that
-    deletes whole partition classes only.
-
-    For each section the kept darts' collapsed pattern is a configuration
-    (the vertex is bimodal); replacing the section content by the cheapest
-    realization of that exact pattern preserves both feasibility and, when
-    the input was optimal, the total weight.  Sections kept empty stay
-    empty, which is class-aligned already."""
-    g = instance.graph
-    out = set(kept)
-    for v, section in sections_of(instance):
-        darts = section.darts(g)
-        edges = [dart_edge(d) for d in darts]
-        pattern = collapse("".join(dart_direction(d) for d in darts
-                                   if dart_edge(d) in out))
-        if not pattern:
-            continue
-        if pattern not in CONFIGS:
-            raise EmbeddingError("kept set is not bimodal inside a section")
-        _bounds, deleted, _cost = optimal_switches(instance, v, section, pattern)
-        deleted = set(deleted)
-        out.difference_update(edges)
-        out.update(e for e in edges if e not in deleted)
-    return out

@@ -1,11 +1,12 @@
 """Exhaustive ground-truth solvers.
 
-These are deliberately simple: subset enumeration over edges (or over
-all-or-nothing edge classes) with incremental per-vertex switch counts,
-and a direct one-scan solver for stars.  They define the reference
-semantics that the dynamic program, the kernelization and the
-approximation schemes are tested against, so clarity beats speed and no
-pruning is allowed that could change which optimum the tie-break picks.
+These are deliberately simple: subset enumeration over edges with
+incremental per-vertex switch counts, and a direct one-scan solver for
+stars.  They define the reference semantics that the dynamic program,
+the kernelization and the approximation schemes are tested against, so
+clarity beats speed and no pruning is allowed that could change which
+optimum the tie-break picks.  The enumeration over all-or-nothing edge
+classes, which only the tests call, lives in ``tests/oracles.py``.
 
 The star scan, ``_star_kept``, is the only one in the package:
 ``star_solve`` runs it on a star instance, and ``kernel.solve_components``
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BudgetExceeded, FormatError, NotAStar
+from .errors import BudgetExceeded, NotAStar
 from .plane import HEAD, Instance, Solution, make_solution
 
 # the most edges, or edge classes, an exhaustive oracle enumerates
@@ -71,41 +72,6 @@ def brute_force_mwbs(instance: Instance) -> Solution:
             best_weight, best_mask = weight, gray
     kept = [e for e in range(m) if (best_mask >> e) & 1]
     return make_solution(instance, kept, "oracle")
-
-
-def brute_force_cut(instance: Instance, classes) -> Solution:
-    """Exact optimum over unions of all-or-nothing edge classes."""
-    g = instance.graph
-    classes = [tuple(c) for c in classes]
-    k = len(classes)
-    if k > BUDGET:
-        raise BudgetExceeded(f"{k} classes exceed the oracle budget {BUDGET}")
-    covered = sorted(e for c in classes for e in c)
-    if covered != list(range(g.edge_count)):
-        raise FormatError("classes do not partition the edge set")
-    int_w = instance.int_weights.values
-    class_w = [sum(int_w[e] for e in c) for c in classes]
-    state = _SwitchState(g)
-    weight = 0
-    best_weight, best_mask = None, None
-    if state.num_bad == 0:
-        best_weight, best_mask = 0, 0
-    prev = 0
-    for i in range(1, 1 << k):
-        gray = i ^ (i >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        prev = gray
-        for e in classes[bit]:
-            state.toggle(e)
-        weight += class_w[bit] if (gray >> bit) & 1 else -class_w[bit]
-        if state.num_bad == 0 and (best_weight is None or weight > best_weight
-                                   or (weight == best_weight and gray < best_mask)):
-            best_weight, best_mask = weight, gray
-    if best_mask is None:
-        # the empty selection is always bimodal, so this cannot happen
-        raise AssertionError("no feasible class selection")
-    kept = [e for c in range(k) if (best_mask >> c) & 1 for e in classes[c]]
-    return make_solution(instance, kept, "oracle-cut")
 
 
 def is_star(graph) -> int | None:

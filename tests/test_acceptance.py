@@ -22,7 +22,6 @@ from mwbs.dp import CONFIGS, compatible, compatible_wrt, solve_dp
 from mwbs.eptas import bfs_layers, eptas_max, eptas_min
 from mwbs.generate import planted_star_instance
 from mwbs.kernel import (
-    align_optimum_to_classes,
     partition_section,
     reduce_to_simple,
     sections_of,
@@ -30,9 +29,10 @@ from mwbs.kernel import (
     solve_subexponential,
     to_cut_instance,
 )
-from mwbs.oracle import brute_force_cut, brute_force_mwbs, is_star, star_solve
+from mwbs.oracle import brute_force_mwbs, is_star, star_solve
 from mwbs.plane import make_solution, subgraph_by_edges
 
+from oracles import align_optimum_to_classes, brute_force_cut
 from test_dp import compatible_ref, compatible_wrt_ref, substrings
 from test_plane import star4_instance
 

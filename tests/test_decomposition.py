@@ -189,6 +189,22 @@ class TestBuilderPolicy:
         assert dec.declared_width == 5
         assert validate_decomposition(g, dec).width == 5
 
+    def test_fewer_entries_kept_on_a_width_tie(self):
+        """Triangulation n=100 seed 2 reduces to one component on which
+        greedy and bisection both give width 11, but bisection's all-class
+        tables hold 14,891,614 entries and greedy's 1,763,000,116: the
+        policy keeps bisection's tree.  Built and validated only."""
+        (sub,) = dp_components(gen_instance(GenParams(n=100, seed=2)))
+        g = sub.graph
+        skeleton, lift = _skeleton(g)
+        greedy = decomposition._validated(g, lift(_greedy_sweep(skeleton)))
+        bisection = decomposition._validated(g, lift(_recursive_bisection(skeleton)))
+        assert (greedy.declared_width, bisection.declared_width) == (11, 11)
+        assert decomposition._entries(greedy) == 1_763_000_116
+        assert decomposition._entries(bisection) == 14_891_614
+        dec = build_sphere_cut(g)
+        assert (dec.arcs, dec.leaf_map) == (bisection.arcs, bisection.leaf_map)
+
     def test_bisection_failure_keeps_greedy(self, monkeypatch):
         import mwbs.decomposition as decomposition
         g = gen_instance(GenParams(n=24, seed=11)).graph

@@ -12,6 +12,7 @@ import pytest
 
 import mwbs.decomposition as decomposition
 import mwbs.dp as dp
+import mwbs.kernel as kernel
 from mwbs.decomposition import (
     SphereCutDecomposition,
     _greedy_sweep,
@@ -31,12 +32,12 @@ from mwbs.configs import (
     realizes,
 )
 from mwbs.dp import (
+    _INTERIOR_CLASS_PAIRS,
     _INTERIOR_PAIRS,
+    _TARGET_CLASS_PAIRS,
     _TARGET_PAIRS,
-    DPTable,
     _chosen_pair,
     _first_child_at,
-    _first_code,
     join_tables,
     leaf_table,
     solve_dp,
@@ -424,6 +425,67 @@ def halves(ids):
     return ids[0] if len(ids) == 1 else (halves(ids[:len(ids) // 2]), halves(ids[len(ids) // 2:]))
 
 
+def record_tables(monkeypatch):
+    """Record every table that ``solve_dp`` builds, with its children's
+    tables (none for a leaf)."""
+    made = []
+    real_leaf, real_join = dp.leaf_table, dp.join_tables
+
+    def leaf(*args):
+        table = real_leaf(*args)
+        made.append((table, ()))
+        return table
+
+    def join(parent, t1, t2, *rest):
+        table = real_join(parent, t1, t2, *rest)
+        made.append((table, (t1, t2)))
+        return table
+
+    monkeypatch.setattr(dp, "leaf_table", leaf)
+    monkeypatch.setattr(dp, "join_tables", join)
+    return made
+
+
+def tabulated_reps(table):
+    """Per middle-set vertex, the smallest configuration of each class
+    that the table tabulates, in class order: the classes of its demand,
+    or every class."""
+    b = table.boundary
+    masks = table.demand or [(1 << (max(cmap) + 1)) - 1 for cmap in b.classes]
+    return {v: [cmap.index(c) for c in range(max(cmap) + 1) if mask >> c & 1]
+            for v, cmap, mask in zip(b.mid, b.classes, masks)}
+
+
+def entry_codes(table):
+    """Per entry, in index order, the configuration code of its classes'
+    smallest configurations."""
+    reps = list(tabulated_reps(table).values())
+    codes = []
+    for index in range(len(table.costs)):
+        code = 0
+        for k, by_digit in enumerate(reps):
+            index, digit = divmod(index, len(by_digit))
+            code += by_digit[digit] * 6 ** k
+        codes.append(code)
+    return codes
+
+
+def compare_to_all_class_tables(inst, dec, root_leaf, made):
+    """Every entry of the tables in ``made``, which ``solve_dp`` built on
+    ``dec`` at ``root_leaf``, equals the entry of the all-class table of
+    its arc; returns the entry counts of both."""
+    _rooted, tables, _ = rooted_tables(inst, dec, root_leaf)
+    by_arc = {table.boundary.arc: table for table in tables.values()}
+    assert sorted(table.boundary.arc for table, _kids in made) == sorted(by_arc)
+    for table, _kids in made:
+        whole = by_arc[table.boundary.arc]
+        assert table.boundary == whole.boundary
+        for code, cost in zip(entry_codes(table), table.costs):
+            assert whole.cost(code) == cost
+    return (sum(len(table.costs) for table, _kids in made),
+            sum(len(table.costs) for table in tables.values()))
+
+
 class TestLeafTable:
     def setup_method(self):
         self.inst = triangle_instance()
@@ -671,19 +733,73 @@ def reference_join(parent, b1, b2, c1, c2):
     return costs
 
 
-def reference_pairs(split, code):
-    """The candidate (child 1, child 2) codes of parent code ``code``, in
-    the order ``reference_join`` tries them; ``split`` is the join's
-    ``reference_split``."""
-    owned, combos, targets = split
-    o1 = o2 = 0
-    for w3, w1, w2 in owned:
-        x = code // w3 % 6
-        o1 += x * w1
-        o2 += x * w2
-    for w3, w1, w2, by_target in targets:
-        combos = extend_ref(combos, w1, w2, by_target[code // w3 % 6])
-    return [(o1 + d1, o2 + d2) for d1, d2 in combos]
+def class_vector(boundary, index):
+    """The class at each middle-set vertex of entry ``index`` of a table
+    that tabulates every class."""
+    classes = {}
+    for v, cmap in zip(boundary.mid, boundary.classes):
+        index, classes[v] = divmod(index, max(cmap) + 1)
+    return classes
+
+
+def class_index(boundary, classes):
+    index, weight = 0, 1
+    for v, cmap in zip(boundary.mid, boundary.classes):
+        index += classes[v] * weight
+        weight *= max(cmap) + 1
+    return index
+
+
+def reference_class_pairs(parent, b1, b2, index):
+    """The candidate (child 1, child 2) entries of parent entry ``index``
+    of all-class tables, in the order the join tries them: the parent
+    class at each vertex stands for its smallest configuration; the class
+    pairs of the shared vertices interior to the parent, then of those on
+    the parent middle set, each in id order with earlier vertices varying
+    slowest."""
+    maps1, maps2, maps3 = (dict(zip(b.mid, b.classes)) for b in (b1, b2, parent))
+    rep = {v: maps3[v].index(c) for v, c in class_vector(parent, index).items()}
+    base1 = {v: maps1[v][rep[v]] for v in parent.mid if v in maps1 and v not in maps2}
+    base2 = {v: maps2[v][rep[v]] for v in parent.mid if v in maps2 and v not in maps1}
+    shared = sorted(maps1.keys() & maps2.keys())
+    interior = [v for v in shared if v not in maps3]
+    targets = [v for v in shared if v in maps3]
+    options = [_INTERIOR_CLASS_PAIRS[maps1[v], maps2[v]] for v in interior]
+    options += [_TARGET_CLASS_PAIRS[_first_child_at(parent, b1, b2, v)][maps1[v], maps2[v]][rep[v]]
+                for v in targets]
+    pairs = []
+    for pick in itertools.product(*options):
+        for v, (c1, c2) in zip(interior + targets, pick):
+            base1[v], base2[v] = c1, c2
+        pairs.append((class_index(b1, base1), class_index(b2, base2)))
+    return pairs
+
+
+def valid_class_pair(parent, b1, b2, index, i1, i2):
+    """Whether child entries i1 and i2 may combine into parent entry
+    ``index`` (all-class tables) by the join rule, vertex by vertex: some
+    configurations of the two child classes combine into the parent
+    class's smallest configuration."""
+    maps1, maps2, maps3 = (dict(zip(b.mid, b.classes)) for b in (b1, b2, parent))
+    cls1, cls2 = class_vector(b1, i1), class_vector(b2, i2)
+    rep = {v: maps3[v].index(c) for v, c in class_vector(parent, index).items()}
+    for v in parent.mid:
+        if v in cls1 and v not in cls2 and maps1[v][rep[v]] != cls1[v]:
+            return False
+        if v in cls2 and v not in cls1 and maps2[v][rep[v]] != cls2[v]:
+            return False
+    for v in cls1.keys() & cls2.keys():
+        configs1 = [x for x in CONFIGS if maps1[v][CONFIGS.index(x)] == cls1[v]]
+        configs2 = [x for x in CONFIGS if maps2[v][CONFIGS.index(x)] == cls2[v]]
+        if v not in maps3:
+            ok = any(compatible_ref(x, y) for x in configs1 for y in configs2)
+        elif _first_child_at(parent, b1, b2, v) == 1:
+            ok = any(compatible_wrt_ref(x, y, CONFIGS[rep[v]]) for x in configs1 for y in configs2)
+        else:
+            ok = any(compatible_wrt_ref(y, x, CONFIGS[rep[v]]) for x in configs1 for y in configs2)
+        if not ok:
+            return False
+    return True
 
 
 def realizes_ref(pattern, config):
@@ -771,12 +887,12 @@ class TestSolveDP:
         """Read by configuration code, every entry of every join equals the
         configuration-indexed reference join, and on the builder's trees
         also the loose join over every pair of child entries.  The pair
-        that reconstruction recomputes for a code is the reference's first
-        cheapest pair in its order: a valid pair of child entries whose
-        costs sum to the parent's.  Balanced trees add joins with shared
-        vertices both interior to the parent and on its middle set, where
-        the order of the pairs decides between equal costs (corpus
-        instance 58)."""
+        that reconstruction recomputes for an entry is the first class
+        pair, in the join's order, whose child entries sum to the entry,
+        and it is a valid pair by the join rule.  Balanced trees add joins
+        with shared vertices both interior to the parent and on its middle
+        set, where the order of the pairs decides between equal costs
+        (corpus instance 58)."""
         checked = 0
         cases = ([(inst, build_sphere_cut) for inst in corpus_small[:40]]
                  + [(inst, _recursive_bisection) for inst in corpus_small[:60]])
@@ -796,41 +912,67 @@ class TestSolveDP:
                 assert costs == reference_join(b, b1, b2, c1, c2)
                 if build is build_sphere_cut:
                     assert costs == loose_join(b, b1, b2, c1, c2)
-                parents = join_rule(b, b1, b2)
-                split = reference_split(b, b1, b2)
-                for code3, cost in enumerate(costs):
-                    pairs = reference_pairs(split, code3)
-                    totals = [c1[x] + c2[y] for x, y in pairs]
-                    code1, code2 = _chosen_pair(table, t1, t2, code3)
-                    assert (code1, code2) == pairs[totals.index(min(totals))]
-                    assert code3 in parents(code1, code2)
-                    assert c1[code1] + c2[code2] == cost
+                for index, cost in enumerate(table.costs):
+                    pairs = reference_class_pairs(b, b1, b2, index)
+                    totals = [t1.costs[i1] + t2.costs[i2] for i1, i2 in pairs]
+                    assert min(totals) == cost
+                    i1, i2 = _chosen_pair(table, t1, t2, index)
+                    assert (i1, i2) == pairs[totals.index(cost)]
+                    assert valid_class_pair(b, b1, b2, index, i1, i2)
                 checked += 1
         assert checked > 250
 
-    def test_first_minimum_decodes_to_the_first_minimizing_code(self, corpus_small):
-        """Classes are numbered by their smallest configuration, so each
-        table index decodes to the smallest configuration code read from it,
-        and the first minimum over a table's entries to the first minimizing
-        configuration code, which the root of ``solve_dp`` starts from."""
-        checked = 0
+    def test_root_takes_the_keep_entry_or_the_first_minimum(self, corpus_small, monkeypatch):
+        """The top arc tabulates each position's maximal classes, and its
+        minimum is the all-class table's.  The root keeps its edge when
+        the keep entry, ioi at the edge's head and oio at its tail, costs
+        no more than deleting the edge; then reconstruction starts from
+        the keep entry, else from the first minimum of the top table.
+        Checked at the lowest, middle and highest leaf."""
+        orders = class_orders_ref()
+        chosen = []
+        real = dp._chosen_pair
+
+        def spy(table, t1, t2, index):
+            chosen.append((table, index))
+            return real(table, t1, t2, index)
+
+        monkeypatch.setattr(dp, "_chosen_pair", spy)
+        checked = kept = 0
         for inst in corpus_small[:40]:
-            if inst.graph.edge_count > 10:
-                continue
-            _rooted, tables, _ = rooted_tables(inst, build_sphere_cut(inst.graph))
-            for table in tables.values():
-                b = table.boundary
-                index_of = DPTable(b, list(range(len(table.costs)))).cost
-                first = {}
-                for code in range(6 ** len(b.mid)):
-                    first.setdefault(index_of(code), code)
-                assert sorted(first) == list(range(len(table.costs)))
-                assert all(_first_code(table, index) == code for index, code in first.items())
-                costs = config_costs(table)
-                best = min(table.costs)
-                assert _first_code(table, table.costs.index(best)) == costs.index(best)
+            g = inst.graph
+            dec = build_sphere_cut(g)
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                rooted, tables, int_w = rooted_tables(inst, dec, root)
+                top = rooted.children[root][0]
+                if not rooted.children[top]:
+                    continue
+                chosen.clear()
+                sol = solve_dp(inst, dec, root)
+                table, index = chosen[0]
+                full = tables[top]
+                assert table.boundary == full.boundary
+                for cmap, mask in zip(table.boundary.classes, table.demand):
+                    le = orders[cmap]
+                    assert mask == sum(1 << a for a in range(len(le))
+                                       if not any(le[a][c] for c in range(len(le)) if c != a))
+                e = dec.leaf_map[root]
+                tail, head = g.edges[e]
+                keep_code = encode_ref(table.boundary.mid,
+                                       {head: "ioi", tail: "oio"})
+                keep, delete = full.cost(keep_code), min(full.costs) + int_w[e]
+                assert min(table.costs) == min(full.costs)
+                assert table.cost(keep_code) == keep
+                if keep <= delete:
+                    assert e in sol.kept_edges and index == table.index(keep_code)
+                    kept += 1
+                else:
+                    assert e not in sol.kept_edges
+                    assert index == table.costs.index(min(table.costs))
+                assert sol.deleted_weight == Fraction(min(keep, delete), inst.int_weights.scale)
                 checked += 1
-        assert checked > 200
+        assert checked > 60 and 0 < kept < checked
 
     def test_reconstruction_checks_the_entry(self):
         """A table entry that no candidate pair reaches is refused on the
@@ -847,7 +989,9 @@ class TestSolveDP:
         """Solution documents of solve_subexponential on triangulations
         n=24 seeds 0-14 and n=60 seeds 0, 3, 7, 8, 9, and of solve_dp at
         the lowest, middle and highest leaf on the first 35 corpus
-        instances (the benchmark's corpus-dp pool).  Recorded with back-pointer tables."""
+        instances (the benchmark's corpus-dp pool).  Re-recorded when
+        reconstruction moved to class space: 7 of the 125 documents keep
+        another optimal set of the same weight."""
         docs = [canonical_json(solve_subexponential(
                     gen_instance(GenParams(n=n, seed=s))).document())
                 for n, seeds in ((24, range(15)), (60, (0, 3, 7, 8, 9))) for s in seeds]
@@ -857,51 +1001,44 @@ class TestSolveDP:
             for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
                 docs.append(canonical_json(solve_dp(inst, dec, root).document()))
         assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == \
-            "1b35a56c445a14b9f1f5d8df6dea3ebb478bd9a1d4c88240d2b99cac6e24a7fb"
+            "c832c46f0250ea7d70fac83c636e649bc5730e14a34edf5721f9a6d86406e97e"
 
     def test_frontier_triangulation_n80_seed1(self, monkeypatch):
         """Triangulation n=80 seed 1 reduces to a component whose tree has
         width 9: 22,435,986 entries indexed by configuration, 231,862 by
-        class.  Pinned: the optimum and the exact entry count."""
-        entries = []
-        for name in ("leaf_table", "join_tables"):
-            real = getattr(dp, name)
-
-            def counted(*args, _real=real):
-                table = _real(*args)
-                entries.append(len(table.costs))
-                return table
-
-            monkeypatch.setattr(dp, name, counted)
+        class, and 82,544 with each table cut to the classes an ancestor
+        can read.  Pinned: the optimum and the exact entry count."""
+        made = record_tables(monkeypatch)
         sol = solve_subexponential(gen_instance(GenParams(n=80, seed=1)))
         assert sol.deleted_weight == Fraction(4039, 20)
-        assert sum(entries) == 231_862
+        assert sum(len(table.costs) for table, _kids in made) == 82_544
 
     def test_tri_frontier_pairs(self, monkeypatch):
         """The joins' pair evaluations over triangulations n=24 seeds 0-14
         (the tri-frontier pool): per join, the forced offsets times the
-        class pairs summed over the groups.  152,644 with each class pair
-        list cut to its maximal elements in the class orders; 299,803 when
-        the lists were cut in the substring order only."""
-        pairs = []
-        real = dp.join_tables
-
-        def counted(parent, t1, t2):
-            table = real(parent, t1, t2)
-            split = table.split
-            n = math.prod(max(m3) + 1 for (_w3, _k3, m3), _p1, _p2 in split.owned)
-            for (_w1, _k1, m1), (_w2, _k2, m2) in split.interior:
-                n *= len(dp._INTERIOR_CLASS_PAIRS[m1, m2])
-            for (_w3, _k3, m3), (_w1, _k1, m1), (_w2, _k2, m2), first in split.targets:
-                lists = dp._TARGET_CLASS_PAIRS[first][m1, m2]
-                n *= sum(len(lists[m3.index(c)]) for c in range(max(m3) + 1))
-            pairs.append(n)
-            return table
-
-        monkeypatch.setattr(dp, "join_tables", counted)
+        class pairs summed over the groups.  51,077 on tables cut to the
+        classes an ancestor can read, which hold 24,656 entries; 152,644
+        on all-class tables with each class pair list cut to its maximal
+        elements in the class orders; 299,803 when the lists were cut in
+        the substring order only."""
+        made = record_tables(monkeypatch)
         for seed in range(15):
             solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
-        assert sum(pairs) == 152_644
+        pairs = 0
+        for table, kids in made:
+            if not kids:
+                continue
+            reps = tabulated_reps(table)
+            maps1, maps2 = (dict(zip(t.boundary.mid, t.boundary.classes)) for t in kids)
+            n = math.prod(len(reps[v]) for v in table.split.owned)
+            for v in table.split.interior:
+                n *= len(_INTERIOR_CLASS_PAIRS[maps1[v], maps2[v]])
+            for v, first in table.split.targets:
+                lists = _TARGET_CLASS_PAIRS[first][maps1[v], maps2[v]]
+                n *= sum(len(lists[r]) for r in reps[v])
+            pairs += n
+        assert pairs == 51_077
+        assert sum(len(table.costs) for table, _kids in made) == 24_656
 
     def test_frontier_triangulation_n100_seed1(self):
         """Triangulation n=100 seed 1 solves in about 0.4 s; with class
@@ -964,6 +1101,66 @@ class TestSolveDP:
             if checked >= 8:
                 break
         assert checked and raised > 100
+
+
+class TestDemand:
+    """``solve_dp`` tabulates only the classes an ancestor can read, and
+    every entry it tabulates is the all-class table's entry."""
+
+    def test_corpus_at_three_roots(self, corpus_small, monkeypatch):
+        made = record_tables(monkeypatch)
+        pruned = whole = 0
+        for inst in corpus_small[:60]:
+            dec = build_sphere_cut(inst.graph)
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                made.clear()
+                solve_dp(inst, dec, root)
+                counts = compare_to_all_class_tables(inst, dec, root, made)
+                pruned += counts[0]
+                whole += counts[1]
+        assert pruned < whole
+
+    def test_untabulated_classes_are_refused(self, corpus_small, monkeypatch):
+        """Reading a configuration whose class a table does not hold is a
+        KeyError, not another entry's cost."""
+        made = record_tables(monkeypatch)
+        refused = 0
+        for inst in corpus_small[:20]:
+            made.clear()
+            solve_dp(inst, build_sphere_cut(inst.graph))
+            for table, _kids in made:
+                b = table.boundary
+                for k, (cmap, mask) in enumerate(zip(b.classes, table.demand)):
+                    missing = [x for x in range(6) if not mask >> cmap[x] & 1]
+                    if missing:
+                        with pytest.raises(KeyError, match="untabulated class"):
+                            table.cost(missing[0] * 6 ** k)
+                        refused += 1
+        assert refused > 100
+
+    def test_tri_frontier(self, monkeypatch):
+        """The components of triangulations n=24 seeds 0-14: 24,656 entries
+        where all-class tables hold 67,624."""
+        cases = []
+        real = kernel.solve_dp
+
+        def spy(sub, dec):
+            cases.append((sub, dec))
+            return real(sub, dec)
+
+        monkeypatch.setattr(kernel, "solve_dp", spy)
+        for seed in range(15):
+            solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
+        made = record_tables(monkeypatch)
+        pruned = whole = 0
+        for sub, dec in cases:
+            made.clear()
+            solve_dp(sub, dec)
+            counts = compare_to_all_class_tables(sub, dec, None, made)
+            pruned += counts[0]
+            whole += counts[1]
+        assert (pruned, whole) == (24_656, 67_624)
 
 
 def count_validations(monkeypatch):

@@ -15,7 +15,6 @@ from mwbs.kernel import (
     CutInstance,
     ReducedInstance,
     _check_normal_form,
-    align_optimum_to_classes,
     optimal_switches,
     partition_section,
     reduce_to_simple,
@@ -25,7 +24,7 @@ from mwbs.kernel import (
     solve_subexponential,
     to_cut_instance,
 )
-from mwbs.oracle import brute_force_cut, brute_force_mwbs, is_star, star_solve
+from mwbs.oracle import brute_force_mwbs, is_star, star_solve
 from mwbs.plane import (
     HEAD,
     TAIL,
@@ -43,6 +42,7 @@ from mwbs.plane import (
     make_solution,
 )
 
+from oracles import align_optimum_to_classes, brute_force_cut
 from test_plane import star4_instance, triangle_instance
 
 

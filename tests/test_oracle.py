@@ -6,9 +6,10 @@ import pytest
 
 from mwbs.errors import BudgetExceeded, FormatError, NotAStar
 from mwbs.generate import GenParams, gen_instance
-from mwbs.oracle import brute_force_cut, brute_force_mwbs, is_star, star_solve
+from mwbs.oracle import brute_force_mwbs, is_star, star_solve
 from mwbs.plane import HEAD, TAIL, Instance, PlaneDigraph, dart, make_solution
 
+from oracles import brute_force_cut
 from test_plane import star4_instance, triangle_instance
 
 

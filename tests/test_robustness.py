@@ -20,7 +20,7 @@ from mwbs.errors import DecompositionError, Error, FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 from mwbs.kernel import (reduce_to_simple, solve_components, solve_subexponential,
                          to_cut_instance)
-from mwbs.oracle import brute_force_cut, brute_force_mwbs
+from mwbs.oracle import brute_force_mwbs
 from mwbs.plane import (
     HEAD,
     TAIL,
@@ -34,6 +34,7 @@ from mwbs.plane import (
     make_solution,
 )
 
+from oracles import brute_force_cut
 from test_plane import star4_instance, triangle_instance
 
 
