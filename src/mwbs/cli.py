@@ -3,7 +3,8 @@
 One verb per artifact: gen, validate, stats, decomp build/validate,
 solve, kernelize, compress, eptas max/min, bench.  All documents are the
 canonical JSON formats of the library; exit status is 0 on success, 1 on
-validation failure or infeasibility, 2 on usage errors.
+validation failure or infeasibility, 2 on usage errors.  ``validate``
+also reads the reports of ``kernelize`` and ``eptas``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .plane import (
     canonical_json,
     format_weight,
     instance_document,
+    instance_from_document,
     make_solution,
     parse_json,
 )
@@ -69,8 +71,13 @@ def _load_instance(path: str) -> Instance:
     return decode_instance(_read(path))
 
 
+def _nested(doc, key: str):
+    """A report's ``key`` object, or the document itself when it has none."""
+    return doc[key] if isinstance(doc, dict) and isinstance(doc.get(key), dict) else doc
+
+
 def _load_solution(path: str) -> dict:
-    doc = _load_json(path)
+    doc = _nested(_load_json(path), "solution")
     if not isinstance(doc, dict):
         raise FormatError("solution document must be a JSON object")
     for key in ("kept", "kept_weight", "deleted_weight"):
@@ -102,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chord keep probability for sparse")
     g.add_argument("--out")
 
-    v = sub.add_parser("validate", help="validate an instance document")
+    v = sub.add_parser("validate", help="validate an instance document or kernelize report")
     v.add_argument("file")
-    v.add_argument("--solution", help="solution document to check against the instance")
+    v.add_argument("--solution", help="solution document or eptas report to check")
 
     s = sub.add_parser("stats", help="bad vertices, wedges and sections")
     s.add_argument("file")
@@ -156,7 +163,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    instance = _load_instance(args.file)
+    instance = instance_from_document(_nested(parse_json(_read(args.file)), "instance"))
     if args.solution:
         sol = _load_solution(args.solution)
         check = make_solution(instance, set(sol["kept"]), sol.get("method", "unknown"))
@@ -336,8 +343,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except Error as exc:
-        print(json.dumps({"ok": False, "error": str(exc)}), file=sys.stderr)
+    except (Error, MemoryError) as exc:
+        error = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        print(json.dumps({"ok": False, "error": error}), file=sys.stderr)
         return 1
 
 

@@ -40,7 +40,8 @@ cyclic run when at most one set bit follows an unset one (``_run``).  The
 rooted view builds the masks bottom up: a leaf arc holds its edge's two
 darts, an arc ORs its children's masks, and a vertex whose mask is full
 leaves; the vertices left are the arc's middle set, and its runs and
-class maps are read off their masks.  ``_grow`` keeps the region's and
+class maps are read off their masks, and each join's ``JoinSplit`` off
+its children's.  ``_grow`` keeps the region's and
 the rest's masks per vertex as it absorbs edges, and a split computes,
 once per vertex, every restriction of a part that leaves both sides one
 run there, so each candidate part costs one lookup per vertex.
@@ -53,7 +54,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .configs import CLASS_MAPS
 from .errors import BuildError, DecompositionError
@@ -147,12 +148,24 @@ class ArcBoundary:
     classes: tuple[tuple[int, ...], ...]
 
 
+class JoinSplit(NamedTuple):
+    """How a parent arc's middle set splits over its two children:
+    ``owned``, in parent middle-set order, the parent vertices that one
+    child has; ``interior``, the shared vertices interior to the parent;
+    ``targets``, each shared vertex on the parent middle set with the
+    child (1 or 2) holding the parent run's first dart.  Shared vertices
+    are in id order."""
+    owned: list[int]
+    interior: list[int]
+    targets: list[tuple[int, int]]
+
+
 @dataclass
 class ValidationReport:
     """``ok``, ``width`` and ``violations`` do not depend on the root.
     ``rooted`` is the tree rooted for the solver, with every arc boundary
-    computed; it is None unless the report is ok and the graph has at
-    least two edges."""
+    and join split computed; it is None unless the report is ok and the
+    graph has at least two edges."""
     ok: bool
     width: int
     violations: list[str] = field(default_factory=list)
@@ -191,11 +204,11 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
     the per-arc contiguity contract; report the recomputed width.
 
     The tree is rooted once, at ``root_leaf`` or else the lowest mapped
-    leaf, and every arc boundary is computed once; a valid report carries
-    that rooted view for the solver.  Violations are collected as data,
-    not raised; only a ``root_leaf`` that is not a mapped leaf raises
-    DecompositionError, since it is the caller's choice, not a property
-    of the tree."""
+    leaf, and every arc boundary and join split is computed once; a valid
+    report carries that rooted view for the solver.  Violations are
+    collected as data, not raised; only a ``root_leaf`` that is not a
+    mapped leaf raises DecompositionError, since it is the caller's
+    choice, not a property of the tree."""
     violations: list[str] = []
     m = graph.edge_count
     k = dec.node_count
@@ -257,6 +270,9 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
             rooted.boundaries[node] = rooted.boundary(node)
         except DecompositionError as exc:
             broken.append((tuple(sorted((node, rooted.parent[node]))), str(exc)))
+            continue
+        if rooted.children[node] and not broken:
+            rooted.splits[node] = rooted.split(node)
     if broken:
         return ValidationReport(False, 0, [text for _arc, text in sorted(broken)])
     width = max(len(b.mid) for b in rooted.boundaries.values())
@@ -269,8 +285,9 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
 class RootedDecomposition:
     """A decomposition rooted at a mapped leaf; the inside of every arc is
     the side away from the root leaf's edge.  Each arc is keyed by its
-    end away from the root.  ``boundaries`` starts empty;
-    ``validate_decomposition`` fills it with every arc's boundary."""
+    end away from the root, and each join by its node.  ``boundaries`` and
+    ``splits`` start empty; ``validate_decomposition`` fills them with
+    every arc's boundary and every join's split."""
 
     def __init__(self, graph: PlaneDigraph, dec: SphereCutDecomposition, root_leaf: int):
         if root_leaf not in dec.leaf_map:
@@ -316,6 +333,7 @@ class RootedDecomposition:
         self.inside_count = inside_count
         self.darts = darts             # node -> {middle-set vertex: inside-dart mask}
         self.boundaries: dict[int, ArcBoundary] = {}
+        self.splits: dict[int, JoinSplit] = {}
         # only a hub, a vertex of degree above one, can be on a middle set
         self._switches = [_switch_prefix(row) if len(row) > 1 else None
                           for row in graph.rotation]
@@ -348,6 +366,19 @@ class RootedDecomposition:
                 "on one side are not contiguous")
         return ArcBoundary(arc, tuple(mid), runs, self.inside_count[node], tuple(classes))
 
+    def split(self, node: int) -> JoinSplit:
+        """The JoinSplit of internal node ``node``, read off the stored
+        boundaries.  The validated runs need no check: a parent run is its
+        children's runs end to end, so one of them starts where it does."""
+        a, b = self.children[node]
+        parent = self.boundaries[node]
+        runs1, runs2, runs3 = self.boundaries[a].runs, self.boundaries[b].runs, parent.runs
+        shared = sorted(runs1.keys() & runs2.keys())
+        return JoinSplit([v for v in parent.mid if v not in runs1 or v not in runs2],
+                         [v for v in shared if v not in runs3],
+                         [(v, 1 if runs1[v][0] == runs3[v][0] else 2)
+                          for v in shared if v in runs3])
+
 
 # ---------------------------------------------------------------------
 # builders
@@ -364,12 +395,13 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
     skeleton.
 
     The policy: greedy-sweep runs first.  Only when its width is above 5
-    does recursive-bisection run too, and its tree is kept if its tables
-    hold fewer entries (Σ over the arcs of the product of the middle set's
-    class counts, read off the validated boundaries), or as many and it
-    is narrower; if bisection finds no contiguous split, greedy stands.
+    does recursive-bisection run too, and its tree is kept if the tables
+    ``solve_dp`` builds on it hold fewer entries (Σ over the arcs of the
+    product of the demanded class counts, from dp's demand walk), or as
+    many and it is narrower; if bisection finds no contiguous split,
+    greedy stands.
     Width alone misjudges: on triangulation n=100 seed 2 both trees have
-    width 11, and greedy's tables would hold 118 times bisection's
+    width 11, and greedy's tables would hold 37 times bisection's
     entries.  Greedy is about 27x cheaper to build on the 27-edge skeleton
     of triangulation n=24 seed 11 (medians of 30 builds each, Python
     3.11), so bisection is paid for only where the ``6**width`` tables
@@ -403,16 +435,16 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
         except BuildError:
             return dec
         alt = _validated(graph, alt)
-        if (_entries(alt), alt.declared_width) < (_entries(dec), dec.declared_width):
+        from .dp import _demand_walk    # here, since dp imports this module
+
+        def rank(tree: SphereCutDecomposition) -> tuple[int, int]:
+            demand = _demand_walk(tree.report.rooted).values()
+            entries = sum(math.prod(m.bit_count() for m in masks) for masks in demand)
+            return entries, tree.declared_width
+
+        if rank(alt) < rank(dec):
             return alt
     return dec
-
-
-def _entries(dec: SphereCutDecomposition) -> int:
-    """The entries of a validated tree's all-class tables: over the arcs of
-    its report's rooted view, the product of the middle set's class counts."""
-    return sum(math.prod(max(cmap) + 1 for cmap in boundary.classes)
-               for boundary in dec.report.rooted.boundaries.values())
 
 
 def _skeleton(graph: PlaneDigraph) -> tuple[

@@ -61,9 +61,9 @@ child class of each demanded parent class's representative; at a shared
 vertex interior to the parent, the classes of ``_INTERIOR_CLASS_PAIRS``;
 at a shared vertex on the parent middle set, the classes of
 ``_TARGET_CLASS_PAIRS`` over the demanded parent classes'
-representatives.  The walk computes each join's ``JoinSplit`` once, and
-the join and reconstruction reuse it.  Without a demand, ``leaf_table``
-and ``join_tables`` tabulate every class.
+representatives.  The walk, the join and reconstruction read each
+join's ``JoinSplit`` from the validator's rooted view.  A table of every
+class is the one whose demand holds every class.
 
 Reconstruction stays in class space.  The root takes the keep entry when
 it costs no more than deleting the root edge, else the first minimum of
@@ -80,11 +80,11 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .configs import (CLASS_MAPS, CLASS_ORDERS, CONFIG_INDEX, CONFIGS, compatible,
                       compatible_wrt)
-from .decomposition import ArcBoundary, SphereCutDecomposition, validate_decomposition
+from .decomposition import ArcBoundary, JoinSplit, SphereCutDecomposition, validate_decomposition
 from .errors import DecompositionError
 from .plane import Instance, Solution, make_solution
 
@@ -220,33 +220,17 @@ _Place = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _ABSENT: _Place = (0, (0,) * 6, (0,), (0,))
 
 
-class JoinSplit(NamedTuple):
-    """How a parent arc's middle set splits over its two children.
-
-    ``owned`` lists, in parent middle-set order, the parent vertices that
-    exactly one child has.  ``interior`` lists the shared vertices
-    interior to the parent, whose candidate pairs are
-    ``_INTERIOR_CLASS_PAIRS``.  ``targets`` lists each shared vertex on
-    the parent middle set with the child whose run comes first there,
-    which selects its pair lists ``_TARGET_CLASS_PAIRS[first]``.  Shared
-    vertices are in id order."""
-    owned: list[int]
-    interior: list[int]
-    targets: list[tuple[int, int]]
-
-
 def _extend(combos: list[tuple[int, int]], k1: int, k2: int,
             pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(d1 + c1 * k1, d2 + c2 * k2) for d1, d2 in combos for c1, c2 in pairs]
 
 
-def _places(boundary: ArcBoundary, demand: Optional[tuple[int, ...]]) -> dict[int, _Place]:
+def _places(boundary: ArcBoundary, demand: tuple[int, ...]) -> dict[int, _Place]:
     """Each middle-set vertex's place in the boundary's table, in ``mid``
-    order: its demanded classes, or every class without a demand."""
+    order: its demanded classes."""
     places = {}
     weight = 1
-    masks = demand or [(1 << len(_REPS[cmap])) - 1 for cmap in boundary.classes]
-    for v, cmap, mask in zip(boundary.mid, boundary.classes, masks):
+    for v, cmap, mask in zip(boundary.mid, boundary.classes, demand):
         reps, digits = _tabulated(cmap, mask)
         places[v] = (weight, cmap, reps, digits)
         weight *= len(reps)
@@ -259,25 +243,21 @@ class DPTable:
     classes on the middle set.
 
     ``demand`` holds, per position of ``boundary.mid``, the bitmask of the
-    classes tabulated there (``boundary.classes`` holds the maps); None
-    tabulates every class.  The vertex at position k contributes the
-    digit of its class among its tabulated classes times the product of
-    the tabulated counts of positions 0..k-1.  ``costs`` holds the minimum
-    scaled deleted weight of each entry; every entry is feasible.  Read an
-    entry by configuration code, index times 6**k at position k, with
-    ``cost``.  ``places`` holds each vertex's place, what a join reads.
-    No back-pointers are stored.  A join table keeps its ``split``, with
+    classes tabulated there (``boundary.classes`` holds the maps).  The
+    vertex at position k contributes the digit of its class among its
+    tabulated classes times the product of the tabulated counts of
+    positions 0..k-1.  ``costs`` holds the minimum scaled deleted weight
+    of each entry; every entry is feasible.  Read an entry by
+    configuration code, index times 6**k at position k, with ``cost``.
+    ``places`` holds each vertex's place, what a join reads.  No
+    back-pointers are stored.  A join table keeps its ``split``, with
     which reconstruction recomputes the pair of child entries behind one
-    entry; a leaf table needs nothing beyond its boundary."""
+    entry; a leaf table, which has no children, keeps None."""
     boundary: ArcBoundary
     costs: list[int]
-    demand: Optional[tuple[int, ...]] = None
-    split: Optional[JoinSplit] = None
-    places: Optional[dict[int, _Place]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.places is None:
-            self.places = _places(self.boundary, self.demand)
+    demand: tuple[int, ...]
+    split: Optional[JoinSplit]
+    places: dict[int, _Place] = field(repr=False)
 
     def index(self, code: int) -> int:
         """The index of configuration code ``code``; KeyError when one of
@@ -310,8 +290,9 @@ def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> list[str
 
 
 def leaf_table(instance: Instance, boundary: ArcBoundary, e: int,
-               demand: Optional[tuple[int, ...]] = None) -> DPTable:
-    """Table for the arc of the leaf mapped to edge ``e``.
+               demand: tuple[int, ...]) -> DPTable:
+    """Table for the arc of the leaf mapped to edge ``e``, holding the
+    classes of ``demand``.
 
     Keeping the edge realizes an assignment iff each middle-set endpoint's
     configuration contains the letter of the edge's dart there (o at the
@@ -327,38 +308,13 @@ def leaf_table(instance: Instance, boundary: ArcBoundary, e: int,
             for letter, (_weight, _cmap, reps, _digits) in zip(letters, places.values())]
     # the first position is the least significant digit, so it varies fastest
     costs = [0 if all(flags) else w for flags in itertools.product(*reversed(fits))]
-    return DPTable(boundary, costs, demand, places=places)
-
-
-def _first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: int) -> int:
-    """Which child's inside-dart run starts the parent run at v (1 or 2).
-
-    The two child runs tile the parent run; clockwise from the outside
-    gap, the child owning the parent run's first dart comes first."""
-    s3 = parent.runs[v][0]
-    if b1.runs[v][0] == s3:
-        return 1
-    if b2.runs[v][0] == s3:
-        return 2
-    raise DecompositionError(f"child runs at vertex {v} do not tile the parent run")
-
-
-def _join_split(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary) -> JoinSplit:
-    if b1.inside_count + b2.inside_count != parent.inside_count:
-        raise DecompositionError("child arcs must partition the parent inside")
-    s1, s2, s3 = b1.runs.keys(), b2.runs.keys(), parent.runs.keys()
-    if not s1 ^ s2 <= s3 <= s1 | s2:
-        raise DecompositionError("arc middle sets are inconsistent")
-    shared = sorted(s1 & s2)
-    return JoinSplit([v for v in parent.mid if v not in s1 or v not in s2],
-                     [v for v in shared if v not in s3],
-                     [(v, _first_child_at(parent, b1, b2, v)) for v in shared if v in s3])
+    return DPTable(boundary, costs, demand, None, places)
 
 
 def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
-                demand: Optional[tuple[int, ...]] = None,
-                split: Optional[JoinSplit] = None) -> DPTable:
-    """Combine two child tables into the parent arc's table.
+                demand: tuple[int, ...], split: JoinSplit) -> DPTable:
+    """Combine two child tables into the parent arc's table of the classes
+    of ``demand``; ``split`` is the join's, from the rooted view.
 
     Constraints per vertex: present in only one child, its configuration
     is forced to the parent's; shared by both children and on the parent
@@ -375,18 +331,18 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
     the module docstring): at most 6 per interior shared vertex and at
     most 3 per shared vertex on the parent middle set, fewer when a
     child's run has fewer classes.  Each parent class tabulated under
-    ``demand`` (every class without one) stands for its representative
-    configuration; the children must tabulate every class the join reads,
-    which ``solve_dp``'s demand walk ensures.  The forced positions are
+    ``demand`` stands for its representative configuration; the children
+    must tabulate every class the join reads, which ``solve_dp``'s demand
+    walk ensures.  The forced positions are
     enumerated once per join as three flat lists of parent, child 1 and
     child 2 index offsets, the representative mapped through each child's
     class map; entries are grouped by the parent classes at the shared
     vertices, and every entry of a group tries the same child class pairs.
-    A group with a single pair is a straight sum.  ``split`` is computed
-    from the boundaries unless given; the table keeps it, and
-    ``solve_dp`` recomputes the pair behind an entry from it."""
-    if split is None:
-        split = _join_split(parent, t1.boundary, t2.boundary)
+    A group with a single pair is a straight sum.  The table keeps
+    ``split``, and ``solve_dp`` recomputes the pair behind an entry from
+    it."""
+    if t1.boundary.inside_count + t2.boundary.inside_count != parent.inside_count:
+        raise DecompositionError("child arcs must partition the parent inside")
     places = _places(parent, demand)
     p1, p2 = t1.places, t2.places
     f3, f1, f2 = [0], [0], [0]
@@ -477,20 +433,20 @@ def _leaf_keeps(instance: Instance, table: DPTable, e: int, index: int) -> bool:
                for v, (weight, _cmap, reps, _digits) in table.places.items())
 
 
-def _demand_walk(rooted, top: int) -> tuple[dict[int, tuple[int, ...]], dict[int, JoinSplit]]:
-    """Each arc's demand, top-down from ``top``, the arc below the root
-    leaf, and each join's split (see the module docstring)."""
+def _demand_walk(rooted) -> dict[int, tuple[int, ...]]:
+    """Each arc's demand, top-down from the arc below the root leaf (see
+    the module docstring), read off a validated rooted view's boundaries
+    and splits."""
     bounds = rooted.boundaries
+    top = rooted.children[rooted.root_leaf][0]
     demand = {top: tuple(_MAXIMAL[cmap] for cmap in bounds[top].classes)}
-    splits = {}
     # reversed post-order visits each parent before its children
     for node in reversed(rooted.post_order):
         kids = rooted.children[node]
         if not kids:
             continue
         a, b = kids
-        parent, b1, b2 = bounds[node], bounds[a], bounds[b]
-        split = splits[node] = _join_split(parent, b1, b2)
+        parent, b1, b2, split = bounds[node], bounds[a], bounds[b], rooted.splits[node]
         mid3, maps3, want3 = parent.mid, parent.classes, demand[node]
         mid1, maps1, mid2, maps2 = b1.mid, b1.classes, b2.mid, b2.classes
         want1, want2 = [0] * len(mid1), [0] * len(mid2)
@@ -510,7 +466,7 @@ def _demand_walk(rooted, top: int) -> tuple[dict[int, tuple[int, ...]], dict[int
             want1[j1], want2[j2] = _target_reads(maps3[k], want3[k], first,
                                                  maps1[j1], maps2[j2])
         demand[a], demand[b] = tuple(want1), tuple(want2)
-    return demand, splits
+    return demand
 
 
 def solve_dp(instance: Instance, dec: SphereCutDecomposition,
@@ -549,8 +505,7 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
         return make_solution(instance, range(g.edge_count), "dp")
     int_w, scale, _total = instance.int_weights
 
-    top = rooted.children[rooted.root_leaf][0]
-    demand, splits = _demand_walk(rooted, top)
+    demand = _demand_walk(rooted)
     tables: dict[int, DPTable] = {}
     for node in rooted.post_order:
         boundary = rooted.boundaries[node]
@@ -560,8 +515,9 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
         else:
             a, b = kids
             tables[node] = join_tables(boundary, tables[a], tables[b], demand[node],
-                                       splits[node])
+                                       rooted.splits[node])
 
+    top = rooted.children[rooted.root_leaf][0]
     ttop = tables[top]
     e_r = dec.leaf_map[rooted.root_leaf]
     tail_r, head_r = g.edges[e_r]

@@ -5,11 +5,14 @@ all-or-nothing edge classes, the oracle of the compression rules; it
 shares ``mwbs.oracle``'s switch-count state and budget.
 ``align_optimum_to_classes`` rewrites an optimum into one that deletes
 whole partition classes, which certifies that some optimum is
-class-aligned.
+class-aligned.  ``join_split`` rebuilds a join's split from the three
+boundaries alone, checking that they fit together, the reference of the
+validator's ``RootedDecomposition.splits``.
 """
 
 from mwbs.configs import CONFIGS, collapse
-from mwbs.errors import BudgetExceeded, EmbeddingError, FormatError
+from mwbs.decomposition import ArcBoundary, JoinSplit
+from mwbs.errors import BudgetExceeded, DecompositionError, EmbeddingError, FormatError
 from mwbs.kernel import optimal_switches, sections_of
 from mwbs.oracle import BUDGET, _SwitchState
 from mwbs.plane import Instance, Solution, dart_direction, dart_edge, make_solution
@@ -75,3 +78,31 @@ def align_optimum_to_classes(instance: Instance, kept: set[int]) -> set[int]:
         out.difference_update(edges)
         out.update(e for e in edges if e not in deleted)
     return out
+
+
+def first_child_at(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary, v: int) -> int:
+    """Which child's inside-dart run starts the parent run at v (1 or 2).
+
+    The two child runs tile the parent run; clockwise from the outside
+    gap, the child owning the parent run's first dart comes first."""
+    s3 = parent.runs[v][0]
+    if b1.runs[v][0] == s3:
+        return 1
+    if b2.runs[v][0] == s3:
+        return 2
+    raise DecompositionError(f"child runs at vertex {v} do not tile the parent run")
+
+
+def join_split(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary) -> JoinSplit:
+    """The split of the join of child arcs b1 and b2 into ``parent``, from
+    the boundaries alone, after checking that the children partition the
+    parent's inside and that the middle sets agree."""
+    if b1.inside_count + b2.inside_count != parent.inside_count:
+        raise DecompositionError("child arcs must partition the parent inside")
+    s1, s2, s3 = b1.runs.keys(), b2.runs.keys(), parent.runs.keys()
+    if not s1 ^ s2 <= s3 <= s1 | s2:
+        raise DecompositionError("arc middle sets are inconsistent")
+    shared = sorted(s1 & s2)
+    return JoinSplit([v for v in parent.mid if v not in s1 or v not in s2],
+                     [v for v in shared if v not in s3],
+                     [(v, first_child_at(parent, b1, b2, v)) for v in shared if v in s3])

@@ -267,6 +267,50 @@ def test_eptas_commands(tmp_path, capsys):
     assert doc["deleted_weight"] == "1/1"
 
 
+@pytest.mark.parametrize("variant", ["max", "min"])
+def test_validate_reads_an_eptas_report(tmp_path, capsys, variant):
+    """``mwbs validate --solution`` checks the solution that an eptas
+    report nests under "solution", and refuses it once tampered with."""
+    f = tmp_path / "gen.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=12, seed=2, density="sparse"))))
+    report = tmp_path / "eptas.json"
+    code, _ = run(capsys, "eptas", variant, str(f), "--epsilon", "1/2", "--out", str(report))
+    assert code == 0
+    code, out = run(capsys, "validate", str(f), "--solution", str(report))
+    assert code == 0 and json.loads(out)["solution_ok"]
+    doc = json.loads(report.read_text())
+    doc["solution"]["deleted_weight"] = "1000/1"
+    report.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(f), "--solution", str(report))
+    assert code == 1 and json.loads(out)["fields"] == ["deleted_weight"]
+
+
+def test_validate_reads_a_kernelize_report(tmp_path, capsys):
+    """``mwbs validate`` checks the normal form that a kernelize report
+    nests under "instance"."""
+    f = tmp_path / "gen.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=12, seed=2))))
+    report = tmp_path / "k.json"
+    code, _ = run(capsys, "kernelize", str(f), "--out", str(report))
+    assert code == 0
+    normal = json.loads(report.read_text())["instance"]
+    code, out = run(capsys, "validate", str(report))
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"]
+    assert (doc["vertices"], doc["edges"]) == (normal["vertices"], len(normal["edges"]))
+
+
+def test_out_of_memory_is_a_json_error(tmp_path, capsys, monkeypatch):
+    """A solve that runs out of memory ends in the JSON error on standard
+    error and exit status 1, not a traceback."""
+    def exhausted(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(kernel, "solve_subexponential", exhausted)
+    code, error = run_failing(capsys, "solve", str(star_file(tmp_path)))
+    assert (code, error) == (1, "out of memory")
+
+
 def test_eptas_min_certifies_once(tmp_path, capsys, monkeypatch):
     """``mwbs eptas min`` prints the solution that its shifting loop
     certified, where it used to certify the same deleted set again: one

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,7 @@ from mwbs.decomposition import (
 )
 from mwbs.errors import BuildError, DecompositionError, EmbeddingError
 from mwbs.generate import GenParams, gen_instance
-from mwbs.dp import solve_dp
+from mwbs.dp import _demand_walk, solve_dp
 from mwbs.kernel import reduce_to_simple
 from mwbs.oracle import brute_force_mwbs, is_star
 from mwbs.plane import (
@@ -42,6 +43,7 @@ from mwbs.plane import (
     subgraph_by_edges,
 )
 
+from oracles import join_split
 from test_dp import inside_sets, path_instance
 from test_plane import star4_instance, triangle_instance
 
@@ -191,17 +193,19 @@ class TestBuilderPolicy:
 
     def test_fewer_entries_kept_on_a_width_tie(self):
         """Triangulation n=100 seed 2 reduces to one component on which
-        greedy and bisection both give width 11, but bisection's all-class
-        tables hold 14,891,614 entries and greedy's 1,763,000,116: the
-        policy keeps bisection's tree.  Built and validated only."""
+        greedy and bisection both give width 11, but the tables that
+        solve_dp builds on bisection's tree hold 6,394,830 entries and on
+        greedy's 234,728,136 (14,891,614 and 1,763,000,116 with every
+        class tabulated): the policy keeps bisection's tree.  Built,
+        validated and walked for demand only."""
         (sub,) = dp_components(gen_instance(GenParams(n=100, seed=2)))
         g = sub.graph
         skeleton, lift = _skeleton(g)
         greedy = decomposition._validated(g, lift(_greedy_sweep(skeleton)))
         bisection = decomposition._validated(g, lift(_recursive_bisection(skeleton)))
         assert (greedy.declared_width, bisection.declared_width) == (11, 11)
-        assert decomposition._entries(greedy) == 1_763_000_116
-        assert decomposition._entries(bisection) == 14_891_614
+        assert demanded_entries(greedy) == 234_728_136
+        assert demanded_entries(bisection) == 6_394_830
         dec = build_sphere_cut(g)
         assert (dec.arcs, dec.leaf_map) == (bisection.arcs, bisection.leaf_map)
 
@@ -233,6 +237,13 @@ class TestBuilderPolicy:
         for name in ("recursive-bisection", "auto"):
             with pytest.raises(BuildError):
                 build_sphere_cut(g, name)
+
+
+def demanded_entries(dec):
+    """The entries of the tables that solve_dp builds on a built tree at
+    its report's root."""
+    return sum(math.prod(mask.bit_count() for mask in masks)
+               for masks in _demand_walk(dec.report.rooted).values())
 
 
 def dp_components(instance):
@@ -648,6 +659,31 @@ class TestValidator:
             for bad in (internal, dec.node_count):
                 with pytest.raises(DecompositionError, match="not a mapped leaf"):
                     validate_decomposition(g, dec, bad)
+
+    def test_splits_match_the_reference(self, corpus_small):
+        """Every join's split in the rooted view equals the one rebuilt
+        from its three boundaries alone, with every check
+        (``oracles.join_split``), at the lowest, middle and highest leaf:
+        on the builder's trees of the first 60 corpus instances and of the
+        components of triangulations n=24 seeds 0-14 (the tri-frontier
+        pool)."""
+        graphs = [inst.graph for inst in corpus_small[:60]]
+        graphs += [sub.graph for seed in range(15)
+                   for sub in dp_components(gen_instance(GenParams(n=24, seed=seed)))]
+        checked = 0
+        for g in graphs:
+            dec = build_sphere_cut(g)
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                rooted = validate_decomposition(g, dec, root).rooted
+                bounds = rooted.boundaries
+                joins = [node for node in rooted.post_order if rooted.children[node]]
+                assert sorted(rooted.splits) == sorted(joins)
+                for node in joins:
+                    a, b = rooted.children[node]
+                    assert rooted.splits[node] == join_split(bounds[node], bounds[a], bounds[b])
+                    checked += 1
+        assert checked > 3000
 
     def test_import_export_roundtrip(self, corpus_small):
         inst = connected_corpus(corpus_small, 1)[0]

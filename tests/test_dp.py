@@ -37,7 +37,6 @@ from mwbs.dp import (
     _TARGET_CLASS_PAIRS,
     _TARGET_PAIRS,
     _chosen_pair,
-    _first_child_at,
     join_tables,
     leaf_table,
     solve_dp,
@@ -56,6 +55,7 @@ from mwbs.plane import (
     dart_edge,
 )
 
+from oracles import first_child_at
 from test_plane import star4_instance, triangle_instance
 
 
@@ -336,18 +336,30 @@ def caterpillar_over(m):
                                   {j: j for j in range(m)})
 
 
+def every_class(boundary):
+    """The demand that tabulates every class at every position."""
+    return tuple((1 << (max(cmap) + 1)) - 1 for cmap in boundary.classes)
+
+
+def all_class_table(inst, rooted, tables, node, leaf_map):
+    """The table of every class of ``node``'s arc, from its children's
+    tables in ``tables``."""
+    b = rooted.boundaries[node]
+    kids = rooted.children[node]
+    if not kids:
+        return leaf_table(inst, b, leaf_map[node], every_class(b))
+    return join_tables(b, *(tables[k] for k in kids), every_class(b), rooted.splits[node])
+
+
 def rooted_tables(inst, dec, root_leaf=None):
-    """The validator's rooted view of ``dec`` and the table of every arc,
-    built bottom-up as solve_dp builds them."""
+    """The validator's rooted view of ``dec`` and the table of every class
+    of every arc, built bottom-up as solve_dp builds its tables."""
     report = validate_decomposition(inst.graph, dec, root_leaf)
     assert report.ok, report.violations
     rooted = report.rooted
     tables = {}
     for node in rooted.post_order:
-        b = rooted.boundaries[node]
-        kids = rooted.children[node]
-        tables[node] = (join_tables(b, *(tables[k] for k in kids)) if kids
-                        else leaf_table(inst, b, dec.leaf_map[node]))
+        tables[node] = all_class_table(inst, rooted, tables, node, dec.leaf_map)
     return rooted, tables, inst.int_weights.values
 
 
@@ -378,7 +390,8 @@ def fan_instance(k):
 
 def spokes_join(k):
     """The arguments of the join that makes the arc over the spokes of
-    ``fan_instance(k)``: that arc's boundary and its children's tables.
+    ``fan_instance(k)``: that arc's boundary, its children's tables, the
+    demand of every class and the join's split.
     The tree is balanced over the spokes, with the rim edges hung above
     it one at a time and the last rim edge at the root."""
     inst = fan_instance(k)
@@ -393,11 +406,10 @@ def spokes_join(k):
     tables = {}
     for node in rooted.post_order:
         b = rooted.boundaries[node]
-        kids = rooted.children[node]
         if len(b.mid) == k:
-            return (b, *(tables[c] for c in kids))
-        tables[node] = (join_tables(b, *(tables[c] for c in kids)) if kids
-                        else leaf_table(inst, b, dec.leaf_map[node]))
+            return (b, *(tables[c] for c in rooted.children[node]), every_class(b),
+                    rooted.splits[node])
+        tables[node] = all_class_table(inst, rooted, tables, node, dec.leaf_map)
     raise AssertionError("no arc has all rim vertices on its middle set")
 
 
@@ -448,12 +460,10 @@ def record_tables(monkeypatch):
 
 def tabulated_reps(table):
     """Per middle-set vertex, the smallest configuration of each class
-    that the table tabulates, in class order: the classes of its demand,
-    or every class."""
+    that the table tabulates, in class order: the classes of its demand."""
     b = table.boundary
-    masks = table.demand or [(1 << (max(cmap) + 1)) - 1 for cmap in b.classes]
     return {v: [cmap.index(c) for c in range(max(cmap) + 1) if mask >> c & 1]
-            for v, cmap, mask in zip(b.mid, b.classes, masks)}
+            for v, cmap, mask in zip(b.mid, b.classes, table.demand)}
 
 
 def entry_codes(table):
@@ -513,9 +523,9 @@ class TestLeafTable:
         assert self.cost({0: "o", 1: "o"}) == 1
 
     def test_wrong_boundary_rejected(self):
-        top = self.rooted.children[2][0]
+        b = self.rooted.boundaries[self.rooted.children[2][0]]
         with pytest.raises(DecompositionError):
-            leaf_table(self.inst, self.rooted.boundaries[top], 0)
+            leaf_table(self.inst, b, 0, every_class(b))
 
 
 class TestJoin:
@@ -531,9 +541,10 @@ class TestJoin:
     def test_children_must_partition_the_parent(self):
         rooted, tables, _ = rooted_tables(path5_instance(), caterpillar_over(5), 4)
         top = rooted.children[4][0]
-        assert rooted.boundaries[top].inside_count == 4
+        b = rooted.boundaries[top]
+        assert b.inside_count == 4
         with pytest.raises(DecompositionError, match="partition the parent inside"):
-            join_tables(rooted.boundaries[top], tables[0], tables[1])
+            join_tables(b, tables[0], tables[1], every_class(b), rooted.splits[top])
 
     def test_twenty_single_direction_positions(self):
         """The arc over the spokes of a 20-spoke fan has the 20 rim
@@ -638,7 +649,7 @@ def join_rule(parent, b1, b2):
     """The parent entries that child entries code1, code2 may combine
     into, vertex by vertex from the definition of the join."""
     shared = set(b1.mid) & set(b2.mid)
-    first = {v: _first_child_at(parent, b1, b2, v) for v in shared & set(parent.mid)}
+    first = {v: first_child_at(parent, b1, b2, v) for v in shared & set(parent.mid)}
     interior = shared - set(parent.mid)
     targets = {(x, y): [t for t in CONFIGS if compatible_wrt_ref(x, y, t)]
                for x in CONFIGS for y in CONFIGS}
@@ -703,7 +714,7 @@ def reference_split(parent, b1, b2):
         if v not in set3:
             combos = extend_ref(combos, 6 ** pos1[v], 6 ** pos2[v], _INTERIOR_PAIRS)
     targets = [(6 ** pos3[v], 6 ** pos1[v], 6 ** pos2[v],
-                _TARGET_PAIRS[_first_child_at(parent, b1, b2, v)])
+                _TARGET_PAIRS[first_child_at(parent, b1, b2, v)])
                for v in shared if v in set3]
     return owned, combos, targets
 
@@ -765,7 +776,7 @@ def reference_class_pairs(parent, b1, b2, index):
     interior = [v for v in shared if v not in maps3]
     targets = [v for v in shared if v in maps3]
     options = [_INTERIOR_CLASS_PAIRS[maps1[v], maps2[v]] for v in interior]
-    options += [_TARGET_CLASS_PAIRS[_first_child_at(parent, b1, b2, v)][maps1[v], maps2[v]][rep[v]]
+    options += [_TARGET_CLASS_PAIRS[first_child_at(parent, b1, b2, v)][maps1[v], maps2[v]][rep[v]]
                 for v in targets]
     pairs = []
     for pick in itertools.product(*options):
@@ -793,7 +804,7 @@ def valid_class_pair(parent, b1, b2, index, i1, i2):
         configs2 = [x for x in CONFIGS if maps2[v][CONFIGS.index(x)] == cls2[v]]
         if v not in maps3:
             ok = any(compatible_ref(x, y) for x in configs1 for y in configs2)
-        elif _first_child_at(parent, b1, b2, v) == 1:
+        elif first_child_at(parent, b1, b2, v) == 1:
             ok = any(compatible_wrt_ref(x, y, CONFIGS[rep[v]]) for x in configs1 for y in configs2)
         else:
             ok = any(compatible_wrt_ref(y, x, CONFIGS[rep[v]]) for x in configs1 for y in configs2)
@@ -867,6 +878,30 @@ class TestSolveDP:
             calls.clear()
             assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0
             assert len(calls) == 2 * m - 3
+
+    def test_one_split_per_join_per_solve(self, corpus_small, monkeypatch):
+        """The validator's splits are the ones the demand walk, the joins
+        and reconstruction read: one solve computes each join's split
+        once, m - 2 on a caterpillar, and as many as the tree has joins on
+        the builder's trees."""
+        calls = []
+        real = decomposition.RootedDecomposition.split
+
+        def counted(rooted, node):
+            calls.append(node)
+            return real(rooted, node)
+
+        monkeypatch.setattr(decomposition.RootedDecomposition, "split", counted)
+        for m in (2, 5, 9):
+            calls.clear()
+            assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0
+            assert len(calls) == m - 2
+        for inst in corpus_small[:20]:
+            dec = build_sphere_cut(inst.graph)
+            calls.clear()
+            solve_dp(inst, dec, max(dec.leaf_map))
+            assert sorted(calls) == sorted(set(calls))
+            assert len(calls) == dec.node_count - len(dec.leaf_map)
 
     def test_root_must_be_a_mapped_leaf(self):
         inst, dec = path5_instance(), caterpillar_over(5)
