@@ -37,14 +37,18 @@ and are always re-validated (middle sets are recomputed, never trusted).
 Every run test reads a rotation-position bitmask: bit j of a vertex's
 mask is the dart at position j of its rotation, and the mask is one
 cyclic run when at most one set bit follows an unset one (``_run``).  The
-rooted view builds the masks bottom up: a leaf arc holds its edge's two
-darts, an arc ORs its children's masks, and a vertex whose mask is full
-leaves; the vertices left are the arc's middle set, and its runs and
-class maps are read off their masks, and each join's ``JoinSplit`` off
-its children's.  ``_grow`` keeps the region's and
-the rest's masks per vertex as it absorbs edges, and a split computes,
-once per vertex, every restriction of a part that leaves both sides one
-run there, so each candidate part costs one lookup per vertex.
+rooted view is built in one bottom-up walk: a leaf arc holds its edge's
+two darts, a join ORs its children's masks, and a vertex whose mask is
+full leaves; the vertices left are the arc's middle set.  The walk tests
+each new mask for a run on the spot and reads the run's class map off two
+masks per hub, built once per view: ``ends``, bit j set when dart j is a
+head, and ``sw = ends ^ rotr(ends, 1)``.  A run ``mask`` from ``start``
+has first end ``ends >> start & 1`` and the switch count
+``(sw & mask & rotr(mask, 1)).bit_count()``.  The same walk stores each
+arc's ``ArcBoundary`` and each join's ``JoinSplit``.  ``_grow`` keeps the
+region's and the rest's masks per vertex as it absorbs edges, and a split
+computes, once per vertex, every restriction of a part that leaves both
+sides one run there, so each candidate part costs one lookup per vertex.
 """
 
 from __future__ import annotations
@@ -130,8 +134,7 @@ def decomposition_from_document(doc) -> SphereCutDecomposition:
     return SphereCutDecomposition(nodes, arcs, leaf_map)
 
 
-@dataclass(frozen=True)
-class ArcBoundary:
+class ArcBoundary(NamedTuple):
     """One arc of a rooted decomposition, seen from its inside.
 
     ``mid`` lists the middle-set vertices sorted by id (the order used to
@@ -186,15 +189,6 @@ def _run(mask: int, k: int) -> Optional[tuple[int, int]]:
     return (starts.bit_length() - 1 if starts else 0, mask.bit_count())
 
 
-def _switch_prefix(row: Sequence[int]) -> list[int]:
-    """Entry j counts the positions k < j where dart k and dart k + 1 of
-    the row, read twice around, have different ends; the switches of a run
-    of ``length`` darts from ``start`` are then entry start + length - 1
-    minus entry start."""
-    ends = [d & 1 for d in row] * 2
-    return [0, *itertools.accumulate(a != b for a, b in zip(ends, ends[1:]))]
-
-
 # ---------------------------------------------------------------------
 # validation
 
@@ -203,12 +197,14 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
     """Check leaf bijection, tree shape, internal degrees, middle sets and
     the per-arc contiguity contract; report the recomputed width.
 
-    The tree is rooted once, at ``root_leaf`` or else the lowest mapped
-    leaf, and every arc boundary and join split is computed once; a valid
-    report carries that rooted view for the solver.  Violations are
-    collected as data, not raised; only a ``root_leaf`` that is not a
-    mapped leaf raises DecompositionError, since it is the caller's
-    choice, not a property of the tree."""
+    Once the shape checks pass, the tree is rooted at ``root_leaf`` or
+    else the lowest mapped leaf, and one walk of ``RootedDecomposition``
+    computes every arc boundary and join split; every arc whose darts are
+    not one run somewhere is reported, in arc order, and a valid report
+    carries the rooted view for the solver.  Violations are collected as
+    data, not raised; only a ``root_leaf`` that is not a mapped leaf
+    raises DecompositionError, since it is the caller's choice, not a
+    property of the tree."""
     violations: list[str] = []
     m = graph.edge_count
     k = dec.node_count
@@ -263,18 +259,11 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
         # a one-edge graph's arc passes both endpoints by convention
         return ValidationReport(True, 2 if degenerate else 0, [])
 
-    rooted = RootedDecomposition(graph, dec, min(mapped) if root_leaf is None else root_leaf)
-    broken: list[tuple[tuple[int, int], str]] = []
-    for node in rooted.post_order:
-        try:
-            rooted.boundaries[node] = rooted.boundary(node)
-        except DecompositionError as exc:
-            broken.append((tuple(sorted((node, rooted.parent[node]))), str(exc)))
-            continue
-        if rooted.children[node] and not broken:
-            rooted.splits[node] = rooted.split(node)
-    if broken:
-        return ValidationReport(False, 0, [text for _arc, text in sorted(broken)])
+    rooted = RootedDecomposition(graph, dec, min(mapped) if root_leaf is None else root_leaf, adj)
+    if rooted.broken:
+        by_arc = sorted((tuple(sorted((node, rooted.parent[node]))), text)
+                        for node, text in rooted.broken.items())
+        return ValidationReport(False, 0, [text for _arc, text in by_arc])
     width = max(len(b.mid) for b in rooted.boundaries.values())
     return ValidationReport(True, width, [], rooted)
 
@@ -285,99 +274,145 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
 class RootedDecomposition:
     """A decomposition rooted at a mapped leaf; the inside of every arc is
     the side away from the root leaf's edge.  Each arc is keyed by its
-    end away from the root, and each join by its node.  ``boundaries`` and
-    ``splits`` start empty; ``validate_decomposition`` fills them with
-    every arc's boundary and every join's split."""
+    end away from the root, and each join by its node.
 
-    def __init__(self, graph: PlaneDigraph, dec: SphereCutDecomposition, root_leaf: int):
+    The whole view is built in one post-order walk over a tree of the
+    validator's shape: every node but the root leaf is a leaf or has two
+    children.  Per arc, each vertex with darts on both sides keeps
+    its inside-dart mask by rotation position, with that mask's run and
+    class map (``_read_run``): a leaf holds its edge's two darts, and a
+    join ORs its children's masks, drops the full ones and reads again
+    only the vertices both children share; the rest keep their child's
+    reading.  The vertices kept are the arc's middle set.  ``boundaries``
+    holds the boundary of every arc whose masks all are runs, and
+    ``broken`` the violation of every other arc; ``splits`` holds each
+    join's split, taken while no arc is broken, so a valid tree has every
+    one.  ``adj``, when given, is ``dec.neighbors()``."""
+
+    def __init__(self, graph: PlaneDigraph, dec: SphereCutDecomposition, root_leaf: int,
+                 adj: Optional[list[list[int]]] = None):
         if root_leaf not in dec.leaf_map:
             raise DecompositionError(f"root {root_leaf} is not a mapped leaf")
         self.graph = graph
         self.root_leaf = root_leaf
-        adj = dec.neighbors()
-        parent = {root_leaf: None}
+        if adj is None:
+            adj = dec.neighbors()
+        parent: dict[int, Optional[int]] = {root_leaf: None}
+        children: dict[int, list[int]] = {}
         order = [root_leaf]
         stack = [root_leaf]
         while stack:
             u = stack.pop()
+            kids = children[u] = []
             for w in adj[u]:
                 if w not in parent:
                     parent[w] = u
+                    kids.append(w)
                     order.append(w)
                     stack.append(w)
-        self.parent = parent
-        self.children = {u: [w for w in adj[u] if parent.get(w) == u] for u in order}
-        self.post_order = [u for u in reversed(order) if u != root_leaf]
-        # node -> number of inside edges of arc (node, parent), and the
-        # inside-dart mask of each vertex with darts on both sides: a leaf
-        # holds its edge's two darts, a node ORs its children's masks, and
-        # a vertex whose mask is full has no dart outside and drops out for
-        # good
-        full = [(1 << len(row)) - 1 for row in graph.rotation]
-        position = graph.dart_position
-        inside_count: dict[int, int] = {}
-        darts: dict[int, dict[int, int]] = {}
+        self.parent, self.children = parent, children
+        self.post_order = order[:0:-1]
+        boundaries: dict[int, ArcBoundary] = {}
+        splits: dict[int, JoinSplit] = {}
+        broken: dict[int, str] = {}
+        self.boundaries, self.splits, self.broken = boundaries, splits, broken
+
+        edges, leaf_map, position = graph.edges, dec.leaf_map, graph.dart_position
+        degree = [len(row) for row in graph.rotation]
+        full = [(1 << k) - 1 for k in degree]
+        class_masks = [_hub_masks(row) for row in graph.rotation]
+        at_tail, at_head = CLASS_MAPS[0, 0], CLASS_MAPS[1, 0]
+        # node -> {middle-set vertex: (mask, run or None, class map or None)}
+        readings: dict[int, dict[int, tuple]] = {}
+        counts: dict[int, int] = {}
         for u in self.post_order:
-            kids = self.children[u]
-            own = (dec.leaf_map[u],) if u in dec.leaf_map else ()
-            inside_count[u] = len(own) + sum(inside_count[w] for w in kids)
-            masks: dict[int, int] = {}
-            for e in own:
-                t, h = graph.edges[e]
-                masks[t] = 1 << position(2 * e)
-                masks[h] = 1 << position(2 * e + 1)
-            for w in kids:
-                for v, mask in darts[w].items():
-                    masks[v] = masks.get(v, 0) | mask
-            darts[u] = {v: mask for v, mask in masks.items() if mask != full[v]}
-        self.inside_count = inside_count
-        self.darts = darts             # node -> {middle-set vertex: inside-dart mask}
-        self.boundaries: dict[int, ArcBoundary] = {}
-        self.splits: dict[int, JoinSplit] = {}
-        # only a hub, a vertex of degree above one, can be on a middle set
-        self._switches = [_switch_prefix(row) if len(row) > 1 else None
-                          for row in graph.rotation]
+            kids = children[u]
+            shared = []
+            if kids:
+                a, b = kids
+                ours = readings.pop(a)
+                for v, theirs in readings.pop(b).items():
+                    if v in ours:
+                        shared.append(v)
+                        mask = ours[v][0] | theirs[0]
+                        if mask == full[v]:
+                            del ours[v]
+                        else:
+                            ours[v] = _read_run(mask, degree[v], *class_masks[v])
+                    else:
+                        ours[v] = theirs
+                count = counts.pop(a) + counts.pop(b)
+            else:
+                # one dart is a run, and its class map is its end's
+                ours = {}
+                count = 0
+                e = leaf_map.get(u)
+                if e is not None:
+                    t, h = edges[e]
+                    if degree[t] > 1:
+                        j = position(2 * e)
+                        ours[t] = (1 << j, (j, 1), at_tail)
+                    if degree[h] > 1:
+                        j = position(2 * e + 1)
+                        ours[h] = (1 << j, (j, 1), at_head)
+                    count = 1
+            readings[u] = ours
+            counts[u] = count
+            mid = sorted(ours)
+            runs = {}
+            classes = []
+            for v in mid:
+                _mask, runs[v], cmap = ours[v]
+                classes.append(cmap)
+            arc = (u, parent[u])
+            if None in classes:
+                bad = [v for v in mid if runs[v] is None]
+                broken[u] = (f"arc {tuple(sorted(arc))}: darts of vertices {bad} "
+                             "on one side are not contiguous")
+                continue
+            boundaries[u] = ArcBoundary(arc, tuple(mid), runs, count, tuple(classes))
+            if kids and not broken:
+                # a parent run is its children's runs end to end, so one of
+                # them starts where it does
+                runs1 = boundaries[a].runs
+                shared.sort()
+                splits[u] = JoinSplit([v for v in mid if v not in shared],
+                                      [v for v in shared if v not in runs],
+                                      [(v, 1 if runs1[v][0] == runs[v][0] else 2)
+                                       for v in shared if v in runs])
 
     def boundary(self, node: int) -> ArcBoundary:
-        """ArcBoundary for the arc from ``node`` toward the root, with the
-        class map of every run.  Raises DecompositionError naming every
-        middle-set vertex whose inside darts are not one cyclic run."""
-        g = self.graph
-        darts = self.darts[node]
-        arc = (node, self.parent[node])
-        mid = sorted(darts)
-        runs = {}
-        classes = []
-        broken = []
-        for v in mid:
-            row = g.rotation[v]
-            run = _run(darts[v], len(row))
-            if run is None:
-                broken.append(v)
-                continue
-            runs[v] = start, length = run
-            # the run's class map depends on its first dart's end and its switches
-            switches = self._switches[v]
-            classes.append(CLASS_MAPS[row[start] & 1,
-                                      min(switches[start + length - 1] - switches[start], 3)])
-        if broken:
-            raise DecompositionError(
-                f"arc {tuple(sorted(arc))}: darts of vertices {broken} "
-                "on one side are not contiguous")
-        return ArcBoundary(arc, tuple(mid), runs, self.inside_count[node], tuple(classes))
+        """The stored ArcBoundary of the arc from ``node`` toward the root.
+        Raises DecompositionError naming every middle-set vertex whose
+        inside darts are not one cyclic run."""
+        if node in self.broken:
+            raise DecompositionError(self.broken[node])
+        return self.boundaries[node]
 
-    def split(self, node: int) -> JoinSplit:
-        """The JoinSplit of internal node ``node``, read off the stored
-        boundaries.  The validated runs need no check: a parent run is its
-        children's runs end to end, so one of them starts where it does."""
-        a, b = self.children[node]
-        parent = self.boundaries[node]
-        runs1, runs2, runs3 = self.boundaries[a].runs, self.boundaries[b].runs, parent.runs
-        shared = sorted(runs1.keys() & runs2.keys())
-        return JoinSplit([v for v in parent.mid if v not in runs1 or v not in runs2],
-                         [v for v in shared if v not in runs3],
-                         [(v, 1 if runs1[v][0] == runs3[v][0] else 2)
-                          for v in shared if v in runs3])
+
+def _hub_masks(row: Sequence[int]) -> tuple[int, int]:
+    """The two class masks of a rotation row: bit j of ``ends`` is set
+    when dart j is a head, and bit j of ``sw`` when darts j and j + 1,
+    cyclically, have different ends."""
+    ends = 0
+    for j, d in enumerate(row):
+        ends |= (d & 1) << j
+    return ends, (ends ^ (ends >> 1 | (ends & 1) << len(row) - 1)) if row else 0
+
+
+def _read_run(mask: int, k: int, ends: int, sw: int) -> tuple:
+    """(mask, (start, length), class map) of a proper nonempty mask of a
+    hub's k darts whose class masks are ``ends`` and ``sw``, or (mask,
+    None, None) when the darts are not one cyclic run (see ``_run``).
+    The class map is ``CLASS_MAPS[ends >> start & 1, min(s, 3)]``, where
+    s, the run's switch count, is the bit count of ``sw & mask &
+    rotr(mask, 1)``: its darts whose successor is in the run and has the
+    other end."""
+    run = _run(mask, k)
+    if run is None:
+        return mask, None, None
+    switches = (sw & mask & (mask >> 1 | (mask & 1) << k - 1)).bit_count()
+    return mask, run, CLASS_MAPS[ends >> run[0] & 1, switches if switches < 3 else 3]
 
 
 # ---------------------------------------------------------------------

@@ -7,11 +7,17 @@ shares ``mwbs.oracle``'s switch-count state and budget.
 whole partition classes, which certifies that some optimum is
 class-aligned.  ``join_split`` rebuilds a join's split from the three
 boundaries alone, checking that they fit together, the reference of the
-validator's ``RootedDecomposition.splits``.
+validator's ``RootedDecomposition.splits``.  ``reference_rooted`` is the
+validator's verdict and rooted view computed arc by arc: one mask pass,
+then each boundary on its own, its class maps read off prefix sums of
+switches (``switch_prefix``), and each split from the stored boundaries.
 """
 
-from mwbs.configs import CONFIGS, collapse
-from mwbs.decomposition import ArcBoundary, JoinSplit
+import itertools
+from typing import NamedTuple
+
+from mwbs.configs import CLASS_MAPS, CONFIGS, collapse
+from mwbs.decomposition import ArcBoundary, JoinSplit, _run
 from mwbs.errors import BudgetExceeded, DecompositionError, EmbeddingError, FormatError
 from mwbs.kernel import optimal_switches, sections_of
 from mwbs.oracle import BUDGET, _SwitchState
@@ -106,3 +112,87 @@ def join_split(parent: ArcBoundary, b1: ArcBoundary, b2: ArcBoundary) -> JoinSpl
     return JoinSplit([v for v in parent.mid if v not in s1 or v not in s2],
                      [v for v in shared if v not in s3],
                      [(v, first_child_at(parent, b1, b2, v)) for v in shared if v in s3])
+
+
+def switch_prefix(row) -> list[int]:
+    """Entry j counts the positions k < j where dart k and dart k + 1 of
+    the row, read twice around, have different ends; the switches of a run
+    of ``length`` darts from ``start`` are then entry start + length - 1
+    minus entry start."""
+    ends = [d & 1 for d in row] * 2
+    return [0, *itertools.accumulate(a != b for a, b in zip(ends, ends[1:]))]
+
+
+def run_class(row, start: int, length: int) -> tuple[int, ...]:
+    """The class map of the run of ``length`` darts from ``start`` in a
+    rotation row: keyed by its first dart's end and its switches."""
+    switches = switch_prefix(row)
+    return CLASS_MAPS[row[start] & 1, min(switches[start + length - 1] - switches[start], 3)]
+
+
+class Reference(NamedTuple):
+    ok: bool
+    width: int
+    violations: list[str]
+    boundaries: dict[int, ArcBoundary]
+    splits: dict[int, JoinSplit]
+
+
+def reference_rooted(graph, dec, root: int) -> Reference:
+    """The validator's verdict on a tree of the validator's shape, rooted
+    at mapped leaf ``root``, with every boundary of an arc whose inside
+    darts are one run at every middle-set vertex, and every join's split
+    taken while no arc is broken, in the validator's post-order (a
+    depth-first one).  Each vertex's inside mask is built first for every
+    arc; then each arc's boundary is read off its masks on its own."""
+    adj = dec.neighbors()
+    parent = {root: None}
+    order = [root]
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+                stack.append(w)
+    children = {u: [w for w in adj[u] if parent[w] == u] for u in order}
+    post_order = [u for u in reversed(order) if u != root]
+    full = [(1 << len(row)) - 1 for row in graph.rotation]
+    darts, inside = {}, {}
+    for u in post_order:
+        masks = {}
+        if u in dec.leaf_map:
+            e = dec.leaf_map[u]
+            t, h = graph.edges[e]
+            masks[t] = 1 << graph.dart_position(2 * e)
+            masks[h] = 1 << graph.dart_position(2 * e + 1)
+        for w in children[u]:
+            for v, mask in darts[w].items():
+                masks[v] = masks.get(v, 0) | mask
+        darts[u] = {v: mask for v, mask in masks.items() if mask != full[v]}
+        inside[u] = (u in dec.leaf_map) + sum(inside[w] for w in children[u])
+    boundaries, splits, broken = {}, {}, []
+    for u in post_order:
+        arc = (u, parent[u])
+        mid = sorted(darts[u])
+        runs, classes, bad = {}, [], []
+        for v in mid:
+            row = graph.rotation[v]
+            run = _run(darts[u][v], len(row))
+            if run is None:
+                bad.append(v)
+                continue
+            runs[v] = run
+            classes.append(run_class(row, *run))
+        if bad:
+            broken.append((tuple(sorted(arc)), f"arc {tuple(sorted(arc))}: darts of vertices "
+                                               f"{bad} on one side are not contiguous"))
+            continue
+        boundaries[u] = ArcBoundary(arc, tuple(mid), runs, inside[u], tuple(classes))
+        if children[u] and not broken:
+            a, b = children[u]
+            splits[u] = join_split(boundaries[u], boundaries[a], boundaries[b])
+    if broken:
+        return Reference(False, 0, [text for _arc, text in sorted(broken)], boundaries, splits)
+    return Reference(True, max(len(b.mid) for b in boundaries.values()), [], boundaries, splits)

@@ -26,10 +26,11 @@ from mwbs.decomposition import (
     decomposition_from_document,
     validate_decomposition,
 )
+from mwbs.configs import CLASS_MAPS
 from mwbs.errors import BuildError, DecompositionError, EmbeddingError
 from mwbs.generate import GenParams, gen_instance
 from mwbs.dp import _demand_walk, solve_dp
-from mwbs.kernel import reduce_to_simple
+from mwbs.kernel import reduce_to_simple, solve_subexponential
 from mwbs.oracle import brute_force_mwbs, is_star
 from mwbs.plane import (
     HEAD,
@@ -43,7 +44,7 @@ from mwbs.plane import (
     subgraph_by_edges,
 )
 
-from oracles import join_split
+from oracles import join_split, reference_rooted, switch_prefix
 from test_dp import inside_sets, path_instance
 from test_plane import star4_instance, triangle_instance
 
@@ -641,7 +642,8 @@ class TestValidator:
 
     def test_rooted_view_at_the_chosen_leaf(self, corpus_small):
         """ok and width do not depend on the root; the rooted view carries
-        one boundary per arc, equal to the one computed on demand."""
+        one boundary per arc, equal to the reference's
+        (``oracles.reference_rooted``)."""
         for inst in connected_corpus(corpus_small, 10):
             g = inst.graph
             dec = build_sphere_cut(g)
@@ -653,8 +655,9 @@ class TestValidator:
                 assert rooted.root_leaf == root
                 assert sorted(rooted.boundaries) == sorted(rooted.post_order)
                 assert len(rooted.boundaries) == len(dec.arcs)
+                want = reference_rooted(g, dec, root).boundaries
                 for node, b in rooted.boundaries.items():
-                    assert b == rooted.boundary(node)
+                    assert b == want[node] == rooted.boundary(node)
             internal = next(u for u in range(dec.node_count) if u not in dec.leaf_map)
             for bad in (internal, dec.node_count):
                 with pytest.raises(DecompositionError, match="not a mapped leaf"):
@@ -684,6 +687,43 @@ class TestValidator:
                     assert rooted.splits[node] == join_split(bounds[node], bounds[a], bounds[b])
                     checked += 1
         assert checked > 3000
+
+    def test_walk_matches_the_reference(self, corpus_small):
+        """The one-walk validator against the arc-by-arc reference
+        (``oracles.reference_rooted``): ok, width, violations, every
+        boundary and every split, at the lowest, middle and highest leaf.
+        On the builder's trees of the first 200 corpus instances and of
+        the tri-frontier components, and on trees made invalid by swapping
+        two leaf_map values, whose broken arcs the rooted view reports
+        from ``boundary``."""
+        rng = random.Random(23)
+        graphs = [inst.graph for inst in corpus_small[:200]]
+        graphs += [sub.graph for seed in range(15)
+                   for sub in dp_components(gen_instance(GenParams(n=24, seed=seed)))]
+        valid = invalid = 0
+        for g in graphs:
+            dec = build_sphere_cut(g)
+            leaves = sorted(dec.leaf_map)
+            x, y = rng.sample(leaves, 2)
+            swapped = dict(dec.leaf_map)
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            for tree in (dec, SphereCutDecomposition(dec.node_count, dec.arcs, swapped)):
+                for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                    report = validate_decomposition(g, tree, root)
+                    want = reference_rooted(g, tree, root)
+                    assert (report.ok, report.width, report.violations) == \
+                        (want.ok, want.width, want.violations)
+                    rooted = report.rooted or RootedDecomposition(g, tree, root)
+                    assert rooted.boundaries == want.boundaries
+                    assert rooted.splits == want.splits
+                    assert sorted(rooted.broken.values()) == sorted(want.violations)
+                    for node, text in rooted.broken.items():
+                        with pytest.raises(DecompositionError) as exc:
+                            rooted.boundary(node)
+                        assert str(exc.value) == text
+                    valid += report.ok
+                    invalid += not report.ok
+        assert valid > 1000 and invalid > 200
 
     def test_import_export_roundtrip(self, corpus_small):
         inst = connected_corpus(corpus_small, 1)[0]
@@ -799,6 +839,62 @@ class TestRunMasks:
             for mask in range(1 << k):
                 flags = [bool(mask >> j & 1) for j in range(k)]
                 assert decomposition._run(mask, k) == flag_run(flags), (k, mask)
+
+    def test_class_masks_match_the_prefix_class(self):
+        """For every end pattern of k <= 10 darts and every proper run, the
+        run and class map read off the hub masks (``_read_run``) are the
+        run's and the class map keyed by its first dart's end and its
+        switches, counted on the prefix sums (``oracles.switch_prefix``).
+        Any proper mask's run is ``_run``'s."""
+        checked = 0
+        for k in range(2, 11):
+            for pattern in range(1 << k):
+                row = [2 * j + (pattern >> j & 1) for j in range(k)]
+                ends, sw = decomposition._hub_masks(row)
+                prefix = switch_prefix(row)
+                for start in range(k):
+                    mask = 0
+                    for length in range(1, k):
+                        mask |= 1 << (start + length - 1) % k
+                        switches = prefix[start + length - 1] - prefix[start]
+                        want = CLASS_MAPS[row[start] & 1, min(switches, 3)]
+                        assert decomposition._read_run(mask, k, ends, sw) == \
+                            (mask, (start, length), want), (row, start, length)
+                        checked += 1
+            for mask in range(1, (1 << k) - 1):
+                assert decomposition._read_run(mask, k, ends, sw)[1] == \
+                    decomposition._run(mask, k)
+        assert checked == sum(k * (k - 1) << k for k in range(2, 11))
+
+    def test_hubs_wider_than_64_darts(self):
+        """Two hubs joined by 72 paths of two edges, each hub's darts
+        alternating tail and head, so every mask at a hub is wider than a
+        machine word: each arc matches the reference at three roots, and
+        ``solve_dp`` finds ``solve_subexponential``'s optimum."""
+        paths = 72
+        edges, hub_darts = [], ([], [])
+        for i in range(paths):
+            x = 2 + i
+            for hub, end in ((0, i % 2), (1, 1 - i % 2)):
+                e = len(edges)
+                edges.append((hub, x) if end == TAIL else (x, hub))
+                hub_darts[hub].append(dart(e, end))
+        rot = [hub_darts[0], hub_darts[1][::-1]]
+        rot += [[dart(2 * i, HEAD if i % 2 == 0 else TAIL),
+                 dart(2 * i + 1, TAIL if i % 2 == 0 else HEAD)] for i in range(paths)]
+        g = PlaneDigraph(paths + 2, edges, rot)
+        inst = Instance(g, tuple(Fraction(1 + e * 7 % 5, 1 + e % 3) for e in range(len(edges))))
+        dec = build_sphere_cut(g)
+        leaves = sorted(dec.leaf_map)
+        for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+            report = validate_decomposition(g, dec, root)
+            want = reference_rooted(g, dec, root)
+            assert report.ok and want.ok and report.width == want.width
+            assert report.rooted.boundaries == want.boundaries
+            assert report.rooted.splits == want.splits
+            assert max(report.rooted.boundaries[node].runs.get(0, (0, 0))[1]
+                       for node in report.rooted.post_order) > 64
+        assert solve_dp(inst, dec).kept_weight == solve_subexponential(inst).kept_weight
 
     def test_split_cost_matches_flags(self, corpus_small):
         """For the parts of whole edge sets and of random subsets,

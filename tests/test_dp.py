@@ -1,6 +1,7 @@
 """Configuration algebra and the table solver, checked against
 independently implemented oracles."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -458,6 +459,30 @@ def record_tables(monkeypatch):
     return made
 
 
+def count_constructions(monkeypatch):
+    """Record every ArcBoundary and JoinSplit that the decomposition
+    module constructs, by type name, and every rooted view it walks."""
+    made = collections.defaultdict(list)
+    walks = []
+
+    def counted(cls):
+        def make(*args):
+            value = cls(*args)
+            made[cls.__name__].append(value)
+            return value
+        return make
+
+    class Walked(decomposition.RootedDecomposition):
+        def __init__(self, *args):
+            walks.append(self)
+            super().__init__(*args)
+
+    for cls in (decomposition.ArcBoundary, decomposition.JoinSplit):
+        monkeypatch.setattr(decomposition, cls.__name__, counted(cls))
+    monkeypatch.setattr(decomposition, "RootedDecomposition", Walked)
+    return made, walks
+
+
 def tabulated_reps(table):
     """Per middle-set vertex, the smallest configuration of each class
     that the table tabulates, in class order: the classes of its demand."""
@@ -863,45 +888,50 @@ class TestSolveDP:
             sol = solve_dp(inst, dec)
             assert max(sol.certificate, default=0) <= 2
 
-    def test_one_boundary_pass_per_solve(self, monkeypatch):
+    def test_one_boundary_pass_per_solve(self, corpus_small, monkeypatch):
         """The validator's boundaries are the ones the tables read: one
-        solve computes one boundary per arc, 2m - 3 on a caterpillar."""
-        calls = []
-        real = decomposition.RootedDecomposition.boundary
-
-        def counted(rooted, node):
-            calls.append(node)
-            return real(rooted, node)
-
-        monkeypatch.setattr(decomposition.RootedDecomposition, "boundary", counted)
+        solve constructs one ArcBoundary per arc, 2m - 3 on a caterpillar,
+        in one walk over a decoded tree, and none on the builder's tree at
+        its own root, whose report's view is reused."""
+        made, walks = count_constructions(monkeypatch)
         for m in (2, 5, 9):
-            calls.clear()
+            made.clear()
+            walks.clear()
             assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0
-            assert len(calls) == 2 * m - 3
+            assert len(made["ArcBoundary"]) == 2 * m - 3
+            assert len(walks) == 1
+        for inst in corpus_small[:20]:
+            dec = build_sphere_cut(inst.graph)
+            decoded = decomposition_from_document(dec.document())
+            made.clear()
+            walks.clear()
+            solve_dp(inst, decoded)
+            assert len(made["ArcBoundary"]) == len(dec.arcs)
+            assert len(walks) == 1
+            made.clear()
+            walks.clear()
+            solve_dp(inst, dec, min(dec.leaf_map))
+            assert not made and not walks
 
     def test_one_split_per_join_per_solve(self, corpus_small, monkeypatch):
         """The validator's splits are the ones the demand walk, the joins
-        and reconstruction read: one solve computes each join's split
-        once, m - 2 on a caterpillar, and as many as the tree has joins on
-        the builder's trees."""
-        calls = []
-        real = decomposition.RootedDecomposition.split
-
-        def counted(rooted, node):
-            calls.append(node)
-            return real(rooted, node)
-
-        monkeypatch.setattr(decomposition.RootedDecomposition, "split", counted)
+        and reconstruction read: one solve constructs each join's
+        JoinSplit once, m - 2 on a caterpillar, and on the builder's trees
+        exactly the splits its rooted view keeps, one per join."""
+        made, walks = count_constructions(monkeypatch)
         for m in (2, 5, 9):
-            calls.clear()
+            made.clear()
             assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0
-            assert len(calls) == m - 2
+            assert len(made["JoinSplit"]) == m - 2
         for inst in corpus_small[:20]:
             dec = build_sphere_cut(inst.graph)
-            calls.clear()
+            made.clear()
+            walks.clear()
             solve_dp(inst, dec, max(dec.leaf_map))
-            assert sorted(calls) == sorted(set(calls))
-            assert len(calls) == dec.node_count - len(dec.leaf_map)
+            (rooted,) = walks
+            splits = made["JoinSplit"]
+            assert len(splits) == dec.node_count - len(dec.leaf_map)
+            assert sorted(map(id, splits)) == sorted(map(id, rooted.splits.values()))
 
     def test_root_must_be_a_mapped_leaf(self):
         inst, dec = path5_instance(), caterpillar_over(5)
