@@ -194,17 +194,17 @@ def _run(mask: int, k: int) -> Optional[tuple[int, int]]:
 
 def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
                            root_leaf: Optional[int] = None) -> ValidationReport:
-    """Check leaf bijection, tree shape, internal degrees, middle sets and
+    """Check leaf bijection, internal degrees, tree shape, middle sets and
     the per-arc contiguity contract; report the recomputed width.
 
-    Once the shape checks pass, the tree is rooted at ``root_leaf`` or
-    else the lowest mapped leaf, and one walk of ``RootedDecomposition``
-    computes every arc boundary and join split; every arc whose darts are
-    not one run somewhere is reported, in arc order, and a valid report
+    Once the leaf and degree rules pass, the tree is rooted at
+    ``root_leaf`` or else the lowest mapped leaf, and ``RootedDecomposition``
+    walks it once: its search shows the tree connected, and its bottom-up
+    walk computes every arc boundary and join split.  Every arc whose darts
+    are not one run somewhere is reported, in arc order, and a valid report
     carries the rooted view for the solver.  Violations are collected as
-    data, not raised; only a ``root_leaf`` that is not a mapped leaf
-    raises DecompositionError, since it is the caller's choice, not a
-    property of the tree."""
+    data, not raised; only a ``root_leaf`` that is not a mapped leaf of a
+    tree raises DecompositionError, since it is the caller's choice."""
     violations: list[str] = []
     m = graph.edge_count
     k = dec.node_count
@@ -221,22 +221,6 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
         violations.append(f"tree must have {k - 1} arcs, found {len(dec.arcs)}")
         return ValidationReport(False, 0, violations)
     adj = dec.neighbors()   # only now: node_count is bounded by the arc count
-    # connectivity
-    if k:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != k:
-            violations.append("decomposition tree is disconnected")
-            return ValidationReport(False, 0, violations)
-
-    leaves = [u for u in range(k) if len(adj[u]) <= 1]
-    internal = [u for u in range(k) if len(adj[u]) > 1]
     degenerate = (m == 1 and k == 2)
     mapped = dec.leaf_map
     for u in mapped:
@@ -245,11 +229,11 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
     values = sorted(mapped.values())
     if values != list(range(m)):
         violations.append("leaf_map is not a bijection onto the edge ids")
-    unmapped = [u for u in leaves if u not in mapped]
+    unmapped = [u for u in range(k) if len(adj[u]) <= 1 and u not in mapped]
     if unmapped and not (degenerate and len(unmapped) == 1):
         violations.append(f"unmapped leaves {unmapped}")
-    for u in internal:
-        if len(adj[u]) != 3:
+    for u in range(k):
+        if len(adj[u]) > 1 and len(adj[u]) != 3:
             violations.append(f"internal node {u} has degree {len(adj[u])}, not 3")
     if violations:
         return ValidationReport(False, 0, violations)
@@ -259,7 +243,15 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
         # a one-edge graph's arc passes both endpoints by convention
         return ValidationReport(True, 2 if degenerate else 0, [])
 
-    rooted = RootedDecomposition(graph, dec, min(mapped) if root_leaf is None else root_leaf, adj)
+    # Below two edges the rules above leave k <= 2 nodes, always connected.
+    # Otherwise the k - 1 arcs form a tree iff a search reaches all k nodes;
+    # a bad root is refused only on a tree, so it searches from the lowest.
+    root = root_leaf if root_leaf in mapped else min(mapped)
+    rooted = RootedDecomposition(graph, dec, root, adj)
+    if len(rooted.parent) < k:
+        return ValidationReport(False, 0, ["decomposition tree is disconnected"])
+    if root_leaf not in (None, root):
+        raise DecompositionError(f"root {root_leaf} is not a mapped leaf")
     if rooted.broken:
         by_arc = sorted((tuple(sorted((node, rooted.parent[node]))), text)
                         for node, text in rooted.broken.items())
@@ -276,18 +268,21 @@ class RootedDecomposition:
     the side away from the root leaf's edge.  Each arc is keyed by its
     end away from the root, and each join by its node.
 
-    The whole view is built in one post-order walk over a tree of the
-    validator's shape: every node but the root leaf is a leaf or has two
-    children.  Per arc, each vertex with darts on both sides keeps
-    its inside-dart mask by rotation position, with that mask's run and
-    class map (``_read_run``): a leaf holds its edge's two darts, and a
-    join ORs its children's masks, drops the full ones and reads again
-    only the vertices both children share; the rest keep their child's
-    reading.  The vertices kept are the arc's middle set.  ``boundaries``
-    holds the boundary of every arc whose masks all are runs, and
-    ``broken`` the violation of every other arc; ``splits`` holds each
-    join's split, taken while no arc is broken, so a valid tree has every
-    one.  ``adj``, when given, is ``dec.neighbors()``."""
+    A depth-first search from the root leaf sets ``parent``, ``children``
+    and ``post_order``; if it misses a node (``len(parent) <
+    dec.node_count``), the arcs form no tree and the view stops, empty.
+    Otherwise it is built in one post-order walk over a tree of the
+    validator's degrees: every node but the root leaf is a leaf or has two
+    children.  Per arc, each vertex with darts on
+    both sides keeps its inside-dart mask by rotation position, with that
+    mask's run and class map (``_read_run``): a leaf holds its edge's two
+    darts, and a join ORs its children's masks, drops the full ones and
+    reads again only the vertices both children share; the rest keep
+    their child's reading.  The vertices kept are the arc's middle set.
+    ``boundaries`` holds the boundary of every arc whose masks all are
+    runs, and ``broken`` the violation of every other arc; ``splits``
+    holds each join's split, taken while no arc is broken, so a valid
+    tree has every one.  ``adj``, when given, is ``dec.neighbors()``."""
 
     def __init__(self, graph: PlaneDigraph, dec: SphereCutDecomposition, root_leaf: int,
                  adj: Optional[list[list[int]]] = None):
@@ -316,6 +311,8 @@ class RootedDecomposition:
         splits: dict[int, JoinSplit] = {}
         broken: dict[int, str] = {}
         self.boundaries, self.splits, self.broken = boundaries, splits, broken
+        if len(order) < dec.node_count:
+            return      # not a tree: the walk below needs every node reached
 
         edges, leaf_map, position = graph.edges, dec.leaf_map, graph.dart_position
         degree = [len(row) for row in graph.rotation]

@@ -44,7 +44,6 @@ from .plane import (
 @dataclass(frozen=True)
 class LayerDecomposition:
     """Vertices grouped by undirected breadth-first distance from a root."""
-    root: int
     layers: tuple[tuple[int, ...], ...]
     layer_of: tuple[int, ...]
 
@@ -79,7 +78,7 @@ def bfs_layers(graph: PlaneDigraph, root: int) -> LayerDecomposition:
     layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
     for v in range(n):
         layers[dist[v]].append(v)
-    return LayerDecomposition(root, tuple(tuple(l) for l in layers), tuple(dist))
+    return LayerDecomposition(tuple(tuple(l) for l in layers), tuple(dist))
 
 
 def _check_epsilon(eps) -> Fraction:

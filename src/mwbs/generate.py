@@ -161,9 +161,7 @@ def gen_instance(params: GenParams) -> Instance:
     return Instance(graph, weights)
 
 
-def planted_star_instance(n: int, seed: int, stars: int,
-                          weight_lo: Fraction = Fraction(1),
-                          weight_hi: Fraction = Fraction(9)) -> Instance:
+def planted_star_instance(n: int, seed: int, stars: int) -> Instance:
     """A bimodal host with a controlled number of non-bimodal vertices.
 
     The host is a random spanning tree of a triangulation, oriented away
@@ -171,7 +169,8 @@ def planted_star_instance(n: int, seed: int, stars: int,
     At up to ``stars`` pairwise non-adjacent high-degree vertices the
     incident edge directions are re-dealt alternately around the rotation,
     with the phase chosen so the parent edge keeps pointing inward; that
-    turns exactly those vertices non-bimodal and nobody else."""
+    turns exactly those vertices non-bimodal and nobody else.  Weights are
+    small rationals in [1, 9]."""
     rng = random.Random(seed)
     if n < 8:
         raise FormatError("planted instances need n >= 8")
@@ -218,7 +217,7 @@ def planted_star_instance(n: int, seed: int, stars: int,
             other = h if t == v else t
             directed[emap[e]] = (other, v) if want_in else (v, other)
     edges = [directed[j] for j in range(len(tree))]
-    weights = tuple(_random_weight(rng, weight_lo, weight_hi) for _ in tree)
+    weights = tuple(_random_weight(rng, Fraction(1), Fraction(9)) for _ in tree)
     graph = PlaneDigraph(n, edges, _orient_rows(rotation, emap, directed))
     bad = graph.bad_vertices()
     if bad != sorted(sites):

@@ -582,14 +582,82 @@ class TestGrowthPins:
         assert regions > 1000
 
 
+# (graph, tree, the validator's exact violations): each row breaks one rule.
+# A leaf_map key off the leaves always also leaves a leaf unmapped or breaks
+# the bijection, so that row reports two.  The disconnected tree passes
+# every leaf and degree rule: a 3-cycle of internal nodes 0-2 with leaves
+# 3-5, and a separate arc between leaves 6 and 7.
+_TRIANGLE_TREE = ((0, 3), (1, 3), (2, 3))
+_REFUSALS = {
+    "negative-node-count": (
+        triangle_instance, SphereCutDecomposition(-1, (), {}), ["negative node count"]),
+    "arc-out-of-range": (
+        triangle_instance, SphereCutDecomposition(4, ((0, 9), (1, 3), (2, 3)),
+                                                  {0: 0, 1: 1, 2: 2}),
+        ["arc (0, 9) references a node outside 0..3"]),
+    "self-loop-arc": (
+        triangle_instance, SphereCutDecomposition(4, ((0, 3), (1, 3), (2, 2)),
+                                                  {0: 0, 1: 1, 2: 2}),
+        ["arc (2, 2) is a self-loop"]),
+    "wrong-arc-count": (
+        triangle_instance, SphereCutDecomposition(4, ((0, 3), (1, 3)), {0: 0, 1: 1, 2: 2}),
+        ["tree must have 3 arcs, found 2"]),
+    "key-not-a-leaf": (
+        triangle_instance, SphereCutDecomposition(4, _TRIANGLE_TREE, {0: 0, 1: 1, 3: 2}),
+        ["leaf_map key 3 is not a leaf node", "unmapped leaves [2]"]),
+    "broken-bijection": (
+        triangle_instance, SphereCutDecomposition(4, _TRIANGLE_TREE, {0: 0, 1: 1, 2: 99}),
+        ["leaf_map is not a bijection onto the edge ids"]),
+    "unmapped-leaves": (
+        triangle_instance,
+        SphereCutDecomposition(6, ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5)),
+                               {0: 0, 1: 1, 2: 2}),
+        ["unmapped leaves [3]"]),
+    "internal-degree-2": (
+        triangle_instance,
+        SphereCutDecomposition(5, ((0, 3), (1, 3), (3, 4), (4, 2)), {0: 0, 1: 1, 2: 2}),
+        ["internal node 4 has degree 2, not 3"]),
+    "internal-degree-4": (
+        star4_instance,
+        SphereCutDecomposition(5, ((0, 4), (1, 4), (2, 4), (3, 4)),
+                               {0: 0, 1: 1, 2: 2, 3: 3}),
+        ["internal node 4 has degree 4, not 3"]),
+    "disconnected": (
+        lambda: star_instance(5),
+        SphereCutDecomposition(8, ((0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5), (6, 7)),
+                               {3: 0, 4: 1, 5: 2, 6: 3, 7: 4}),
+        ["decomposition tree is disconnected"]),
+}
+
+
 class TestValidator:
-    def test_unknown_edge_in_leaf_map(self):
-        g = triangle_instance().graph
-        dec = SphereCutDecomposition(4, ((0, 3), (1, 3), (2, 3)),
-                                     {0: 0, 1: 1, 2: 99})
-        report = validate_decomposition(g, dec)
-        assert not report.ok
-        assert any("bijection" in v for v in report.violations)
+    @pytest.mark.parametrize("name", sorted(_REFUSALS))
+    def test_each_rule_refused_on_its_own(self, name):
+        """The same report at the default root and at a node past the
+        last: a root that is not a mapped leaf is refused only on a tree."""
+        make, dec, want = _REFUSALS[name]
+        for root in (None, dec.node_count):
+            report = validate_decomposition(make().graph, dec, root)
+            assert (report.ok, report.width, report.violations, report.rooted) == \
+                (False, 0, want, None)
+
+    def test_rooted_view_of_a_disconnected_tree_stops_after_its_search(self):
+        """From a leaf of the cycle or of the separate arc, the search
+        misses nodes and the view holds no boundary, split or broken arc."""
+        make, dec, _want = _REFUSALS["disconnected"]
+        for root, reached in ((3, 6), (6, 2)):
+            rooted = RootedDecomposition(make().graph, dec, root)
+            assert len(rooted.parent) == reached < dec.node_count
+            assert rooted.boundaries == rooted.splits == rooted.broken == {}
+            assert validate_decomposition(make().graph, dec, root).violations == \
+                ["decomposition tree is disconnected"]
+
+    def test_one_edge_root_must_be_a_mapped_leaf(self):
+        g = PlaneDigraph(2, [(1, 0)], [[dart(0, HEAD)], [dart(0, TAIL)]])
+        dec = SphereCutDecomposition(2, ((0, 1),), {0: 0})
+        assert validate_decomposition(g, dec, 0).ok
+        with pytest.raises(DecompositionError, match=r"^root 1 is not a mapped leaf$"):
+            validate_decomposition(g, dec, 1)
 
     def test_out_of_range_nodes_rejected_not_crashed(self):
         g = triangle_instance().graph

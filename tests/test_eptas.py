@@ -193,7 +193,7 @@ class TestSplitLayerGraphs:
 
     def test_edge_skipping_a_layer_refused(self):
         inst = triangle_instance()
-        layers = LayerDecomposition(0, ((0,), (1,), (2,)), (0, 1, 2))
+        layers = LayerDecomposition(((0,), (1,), (2,)), (0, 1, 2))
         with pytest.raises(EmbeddingError, match="skips a layer"):
             split_layer_graphs(inst, layers, 0, 2)
 

@@ -1,6 +1,7 @@
 """Adversarial and structural edge cases across the whole pipeline."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,9 @@ from mwbs.decomposition import (
 )
 from mwbs.dp import solve_dp
 from mwbs.eptas import eptas_max, eptas_min
-from mwbs.errors import DecompositionError, Error, FormatError
+from mwbs.errors import DecompositionError, EmbeddingError, Error, FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
+import mwbs.kernel as kernel
 from mwbs.kernel import (reduce_to_simple, solve_components, solve_subexponential,
                          to_cut_instance)
 from mwbs.oracle import brute_force_mwbs
@@ -239,6 +241,71 @@ class TestExternalDecompositions:
             assert solve_dp(inst, dec).kept_weight == oracle_of(inst).kept_weight
             checked += 1
         assert checked > 5
+
+
+def random_plane_multigraph(rng):
+    """A seeded random plane multigraph on 2-7 vertices, mostly 2-4 with
+    5-11 edges (denser graphs reach the table solver more often), else up
+    to 13.  Each edge joins two random vertices in a random direction, its
+    darts go to random positions of both rotations, and it is kept only
+    where PlaneDigraph accepts the result (at most four tries), so
+    parallel edges, shuffled rotations and disconnected graphs all occur.
+    Weights are random rationals in [1/3, 9]."""
+    n = rng.choice((2, 3, 3, 4, 4, 5, 6, 7))
+    target = rng.randint(5, 11) if n <= 4 else rng.randint(1, 13)
+    edges, rows = [], [[] for _ in range(n)]
+    for _ in range(target):
+        u, v = rng.sample(range(n), 2)
+        e = len(edges)
+        for _try in range(4):
+            trial = [list(row) for row in rows]
+            trial[u].insert(rng.randint(0, len(trial[u])), dart(e, TAIL))
+            trial[v].insert(rng.randint(0, len(trial[v])), dart(e, HEAD))
+            try:
+                PlaneDigraph(n, edges + [(u, v)], trial)
+            except EmbeddingError:
+                continue
+            edges.append((u, v))
+            rows = trial
+            break
+    weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in edges)
+    return Instance(PlaneDigraph(n, edges, rows), weights)
+
+
+class TestAdversarialEmbeddings:
+    def test_solvers_match_brute_force(self, monkeypatch):
+        """600 random plane multigraphs: ``solve_subexponential``, and
+        ``solve_dp`` on the built tree at every mapped root leaf of the
+        connected ones, find the brute-force optimum; ``eptas_max`` and
+        ``eptas_min`` at eps 1 and 1/2 keep their guarantees.  Counts
+        the disconnected graphs, those with parallel edges and those whose
+        pipeline hands a component to the table solver."""
+        tabled = []
+        real = kernel.solve_dp
+        monkeypatch.setattr(kernel, "solve_dp",
+                            lambda *args: tabled.append(1) or real(*args))
+        rng = random.Random(24)
+        disconnected = parallel = reached = roots = 0
+        for _ in range(600):
+            inst = random_plane_multigraph(rng)
+            g = inst.graph
+            opt = brute_force_mwbs(inst)
+            before = len(tabled)
+            assert solve_subexponential(inst).kept_weight == opt.kept_weight
+            reached += len(tabled) > before
+            parallel += len({frozenset(ends) for ends in g.edges}) < g.edge_count
+            if not g.is_connected():
+                disconnected += 1
+            elif g.edge_count:
+                dec = build_sphere_cut(g)
+                for root in dec.leaf_map:
+                    assert solve_dp(inst, dec, root).kept_weight == opt.kept_weight
+                    roots += 1
+            for eps in (Fraction(1), Fraction(1, 2)):
+                assert eptas_max(inst, eps)[0].kept_weight >= (1 - eps) * opt.kept_weight
+                assert eptas_min(inst, eps)[1] <= (1 + eps) * opt.deleted_weight
+        assert disconnected >= 100 and parallel >= 450 and reached >= 75 and roots >= 3000, \
+            (disconnected, parallel, reached, roots)
 
 
 class TestLargerDifferential:
