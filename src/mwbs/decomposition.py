@@ -106,7 +106,7 @@ class SphereCutDecomposition:
         }
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")      # str(k) of an int k
 
 
 def _integer(value) -> int:
@@ -117,14 +117,15 @@ def _integer(value) -> int:
 
 def _leaf_key(key) -> int:
     if not (isinstance(key, str) and _DECIMAL.fullmatch(key)):
-        raise ValueError(f"leaf_map key {excerpt(key)} is not a decimal string")
+        raise ValueError(f"leaf_map key {excerpt(key)} is not a canonical decimal string")
     return int(key)
 
 
 def decomposition_from_document(doc) -> SphereCutDecomposition:
     """Decode a decomposition document.  ``nodes``, the arc endpoints and
     the ``leaf_map`` values must be JSON integers, and the ``leaf_map``
-    keys decimal strings; nothing is coerced."""
+    keys decimal strings in the form ``document`` writes (no sign on zero,
+    no leading zero), so no two keys name one node; nothing is coerced."""
     try:
         nodes = _integer(doc["nodes"])
         arcs = tuple((_integer(a), _integer(b)) for a, b in doc["arcs"])
@@ -705,6 +706,8 @@ def _grow(graph: PlaneDigraph, edge_set: Sequence[int], region: list[int], size:
 
 
 def _split(graph: PlaneDigraph, edge_set: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two halves of a sorted ``edge_set``, each sorted and one cyclic run
+    at every vertex; the root call passes ``range(m)``."""
     n = len(edge_set)
     assert n >= 2
     if n == 2:
@@ -769,6 +772,10 @@ def _split_cost(checks: list[tuple[int, dict[int, int]]], part: int) -> Optional
 
 
 def _split_exact(graph: PlaneDigraph, edge_set: tuple[int, ...]):
+    """The most balanced split, the smaller part holding ``edge_set[0]`` on
+    equal balance, then the fewest middle-set vertices; None if none.  Parts
+    come in lexicographic order of the sorted ``edge_set``, so the first
+    part of least cost is the lexicographically smallest one."""
     n = len(edge_set)
     checks = _split_checks(graph, edge_set)
     # the anchor edge_set[0] is bit 0 of every part
@@ -779,13 +786,11 @@ def _split_exact(graph: PlaneDigraph, edge_set: tuple[int, ...]):
         for combo in itertools.combinations(others, size - 1):
             part = sum(combo, 1)
             cost = _split_cost(checks, part)
-            if cost is None or (best is not None and cost > best[0]):
-                continue
-            key = (cost, tuple(sorted(e for i, e in enumerate(edge_set) if part >> i & 1)))
-            if best is None or key < best:
-                best = key
+            if cost is not None and (best is None or cost < best[0]):
+                best = cost, part
         if best is not None:
-            return best[1], tuple(sorted(set(edge_set).difference(best[1])))
+            return (tuple(e for i, e in enumerate(edge_set) if best[1] >> i & 1),
+                    tuple(e for i, e in enumerate(edge_set) if not best[1] >> i & 1))
     return None
 
 
@@ -808,4 +813,5 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
                 best = key
     if best is None:
         return None
-    return best[2], tuple(sorted(set(edge_set).difference(best[2])))
+    part = set(best[2])
+    return best[2], tuple(e for e in edge_set if e not in part)

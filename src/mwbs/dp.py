@@ -130,18 +130,14 @@ def _class_pair_tables() -> tuple[dict, dict]:
     each class pair once, and of those only the pairs maximal in the
     product of the two maps' ``CLASS_ORDERS``.  Plain compatibility is
     symmetric and ``_TARGET_PAIRS[2]`` mirrors ``_TARGET_PAIRS[1]``, so
-    half the lists are read off their mirror images.  Equal lists are one
-    object, which keeps the tables small."""
-    shared: dict = {}
+    half the lists are read off their mirror images."""
 
     def classes(pairs, m1, m2):
         found = dict.fromkeys((m1[x1], m2[x2]) for x1, x2 in pairs)
-        found = tuple(_maximal(found, CLASS_ORDERS[m1], CLASS_ORDERS[m2]))
-        return shared.setdefault(found, found)
+        return tuple(_maximal(found, CLASS_ORDERS[m1], CLASS_ORDERS[m2]))
 
     def mirror(found):
-        swapped = tuple((c2, c1) for c1, c2 in found)
-        return shared.setdefault(swapped, swapped)
+        return tuple((c2, c1) for c1, c2 in found)
 
     maps = list(_REPS)
     interior = {(m1, m2): classes(_INTERIOR_PAIRS, m1, m2)

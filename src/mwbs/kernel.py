@@ -21,6 +21,7 @@ two edges, bounding the graph polynomially in the number of bad vertices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -209,14 +210,9 @@ def optimal_switches(instance: Instance, v: int, section: GoodEdgeSection,
         return pre[wrong][hi] - pre[wrong][lo]
 
     letters = list(config)
-    if len(letters) == 1:
-        candidates = [()]
-    elif len(letters) == 2:
-        candidates = [(b,) for b in range(k + 1)]
-    else:
-        candidates = [(b1, b2) for b1 in range(k + 1) for b2 in range(b1, k + 1)]
     best, best_b = None, None
-    for bounds in candidates:
+    # in lexicographic order, so the first optimum is the smallest
+    for bounds in itertools.combinations_with_replacement(range(k + 1), len(letters) - 1):
         cuts = [0, *bounds, k]
         cost = sum(block_cost(cuts[j], cuts[j + 1], letters[j])
                    for j in range(len(letters)))

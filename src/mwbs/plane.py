@@ -159,7 +159,9 @@ class PlaneDigraph:
         self._dart_vertex = owner
         self._dart_pos = pos
 
-        # Faces are the orbits of d -> successor(twin(d)).
+        # Faces are the orbits of d -> successor(twin(d)).  The walk above
+        # found every dart exactly once, so succ is a permutation, and so is
+        # this map: every orbit closes at its start.
         face_of = [-1] * m2
         faces = []
         for start in range(m2):
@@ -172,8 +174,6 @@ class PlaneDigraph:
                 face_of[d] = f
                 face.append(d)
                 d = succ[d ^ 1]
-            if d != start:
-                raise EmbeddingError("face tracing did not close a cycle")
             faces.append(tuple(face))
         self.faces = tuple(faces)
 
@@ -181,22 +181,17 @@ class PlaneDigraph:
         # face lies in one component, so the Euler test counts a
         # component's faces through their first darts.
         parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
         for t, h in edges:
-            while parent[t] != t:
-                parent[t] = parent[parent[t]]
-                t = parent[t]
-            while parent[h] != h:
-                parent[h] = parent[parent[h]]
-                h = parent[h]
+            t, h = find(t), find(h)
             if t != h:
                 parent[t] = h
-        root = parent  # each entry is replaced by its root
-        for v in range(n):
-            r = v
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            root[v] = r
+        root = [find(v) for v in range(n)]
         verts_of: dict[int, list[int]] = {}
         for v, r in enumerate(root):
             verts_of.setdefault(r, []).append(v)

@@ -212,6 +212,25 @@ def test_decomp_validate_refuses_a_truncated_id(tmp_path, capsys):
     assert code == 1 and "not an integer" in error
 
 
+@pytest.mark.parametrize("argv", [
+    ("decomp", "validate", "{instance}", "{dec}"),
+    ("solve", "{instance}", "--method", "dp", "--decomposition", "{dec}"),
+])
+def test_non_canonical_leaf_key_exits_1(tmp_path, capsys, argv):
+    """A 19th ``leaf_map`` entry ``"00"`` beside ``"0"`` is refused, not
+    folded into node 0."""
+    inst_file = tmp_path / "small.json"
+    run(capsys, "gen", "--n", "8", "--seed", "1", "--out", str(inst_file))
+    dec_file = tmp_path / "dec.json"
+    run(capsys, "decomp", "build", str(inst_file), "--out", str(dec_file))
+    doc = json.loads(dec_file.read_text())
+    doc["leaf_map"]["00"] = doc["leaf_map"]["0"]
+    dec_file.write_text(json.dumps(doc))
+    names = {"instance": str(inst_file), "dec": str(dec_file)}
+    code, error = run_failing(capsys, *(a.format(**names) for a in argv))
+    assert code == 1 and "leaf_map key '00' is not a canonical decimal string" in error
+
+
 def test_decomp_validate_reports_every_broken_arc(tmp_path, capsys):
     from test_decomposition import TWO_BROKEN_ARCS, star_instance
     inst_file = tmp_path / "star6.json"
@@ -374,6 +393,10 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "5", "--bias", "x"])
+    assert exc.value.code == 2
+    assert "argument --bias: not a rational: 'x'" in capsys.readouterr().err
 
 
 def test_malformed_file_exits_1(tmp_path, capsys):
@@ -415,6 +438,24 @@ def test_malformed_solution_exits_1(tmp_path, capsys, damage):
     code, error = run_failing(capsys, "validate", str(inst_file),
                               "--solution", str(sol_file))
     assert code == 1 and "solution" in error
+
+
+def test_validate_refuses_a_list_and_a_wrong_certificate(tmp_path, capsys):
+    """A solution that is a JSON list is malformed; one whose certificate
+    differs from the recomputed one is a mismatch naming that field."""
+    inst_file = star_file(tmp_path)
+    sol_file = tmp_path / "sol.json"
+    run(capsys, "solve", str(inst_file), "--out", str(sol_file))
+    sol = json.loads(sol_file.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([sol]))
+    code, error = run_failing(capsys, "validate", str(inst_file), "--solution", str(bad))
+    assert code == 1 and error == "solution document must be a JSON object"
+    sol["certificate"] = [c + 1 for c in sol["certificate"]]
+    bad.write_text(json.dumps(sol))
+    code, out = run(capsys, "validate", str(inst_file), "--solution", str(bad))
+    assert code == 1 and json.loads(out) == {"ok": False, "error": "solution mismatch",
+                                             "fields": ["certificate"]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Builders, the builder policy, validator, documents, arc boundaries."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -140,7 +141,6 @@ class TestBuilders:
     def test_triangle_branchwidth_exhaustive(self):
         """Every 3-leaf tree over the triangle's edges has width 2."""
         g = triangle_instance().graph
-        import itertools
         widths = []
         for perm in itertools.permutations(range(3)):
             dec = SphereCutDecomposition(4, ((0, 3), (1, 3), (2, 3)),
@@ -488,6 +488,54 @@ class TestBisectionPins:
         assert self.digest(inst.graph for inst in corpus_small[:60]) == \
             "33eca96ee35149c89e344cf2a5fdc5dbd85e0a3a1f66d01d35fbeefee1482ca4"
 
+    @staticmethod
+    def brute_force_split(graph, edge_set):
+        """Every part holding ``edge_set[0]`` whose part and rest are one
+        run at every endpoint of the set: the most balanced part, the
+        smaller on equal balance, then the fewest middle-set vertices, then
+        the lexicographically smallest sorted edge tuple; None if no part
+        qualifies."""
+        n = len(edge_set)
+        verts = {v for e in edge_set for v in graph.edges[e]}
+        for size in sorted(range(1, n), key=lambda s: (abs(2 * s - n), s)):
+            found = []
+            for combo in itertools.combinations(edge_set[1:], size - 1):
+                part = {edge_set[0], *combo}
+                rest = set(edge_set) - part
+                if all(flag_run([d >> 1 in side for d in graph.rotation[v]]) is not None
+                       for v in verts for side in (part, rest)):
+                    found.append((len(middle_set(graph, part)), tuple(sorted(part))))
+            if found:
+                part = min(found)[1]
+                return part, tuple(sorted(set(edge_set) - set(part)))
+        return None
+
+    def test_exact_split_tie_break(self, monkeypatch):
+        """``_split_exact`` picks ``brute_force_split``'s part on every edge
+        set of up to 14 edges that bisection hands it on the reduced
+        skeletons of triangulations n=24 seeds 0-14 and n=60 seeds 0-9,
+        and on two random sorted subsets of each skeleton."""
+        sets = []
+        exact = decomposition._split_exact
+        monkeypatch.setattr(decomposition, "_split_exact",
+                            lambda g, edge_set: sets.append((g, edge_set)) or exact(g, edge_set))
+        rng = random.Random(3)
+        for n, seeds in ((24, range(15)), (60, range(10))):
+            for seed in seeds:
+                for sub in dp_components(gen_instance(GenParams(n=n, seed=seed))):
+                    skel = _skeleton(sub.graph)[0]
+                    _recursive_bisection(skel)
+                    m = skel.edge_count
+                    sets += [(skel, tuple(sorted(rng.sample(range(m), rng.randint(3, min(m, 14))))))
+                             for _ in range(2)]
+        assert len(sets) > 390 and max(len(edge_set) for _g, edge_set in sets) == 14
+        split_anywhere = 0
+        for g, edge_set in sets:
+            want = self.brute_force_split(g, edge_set)
+            assert exact(g, edge_set) == want, edge_set
+            split_anywhere += want is not None
+        assert 350 < split_anywhere < len(sets)
+
 
 def side_by_side(g1, g2):
     """Two plane digraphs as one disconnected graph; g2's vertices and
@@ -658,6 +706,8 @@ class TestValidator:
         assert validate_decomposition(g, dec, 0).ok
         with pytest.raises(DecompositionError, match=r"^root 1 is not a mapped leaf$"):
             validate_decomposition(g, dec, 1)
+        with pytest.raises(DecompositionError, match=r"^root 1 is not a mapped leaf$"):
+            RootedDecomposition(g, dec, 1)
 
     def test_out_of_range_nodes_rejected_not_crashed(self):
         g = triangle_instance().graph
@@ -800,6 +850,33 @@ class TestValidator:
         again = decomposition_from_document(doc)
         report = validate_decomposition(inst.graph, again)
         assert report.ok and report.width == dec.declared_width
+
+    @pytest.mark.parametrize("old, new, keep", [
+        ("0", "00", False), ("0", "-0", False), ("1", "01", False), ("1", "+1", False),
+        ("1", " 1", False), ("0", "00", True),
+    ], ids=["00", "-0", "01", "+1", "space-1", "19-entries"])
+    def test_non_canonical_leaf_key_refused(self, old, new, keep):
+        """``leaf_map`` keys must read as ``document`` writes them, so no
+        two keys can name one node: the 18-leaf tree of triangulation n=8
+        seed 1, with key ``old`` renamed to ``new`` (or, with ``keep``, a
+        19th entry ``new`` beside it), is refused whole."""
+        g = gen_instance(GenParams(n=8, seed=1)).graph
+        doc = build_sphere_cut(g).document()
+        assert len(doc["leaf_map"]) == 18
+        assert validate_decomposition(g, decomposition_from_document(doc)).ok
+        leaves = doc["leaf_map"]
+        leaves[new] = leaves[old] if keep else leaves.pop(old)
+        with pytest.raises(DecompositionError) as info:
+            decomposition_from_document(doc)
+        assert str(info.value) == ("malformed decomposition document: leaf_map key "
+                                   f"{new!r} is not a canonical decimal string")
+
+    def test_negative_leaf_key_reaches_the_validator(self):
+        g = triangle_instance().graph
+        dec = decomposition_from_document(
+            {"nodes": 4, "arcs": [[0, 3], [1, 3], [2, 3]], "leaf_map": {"0": 0, "1": 1, "-1": 2}})
+        assert validate_decomposition(g, dec).violations == \
+            ["leaf_map key -1 is not a leaf node", "unmapped leaves [2]"]
 
 
 class TestArcBoundary:

@@ -99,12 +99,29 @@ def test_weights_in_range():
 
 
 def test_invalid_params():
-    with pytest.raises(FormatError):
-        gen_instance(GenParams(n=0, seed=1))
-    with pytest.raises(FormatError):
-        gen_instance(GenParams(n=3, seed=1, orientation_bias=Fraction(3, 2)))
-    with pytest.raises(FormatError):
-        gen_instance(GenParams(n=3, seed=1, weight_lo=Fraction(0)))
+    """Each refusal of the generators' parameters, with its exact text."""
+    seventh = Fraction(1, 7)
+    cases = [
+        (lambda: gen_instance(GenParams(n=0, seed=1)), "n must be at least 1"),
+        (lambda: gen_instance(GenParams(n=3, seed=1, orientation_bias=Fraction(3, 2))),
+         "orientation_bias must lie in [0, 1]"),
+        (lambda: gen_instance(GenParams(n=3, seed=1, weight_lo=Fraction(0))),
+         "weight range must satisfy 0 < lo <= hi"),
+        (lambda: gen_instance(GenParams(n=3, seed=1, density="dense")),
+         "unknown density 'dense'"),
+        (lambda: gen_instance(GenParams(n=3, seed=1, density="sparse", sparse_p=Fraction(3, 2))),
+         "sparse_p must lie in [0, 1]"),
+        (lambda: gen_instance(GenParams(n=3, seed=1, sparse_p=Fraction(-1, 2))),
+         "sparse_p must lie in [0, 1]"),
+        # the denominators tried are 1-6, and no q/7 of them is an integer
+        (lambda: gen_instance(GenParams(n=3, seed=1, weight_lo=seventh, weight_hi=seventh)),
+         "weight range [1/7, 1/7] contains no small rational"),
+        (lambda: planted_star_instance(7, 0, 1), "planted instances need n >= 8"),
+    ]
+    for call, text in cases:
+        with pytest.raises(FormatError) as info:
+            call()
+        assert str(info.value) == text
 
 
 def test_planted_bad_vertex_count():

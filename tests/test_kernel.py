@@ -1,12 +1,14 @@
 """Normal-form rules, section partitioning, compression, shrinking."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from mwbs import kernel, oracle, plane
+from mwbs.configs import CONFIGS
 from mwbs.decomposition import build_sphere_cut
 from mwbs.dp import solve_dp
 from mwbs.errors import EmbeddingError, FormatError
@@ -384,6 +386,33 @@ class TestOptimalSwitches:
             if checked > 40:
                 break
         assert checked > 10
+
+    def test_smallest_optimal_boundaries_win(self):
+        """On 600 random linear sections of 1-12 darts with weights 1 and 2,
+        for every configuration: brute force over all nondecreasing
+        boundary tuples, and the lexicographically smallest tuple of least
+        cost is the one returned, with its deleted edges and cost."""
+        rng = random.Random(11)
+        ties = 0
+        for _ in range(600):
+            k = rng.randint(1, 12)
+            dirs = "".join(rng.choice("io") for _ in range(k))
+            inst = linear_section_instance(dirs, [rng.choice((1, 1, 2)) for _ in range(k)])
+            section = self.get_section(inst)
+            edges = [d >> 1 for d in section.darts(inst.graph)]
+            for config in CONFIGS:
+                placements = []
+                for bounds in itertools.product(range(k + 1), repeat=len(config) - 1):
+                    if list(bounds) != sorted(bounds):
+                        continue
+                    cuts = [0, *bounds, k]
+                    deleted = [edges[p] for j, letter in enumerate(config)
+                               for p in range(cuts[j], cuts[j + 1]) if dirs[p] != letter]
+                    placements.append((sum(inst.weights[e] for e in deleted), bounds, deleted))
+                cost, bounds, deleted = min(placements)
+                ties += sum(c == cost for c, _b, _d in placements) > 1
+                assert optimal_switches(inst, 0, section, config) == (bounds, deleted, cost)
+        assert ties > 600
 
     def test_good_vertex_rejected(self):
         inst = triangle_instance()

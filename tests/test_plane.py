@@ -146,12 +146,27 @@ class TestDecode:
                 parse_weight(bad)
 
     def test_dart_bookkeeping_errors(self):
-        # dart listed at the wrong vertex
-        with pytest.raises(EmbeddingError):
-            PlaneDigraph(2, [(0, 1)], [[dart(0, HEAD)], [dart(0, TAIL)]])
-        # dart missing entirely
-        with pytest.raises(EmbeddingError):
-            PlaneDigraph(2, [(0, 1)], [[dart(0, TAIL)], []])
+        """Each refusal of the vertex count, the rotation table and its
+        darts, with its exact text."""
+        cases = [
+            ((-1, [], []), "negative vertex count"),
+            ((2, [(0, 1)], [[dart(0, TAIL)]]),
+             "rotation table length differs from vertex count"),
+            ((2, [(0, 1)], [[dart(0, TAIL), 7], [dart(0, HEAD)]]), "unknown dart 7 at vertex 0"),
+            ((2, [(0, 1)], [[dart(0, HEAD)], [dart(0, TAIL)]]),
+             "dart 1 listed at vertex 0 but belongs to vertex 1"),
+            ((2, [(0, 1)], [[dart(0, TAIL)], []]),
+             "some darts are missing from the rotation system"),
+        ]
+        for args, text in cases:
+            with pytest.raises(EmbeddingError) as info:
+                PlaneDigraph(*args)
+            assert str(info.value) == text
+
+    def test_weight_list_must_match_the_edges(self):
+        with pytest.raises(FormatError) as info:
+            Instance(triangle_instance().graph, (Fraction(1),) * 2)
+        assert str(info.value) == "weight list length differs from edge count"
 
     def test_dart_position(self, corpus_small):
         for inst in corpus_small[:60]:

@@ -16,8 +16,8 @@ from mwbs.decomposition import (
     validate_decomposition,
 )
 from mwbs.dp import solve_dp
-from mwbs.eptas import eptas_max, eptas_min
-from mwbs.errors import DecompositionError, EmbeddingError, Error, FormatError
+from mwbs.eptas import bfs_layers, eptas_max, eptas_min
+from mwbs.errors import BuildError, DecompositionError, EmbeddingError, Error, FormatError
 from mwbs.generate import GenParams, gen_instance, planted_star_instance
 import mwbs.kernel as kernel
 from mwbs.kernel import (reduce_to_simple, solve_components, solve_subexponential,
@@ -115,6 +115,21 @@ class TestDisconnected:
         deleted, cost, _rep = eptas_min(inst, Fraction(1, 2))
         opt_min = inst.total_weight - opt
         assert cost <= Fraction(3, 2) * opt_min
+
+    def test_one_component_solvers_refuse_it(self):
+        """The builder, the table solver and the BFS layering take one
+        component; each refuses the whole with its own type and text."""
+        inst, _a, _b = two_component_instance()
+        for call, error, text in (
+                (lambda: build_sphere_cut(inst.graph), BuildError,
+                 "decompose one connected component at a time"),
+                (lambda: solve_dp(inst, SphereCutDecomposition(0, (), {})), DecompositionError,
+                 "solve_dp expects a connected graph"),
+                (lambda: bfs_layers(inst.graph, 0), EmbeddingError,
+                 "bfs_layers needs a connected graph")):
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == text
 
     def test_roundtrip_document(self):
         inst, _a, _b = two_component_instance()
