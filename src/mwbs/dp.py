@@ -61,17 +61,20 @@ child class of each demanded parent class's representative; at a shared
 vertex interior to the parent, the classes of ``_INTERIOR_CLASS_PAIRS``;
 at a shared vertex on the parent middle set, the classes of
 ``_TARGET_CLASS_PAIRS`` over the demanded parent classes'
-representatives.  The walk, the join and reconstruction read each
-join's ``JoinSplit`` from the validator's rooted view.  A table of every
-class is the one whose demand holds every class.
+representatives.  The walk and the join read each join's ``JoinSplit``
+from the validator's rooted view, and the join turns it into a plan: the
+child index offsets it reads per owned, interior and target vertex.  A
+table of every class is the one whose demand holds every class.
 
-Reconstruction stays in class space.  The root takes the keep entry when
-it costs no more than deleting the root edge, else the first minimum of
-the top table.  On the way down, each internal node takes the first class
-pair, in the order the join tried them, whose child entries sum to its
-entry, and each leaf keeps its edge when the letters of its darts fit the
-representatives of its entry's classes.  Where optima tie, the kept set
-is the one these first choices give; its weight is the optimum.
+Reconstruction stays in class space and reads what the tables kept.  The
+root takes the keep entry when it costs no more than deleting the root
+edge, else the first minimum of the top table.  On the way down, each
+internal node takes the first offset pair of its join's plan, in the
+order the join tried them, whose child entries sum to its entry, and
+each leaf keeps its edge when its table's flag at the entry says so: the
+letters of its darts fit the representatives of the entry's classes.
+Where optima tie, the kept set is the one these first choices give; its
+weight is the optimum.
 """
 
 from __future__ import annotations
@@ -216,9 +219,16 @@ _Place = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _ABSENT: _Place = (0, (0,) * 6, (0,), (0,))
 
 
-def _extend(combos: list[tuple[int, int]], k1: int, k2: int,
-            pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(d1 + c1 * k1, d2 + c2 * k2) for d1, d2 in combos for c1, c2 in pairs]
+# A join's plan: per owned vertex (index weight, per parent digit the
+# child offset pair), per interior vertex its offset pairs, per target
+# vertex (index weight, per parent digit its offset pairs); an offset is
+# a child digit times its index weight.
+_Pairs = list[tuple[int, int]]
+_Plan = tuple[list[tuple[int, _Pairs]], list[_Pairs], list[tuple[int, list[_Pairs]]]]
+
+
+def _extend(combos: _Pairs, pairs: _Pairs) -> _Pairs:
+    return [(d1 + c1, d2 + c2) for d1, d2 in combos for c1, c2 in pairs]
 
 
 def _places(boundary: ArcBoundary, demand: tuple[int, ...]) -> dict[int, _Place]:
@@ -246,14 +256,15 @@ class DPTable:
     of each entry; every entry is feasible.  Read an entry by
     configuration code, index times 6**k at position k, with ``cost``.
     ``places`` holds each vertex's place, what a join reads.  No
-    back-pointers are stored.  A join table keeps its ``split``, with
+    back-pointers are stored.  A join table keeps its ``plan``, from
     which reconstruction recomputes the pair of child entries behind one
-    entry; a leaf table, which has no children, keeps None."""
+    entry; a leaf table keeps, per entry, whether it keeps the edge."""
     boundary: ArcBoundary
     costs: list[int]
     demand: tuple[int, ...]
-    split: Optional[JoinSplit]
     places: dict[int, _Place] = field(repr=False)
+    plan: Optional[_Plan] = field(default=None, repr=False)
+    keeps: Optional[list[bool]] = field(default=None, repr=False)
 
     def index(self, code: int) -> int:
         """The index of configuration code ``code``; KeyError when one of
@@ -296,15 +307,15 @@ def leaf_table(instance: Instance, boundary: ArcBoundary, e: int,
     read from the instance's ``int_weights``.  Each endpoint's run is that
     one dart, so it has two classes, and the letter is tested against the
     representatives of the tabulated ones: at most 2**|mid| entries.
-    Every entry is feasible."""
+    Every entry is feasible; ``keeps`` holds each entry's verdict."""
     letters = _leaf_letters(instance, boundary, e)
     w = instance.int_weights.values[e]
     places = _places(boundary, demand)
     fits = [[letter in CONFIGS[r] for r in reps]
             for letter, (_weight, _cmap, reps, _digits) in zip(letters, places.values())]
     # the first position is the least significant digit, so it varies fastest
-    costs = [0 if all(flags) else w for flags in itertools.product(*reversed(fits))]
-    return DPTable(boundary, costs, demand, None, places)
+    keeps = [all(flags) for flags in itertools.product(*reversed(fits))]
+    return DPTable(boundary, [0 if keep else w for keep in keeps], demand, places, None, keeps)
 
 
 def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
@@ -329,47 +340,49 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
     child's run has fewer classes.  Each parent class tabulated under
     ``demand`` stands for its representative configuration; the children
     must tabulate every class the join reads, which ``solve_dp``'s demand
-    walk ensures.  The forced positions are
-    enumerated once per join as three flat lists of parent, child 1 and
-    child 2 index offsets, the representative mapped through each child's
-    class map; entries are grouped by the parent classes at the shared
-    vertices, and every entry of a group tries the same child class pairs.
-    A group with a single pair is a straight sum.  The table keeps
-    ``split``, and ``solve_dp`` recomputes the pair behind an entry from
-    it."""
+    walk ensures.  The join builds its plan (``_Plan``), the child
+    offsets it reads, vertex by vertex, and the table keeps it for
+    reconstruction.  The owned offsets give three flat lists of parent,
+    child 1 and child 2 index offsets; entries are grouped by the parent
+    classes at the targets, and every entry of a group tries the same
+    offset pairs, the interior pairs times the target pairs.  A group
+    with a single pair is a straight sum."""
     if t1.boundary.inside_count + t2.boundary.inside_count != parent.inside_count:
         raise DecompositionError("child arcs must partition the parent inside")
     places = _places(parent, demand)
     p1, p2 = t1.places, t2.places
+    owned, interior, targets = plan = [], [], []
     f3, f1, f2 = [0], [0], [0]
     for v in split.owned:
         k3, _m3, reps, _d3 = places[v]
         k1, m1, _r1, d1 = p1.get(v, _ABSENT)
         k2, m2, _r2, d2 = p2.get(v, _ABSENT)
+        offsets = [(d1[m1[r]] * k1, d2[m2[r]] * k2) for r in reps]
+        owned.append((k3, offsets))
         f3 = [o + j * k3 for o in f3 for j in range(len(reps))]
-        f1 = [o + d1[m1[r]] * k1 for o in f1 for r in reps]
-        f2 = [o + d2[m2[r]] * k2 for o in f2 for r in reps]
+        f1 = [o + o1 for o in f1 for o1, _o2 in offsets]
+        f2 = [o + o2 for o in f2 for _o1, o2 in offsets]
 
     combos = [(0, 0)]
     for v in split.interior:
         k1, m1, _r1, d1 = p1[v]
         k2, m2, _r2, d2 = p2[v]
-        pairs = [(d1[c1], d2[c2]) for c1, c2 in _INTERIOR_CLASS_PAIRS[m1, m2]]
-        combos = _extend(combos, k1, k2, pairs)
+        pairs = [(d1[c1] * k1, d2[c2] * k2) for c1, c2 in _INTERIOR_CLASS_PAIRS[m1, m2]]
+        interior.append(pairs)
+        combos = _extend(combos, pairs)
     groups = [(0, combos)]
-    size = len(f3)
     for v, first in split.targets:
         k3, _m3, reps, _d3 = places[v]
         k1, m1, _r1, d1 = p1[v]
         k2, m2, _r2, d2 = p2[v]
         by_target = _TARGET_CLASS_PAIRS[first][m1, m2]
-        lists = [[(d1[c1], d2[c2]) for c1, c2 in by_target[r]] for r in reps]
-        groups = [(index + j * k3, _extend(combos, k1, k2, pairs))
+        lists = [[(d1[c1] * k1, d2[c2] * k2) for c1, c2 in by_target[r]] for r in reps]
+        targets.append((k3, lists))
+        groups = [(index + j * k3, _extend(combos, pairs))
                   for index, combos in groups for j, pairs in enumerate(lists)]
-        size *= len(reps)
 
     c1, c2 = t1.costs, t2.costs
-    costs = [0] * size
+    costs = [0] * (len(f3) * len(groups))
     for index, combos in groups:
         (e1, e2), rest = combos[0], combos[1:]
         if not rest:
@@ -383,50 +396,28 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
                 if total < best:
                     best = total
             costs[index + o3] = best
-    return DPTable(parent, costs, demand, split, places)
+    return DPTable(parent, costs, demand, places, plan)
 
 
 def _chosen_pair(table: DPTable, t1: DPTable, t2: DPTable, index: int) -> tuple[int, int]:
-    """The child entries behind entry ``index`` of a join table: the first
-    class pair, in the order the join tries them, whose child entries sum
-    to the entry.  Interior vertices' pairs vary slowest, then the
-    targets' in id order."""
-    split, places, p1, p2 = table.split, table.places, t1.places, t2.places
-    o1 = o2 = 0
-    for v in split.owned:
-        weight, _m3, reps, _d3 = places[v]
-        r = reps[index // weight % len(reps)]
-        k1, m1, _r1, d1 = p1.get(v, _ABSENT)
-        k2, m2, _r2, d2 = p2.get(v, _ABSENT)
-        o1 += d1[m1[r]] * k1
-        o2 += d2[m2[r]] * k2
-    combos = [(o1, o2)]
-    for v in split.interior:
-        k1, m1, _r1, d1 = p1[v]
-        k2, m2, _r2, d2 = p2[v]
-        combos = [(i1 + d1[c1] * k1, i2 + d2[c2] * k2)
-                  for i1, i2 in combos for c1, c2 in _INTERIOR_CLASS_PAIRS[m1, m2]]
-    for v, first in split.targets:
-        weight, _m3, reps, _d3 = places[v]
-        k1, m1, _r1, d1 = p1[v]
-        k2, m2, _r2, d2 = p2[v]
-        pairs = _TARGET_CLASS_PAIRS[first][m1, m2][reps[index // weight % len(reps)]]
-        combos = [(i1 + d1[c1] * k1, i2 + d2[c2] * k2) for i1, i2 in combos for c1, c2 in pairs]
+    """The child entries behind entry ``index`` of a join table, read off
+    the join's plan: the first offset pair, in the order the join tries
+    them, whose child entries sum to the entry.  The owned offsets at the
+    entry's digits are fixed; interior vertices' pairs vary slowest, then
+    the targets' pairs at the entry's digits, in id order."""
+    owned, interior, targets = table.plan
+    combos = [(0, 0)]
+    for weight, offsets in owned:
+        combos = _extend(combos, [offsets[index // weight % len(offsets)]])
+    for pairs in interior:
+        combos = _extend(combos, pairs)
+    for weight, lists in targets:
+        combos = _extend(combos, lists[index // weight % len(lists)])
     c1, c2, want = t1.costs, t2.costs, table.costs[index]
     for i1, i2 in combos:
         if c1[i1] + c2[i2] == want:
             return i1, i2
     raise DecompositionError("reconstruction disagrees with the table entry")
-
-
-def _leaf_keeps(instance: Instance, table: DPTable, e: int, index: int) -> bool:
-    """Whether leaf edge ``e`` is kept at entry ``index`` of its table: the
-    letter of its dart at each middle-set endpoint (o at the tail, i at the
-    head) fits the class representative there.  ``leaf_table`` checked the
-    boundary against the edge when it built the table."""
-    tail, _head = instance.graph.edges[e]
-    return all(("o" if v == tail else "i") in CONFIGS[reps[index // weight % len(reps)]]
-               for v, (weight, _cmap, reps, _digits) in table.places.items())
 
 
 def _demand_walk(rooted) -> dict[int, tuple[int, ...]]:
@@ -476,9 +467,10 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     tail, which the single outside dart then completes to a bimodal
     pattern.  A walk down the tree first fixes the classes each table
     must hold; then the tables are built bottom-up.  Going down from the
-    chosen root entry, each internal node recomputes the child entries
-    behind its one chosen entry, and each leaf whether its edge is kept
-    there.  The reconstructed subgraph is re-verified before returning.
+    chosen root entry, each internal node reads the child entries behind
+    its one chosen entry off its join's plan, and each leaf reads whether
+    its edge is kept there off its flags.  The reconstructed subgraph is
+    re-verified before returning.
 
     The tree is validated here unless ``build_sphere_cut`` validated it
     for this very graph object and the root is its report's: then the
@@ -536,7 +528,7 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
             i1, i2 = _chosen_pair(tables[node], tables[a], tables[b], index)
             stack.append((a, i1))
             stack.append((b, i2))
-        elif not _leaf_keeps(instance, tables[node], dec.leaf_map[node], index):
+        elif not tables[node].keeps[index]:
             deleted.add(dec.leaf_map[node])
     kept = set(range(g.edge_count)) - deleted
     solution = make_solution(instance, kept, "dp")

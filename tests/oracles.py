@@ -11,6 +11,8 @@ validator's ``RootedDecomposition.splits``.  ``reference_rooted`` is the
 validator's verdict and rooted view computed arc by arc: one mask pass,
 then each boundary on its own, its class maps read off prefix sums of
 switches (``switch_prefix``), and each split from the stored boundaries.
+``leaf_keeps`` is the letter rule that decides whether a leaf table's
+entry keeps its edge, the reference of ``DPTable.keeps``.
 """
 
 import itertools
@@ -196,3 +198,19 @@ def reference_rooted(graph, dec, root: int) -> Reference:
     if broken:
         return Reference(False, 0, [text for _arc, text in sorted(broken)], boundaries, splits)
     return Reference(True, max(len(b.mid) for b in boundaries.values()), [], boundaries, splits)
+
+
+def leaf_keeps(instance: Instance, table, e: int, index: int) -> bool:
+    """Whether leaf edge ``e`` is kept at entry ``index`` of its table: the
+    letter of its dart at each middle-set endpoint (o at the tail, i at the
+    head) lies in the smallest configuration of the entry's class there,
+    the positions read as mixed-radix digits over the tabulated classes,
+    the first position least significant."""
+    tail, _head = instance.graph.edges[e]
+    b = table.boundary
+    for v, cmap, mask in zip(b.mid, b.classes, table.demand):
+        reps = [cmap.index(c) for c in range(max(cmap) + 1) if mask >> c & 1]
+        index, digit = divmod(index, len(reps))
+        if ("o" if v == tail else "i") not in CONFIGS[reps[digit]]:
+            return False
+    return True

@@ -371,7 +371,18 @@ def test_eptas_tiny_epsilon(tmp_path, capsys):
         assert all(c <= 2 for c in doc["solution"]["certificate"])
 
 
-def test_bench_csv(capsys):
+def test_bench_csv(capsys, monkeypatch):
+    """Every row of the small suite agrees with the oracle.  The dp row
+    times the table solver on the unreduced instance, over the one tree
+    the bench builds for it, and reports that tree's width."""
+    trees = []
+    real = cli.solve_dp
+
+    def spy(instance, dec):
+        trees.append(dec)
+        return real(instance, dec)
+
+    monkeypatch.setattr(cli, "solve_dp", spy)
     code, out = run(capsys, "bench", "--suite", "small", "--check-oracle")
     assert code == 0
     lines = out.strip().splitlines()
@@ -381,9 +392,14 @@ def test_bench_csv(capsys):
         name, method, value = line.split(",")[:3]
         if method == "oracle":
             oracle_rows[name] = value
+    widths = []
     for line in lines[1:]:
-        name, method, value = line.split(",")[:3]
+        name, method, value, _deleted, width = line.split(",")[:5]
         assert value == oracle_rows[name]
+        if method == "dp":
+            widths.append(int(width))
+    assert len(trees) == len(cli._SUITES["small"])
+    assert widths == [dec.declared_width for dec in trees]
 
 
 def test_usage_error_exits_2(capsys):

@@ -18,6 +18,8 @@ from mwbs.decomposition import (
     SphereCutDecomposition,
     _greedy_sweep,
     _recursive_bisection,
+    _skeleton,
+    _validated,
     build_sphere_cut,
     decomposition_from_document,
     validate_decomposition,
@@ -51,12 +53,13 @@ from mwbs.plane import (
     Instance,
     PlaneDigraph,
     canonical_json,
+    component_instance,
     dart,
     dart_direction,
     dart_edge,
 )
 
-from oracles import first_child_at
+from oracles import first_child_at, leaf_keeps
 from test_plane import star4_instance, triangle_instance
 
 
@@ -440,18 +443,18 @@ def halves(ids):
 
 def record_tables(monkeypatch):
     """Record every table that ``solve_dp`` builds, with its children's
-    tables (none for a leaf)."""
+    tables (none for a leaf) and the arguments of the call that built it."""
     made = []
     real_leaf, real_join = dp.leaf_table, dp.join_tables
 
     def leaf(*args):
         table = real_leaf(*args)
-        made.append((table, ()))
+        made.append((table, (), args))
         return table
 
-    def join(parent, t1, t2, *rest):
-        table = real_join(parent, t1, t2, *rest)
-        made.append((table, (t1, t2)))
+    def join(*args):
+        table = real_join(*args)
+        made.append((table, args[1:3], args))
         return table
 
     monkeypatch.setattr(dp, "leaf_table", leaf)
@@ -511,13 +514,13 @@ def compare_to_all_class_tables(inst, dec, root_leaf, made):
     its arc; returns the entry counts of both."""
     _rooted, tables, _ = rooted_tables(inst, dec, root_leaf)
     by_arc = {table.boundary.arc: table for table in tables.values()}
-    assert sorted(table.boundary.arc for table, _kids in made) == sorted(by_arc)
-    for table, _kids in made:
+    assert sorted(table.boundary.arc for table, _kids, _args in made) == sorted(by_arc)
+    for table, _kids, _args in made:
         whole = by_arc[table.boundary.arc]
         assert table.boundary == whole.boundary
         for code, cost in zip(entry_codes(table), table.costs):
             assert whole.cost(code) == cost
-    return (sum(len(table.costs) for table, _kids in made),
+    return (sum(len(table.costs) for table, _kids, _args in made),
             sum(len(table.costs) for table in tables.values()))
 
 
@@ -551,6 +554,29 @@ class TestLeafTable:
         b = self.rooted.boundaries[self.rooted.children[2][0]]
         with pytest.raises(DecompositionError):
             leaf_table(self.inst, b, 0, every_class(b))
+
+    def test_keep_flags_follow_the_letter_rule(self, corpus_small, monkeypatch):
+        """Every entry of every leaf table that ``solve_dp`` builds keeps
+        its edge exactly when the letters of the edge's darts fit the
+        representatives of the entry's classes; checked at the lowest,
+        middle and highest leaf."""
+        made = record_tables(monkeypatch)
+        flags = collections.Counter()
+        for inst in corpus_small[:60]:
+            dec = build_sphere_cut(inst.graph)
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                made.clear()
+                solve_dp(inst, dec, root)
+                for table, kids, args in made:
+                    if kids:
+                        continue
+                    e = args[2]
+                    assert len(table.keeps) == len(table.costs)
+                    for index, keep in enumerate(table.keeps):
+                        assert keep == leaf_keeps(inst, table, e, index)
+                        flags[keep] += 1
+        assert flags[True] > 1000 and flags[False] > 400
 
 
 class TestJoin:
@@ -948,6 +974,39 @@ class TestSolveDP:
             for root in rng.sample(leaves, min(3, len(leaves))):
                 assert solve_dp(inst, dec, root_leaf=root).deleted_weight == base
 
+    def test_cross_tree_differential(self):
+        """Every component with two or more hubs of the reduced
+        triangulations n=24 seeds 0-14 and n=60 seeds 0-9 keeps the same
+        weight on greedy's tree and on bisection's, each lifted from the
+        skeleton, at the lowest, middle and highest leaf.  A tree whose
+        demand-pruned tables would hold more than 10**5 entries is
+        skipped: 7 of the 50."""
+        comps = solves = skipped = 0
+        for n, seeds in ((24, range(15)), (60, range(10))):
+            for seed in seeds:
+                red = kernel.reduce_to_simple(gen_instance(GenParams(n=n, seed=seed))).instance
+                g = red.graph
+                for verts, edge_ids in g.components():
+                    if sum(len(g.rotation[v]) > 1 for v in verts) < 2:
+                        continue
+                    sub, _eids = component_instance(red, verts, edge_ids)
+                    skeleton, lift = _skeleton(sub.graph)
+                    weights = set()
+                    for build in (_greedy_sweep, _recursive_bisection):
+                        tree = _validated(sub.graph, lift(build(skeleton)))
+                        demand = dp._demand_walk(tree.report.rooted).values()
+                        if sum(math.prod(m.bit_count() for m in masks)
+                               for masks in demand) > 10**5:
+                            skipped += 1
+                            continue
+                        leaves = sorted(tree.leaf_map)
+                        for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                            weights.add(solve_dp(sub, tree, root).kept_weight)
+                            solves += 1
+                    assert len(weights) <= 1, (n, seed, weights)
+                    comps += 1
+        assert (comps, solves, skipped) == (25, 129, 7)
+
     def test_loose_join_differential(self, corpus_small):
         """Read by configuration code, every entry of every join equals the
         configuration-indexed reference join, and on the builder's trees
@@ -1076,7 +1135,7 @@ class TestSolveDP:
         made = record_tables(monkeypatch)
         sol = solve_subexponential(gen_instance(GenParams(n=80, seed=1)))
         assert sol.deleted_weight == Fraction(4039, 20)
-        assert sum(len(table.costs) for table, _kids in made) == 82_544
+        assert sum(len(table.costs) for table, _kids, _args in made) == 82_544
 
     def test_tri_frontier_pairs(self, monkeypatch):
         """The joins' pair evaluations over triangulations n=24 seeds 0-14
@@ -1090,20 +1149,21 @@ class TestSolveDP:
         for seed in range(15):
             solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
         pairs = 0
-        for table, kids in made:
+        for table, kids, args in made:
             if not kids:
                 continue
+            split = args[-1]
             reps = tabulated_reps(table)
             maps1, maps2 = (dict(zip(t.boundary.mid, t.boundary.classes)) for t in kids)
-            n = math.prod(len(reps[v]) for v in table.split.owned)
-            for v in table.split.interior:
+            n = math.prod(len(reps[v]) for v in split.owned)
+            for v in split.interior:
                 n *= len(_INTERIOR_CLASS_PAIRS[maps1[v], maps2[v]])
-            for v, first in table.split.targets:
+            for v, first in split.targets:
                 lists = _TARGET_CLASS_PAIRS[first][maps1[v], maps2[v]]
                 n *= sum(len(lists[r]) for r in reps[v])
             pairs += n
         assert pairs == 51_077
-        assert sum(len(table.costs) for table, _kids in made) == 24_656
+        assert sum(len(table.costs) for table, _kids, _args in made) == 24_656
 
     def test_frontier_triangulation_n100_seed1(self):
         """Triangulation n=100 seed 1 solves in about 0.4 s; with class
@@ -1194,7 +1254,7 @@ class TestDemand:
         for inst in corpus_small[:20]:
             made.clear()
             solve_dp(inst, build_sphere_cut(inst.graph))
-            for table, _kids in made:
+            for table, _kids, _args in made:
                 b = table.boundary
                 for k, (cmap, mask) in enumerate(zip(b.classes, table.demand)):
                     missing = [x for x in range(6) if not mask >> cmap[x] & 1]
