@@ -75,21 +75,52 @@ each leaf keeps its edge when its table's flag at the entry says so: the
 letters of its darts fit the representatives of the entry's classes.
 Where optima tie, the kept set is the one these first choices give; its
 weight is the optimum.
+
+Flat arcs are tabulated in one pass, not joined.  A *hub* is a vertex of
+degree above one; a *pendant* is an edge with an end of degree one, and
+the normal form makes most edges pendants.  An arc is *flat* when its
+inside holds two or more edges and at most one hub-to-hub edge, the
+*coupled* edge; ``build_sphere_cut``'s lift makes each skeleton edge
+with its pendant runs such an arc.  One pass is exact because a
+pendant's far end has degree one, so it is never on a middle set and is
+always bimodal, and because hubs interact only through the coupled edge.
+An entry is therefore the coupled edge's weight if it is deleted, plus,
+for each hub the arc touches, the cheapest deletion of its inside darts
+whose kept pattern realizes the representative of the entry's class
+there, minimized over keeping or deleting the coupled edge.  That
+cheapest deletion is one left-to-right pass over the hub's run with
+seven states, the collapsed kept pattern so far ("" i o io oi ioi oio;
+a longer pattern realizes no configuration).  A hub with every dart
+inside, necessarily an end of the coupled edge, is *full*: it must be
+bimodal, which holds iff its kept pattern read from any cut collapses to
+length at most 3, so it pays the least final state of the same pass over
+its whole rotation, read from position 0.  ``solve_dp`` tabulates each
+maximal flat arc so (``flat_table``) and builds no table below it; the
+demand walk stops there.  Reconstruction repeats the entry's passes and
+reads the choice off them: the coupled edge is kept when keeping it
+costs the entry, each hub ends in the first state, in the order above,
+that costs its share, and going back over the run a dart is kept when
+keeping it reproduces the cost, from the first such state.  An arc of
+one edge keeps its ``leaf_table``.  A graph with fewer than two pendants
+is joined throughout: its one flat arc, if any, holds two edges, and
+finding it costs about what its pass saves over the join (on the
+benchmark's corpus-dp pool, 8 of whose 35 graphs have one pendant).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .configs import (CLASS_MAPS, CLASS_ORDERS, CONFIG_INDEX, CONFIGS, compatible,
-                      compatible_wrt)
+from .configs import (CLASS_MAPS, CLASS_ORDERS, CONFIG_INDEX, CONFIGS, collapse,
+                      compatible, compatible_wrt)
 from .decomposition import ArcBoundary, JoinSplit, SphereCutDecomposition, validate_decomposition
 from .errors import DecompositionError
-from .plane import Instance, Solution, make_solution
+from .plane import Instance, PlaneDigraph, Solution, make_solution
 
 # substring order: _LE[a][b] iff configuration a is a substring of b
 _LE = [[a in b for b in CONFIGS] for a in CONFIGS]
@@ -166,6 +197,19 @@ _MAXIMAL = {cmap: sum(1 << a for a, row in enumerate(le)
 assert all(_MAXIMAL[cmap] >> cmap[CONFIG_INDEX[c]] & 1 for cmap in _REPS for c in ("ioi", "oio"))
 
 
+# The states of a flat arc's pass, in tie-break order: a hub's collapsed
+# kept pattern so far.  Per configuration index, the states that realize
+# it (at least two: "" and a letter), and a getter of those; per dart end
+# (0 a tail, o; 1 a head, i) and state, the states that keeping a dart of
+# that end leads there from, in state order.
+_STATES = ("", "i", "o", "io", "oi", "ioi", "oio")
+_FITS = tuple(tuple(k for k, p in enumerate(_STATES) if p in c) for c in CONFIGS)
+_BEFORE = tuple(tuple(tuple(k for k, p in enumerate(_STATES) if collapse(p + letter) == q)
+                      for q in _STATES) for letter in "oi")
+_FIT_STATES = tuple(operator.itemgetter(*fits) for fits in _FITS)
+_INF = float("inf")
+
+
 # Class bitmasks: what a table holds at a position (``_tabulated``) and
 # what a join reads of its children (``_*_reads``), per class maps and
 # parent bitmask; each domain is a few hundred keys, so the caches stay
@@ -227,6 +271,12 @@ _Pairs = list[tuple[int, int]]
 _Plan = tuple[list[tuple[int, _Pairs]], list[_Pairs], list[tuple[int, list[_Pairs]]]]
 
 
+# A flat table's plan: the arc's coupled edge, or -1 when it holds no
+# hub-to-hub edge, and each hub it touches with its inside darts, in the
+# order of ``_flat_hubs``.
+_FlatPlan = tuple[int, list[tuple[int, list[int]]]]
+
+
 def _extend(combos: _Pairs, pairs: _Pairs) -> _Pairs:
     return [(d1 + c1, d2 + c2) for d1, d2 in combos for c1, c2 in pairs]
 
@@ -258,12 +308,15 @@ class DPTable:
     ``places`` holds each vertex's place, what a join reads.  No
     back-pointers are stored.  A join table keeps its ``plan``, from
     which reconstruction recomputes the pair of child entries behind one
-    entry; a leaf table keeps, per entry, whether it keeps the edge."""
+    entry; a leaf table keeps, per entry, whether it keeps the edge; a
+    flat table keeps its plan (``_FlatPlan``), from which reconstruction
+    repeats the entry's passes, and, when its arc holds a hub-to-hub
+    edge, whether each entry keeps that edge."""
     boundary: ArcBoundary
     costs: list[int]
     demand: tuple[int, ...]
     places: dict[int, _Place] = field(repr=False)
-    plan: Optional[_Plan] = field(default=None, repr=False)
+    plan: Optional[_Plan | _FlatPlan] = field(default=None, repr=False)
     keeps: Optional[list[bool]] = field(default=None, repr=False)
 
     def index(self, code: int) -> int:
@@ -420,15 +473,179 @@ def _chosen_pair(table: DPTable, t1: DPTable, t2: DPTable, index: int) -> tuple[
     raise DecompositionError("reconstruction disagrees with the table entry")
 
 
-def _demand_walk(rooted) -> dict[int, tuple[int, ...]]:
+def _flat_hubs(graph: PlaneDigraph, boundary: ArcBoundary,
+               coupled: int) -> list[tuple[int, list[int]]]:
+    """Each hub that a flat arc touches, with its inside darts in rotation
+    order: the full ends of the coupled edge, each with its whole
+    rotation, then the middle-set vertices in ``mid`` order, each with its
+    run.  A full hub has all its hub-to-hub edges inside, so at most one,
+    and it has one: in a connected graph only a star's center has none,
+    and the root leaf's edge keeps a star's center on every middle set."""
+    hubs = []
+    if coupled >= 0:
+        hubs += [(v, graph.rotation[v]) for v in graph.edges[coupled] if v not in boundary.runs]
+    for v in boundary.mid:
+        start, length = boundary.runs[v]
+        row = graph.rotation[v]
+        end = start + length
+        hubs.append((v, row[start:end] if end <= len(row) else row[start:] + row[:end - len(row)]))
+    return hubs
+
+
+def _pass(darts, int_w, coupled: int, keep: bool, trail: Optional[list] = None) -> tuple:
+    """The pass over one hub's darts: per state, the least weight of the
+    deleted darts whose kept darts collapse to the state (infinite when
+    none do); ``trail``, when given, gets these states before each dart
+    and after the last.  The coupled edge's dart is kept when ``keep``
+    and deleted at no cost otherwise: its weight is counted once, by the
+    arc.  Weights are nonnegative, so keeping a dart of the pattern's
+    last letter is never worse than deleting it."""
+    e, i, o, io, oi, ioi, oio = 0, _INF, _INF, _INF, _INF, _INF, _INF
+    for d in darts:
+        if trail is not None:
+            trail.append((e, i, o, io, oi, ioi, oio))
+        x = d >> 1
+        if x != coupled:
+            w = int_w[x]
+            if d & 1:
+                e, i, o, io, oi, ioi, oio = (e + w, e if e < i else i, o + w, io + w,
+                                             o if o < oi else oi, io if io < ioi else ioi,
+                                             oio + w)
+            else:
+                e, i, o, io, oi, ioi, oio = (e + w, i + w, e if e < o else o,
+                                             i if i < io else io, oi + w, ioi + w,
+                                             oi if oi < oio else oio)
+        elif keep:
+            if d & 1:
+                e, i, o, io, oi, ioi, oio = (_INF, e if e < i else i, _INF, _INF,
+                                             o if o < oi else oi, io if io < ioi else ioi, _INF)
+            else:
+                e, i, o, io, oi, ioi, oio = (_INF, _INF, e if e < o else o,
+                                             i if i < io else io, _INF, _INF,
+                                             oi if oi < oio else oio)
+    final = (e, i, o, io, oi, ioi, oio)
+    if trail is not None:
+        trail.append(final)
+    return final
+
+
+def flat_table(instance: Instance, boundary: ArcBoundary, coupled: int,
+               demand: tuple[int, ...]) -> DPTable:
+    """Table of a flat arc, holding the classes of ``demand``, in one pass
+    per touched hub and per fate of ``coupled``, the arc's one hub-to-hub
+    edge (-1 when it holds none); see the module docstring.  Per fate, a
+    full hub adds its least final state to every entry, and a middle-set
+    hub, per tabulated class, the least final state of its pass that
+    realizes the class's representative; an entry is the lesser of the
+    two fates' sums, and ``keeps`` holds, per entry, whether keeping the
+    coupled edge costs no more."""
+    int_w = instance.int_weights.values
+    places = _places(boundary, demand)
+    hubs = _flat_hubs(instance.graph, boundary, coupled)
+    fates = []
+    for keep in ((True, False) if coupled >= 0 else (False,)):
+        costs = [int_w[coupled] if coupled >= 0 and not keep else 0]
+        for v, darts in hubs:
+            final = _pass(darts, int_w, coupled, keep)
+            place = places.get(v)
+            if place is None:
+                costs[0] += min(final)      # full hubs come first, while one sum is open
+            else:
+                # the first position is the least significant digit
+                costs = [c + min(_FIT_STATES[r](final)) for r in place[2] for c in costs]
+        fates.append(costs)
+    plan = (coupled, hubs)
+    if coupled < 0:
+        return DPTable(boundary, fates[0], demand, places, plan)
+    kept, dropped = fates
+    return DPTable(boundary, list(map(min, kept, dropped)), demand, places, plan,
+                   list(map(operator.le, kept, dropped)))
+
+
+def _flat_deleted(instance: Instance, table: DPTable, index: int) -> list[int]:
+    """The edges that entry ``index`` of a flat table deletes: the coupled
+    edge unless the entry keeps it, and per hub the darts that the
+    backtrack over its pass deletes (see the module docstring)."""
+    int_w = instance.int_weights.values
+    coupled, hubs = table.plan
+    keep = coupled >= 0 and table.keeps[index]
+    deleted = [coupled] if coupled >= 0 and not keep else []
+    total = int_w[coupled] if deleted else 0
+    for v, darts in hubs:
+        trail: list[tuple] = []
+        final = _pass(darts, int_w, coupled, keep, trail)
+        place = table.places.get(v)
+        fits = (_FITS[place[2][index // place[0] % len(place[2])]] if place is not None
+                else range(len(_STATES)))
+        state = min(fits, key=final.__getitem__)      # the first least, in state order
+        total += final[state]
+        for j in range(len(darts) - 1, -1, -1):
+            d = darts[j]
+            if d >> 1 == coupled and not keep:
+                continue
+            cost, before = trail[j + 1][state], trail[j]
+            for k in _BEFORE[d & 1][state]:
+                if before[k] == cost:
+                    state = k
+                    break
+            else:
+                deleted.append(d >> 1)
+    if total != table.costs[index]:
+        raise DecompositionError("reconstruction disagrees with the table entry")
+    return deleted
+
+
+def _flat_joins(graph: PlaneDigraph, leaf_map: dict[int, int], rooted) -> dict[int, int]:
+    """Every join whose arc is flat, mapped to its coupled edge, or -1
+    when it holds no hub-to-hub edge; none in a graph with fewer than two
+    pendants (see the module docstring).  A flat arc holds a pendant, so the
+    search climbs from the pendants' leaves: a node's value is m times
+    its hub-to-hub edges plus the sum of their ids, so a value below 2m
+    holds at most one, and then, when nonzero, is m plus its id.  A join
+    is valued once both children are: a hub-to-hub leaf is valued on the
+    spot, and a join child climbs there itself, if it is flat.  The climb
+    stops at the first arc that is not flat."""
+    rotation = graph.rotation
+    if list(map(len, rotation)).count(1) < 2:
+        return {}
+    pendants = {row[0] >> 1 for row in rotation if len(row) == 1}
+    m = graph.edge_count
+    parent, children, root = rooted.parent, rooted.children, rooted.root_leaf
+    climb = [node for node, e in leaf_map.items() if e in pendants and node != root]
+    value = dict.fromkeys(climb, 0)
+    flat: dict[int, int] = {}
+    while climb:
+        node = climb.pop()
+        up = parent[node]
+        if up == root or up in value:
+            continue
+        a, b = children[up]
+        other = b if a == node else a
+        if other in value:
+            s = value[node] + value[other]
+        elif children[other]:
+            continue
+        else:
+            s = value[node] + m + leaf_map[other]
+        value[up] = s
+        if s < 2 * m:
+            flat[up] = s - m if s else -1
+            climb.append(up)
+    return flat
+
+
+def _demand_walk(rooted, order: Optional[list[int]] = None) -> dict[int, tuple[int, ...]]:
     """Each arc's demand, top-down from the arc below the root leaf (see
     the module docstring), read off a validated rooted view's boundaries
-    and splits."""
+    and splits.  The walk visits the nodes of ``order``, a post order
+    (``rooted.post_order`` by default), and gives demand to the children
+    of the joins among them; ``solve_dp`` leaves out the flat joins and
+    the nodes below them."""
     bounds = rooted.boundaries
     top = rooted.children[rooted.root_leaf][0]
     demand = {top: tuple(_MAXIMAL[cmap] for cmap in bounds[top].classes)}
     # reversed post-order visits each parent before its children
-    for node in reversed(rooted.post_order):
+    for node in reversed(rooted.post_order if order is None else order):
         kids = rooted.children[node]
         if not kids:
             continue
@@ -466,10 +683,12 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     the assignment is pinned to ioi at the root edge's head and oio at its
     tail, which the single outside dart then completes to a bimodal
     pattern.  A walk down the tree first fixes the classes each table
-    must hold; then the tables are built bottom-up.  Going down from the
-    chosen root entry, each internal node reads the child entries behind
-    its one chosen entry off its join's plan, and each leaf reads whether
-    its edge is kept there off its flags.  The reconstructed subgraph is
+    must hold, stopping at the maximal flat arcs; then the tables are
+    built bottom-up, each maximal flat arc in one pass and nothing below
+    it.  Going down from the chosen root entry, each internal node reads
+    the child entries behind its one chosen entry off its join's plan,
+    each leaf reads whether its edge is kept there off its flags, and
+    each flat arc repeats its passes.  The reconstructed subgraph is
     re-verified before returning.
 
     The tree is validated here unless ``build_sphere_cut`` validated it
@@ -493,9 +712,19 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
         return make_solution(instance, range(g.edge_count), "dp")
     int_w, scale, _total = instance.int_weights
 
-    demand = _demand_walk(rooted)
+    flat = _flat_joins(g, dec.leaf_map, rooted)
+    order = rooted.post_order
+    if flat:
+        # the arcs that are neither flat nor below a flat arc: a join below
+        # a flat arc is flat, so a leaf below one has a flat parent
+        parent = rooted.parent
+        order = [node for node in order if node not in flat and parent[node] not in flat]
+    demand = _demand_walk(rooted, order)
     tables: dict[int, DPTable] = {}
-    for node in rooted.post_order:
+    for node, coupled in flat.items():
+        if node in demand:      # a maximal flat arc
+            tables[node] = flat_table(instance, rooted.boundaries[node], coupled, demand[node])
+    for node in order:
         boundary = rooted.boundaries[node]
         kids = rooted.children[node]
         if not kids:
@@ -523,13 +752,16 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     while stack:
         node, index = stack.pop()
         kids = rooted.children[node]
-        if kids:
+        if not kids:
+            if not tables[node].keeps[index]:
+                deleted.add(dec.leaf_map[node])
+        elif node in flat:
+            deleted.update(_flat_deleted(instance, tables[node], index))
+        else:
             a, b = kids
             i1, i2 = _chosen_pair(tables[node], tables[a], tables[b], index)
             stack.append((a, i1))
             stack.append((b, i2))
-        elif not tables[node].keeps[index]:
-            deleted.add(dec.leaf_map[node])
     kept = set(range(g.edge_count)) - deleted
     solution = make_solution(instance, kept, "dp")
     if solution.deleted_weight != Fraction(root_cost, scale):

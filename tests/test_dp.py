@@ -13,6 +13,7 @@ import pytest
 
 import mwbs.decomposition as decomposition
 import mwbs.dp as dp
+import mwbs.eptas as eptas
 import mwbs.kernel as kernel
 from mwbs.decomposition import (
     SphereCutDecomposition,
@@ -40,6 +41,7 @@ from mwbs.dp import (
     _TARGET_CLASS_PAIRS,
     _TARGET_PAIRS,
     _chosen_pair,
+    flat_table,
     join_tables,
     leaf_table,
     solve_dp,
@@ -443,13 +445,19 @@ def halves(ids):
 
 def record_tables(monkeypatch):
     """Record every table that ``solve_dp`` builds, with its children's
-    tables (none for a leaf) and the arguments of the call that built it."""
+    tables (none for a leaf, None for a flat arc) and the arguments of the
+    call that built it."""
     made = []
-    real_leaf, real_join = dp.leaf_table, dp.join_tables
+    real_leaf, real_join, real_flat = dp.leaf_table, dp.join_tables, dp.flat_table
 
     def leaf(*args):
         table = real_leaf(*args)
         made.append((table, (), args))
+        return table
+
+    def flat(*args):
+        table = real_flat(*args)
+        made.append((table, None, args))
         return table
 
     def join(*args):
@@ -459,6 +467,7 @@ def record_tables(monkeypatch):
 
     monkeypatch.setattr(dp, "leaf_table", leaf)
     monkeypatch.setattr(dp, "join_tables", join)
+    monkeypatch.setattr(dp, "flat_table", flat)
     return made
 
 
@@ -508,12 +517,26 @@ def entry_codes(table):
     return codes
 
 
+def below_flat(rooted, made):
+    """The nodes strictly below the flat tables in ``made``."""
+    below = set()
+    stack = [node for table, kids, _args in made if kids is None
+             for node in rooted.children[table.boundary.arc[0]]]
+    while stack:
+        node = stack.pop()
+        below.add(node)
+        stack += rooted.children[node]
+    return below
+
+
 def compare_to_all_class_tables(inst, dec, root_leaf, made):
-    """Every entry of the tables in ``made``, which ``solve_dp`` built on
-    ``dec`` at ``root_leaf``, equals the entry of the all-class table of
-    its arc; returns the entry counts of both."""
-    _rooted, tables, _ = rooted_tables(inst, dec, root_leaf)
-    by_arc = {table.boundary.arc: table for table in tables.values()}
+    """``made``, the tables that ``solve_dp`` built on ``dec`` at
+    ``root_leaf``, holds one table per arc not below a flat arc, and each
+    of its entries equals the entry of the all-class table of its arc;
+    returns the entry counts of both, the second over every arc."""
+    rooted, tables, _ = rooted_tables(inst, dec, root_leaf)
+    below = below_flat(rooted, made)
+    by_arc = {table.boundary.arc: table for node, table in tables.items() if node not in below}
     assert sorted(table.boundary.arc for table, _kids, _args in made) == sorted(by_arc)
     for table, _kids, _args in made:
         whole = by_arc[table.boundary.arc]
@@ -569,8 +592,8 @@ class TestLeafTable:
                 made.clear()
                 solve_dp(inst, dec, root)
                 for table, kids, args in made:
-                    if kids:
-                        continue
+                    if kids != ():
+                        continue        # a join or a flat arc
                     e = args[2]
                     assert len(table.keeps) == len(table.costs)
                     for index, keep in enumerate(table.keeps):
@@ -1130,21 +1153,24 @@ class TestSolveDP:
     def test_frontier_triangulation_n80_seed1(self, monkeypatch):
         """Triangulation n=80 seed 1 reduces to a component whose tree has
         width 9: 22,435,986 entries indexed by configuration, 231,862 by
-        class, and 82,544 with each table cut to the classes an ancestor
-        can read.  Pinned: the optimum and the exact entry count."""
+        class, 82,544 with each table cut to the classes an ancestor can
+        read, and 81,602 with no table below a flat arc.  Pinned: the
+        optimum and the exact entry count."""
         made = record_tables(monkeypatch)
         sol = solve_subexponential(gen_instance(GenParams(n=80, seed=1)))
         assert sol.deleted_weight == Fraction(4039, 20)
-        assert sum(len(table.costs) for table, _kids, _args in made) == 82_544
+        assert sum(len(table.costs) for table, _kids, _args in made) == 81_602
 
     def test_tri_frontier_pairs(self, monkeypatch):
         """The joins' pair evaluations over triangulations n=24 seeds 0-14
         (the tri-frontier pool): per join, the forced offsets times the
-        class pairs summed over the groups.  51,077 on tables cut to the
-        classes an ancestor can read, which hold 24,656 entries; 152,644
-        on all-class tables with each class pair list cut to its maximal
-        elements in the class orders; 299,803 when the lists were cut in
-        the substring order only."""
+        class pairs summed over the groups.  45,617 with flat arcs
+        tabulated in one pass, the tables holding 20,130 entries; 51,077
+        when every arc was joined, on tables cut to the classes an
+        ancestor can read, which held 24,656 entries; 152,644 on all-class
+        tables with each class pair list cut to its maximal elements in
+        the class orders; 299,803 when the lists were cut in the substring
+        order only."""
         made = record_tables(monkeypatch)
         for seed in range(15):
             solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
@@ -1162,8 +1188,8 @@ class TestSolveDP:
                 lists = _TARGET_CLASS_PAIRS[first][maps1[v], maps2[v]]
                 n *= sum(len(lists[r]) for r in reps[v])
             pairs += n
-        assert pairs == 51_077
-        assert sum(len(table.costs) for table, _kids, _args in made) == 24_656
+        assert pairs == 45_617
+        assert sum(len(table.costs) for table, _kids, _args in made) == 20_130
 
     def test_frontier_triangulation_n100_seed1(self):
         """Triangulation n=100 seed 1 solves in about 0.4 s; with class
@@ -1265,8 +1291,9 @@ class TestDemand:
         assert refused > 100
 
     def test_tri_frontier(self, monkeypatch):
-        """The components of triangulations n=24 seeds 0-14: 24,656 entries
-        where all-class tables hold 67,624."""
+        """The components of triangulations n=24 seeds 0-14: 20,130 entries
+        where all-class tables hold 67,624 (24,656 when the arcs below flat
+        arcs had tables too)."""
         cases = []
         real = kernel.solve_dp
 
@@ -1285,7 +1312,181 @@ class TestDemand:
             counts = compare_to_all_class_tables(sub, dec, None, made)
             pruned += counts[0]
             whole += counts[1]
-        assert (pruned, whole) == (24_656, 67_624)
+        assert (pruned, whole) == (20_130, 67_624)
+
+
+def joined_tables(inst, rooted, leaf_map):
+    """Every arc's table built by leaf tables and joins alone, each under
+    the demand of the walk that does not stop at flat arcs."""
+    demand = dp._demand_walk(rooted)
+    tables = {}
+    for node in rooted.post_order:
+        b, kids = rooted.boundaries[node], rooted.children[node]
+        if not kids:
+            tables[node] = leaf_table(inst, b, leaf_map[node], demand[node])
+        else:
+            tables[node] = join_tables(b, tables[kids[0]], tables[kids[1]], demand[node],
+                                       rooted.splits[node])
+    return tables
+
+
+def hub_to_hub(g, edges):
+    return [e for e in edges if all(len(g.rotation[v]) > 1 for v in g.edges[e])]
+
+
+def is_flat(g, edges):
+    """Two or more edges, at most one of them hub-to-hub."""
+    return len(edges) >= 2 and len(hub_to_hub(g, edges)) <= 1
+
+
+def check_flat_entry(inst, table, index, code, inside):
+    """The edges that reconstruction deletes for entry ``index`` of a flat
+    table, whose classes' representatives make configuration code
+    ``code``, lie inside its arc, weigh the entry, delete the coupled edge
+    unless the entry keeps it, leave at each middle-set hub a pattern that
+    realizes the representative of the entry's class there, and leave
+    every full hub bimodal."""
+    g, b = inst.graph, table.boundary
+    deleted = dp._flat_deleted(inst, table, index)
+    assert len(set(deleted)) == len(deleted) and set(deleted) <= inside
+    assert sum(inst.int_weights.values[e] for e in deleted) == table.costs[index]
+    coupled = table.plan[0]
+    if coupled >= 0:
+        assert (coupled not in deleted) == table.keeps[index]
+    kept = inside - set(deleted)
+    for k, v in enumerate(b.mid):
+        rep = CONFIGS[code // 6 ** k % 6]
+        pattern = "".join(dart_direction(d) for d in run_darts(g, b, v) if dart_edge(d) in kept)
+        assert realizes_ref(pattern, rep)
+    if coupled >= 0:
+        for v in g.edges[coupled]:
+            if v not in b.runs:
+                ends = [d & 1 for d in g.rotation[v] if dart_edge(d) in kept]
+                assert cyclic_switches(ends) <= 2
+
+
+def compare_flat_to_joined(inst, dec, root_leaf, made):
+    """The flat tables in ``made``, which ``solve_dp`` built on ``dec`` at
+    ``root_leaf``, are those of the maximal flat arcs, each under the
+    demand that the joins would read, and at every flat arc, maximal or
+    not, ``flat_table`` under that demand equals the joined table entry
+    for entry.  A graph with fewer than two pendants has no flat table:
+    its one flat arc is joined.  Returns the count of flat arcs and of
+    those with a full hub."""
+    g = inst.graph
+    rooted = validate_decomposition(g, dec, root_leaf).rooted
+    joined = joined_tables(inst, rooted, dec.leaf_map)
+    inside = inside_sets(rooted, dec.leaf_map)
+    flat = {node for node in rooted.post_order
+            if rooted.children[node] and is_flat(g, inside[node])}
+    maximal = {node for node in flat if rooted.parent[node] not in flat}
+    if sum(len(row) == 1 for row in g.rotation) < 2:
+        assert len(maximal) <= 1
+        maximal = set()
+    built = {table.boundary.arc[0]: table for table, kids, _args in made if kids is None}
+    assert sorted(built) == sorted(maximal)
+    flats = full = 0
+    for node in flat:
+        whole = joined[node]
+        coupled = (hub_to_hub(g, inside[node]) or [-1])[0]
+        table = flat_table(inst, whole.boundary, coupled, whole.demand)
+        if node in built:
+            assert built[node].demand == whole.demand
+            assert built[node].costs == table.costs
+        assert table.costs == whole.costs
+        for index, code in enumerate(entry_codes(table)):
+            check_flat_entry(inst, table, index, code, inside[node])
+        flats += 1
+        full += coupled >= 0 and any(v not in whole.boundary.runs for v in g.edges[coupled])
+    return flats, full
+
+
+def double_star_instance():
+    """Hubs 0 and 1 joined by edge 0 (0 -> 1), each with six pendants of
+    mixed directions and weights; 13 edges."""
+    edges, rot, weights = [(0, 1)], [[dart(0, TAIL)], [dart(0, HEAD)]], [Fraction(5, 2)]
+    outward = ([True, False, False, True, False, True], [False, True, True, False, True, False])
+    for hub, directions in enumerate(outward):
+        for k, out in enumerate(directions):
+            e, leaf = len(edges), len(rot)
+            edges.append((hub, leaf) if out else (leaf, hub))
+            rot[hub].append(dart(e, TAIL if out else HEAD))
+            rot.append([dart(e, HEAD if out else TAIL)])
+            weights.append(Fraction(1 + (3 * e) % 5, 2 if k % 2 else 1))
+    return Instance(PlaneDigraph(len(rot), edges, rot), tuple(weights))
+
+
+class TestFlatArcs:
+    """``solve_dp`` tabulates each maximal flat arc in one pass, and every
+    such table is the one the joins would build under the same demand."""
+
+    def test_eptas_and_tri_frontier_pools(self, monkeypatch):
+        """The 156 components that ``solve_subexponential`` solves for the
+        eptas pool (sparse n=40 seeds 0-6, eptas_max at eps 1/2, 1/3, 1/4
+        and eptas_min at 1/2, 1/3) and for the tri-frontier pool
+        (triangulations n=24 seeds 0-14): 3,805 flat arcs, 427 of them
+        with a full hub."""
+        cases = []
+        real = kernel.solve_dp
+
+        def spy(sub, dec):
+            cases.append((sub, dec))
+            return real(sub, dec)
+
+        monkeypatch.setattr(kernel, "solve_dp", spy)
+        for seed in range(7):
+            inst = gen_instance(GenParams(n=40, seed=seed, density="sparse"))
+            for eps in ("1/2", "1/3", "1/4"):
+                eptas.eptas_max(inst, Fraction(eps))
+            for eps in ("1/2", "1/3"):
+                eptas.eptas_min(inst, Fraction(eps))
+        for seed in range(15):
+            solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
+        made = record_tables(monkeypatch)
+        flats = full = 0
+        for sub, dec in cases:
+            made.clear()
+            solve_dp(sub, dec)
+            counts = compare_flat_to_joined(sub, dec, None, made)
+            flats += counts[0]
+            full += counts[1]
+        assert (len(cases), flats, full) == (156, 3_805, 427)
+
+    def test_corpus_at_three_roots(self, corpus_small, monkeypatch):
+        made = record_tables(monkeypatch)
+        flats = 0
+        for inst in corpus_small[:60]:
+            dec = build_sphere_cut(inst.graph)
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                made.clear()
+                solve_dp(inst, dec, root)
+                flats += compare_flat_to_joined(inst, dec, root, made)[0]
+        assert flats > 20
+
+    def test_pendant_roots_against_the_oracle(self, oracle_of, monkeypatch):
+        """A double star rooted at each pendant: the top arc is flat, with
+        the root's hub on its middle set and the other hub full, and the
+        solution keeps the exhaustive optimum.  A flat entry that its
+        passes do not reach is refused on the way down."""
+        inst = double_star_instance()
+        g = inst.graph
+        dec = build_sphere_cut(g)
+        want = oracle_of(inst).kept_weight
+        made = record_tables(monkeypatch)
+        for root, e in sorted(dec.leaf_map.items()):
+            if e == 0:
+                continue
+            made.clear()
+            sol = solve_dp(inst, dec, root)
+            assert sol.kept_weight == want
+            (table, _kids, args), = made
+            assert args[2] == 0 and table.boundary.mid == (min(g.edges[e]),)
+            flats, full = compare_flat_to_joined(inst, dec, root, made)
+            assert flats == 11 and full >= 1
+        table.costs[0] -= 1
+        with pytest.raises(DecompositionError, match="disagrees with the table entry"):
+            dp._flat_deleted(inst, table, 0)
 
 
 def count_validations(monkeypatch):
