@@ -44,11 +44,13 @@ each new mask for a run on the spot and reads the run's class map off two
 masks per hub, built once per view: ``ends``, bit j set when dart j is a
 head, and ``sw = ends ^ rotr(ends, 1)``.  A run ``mask`` from ``start``
 has first end ``ends >> start & 1`` and the switch count
-``(sw & mask & rotr(mask, 1)).bit_count()``.  The same walk stores each
-arc's ``ArcBoundary`` and each join's ``JoinSplit``.  ``_grow`` keeps the
-region's and the rest's masks per vertex as it absorbs edges, and a split
-computes, once per vertex, every restriction of a part that leaves both
-sides one run there, so each candidate part costs one lookup per vertex.
+``(sw & mask & rotr(mask, 1)).bit_count()``.  The walk checks every arc
+but stores only what the solver reads: the ``ArcBoundary`` of each arc
+not strictly below a flat join (``dp``) and the ``JoinSplit`` of each
+join that is not flat.  ``_grow`` keeps the region's and the rest's
+masks per vertex as it absorbs edges, and a split computes, once per
+vertex, every restriction of a part that leaves both sides one run
+there, so each candidate part costs one lookup per vertex.
 """
 
 from __future__ import annotations
@@ -167,9 +169,9 @@ class JoinSplit(NamedTuple):
 @dataclass
 class ValidationReport:
     """``ok``, ``width`` and ``violations`` do not depend on the root.
-    ``rooted`` is the tree rooted for the solver, with every arc boundary
-    and join split computed; it is None unless the report is ok and the
-    graph has at least two edges."""
+    ``rooted`` is the tree rooted for the solver, with the arc boundaries
+    and join splits that ``solve_dp`` reads; it is None unless the report
+    is ok and the graph has at least two edges."""
     ok: bool
     width: int
     violations: list[str] = field(default_factory=list)
@@ -201,8 +203,8 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
     Once the leaf and degree rules pass, the tree is rooted at
     ``root_leaf`` or else the lowest mapped leaf, and ``RootedDecomposition``
     walks it once: its search shows the tree connected, and its bottom-up
-    walk computes every arc boundary and join split.  Every arc whose darts
-    are not one run somewhere is reported, in arc order, and a valid report
+    walk checks every arc and finds the width.  Every arc whose darts are
+    not one run somewhere is reported, in arc order, and a valid report
     carries the rooted view for the solver.  Violations are collected as
     data, not raised; only a ``root_leaf`` that is not a mapped leaf of a
     tree raises DecompositionError, since it is the caller's choice."""
@@ -257,8 +259,7 @@ def validate_decomposition(graph: PlaneDigraph, dec: SphereCutDecomposition,
         by_arc = sorted((tuple(sorted((node, rooted.parent[node]))), text)
                         for node, text in rooted.broken.items())
         return ValidationReport(False, 0, [text for _arc, text in by_arc])
-    width = max(len(b.mid) for b in rooted.boundaries.values())
-    return ValidationReport(True, width, [], rooted)
+    return ValidationReport(True, rooted.width, [], rooted)
 
 
 # ---------------------------------------------------------------------
@@ -272,18 +273,21 @@ class RootedDecomposition:
     A depth-first search from the root leaf sets ``parent``, ``children``
     and ``post_order``; if it misses a node (``len(parent) <
     dec.node_count``), the arcs form no tree and the view stops, empty.
-    Otherwise it is built in one post-order walk over a tree of the
-    validator's degrees: every node but the root leaf is a leaf or has two
-    children.  Per arc, each vertex with darts on
-    both sides keeps its inside-dart mask by rotation position, with that
+    Otherwise, on a tree of the validator's degrees (every node but the
+    root leaf a leaf or a join of two), an integer pass first maps each
+    flat join (``dp``) to its one hub-to-hub edge or -1, in ``flat``.
+    Then one post-order walk: per arc, each vertex with darts on both
+    sides keeps its inside-dart mask by rotation position, with that
     mask's run and class map (``_read_run``): a leaf holds its edge's two
     darts, and a join ORs its children's masks, drops the full ones and
     reads again only the vertices both children share; the rest keep
-    their child's reading.  The vertices kept are the arc's middle set.
-    ``boundaries`` holds the boundary of every arc whose masks all are
-    runs, and ``broken`` the violation of every other arc; ``splits``
-    holds each join's split, taken while no arc is broken, so a valid
-    tree has every one.  ``adj``, when given, is ``dec.neighbors()``."""
+    their child's reading.  The vertices kept are the arc's middle set,
+    ``width`` the largest.  ``broken`` holds the violation of every arc
+    with a mask that is not a run; ``boundaries``, in post order, the
+    boundary of every other arc not strictly below a flat join; ``splits``
+    the split of each join not flat, taken while no arc is broken.
+    ``demand`` is kept by ``dp``'s first demand walk on the view.
+    ``adj``, when given, is ``dec.neighbors()``."""
 
     def __init__(self, graph: PlaneDigraph, dec: SphereCutDecomposition, root_leaf: int,
                  adj: Optional[list[list[int]]] = None):
@@ -311,18 +315,36 @@ class RootedDecomposition:
         boundaries: dict[int, ArcBoundary] = {}
         splits: dict[int, JoinSplit] = {}
         broken: dict[int, str] = {}
-        self.boundaries, self.splits, self.broken = boundaries, splits, broken
+        flat: dict[int, int] = {}
+        self.boundaries, self.splits, self.broken, self.flat = boundaries, splits, broken, flat
+        self.width = 0
+        self.demand: Optional[dict[int, tuple[int, ...]]] = None    # see dp._demand
         if len(order) < dec.node_count:
-            return      # not a tree: the walk below needs every node reached
+            return      # not a tree: the passes below need every node reached
 
         edges, leaf_map, position = graph.edges, dec.leaf_map, graph.dart_position
         degree = [len(row) for row in graph.rotation]
+        if degree.count(1) >= 2:
+            # a node's value is m times its hub-to-hub edges plus the sum of
+            # their ids, so a join valued below 2m is flat, and then, when
+            # nonzero, is m plus its coupled edge's id
+            m = graph.edge_count
+            value = {u: m + e for u, e in leaf_map.items()
+                     if degree[edges[e][0]] > 1 and degree[edges[e][1]] > 1}
+            for u in self.post_order:
+                kids = children[u]
+                if kids:
+                    s = value[u] = value.get(kids[0], 0) + value.get(kids[1], 0)
+                    if s < 2 * m:
+                        flat[u] = s - m if s else -1
         full = [(1 << k) - 1 for k in degree]
         class_masks = [_hub_masks(row) for row in graph.rotation]
         at_tail, at_head = CLASS_MAPS[0, 0], CLASS_MAPS[1, 0]
         # node -> {middle-set vertex: (mask, run or None, class map or None)}
         readings: dict[int, dict[int, tuple]] = {}
         counts: dict[int, int] = {}
+        width = 0
+        clean = True    # no mask read so far failed the run test, so no arc is broken
         for u in self.post_order:
             kids = children[u]
             shared = []
@@ -336,7 +358,9 @@ class RootedDecomposition:
                         if mask == full[v]:
                             del ours[v]
                         else:
-                            ours[v] = _read_run(mask, degree[v], *class_masks[v])
+                            reading = ours[v] = _read_run(mask, degree[v], *class_masks[v])
+                            if reading[1] is None:
+                                clean = False
                     else:
                         ours[v] = theirs
                 count = counts.pop(a) + counts.pop(b)
@@ -356,6 +380,10 @@ class RootedDecomposition:
                     count = 1
             readings[u] = ours
             counts[u] = count
+            if len(ours) > width:
+                width = len(ours)
+            if parent[u] in flat and (clean or all(reading[1] for reading in ours.values())):
+                continue    # contiguous, and below a flat arc: not tabulated
             mid = sorted(ours)
             runs = {}
             classes = []
@@ -369,7 +397,7 @@ class RootedDecomposition:
                              "on one side are not contiguous")
                 continue
             boundaries[u] = ArcBoundary(arc, tuple(mid), runs, count, tuple(classes))
-            if kids and not broken:
+            if kids and not broken and u not in flat:
                 # a parent run is its children's runs end to end, so one of
                 # them starts where it does
                 runs1 = boundaries[a].runs
@@ -378,14 +406,19 @@ class RootedDecomposition:
                                       [v for v in shared if v not in runs],
                                       [(v, 1 if runs1[v][0] == runs[v][0] else 2)
                                        for v in shared if v in runs])
+        self.width = width
 
     def boundary(self, node: int) -> ArcBoundary:
         """The stored ArcBoundary of the arc from ``node`` toward the root.
         Raises DecompositionError naming every middle-set vertex whose
-        inside darts are not one cyclic run."""
-        if node in self.broken:
-            raise DecompositionError(self.broken[node])
-        return self.boundaries[node]
+        inside darts are not one cyclic run, and for a node whose arc the
+        view does not tabulate."""
+        found = self.boundaries.get(node)
+        if found is None:
+            raise DecompositionError(self.broken.get(
+                node, f"node {node} has no tabulated arc: it lies below a flat arc "
+                      "or is not an arc's inside end"))
+        return found
 
 
 def _hub_masks(row: Sequence[int]) -> tuple[int, int]:
@@ -429,19 +462,19 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
 
     The policy: greedy-sweep runs first.  Only when its width is above 5
     does recursive-bisection run too, and its tree is kept if the tables
-    ``solve_dp`` builds on it hold fewer entries (Σ over the arcs of the
-    product of the demanded class counts, from dp's demand walk), or as
-    many and it is narrower; if bisection finds no contiguous split,
-    greedy stands.
+    ``solve_dp`` builds on it hold fewer entries (Σ over the tabulated
+    arcs of the product of the demanded class counts, from dp's demand
+    walk, which the view keeps for ``solve_dp``), or as many and it is
+    narrower; if bisection finds no contiguous split, greedy stands.
     Width alone misjudges: on triangulation n=100 seed 2 both trees have
     width 11, and greedy's tables would hold 37 times bisection's
     entries.  Greedy is about 27x cheaper to build on the 27-edge skeleton
     of triangulation n=24 seed 11 (medians of 30 builds each, Python
     3.11), so bisection is paid for only where the ``6**width`` tables
     outweigh the search.  Each candidate is lifted and then validated
-    once, on the whole graph, so its entries and width are read off the
-    lifted tree's boundaries, the ones the solver tabulates; a lifted tree
-    is as wide as its skeleton tree whenever either is wider than 2.  The
+    once, on the whole graph, so its entries are read off the lifted
+    tree's boundaries, the ones the solver tabulates; a lifted tree is as
+    wide as its skeleton tree whenever either is wider than 2.  The
     report is kept on the returned tree, and ``solve_dp`` reuses its
     rooted view at the default root.  The sweep grows once, from edge 0; a
     growth that stops short of every edge, or any tree failing the
@@ -468,10 +501,10 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
         except BuildError:
             return dec
         alt = _validated(graph, alt)
-        from .dp import _demand_walk    # here, since dp imports this module
+        from .dp import _demand     # here, since dp imports this module
 
         def rank(tree: SphereCutDecomposition) -> tuple[int, int]:
-            demand = _demand_walk(tree.report.rooted).values()
+            demand = _demand(tree.report.rooted).values()
             entries = sum(math.prod(m.bit_count() for m in masks) for masks in demand)
             return entries, tree.declared_width
 

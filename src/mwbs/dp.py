@@ -61,10 +61,12 @@ child class of each demanded parent class's representative; at a shared
 vertex interior to the parent, the classes of ``_INTERIOR_CLASS_PAIRS``;
 at a shared vertex on the parent middle set, the classes of
 ``_TARGET_CLASS_PAIRS`` over the demanded parent classes'
-representatives.  The walk and the join read each join's ``JoinSplit``
-from the validator's rooted view, and the join turns it into a plan: the
-child index offsets it reads per owned, interior and target vertex.  A
-table of every class is the one whose demand holds every class.
+representatives.  The walk runs once per rooted view, which keeps its
+result (``rooted.demand``), so the builder's ranking and the solve share
+it.  The walk and the join read each join's ``JoinSplit`` from the
+validator's rooted view, and the join turns it into a plan: the child
+index offsets it reads per owned, interior and target vertex.  A table
+of every class is the one whose demand holds every class.
 
 Reconstruction stays in class space and reads what the tables kept.  The
 root takes the keep entry when it costs no more than deleting the root
@@ -94,17 +96,19 @@ a longer pattern realizes no configuration).  A hub with every dart
 inside, necessarily an end of the coupled edge, is *full*: it must be
 bimodal, which holds iff its kept pattern read from any cut collapses to
 length at most 3, so it pays the least final state of the same pass over
-its whole rotation, read from position 0.  ``solve_dp`` tabulates each
-maximal flat arc so (``flat_table``) and builds no table below it; the
-demand walk stops there.  Reconstruction repeats the entry's passes and
-reads the choice off them: the coupled edge is kept when keeping it
-costs the entry, each hub ends in the first state, in the order above,
-that costs its share, and going back over the run a dart is kept when
-keeping it reproduces the cost, from the first such state.  An arc of
-one edge keeps its ``leaf_table``.  A graph with fewer than two pendants
-is joined throughout: its one flat arc, if any, holds two edges, and
-finding it costs about what its pass saves over the join (on the
-benchmark's corpus-dp pool, 8 of whose 35 graphs have one pendant).
+its whole rotation, read from position 0.  The validator's rooted view
+finds the flat joins (``rooted.flat``) and keeps no boundary below one.
+``solve_dp`` tabulates each maximal flat arc so (``flat_table``) and
+builds no table below it; the demand walk stops there.  Reconstruction
+repeats the entry's passes and reads the choice off them: the coupled
+edge is kept when keeping it costs the entry, each hub ends in the first
+state, in the order above, that costs its share, and going back over the
+run a dart is kept when keeping it reproduces the cost, from the first
+such state.  An arc of one edge keeps its ``leaf_table``.  A graph with
+fewer than two pendants is joined throughout: its one flat arc, if any,
+holds two edges, and finding it costs about what its pass saves over the
+join (on the benchmark's corpus-dp pool, 8 of whose 35 graphs have one
+pendant).
 """
 
 from __future__ import annotations
@@ -595,59 +599,26 @@ def _flat_deleted(instance: Instance, table: DPTable, index: int) -> list[int]:
     return deleted
 
 
-def _flat_joins(graph: PlaneDigraph, leaf_map: dict[int, int], rooted) -> dict[int, int]:
-    """Every join whose arc is flat, mapped to its coupled edge, or -1
-    when it holds no hub-to-hub edge; none in a graph with fewer than two
-    pendants (see the module docstring).  A flat arc holds a pendant, so the
-    search climbs from the pendants' leaves: a node's value is m times
-    its hub-to-hub edges plus the sum of their ids, so a value below 2m
-    holds at most one, and then, when nonzero, is m plus its id.  A join
-    is valued once both children are: a hub-to-hub leaf is valued on the
-    spot, and a join child climbs there itself, if it is flat.  The climb
-    stops at the first arc that is not flat."""
-    rotation = graph.rotation
-    if list(map(len, rotation)).count(1) < 2:
-        return {}
-    pendants = {row[0] >> 1 for row in rotation if len(row) == 1}
-    m = graph.edge_count
-    parent, children, root = rooted.parent, rooted.children, rooted.root_leaf
-    climb = [node for node, e in leaf_map.items() if e in pendants and node != root]
-    value = dict.fromkeys(climb, 0)
-    flat: dict[int, int] = {}
-    while climb:
-        node = climb.pop()
-        up = parent[node]
-        if up == root or up in value:
-            continue
-        a, b = children[up]
-        other = b if a == node else a
-        if other in value:
-            s = value[node] + value[other]
-        elif children[other]:
-            continue
-        else:
-            s = value[node] + m + leaf_map[other]
-        value[up] = s
-        if s < 2 * m:
-            flat[up] = s - m if s else -1
-            climb.append(up)
-    return flat
+def _demand(rooted) -> dict[int, tuple[int, ...]]:
+    """The view's demand, walked on first use and kept as ``rooted.demand``."""
+    if rooted.demand is None:
+        rooted.demand = _demand_walk(rooted)
+    return rooted.demand
 
 
-def _demand_walk(rooted, order: Optional[list[int]] = None) -> dict[int, tuple[int, ...]]:
-    """Each arc's demand, top-down from the arc below the root leaf (see
-    the module docstring), read off a validated rooted view's boundaries
-    and splits.  The walk visits the nodes of ``order``, a post order
-    (``rooted.post_order`` by default), and gives demand to the children
-    of the joins among them; ``solve_dp`` leaves out the flat joins and
-    the nodes below them."""
-    bounds = rooted.boundaries
+def _demand_walk(rooted) -> dict[int, tuple[int, ...]]:
+    """Each tabulated arc's demand, top-down from the arc below the root
+    leaf (see the module docstring), read off a validated rooted view's
+    boundaries and splits.  The walk gives demand to the children of the
+    joins that are not flat, so it stops at the maximal flat arcs."""
+    bounds, flat = rooted.boundaries, rooted.flat
     top = rooted.children[rooted.root_leaf][0]
     demand = {top: tuple(_MAXIMAL[cmap] for cmap in bounds[top].classes)}
-    # reversed post-order visits each parent before its children
-    for node in reversed(rooted.post_order if order is None else order):
+    # the boundaries are stored in post order, so reversed each parent
+    # comes before its children
+    for node in reversed(bounds):
         kids = rooted.children[node]
-        if not kids:
+        if not kids or node in flat:
             continue
         a, b = kids
         parent, b1, b2, split = bounds[node], bounds[a], bounds[b], rooted.splits[node]
@@ -683,8 +654,9 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     the assignment is pinned to ioi at the root edge's head and oio at its
     tail, which the single outside dart then completes to a bimodal
     pattern.  A walk down the tree first fixes the classes each table
-    must hold, stopping at the maximal flat arcs; then the tables are
-    built bottom-up, each maximal flat arc in one pass and nothing below
+    must hold, stopping at the maximal flat arcs (once per view, see
+    ``_demand``); then the tables are built bottom-up over the view's
+    boundaries, each maximal flat arc in one pass and nothing below
     it.  Going down from the chosen root entry, each internal node reads
     the child entries behind its one chosen entry off its join's plan,
     each leaf reads whether its edge is kept there off its flags, and
@@ -712,22 +684,13 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
         return make_solution(instance, range(g.edge_count), "dp")
     int_w, scale, _total = instance.int_weights
 
-    flat = _flat_joins(g, dec.leaf_map, rooted)
-    order = rooted.post_order
-    if flat:
-        # the arcs that are neither flat nor below a flat arc: a join below
-        # a flat arc is flat, so a leaf below one has a flat parent
-        parent = rooted.parent
-        order = [node for node in order if node not in flat and parent[node] not in flat]
-    demand = _demand_walk(rooted, order)
+    flat, demand = rooted.flat, _demand(rooted)
     tables: dict[int, DPTable] = {}
-    for node, coupled in flat.items():
-        if node in demand:      # a maximal flat arc
-            tables[node] = flat_table(instance, rooted.boundaries[node], coupled, demand[node])
-    for node in order:
-        boundary = rooted.boundaries[node]
+    for node, boundary in rooted.boundaries.items():
         kids = rooted.children[node]
-        if not kids:
+        if node in flat:
+            tables[node] = flat_table(instance, boundary, flat[node], demand[node])
+        elif not kids:
             tables[node] = leaf_table(instance, boundary, dec.leaf_map[node], demand[node])
         else:
             a, b = kids

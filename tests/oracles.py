@@ -10,12 +10,16 @@ boundaries alone, checking that they fit together, the reference of the
 validator's ``RootedDecomposition.splits``.  ``reference_rooted`` is the
 validator's verdict and rooted view computed arc by arc: one mask pass,
 then each boundary on its own, its class maps read off prefix sums of
-switches (``switch_prefix``), and each split from the stored boundaries.
+switches (``switch_prefix``), and each split from the stored boundaries;
+it also finds the flat joins from each arc's inside edge set.
+``check_view`` compares a rooted view with the reference on the arcs the
+view keeps, and ``whole_view`` stands in for a view that keeps every arc.
 ``leaf_keeps`` is the letter rule that decides whether a leaf table's
 entry keeps its edge, the reference of ``DPTable.keeps``.
 """
 
 import itertools
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from mwbs.configs import CLASS_MAPS, CONFIGS, collapse
@@ -138,6 +142,8 @@ class Reference(NamedTuple):
     violations: list[str]
     boundaries: dict[int, ArcBoundary]
     splits: dict[int, JoinSplit]
+    flat: dict[int, int]        # flat join -> its hub-to-hub edge, or -1
+    below: set[int]             # the nodes strictly below a flat join
 
 
 def reference_rooted(graph, dec, root: int) -> Reference:
@@ -146,7 +152,9 @@ def reference_rooted(graph, dec, root: int) -> Reference:
     darts are one run at every middle-set vertex, and every join's split
     taken while no arc is broken, in the validator's post-order (a
     depth-first one).  Each vertex's inside mask is built first for every
-    arc; then each arc's boundary is read off its masks on its own."""
+    arc; then each arc's boundary is read off its masks on its own.  In a
+    graph with two or more pendants (edges with an end of degree one), a
+    join is flat when its inside holds at most one hub-to-hub edge."""
     adj = dec.neighbors()
     parent = {root: None}
     order = [root]
@@ -161,7 +169,7 @@ def reference_rooted(graph, dec, root: int) -> Reference:
     children = {u: [w for w in adj[u] if parent[w] == u] for u in order}
     post_order = [u for u in reversed(order) if u != root]
     full = [(1 << len(row)) - 1 for row in graph.rotation]
-    darts, inside = {}, {}
+    darts, inside, edges = {}, {}, {}
     for u in post_order:
         masks = {}
         if u in dec.leaf_map:
@@ -174,6 +182,19 @@ def reference_rooted(graph, dec, root: int) -> Reference:
                 masks[v] = masks.get(v, 0) | mask
         darts[u] = {v: mask for v, mask in masks.items() if mask != full[v]}
         inside[u] = (u in dec.leaf_map) + sum(inside[w] for w in children[u])
+        own = {dec.leaf_map[u]} if u in dec.leaf_map else set()
+        edges[u] = own.union(*(edges[w] for w in children[u]))
+    degree = [len(row) for row in graph.rotation]
+    flat = {}
+    if degree.count(1) >= 2:
+        for u in (u for u in post_order if children[u]):
+            coupled = [e for e in sorted(edges[u]) if min(degree[v] for v in graph.edges[e]) > 1]
+            if len(coupled) <= 1:
+                flat[u] = coupled[0] if coupled else -1
+    below = set()
+    for u in reversed(post_order):      # each parent before its children
+        if parent[u] in flat or parent[u] in below:
+            below.add(u)
     boundaries, splits, broken = {}, {}, []
     for u in post_order:
         arc = (u, parent[u])
@@ -196,8 +217,37 @@ def reference_rooted(graph, dec, root: int) -> Reference:
             a, b = children[u]
             splits[u] = join_split(boundaries[u], boundaries[a], boundaries[b])
     if broken:
-        return Reference(False, 0, [text for _arc, text in sorted(broken)], boundaries, splits)
-    return Reference(True, max(len(b.mid) for b in boundaries.values()), [], boundaries, splits)
+        return Reference(False, 0, [text for _arc, text in sorted(broken)], boundaries, splits,
+                         flat, below)
+    return Reference(True, max(len(b.mid) for b in boundaries.values()), [], boundaries, splits,
+                     flat, below)
+
+
+def check_view(rooted, want: Reference) -> None:
+    """A rooted view against the reference at its root: the same flat
+    joins; the boundaries of exactly the arcs not strictly below a flat
+    join (broken arcs aside), stored in post order; the splits of exactly
+    the joins that are not flat; each equal to the reference's."""
+    assert rooted.flat == want.flat
+    assert list(rooted.boundaries) == [u for u in rooted.post_order
+                                       if u in want.boundaries and u not in want.below]
+    assert rooted.boundaries == {u: b for u, b in want.boundaries.items() if u not in want.below}
+    assert rooted.splits == {u: s for u, s in want.splits.items() if u not in want.flat}
+
+
+def whole_view(graph, dec, rooted):
+    """A stand-in for a valid rooted view of ``dec`` that keeps every
+    arc's boundary and every join's split, in post order, and has no flat
+    join, so the demand walk on it does not stop at flat arcs: the
+    reference's, once ``check_view`` finds the view's own equal to them."""
+    want = reference_rooted(graph, dec, rooted.root_leaf)
+    assert want.ok
+    check_view(rooted, want)
+    order = rooted.post_order
+    return SimpleNamespace(root_leaf=rooted.root_leaf, parent=rooted.parent,
+                           children=rooted.children, post_order=order, flat={},
+                           boundaries={u: want.boundaries[u] for u in order},
+                           splits={u: want.splits[u] for u in order if rooted.children[u]})
 
 
 def leaf_keeps(instance: Instance, table, e: int, index: int) -> bool:

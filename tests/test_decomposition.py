@@ -30,7 +30,7 @@ from mwbs.decomposition import (
 from mwbs.configs import CLASS_MAPS
 from mwbs.errors import BuildError, DecompositionError, EmbeddingError
 from mwbs.generate import GenParams, gen_instance
-from mwbs.dp import _demand_walk, solve_dp
+from mwbs.dp import _demand, solve_dp
 from mwbs.kernel import reduce_to_simple, solve_subexponential
 from mwbs.oracle import brute_force_mwbs, is_star
 from mwbs.plane import (
@@ -45,8 +45,8 @@ from mwbs.plane import (
     subgraph_by_edges,
 )
 
-from oracles import join_split, reference_rooted, switch_prefix
-from test_dp import inside_sets, path_instance
+from oracles import check_view, join_split, reference_rooted, switch_prefix
+from test_dp import double_star_instance, inside_sets, path_instance
 from test_plane import star4_instance, triangle_instance
 
 
@@ -195,8 +195,8 @@ class TestBuilderPolicy:
     def test_fewer_entries_kept_on_a_width_tie(self):
         """Triangulation n=100 seed 2 reduces to one component on which
         greedy and bisection both give width 11, but the tables that
-        solve_dp builds on bisection's tree hold 6,394,830 entries and on
-        greedy's 234,728,136 (14,891,614 and 1,763,000,116 with every
+        solve_dp builds on bisection's tree hold 6,393,586 entries and on
+        greedy's 234,726,902 (14,890,290 and 1,762,998,792 with every
         class tabulated): the policy keeps bisection's tree.  Built,
         validated and walked for demand only."""
         (sub,) = dp_components(gen_instance(GenParams(n=100, seed=2)))
@@ -205,8 +205,8 @@ class TestBuilderPolicy:
         greedy = decomposition._validated(g, lift(_greedy_sweep(skeleton)))
         bisection = decomposition._validated(g, lift(_recursive_bisection(skeleton)))
         assert (greedy.declared_width, bisection.declared_width) == (11, 11)
-        assert demanded_entries(greedy) == 234_728_136
-        assert demanded_entries(bisection) == 6_394_830
+        assert demanded_entries(greedy) == 234_726_902
+        assert demanded_entries(bisection) == 6_393_586
         dec = build_sphere_cut(g)
         assert (dec.arcs, dec.leaf_map) == (bisection.arcs, bisection.leaf_map)
 
@@ -244,7 +244,7 @@ def demanded_entries(dec):
     """The entries of the tables that solve_dp builds on a built tree at
     its report's root."""
     return sum(math.prod(mask.bit_count() for mask in masks)
-               for masks in _demand_walk(dec.report.rooted).values())
+               for masks in _demand(dec.report.rooted).values())
 
 
 def dp_components(instance):
@@ -386,7 +386,8 @@ class TestSkeletonFirst:
 
     def test_tri_frontier_work(self, monkeypatch):
         """Sum of 6**|mid| over the arcs of the 15 tri-frontier components
-        (triangulations n=24 seeds 0-14): 582,720 when the whole component
+        (triangulations n=24 seeds 0-14), the arcs below flat arcs included
+        (``oracles.reference_rooted``): 582,720 when the whole component
         was decomposed.  Bisection only ever sees a skeleton."""
         seen = []
         real = decomposition._recursive_bisection
@@ -398,8 +399,9 @@ class TestSkeletonFirst:
                 g = sub.graph
                 skel = skeleton_of(g)
                 before = len(seen)
-                report = validate_decomposition(g, build_sphere_cut(g))
-                entries += sum(6 ** len(b.mid) for b in report.rooted.boundaries.values())
+                dec = build_sphere_cut(g)
+                want = reference_rooted(g, dec, min(dec.leaf_map)).boundaries
+                entries += sum(6 ** len(b.mid) for b in want.values())
                 for h in seen[before:]:
                     assert skel is not None and h.edge_count < g.edge_count
                     assert (h.edges, h.rotation) == (skel.edges, skel.rotation)
@@ -760,8 +762,8 @@ class TestValidator:
 
     def test_rooted_view_at_the_chosen_leaf(self, corpus_small):
         """ok and width do not depend on the root; the rooted view carries
-        one boundary per arc, equal to the reference's
-        (``oracles.reference_rooted``)."""
+        the boundary of every arc not strictly below a flat join, equal to
+        the reference's (``oracles.reference_rooted``)."""
         for inst in connected_corpus(corpus_small, 10):
             g = inst.graph
             dec = build_sphere_cut(g)
@@ -771,54 +773,56 @@ class TestValidator:
                 assert report.ok and report.width == dec.declared_width
                 rooted = report.rooted
                 assert rooted.root_leaf == root
-                assert sorted(rooted.boundaries) == sorted(rooted.post_order)
-                assert len(rooted.boundaries) == len(dec.arcs)
-                want = reference_rooted(g, dec, root).boundaries
+                check_view(rooted, reference_rooted(g, dec, root))
                 for node, b in rooted.boundaries.items():
-                    assert b == want[node] == rooted.boundary(node)
+                    assert b == rooted.boundary(node)
             internal = next(u for u in range(dec.node_count) if u not in dec.leaf_map)
             for bad in (internal, dec.node_count):
                 with pytest.raises(DecompositionError, match="not a mapped leaf"):
                     validate_decomposition(g, dec, bad)
 
     def test_splits_match_the_reference(self, corpus_small):
-        """Every join's split in the rooted view equals the one rebuilt
-        from its three boundaries alone, with every check
-        (``oracles.join_split``), at the lowest, middle and highest leaf:
-        on the builder's trees of the first 60 corpus instances and of the
-        components of triangulations n=24 seeds 0-14 (the tri-frontier
-        pool)."""
+        """The rooted view keeps the split of every join that is not
+        flat, and each equals the one rebuilt from its three boundaries
+        alone, with every check (``oracles.join_split``), at the lowest,
+        middle and highest leaf: on the builder's trees of the first 60
+        corpus instances and of the components of triangulations n=24
+        seeds 0-14 (the tri-frontier pool).  A flat join's children are
+        not tabulated, so it keeps no split."""
         graphs = [inst.graph for inst in corpus_small[:60]]
         graphs += [sub.graph for seed in range(15)
                    for sub in dp_components(gen_instance(GenParams(n=24, seed=seed)))]
-        checked = 0
+        checked = flat = 0
         for g in graphs:
             dec = build_sphere_cut(g)
             leaves = sorted(dec.leaf_map)
             for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
                 rooted = validate_decomposition(g, dec, root).rooted
                 bounds = rooted.boundaries
-                joins = [node for node in rooted.post_order if rooted.children[node]]
+                joins = [node for node in rooted.post_order
+                         if rooted.children[node] and node not in rooted.flat]
                 assert sorted(rooted.splits) == sorted(joins)
                 for node in joins:
                     a, b = rooted.children[node]
                     assert rooted.splits[node] == join_split(bounds[node], bounds[a], bounds[b])
                     checked += 1
-        assert checked > 3000
+                flat += len(rooted.flat)
+        assert checked > 1500 and flat > 1000
 
     def test_walk_matches_the_reference(self, corpus_small):
         """The one-walk validator against the arc-by-arc reference
-        (``oracles.reference_rooted``): ok, width, violations, every
-        boundary and every split, at the lowest, middle and highest leaf.
+        (``oracles.reference_rooted``): ok, width, violations, the flat
+        joins, and every boundary and split the view keeps
+        (``oracles.check_view``), at the lowest, middle and highest leaf.
         On the builder's trees of the first 200 corpus instances and of
         the tri-frontier components, and on trees made invalid by swapping
         two leaf_map values, whose broken arcs the rooted view reports
-        from ``boundary``."""
+        from ``boundary``, as it refuses the arcs it does not tabulate."""
         rng = random.Random(23)
         graphs = [inst.graph for inst in corpus_small[:200]]
         graphs += [sub.graph for seed in range(15)
                    for sub in dp_components(gen_instance(GenParams(n=24, seed=seed)))]
-        valid = invalid = 0
+        valid = invalid = untabulated = 0
         for g in graphs:
             dec = build_sphere_cut(g)
             leaves = sorted(dec.leaf_map)
@@ -832,16 +836,19 @@ class TestValidator:
                     assert (report.ok, report.width, report.violations) == \
                         (want.ok, want.width, want.violations)
                     rooted = report.rooted or RootedDecomposition(g, tree, root)
-                    assert rooted.boundaries == want.boundaries
-                    assert rooted.splits == want.splits
+                    check_view(rooted, want)
                     assert sorted(rooted.broken.values()) == sorted(want.violations)
                     for node, text in rooted.broken.items():
                         with pytest.raises(DecompositionError) as exc:
                             rooted.boundary(node)
                         assert str(exc.value) == text
+                    for node in want.below - rooted.broken.keys():
+                        with pytest.raises(DecompositionError, match="no tabulated arc"):
+                            rooted.boundary(node)
+                        untabulated += 1
                     valid += report.ok
                     invalid += not report.ok
-        assert valid > 1000 and invalid > 200
+        assert valid > 1000 and invalid > 200 and untabulated > 5000
 
     def test_import_export_roundtrip(self, corpus_small):
         inst = connected_corpus(corpus_small, 1)[0]
@@ -877,6 +884,75 @@ class TestValidator:
             {"nodes": 4, "arcs": [[0, 3], [1, 3], [2, 3]], "leaf_map": {"0": 0, "1": 1, "-1": 2}})
         assert validate_decomposition(g, dec).violations == \
             ["leaf_map key -1 is not a leaf node", "unmapped leaves [2]"]
+
+
+def scrambled_double_star():
+    """The double star of ``test_dp.double_star_instance`` (hubs 0 and 1
+    joined by edge 0, hub 0's pendants 1-6 and hub 1's 7-12, each in
+    rotation order) with a decoded caterpillar over edge 0, then hub 0's
+    pendants with the first two swapped, then hub 1's.  Every join holds
+    edge 0 alone of the hub-to-hub edges, so every join is flat, and the
+    one arc that is not a run at hub 0 splits {0, 2} from the rest: arc
+    (13, 14), strictly below the flat top arc at edge 0's leaf and at
+    every pendant's."""
+    order = [0, 2, 1, *range(3, 13)]
+    return double_star_instance(), decomposition_from_document(_caterpillar(order).document())
+
+
+class TestFlatArcsInTheValidator:
+    """The rooted view tabulates no arc strictly below a flat join and
+    keeps no split of a flat join, but the validator checks every arc and
+    reads the width off every arc."""
+
+    BROKEN = "arc (13, 14): darts of vertices [0] on one side are not contiguous"
+
+    def test_broken_arc_below_a_flat_arc_is_refused(self):
+        """At the default root (edge 0's leaf) and at two pendant roots,
+        one of each hub: the reference's report, whose one violation names
+        arc (13, 14) and hub 0; ``solve_dp`` raises on the tree."""
+        inst, dec = scrambled_double_star()
+        g = inst.graph
+        pendant_roots = [node for node, e in dec.leaf_map.items() if e in (3, 12)]
+        for root in (None, *pendant_roots):
+            report = validate_decomposition(g, dec, root)
+            want = reference_rooted(g, dec, min(dec.leaf_map) if root is None else root)
+            assert (report.ok, report.width, report.violations, report.rooted) == \
+                (want.ok, want.width, want.violations, None) == (False, 0, [self.BROKEN], None)
+            rooted = RootedDecomposition(g, dec, min(dec.leaf_map) if root is None else root)
+            (node,) = rooted.broken
+            assert node in want.below and rooted.parent[node] in rooted.flat
+            with pytest.raises(DecompositionError, match=r"invalid decomposition: arc \(13, 14\)"):
+                solve_dp(inst, dec, root)
+
+    def test_width_read_below_a_flat_arc(self):
+        """At a pendant root of the double star's built tree, decoded, the
+        top arc is flat with only the root's hub on its middle set, and
+        every arc of width 2 (edge 0's leaf arc among them) lies below it:
+        the reported width is still the reference's, 2."""
+        inst = double_star_instance()
+        g = inst.graph
+        dec = decomposition_from_document(build_sphere_cut(g).document())
+        root = next(node for node, e in dec.leaf_map.items() if e == 12)
+        report = validate_decomposition(g, dec, root)
+        rooted = report.rooted
+        assert report.width == reference_rooted(g, dec, root).width == 2
+        assert list(rooted.boundaries) == [rooted.children[root][0]]
+        assert max(len(b.mid) for b in rooted.boundaries.values()) == 1
+
+    def test_boundary_of_an_untabulated_arc(self):
+        """``boundary`` refuses an arc below a flat arc, as it refuses a
+        broken one, with DecompositionError, not KeyError."""
+        inst, dec = scrambled_double_star()
+        rooted = RootedDecomposition(inst.graph, dec, min(dec.leaf_map))
+        untabulated = [node for node in rooted.post_order if rooted.parent[node] in rooted.flat]
+        assert len(untabulated) == len(rooted.post_order) - 1
+        for node in untabulated:
+            with pytest.raises(DecompositionError) as exc:
+                rooted.boundary(node)
+            if node in rooted.broken:
+                assert str(exc.value) == self.BROKEN
+            else:
+                assert "no tabulated arc" in str(exc.value)
 
 
 class TestArcBoundary:

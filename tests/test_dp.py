@@ -61,7 +61,7 @@ from mwbs.plane import (
     dart_edge,
 )
 
-from oracles import first_child_at, leaf_keeps
+from oracles import first_child_at, leaf_keeps, reference_rooted, whole_view
 from test_plane import star4_instance, triangle_instance
 
 
@@ -358,11 +358,12 @@ def all_class_table(inst, rooted, tables, node, leaf_map):
 
 
 def rooted_tables(inst, dec, root_leaf=None):
-    """The validator's rooted view of ``dec`` and the table of every class
-    of every arc, built bottom-up as solve_dp builds its tables."""
+    """The validator's rooted view of ``dec``, with every arc's boundary
+    and every join's split (``oracles.whole_view``), and the table of
+    every class of every arc, built bottom-up by leaf tables and joins."""
     report = validate_decomposition(inst.graph, dec, root_leaf)
     assert report.ok, report.violations
-    rooted = report.rooted
+    rooted = whole_view(inst.graph, dec, report.rooted)
     tables = {}
     for node in rooted.post_order:
         tables[node] = all_class_table(inst, rooted, tables, node, dec.leaf_map)
@@ -939,39 +940,48 @@ class TestSolveDP:
 
     def test_one_boundary_pass_per_solve(self, corpus_small, monkeypatch):
         """The validator's boundaries are the ones the tables read: one
-        solve constructs one ArcBoundary per arc, 2m - 3 on a caterpillar,
-        in one walk over a decoded tree, and none on the builder's tree at
-        its own root, whose report's view is reused."""
+        solve constructs one ArcBoundary per arc not strictly below a flat
+        join, in one walk over a decoded tree, and none on the builder's
+        tree at its own root, whose report's view is reused.  A path's
+        caterpillar over m > 2 edges has 2m - 3 arcs, and its deepest join,
+        over the last two edges, is flat (the last is a pendant), so 2m - 5
+        are tabulated."""
         made, walks = count_constructions(monkeypatch)
-        for m in (2, 5, 9):
+        for m, arcs in ((2, 1), (5, 5), (9, 13)):
             made.clear()
             walks.clear()
             assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0
-            assert len(made["ArcBoundary"]) == 2 * m - 3
+            assert len(made["ArcBoundary"]) == arcs
             assert len(walks) == 1
-        for inst in corpus_small[:20]:
+        below = 0
+        for inst in [*corpus_small[:20], path5_instance(), double_star_instance()]:
             dec = build_sphere_cut(inst.graph)
             decoded = decomposition_from_document(dec.document())
             made.clear()
             walks.clear()
             solve_dp(inst, decoded)
-            assert len(made["ArcBoundary"]) == len(dec.arcs)
+            want = reference_rooted(inst.graph, decoded, min(dec.leaf_map))
+            assert len(made["ArcBoundary"]) == len(dec.arcs) - len(want.below)
             assert len(walks) == 1
+            below += len(want.below)
             made.clear()
             walks.clear()
             solve_dp(inst, dec, min(dec.leaf_map))
             assert not made and not walks
+        assert below > 20
 
     def test_one_split_per_join_per_solve(self, corpus_small, monkeypatch):
         """The validator's splits are the ones the demand walk, the joins
-        and reconstruction read: one solve constructs each join's
-        JoinSplit once, m - 2 on a caterpillar, and on the builder's trees
-        exactly the splits its rooted view keeps, one per join."""
+        and reconstruction read: one solve constructs the JoinSplit of
+        each join that is not flat once, m - 3 of the m - 2 joins on a
+        path's caterpillar over m > 2 edges, and on the builder's trees
+        exactly the splits its rooted view keeps, one per join that is not
+        flat."""
         made, walks = count_constructions(monkeypatch)
-        for m in (2, 5, 9):
+        for m, joins in ((2, 0), (5, 2), (9, 6)):
             made.clear()
             assert solve_dp(path_instance(m), caterpillar_over(m)).deleted_weight == 0
-            assert len(made["JoinSplit"]) == m - 2
+            assert len(made["JoinSplit"]) == joins
         for inst in corpus_small[:20]:
             dec = build_sphere_cut(inst.graph)
             made.clear()
@@ -979,7 +989,7 @@ class TestSolveDP:
             solve_dp(inst, dec, max(dec.leaf_map))
             (rooted,) = walks
             splits = made["JoinSplit"]
-            assert len(splits) == dec.node_count - len(dec.leaf_map)
+            assert len(splits) == dec.node_count - len(dec.leaf_map) - len(rooted.flat)
             assert sorted(map(id, splits)) == sorted(map(id, rooted.splits.values()))
 
     def test_root_must_be_a_mapped_leaf(self):
@@ -1017,7 +1027,7 @@ class TestSolveDP:
                     weights = set()
                     for build in (_greedy_sweep, _recursive_bisection):
                         tree = _validated(sub.graph, lift(build(skeleton)))
-                        demand = dp._demand_walk(tree.report.rooted).values()
+                        demand = dp._demand(tree.report.rooted).values()
                         if sum(math.prod(m.bit_count() for m in masks)
                                for masks in demand) > 10**5:
                             skipped += 1
@@ -1317,7 +1327,8 @@ class TestDemand:
 
 def joined_tables(inst, rooted, leaf_map):
     """Every arc's table built by leaf tables and joins alone, each under
-    the demand of the walk that does not stop at flat arcs."""
+    the demand of the walk that does not stop at flat arcs: ``rooted`` is
+    a ``whole_view``."""
     demand = dp._demand_walk(rooted)
     tables = {}
     for node in rooted.post_order:
@@ -1374,7 +1385,7 @@ def compare_flat_to_joined(inst, dec, root_leaf, made):
     its one flat arc is joined.  Returns the count of flat arcs and of
     those with a full hub."""
     g = inst.graph
-    rooted = validate_decomposition(g, dec, root_leaf).rooted
+    rooted = whole_view(g, dec, validate_decomposition(g, dec, root_leaf).rooted)
     joined = joined_tables(inst, rooted, dec.leaf_map)
     inside = inside_sets(rooted, dec.leaf_map)
     flat = {node for node in rooted.post_order
@@ -1520,6 +1531,20 @@ class TestOneValidationPerTree:
             solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
             per_seed.append(len(calls) - before)
         assert per_seed == [1] * 11 + [2] + [1] * 3
+
+    def test_one_demand_walk_per_candidate_tree(self, monkeypatch):
+        """Triangulation n=24 seed 11 has one component past the greedy
+        gate, so ``build_sphere_cut`` ranks two candidate trees on their
+        demand, and ``solve_dp`` reuses the kept one's: each rooted view
+        built is walked for demand once, and no other."""
+        _made, walks = count_constructions(monkeypatch)
+        walked = []
+        real = dp._demand_walk
+        monkeypatch.setattr(dp, "_demand_walk",
+                            lambda rooted: walked.append(rooted) or real(rooted))
+        solve_subexponential(gen_instance(GenParams(n=24, seed=11)))
+        assert len(walks) == 2
+        assert sorted(map(id, walked)) == sorted(map(id, walks))
 
     def test_revalidated_off_the_builders_graph_and_root(self, corpus_small, monkeypatch):
         """A decoded tree, another root and an equal copy of the graph are
