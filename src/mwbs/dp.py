@@ -108,7 +108,10 @@ such state.  An arc of one edge keeps its ``leaf_table``.  A graph with
 fewer than two pendants is joined throughout: its one flat arc, if any,
 holds two edges, and finding it costs about what its pass saves over the
 join (on the benchmark's corpus-dp pool, 8 of whose 35 graphs have one
-pendant).
+pendant).  A whole component with at most one hub-to-hub edge is a flat
+arc with an empty middle set and full hubs only, so
+``flat_component_deleted`` solves it by the passes, with no tree and no
+table, for ``kernel.solve_components`` and ``oracle.star_solve``.
 """
 
 from __future__ import annotations
@@ -203,11 +206,13 @@ assert all(_MAXIMAL[cmap] >> cmap[CONFIG_INDEX[c]] & 1 for cmap in _REPS for c i
 
 # The states of a flat arc's pass, in tie-break order: a hub's collapsed
 # kept pattern so far.  Per configuration index, the states that realize
-# it (at least two: "" and a letter), and a getter of those; per dart end
-# (0 a tail, o; 1 a head, i) and state, the states that keeping a dart of
-# that end leads there from, in state order.
+# it (at least two: "" and a letter), and a getter of those; the states a
+# full hub may end in, all of them; per dart end (0 a tail, o; 1 a head,
+# i) and state, the states that keeping a dart of that end leads there
+# from, in state order.
 _STATES = ("", "i", "o", "io", "oi", "ioi", "oio")
 _FITS = tuple(tuple(k for k, p in enumerate(_STATES) if p in c) for c in CONFIGS)
+_ANY = range(len(_STATES))
 _BEFORE = tuple(tuple(tuple(k for k, p in enumerate(_STATES) if collapse(p + letter) == q)
                       for q in _STATES) for letter in "oi")
 _FIT_STATES = tuple(operator.itemgetter(*fits) for fits in _FITS)
@@ -484,7 +489,8 @@ def _flat_hubs(graph: PlaneDigraph, boundary: ArcBoundary,
     rotation, then the middle-set vertices in ``mid`` order, each with its
     run.  A full hub has all its hub-to-hub edges inside, so at most one,
     and it has one: in a connected graph only a star's center has none,
-    and the root leaf's edge keeps a star's center on every middle set."""
+    and the root leaf's edge keeps a star's center on every middle set
+    (``kernel.solve_components`` solves stars without ``solve_dp``)."""
     hubs = []
     if coupled >= 0:
         hubs += [(v, graph.rotation[v]) for v in graph.edges[coupled] if v not in boundary.runs]
@@ -566,6 +572,28 @@ def flat_table(instance: Instance, boundary: ArcBoundary, coupled: int,
                    list(map(operator.le, kept, dropped)))
 
 
+def _hub_deleted(darts, int_w, coupled: int, keep: bool, fits) -> tuple[int, list[int]]:
+    """The backtrack over one hub's pass (see the module docstring): the
+    least final cost over the states ``fits``, and the edges of the darts
+    it deletes; a deleted coupled edge's dart is passed over."""
+    trail: list[tuple] = []
+    final = _pass(darts, int_w, coupled, keep, trail)
+    state = min(fits, key=final.__getitem__)
+    least, deleted = final[state], []
+    for j in range(len(darts) - 1, -1, -1):
+        d = darts[j]
+        if d >> 1 == coupled and not keep:
+            continue
+        cost, before = trail[j + 1][state], trail[j]
+        for k in _BEFORE[d & 1][state]:
+            if before[k] == cost:
+                state = k
+                break
+        else:
+            deleted.append(d >> 1)
+    return least, deleted
+
+
 def _flat_deleted(instance: Instance, table: DPTable, index: int) -> list[int]:
     """The edges that entry ``index`` of a flat table deletes: the coupled
     edge unless the entry keeps it, and per hub the darts that the
@@ -576,26 +604,31 @@ def _flat_deleted(instance: Instance, table: DPTable, index: int) -> list[int]:
     deleted = [coupled] if coupled >= 0 and not keep else []
     total = int_w[coupled] if deleted else 0
     for v, darts in hubs:
-        trail: list[tuple] = []
-        final = _pass(darts, int_w, coupled, keep, trail)
         place = table.places.get(v)
-        fits = (_FITS[place[2][index // place[0] % len(place[2])]] if place is not None
-                else range(len(_STATES)))
-        state = min(fits, key=final.__getitem__)      # the first least, in state order
-        total += final[state]
-        for j in range(len(darts) - 1, -1, -1):
-            d = darts[j]
-            if d >> 1 == coupled and not keep:
-                continue
-            cost, before = trail[j + 1][state], trail[j]
-            for k in _BEFORE[d & 1][state]:
-                if before[k] == cost:
-                    state = k
-                    break
-            else:
-                deleted.append(d >> 1)
+        fits = _FITS[place[2][index // place[0] % len(place[2])]] if place is not None else _ANY
+        cost, dropped = _hub_deleted(darts, int_w, coupled, keep, fits)
+        total += cost
+        deleted += dropped
     if total != table.costs[index]:
         raise DecompositionError("reconstruction disagrees with the table entry")
+    return deleted
+
+
+def flat_component_deleted(rotation, int_w, hubs, coupled: int) -> list[int]:
+    """The edges that an optimum deletes from a connected component with
+    hubs ``hubs`` and at most one hub-to-hub edge, ``coupled`` (-1 for
+    none), read off the graph's ``rotation`` and ``int_w``.  Every hub is
+    full: per fate of the coupled edge each hub pays its least final
+    state, the cheaper fate wins (keeping the edge on a tie), and each hub
+    is backtracked.  With no hub, a lone edge, nothing is deleted."""
+    keep = True
+    if coupled >= 0:
+        kept, dropped = (sum([min(_pass(rotation[v], int_w, coupled, fate)) for v in hubs])
+                         for fate in (True, False))
+        keep = kept <= dropped + int_w[coupled]
+    deleted = [] if keep else [coupled]
+    for v in hubs:
+        deleted += _hub_deleted(rotation[v], int_w, coupled, keep, _ANY)[1]
     return deleted
 
 

@@ -36,6 +36,7 @@ from .plane import (
     Solution,
     component_instances,
     dart,
+    excerpt,
     make_solution,
     subgraph_by_edges,
 )
@@ -82,7 +83,10 @@ def bfs_layers(graph: PlaneDigraph, root: int) -> LayerDecomposition:
 
 
 def _check_epsilon(eps) -> Fraction:
-    eps = Fraction(eps)
+    try:
+        eps = Fraction(eps)
+    except (TypeError, ValueError, ArithmeticError):
+        raise FormatError(f"epsilon {excerpt(eps)} is not a number") from None
     if not (0 < eps <= 1):
         raise FormatError("epsilon must satisfy 0 < eps <= 1")
     return eps

@@ -28,9 +28,8 @@ from typing import Sequence
 
 from .configs import CONFIGS
 from .decomposition import build_sphere_cut
-from .dp import solve_dp
+from .dp import flat_component_deleted, solve_dp
 from .errors import EmbeddingError, FormatError
-from .oracle import _star_kept
 from .plane import (
     HEAD,
     TAIL,
@@ -457,28 +456,28 @@ def shrink_cut_instance(cut: CutInstance) -> CutInstance:
 
 def solve_components(instance: Instance) -> set[int]:
     """Solve every connected component exactly and return the kept edge
-    ids.  A component is classified by its hubs, the vertices of more than
-    one dart.  A single edge is kept.  A component with one hub is a star:
-    ``_star_kept`` scans the hub's row of ``instance`` itself, on its
-    integer weights, with no copy and no certificate.  Any other component
-    is solved by the table solver over the ``build_sphere_cut``
-    decomposition of its ``component_instance``."""
+    ids.  A component is classified by its hub-to-hub edges, the hubs
+    being the vertices of more than one dart.  A component with at most
+    one, a lone edge, a star or two hubs sharing one edge, is solved in
+    place by ``flat_component_deleted`` on the rows and integer weights of
+    ``instance`` itself, with no copy and no certificate, and its kept set
+    is checked bimodal at every hub.  Any other component is solved by the
+    table solver over the ``build_sphere_cut`` decomposition of its
+    ``component_instance``."""
     g = instance.graph
     rotation = g.rotation
     int_w = instance.int_weights.values
     kept: set[int] = set()
     for verts, edge_ids in g.components():
-        if len(edge_ids) < 2:
-            kept.update(edge_ids)
-            continue
         hubs = [v for v in verts if len(rotation[v]) > 1]
-        if len(hubs) == 1:
-            row = rotation[hubs[0]]
-            here = set(_star_kept(row, int_w))
-            # each leaf has one dart, so only the center can switch more than twice
-            if cyclic_switches([d & 1 for d in row if d >> 1 in here]) > 2:
-                raise EmbeddingError(f"kept edge set is not bimodal at star center {hubs[0]}")
-            kept |= here
+        coupled = {d >> 1 for v in hubs for d in rotation[v]
+                   if len(rotation[g.other_endpoint(d)]) > 1}
+        if len(coupled) < 2:
+            deleted = set(flat_component_deleted(rotation, int_w, hubs, min(coupled, default=-1)))
+            for v in hubs:
+                if cyclic_switches([d & 1 for d in rotation[v] if d >> 1 not in deleted]) > 2:
+                    raise EmbeddingError(f"kept edge set is not bimodal at hub {v}")
+            kept.update(e for e in edge_ids if e not in deleted)
         else:
             sub, eids = component_instance(instance, verts, edge_ids)
             sol = solve_dp(sub, build_sphere_cut(sub.graph))

@@ -1,24 +1,23 @@
 """Exhaustive ground-truth solvers.
 
-These are deliberately simple: subset enumeration over edges with
-incremental per-vertex switch counts, and a direct one-scan solver for
-stars.  They define the reference semantics that the dynamic program,
-the kernelization and the approximation schemes are tested against, so
-clarity beats speed and no pruning is allowed that could change which
-optimum the tie-break picks.  The enumeration over all-or-nothing edge
-classes, which only the tests call, lives in ``tests/oracles.py``.
+The subset enumeration over edges, with incremental per-vertex switch
+counts, is deliberately simple.  It defines the reference semantics that
+the dynamic program, the kernelization and the approximation schemes are
+tested against, so clarity beats speed and no pruning is allowed that
+could change which optimum the tie-break picks.  The enumeration over
+all-or-nothing edge classes, which only the tests call, lives in
+``tests/oracles.py``.
 
-The star scan, ``_star_kept``, is the only one in the package:
-``star_solve`` runs it on a star instance, and ``kernel.solve_components``
-on the center row of each star component, in place.
+``star_solve`` is a thin wrapper: it tests the star and hands its center
+to ``dp.flat_component_deleted``, the pass that ``kernel.solve_components``
+runs on every component with at most one hub-to-hub edge.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
+from .dp import flat_component_deleted
 from .errors import BudgetExceeded, NotAStar
-from .plane import HEAD, Instance, Solution, make_solution
+from .plane import Instance, Solution, make_solution
 
 # the most edges, or edge classes, an exhaustive oracle enumerates
 BUDGET = 16
@@ -91,49 +90,13 @@ def is_star(graph) -> int | None:
 
 def star_solve(instance: Instance) -> Solution:
     """Optimal bimodal subgraph of a star: ``is_star`` finds the center,
-    ``_star_kept`` scans its rotation once, and the kept set is certified."""
+    ``dp.flat_component_deleted`` solves the star as one full hub, and the
+    kept set is certified."""
     g = instance.graph
     if g.edge_count <= 1:
         return make_solution(instance, range(g.edge_count), "star")
     center = is_star(g)
     if center is None:
         raise NotAStar("input is not a star")
-    return make_solution(instance, _star_kept(g.rotation[center], instance.int_weights.values),
-                         "star")
-
-
-def _star_kept(row: Sequence[int], int_w: Sequence[int]) -> list[int]:
-    """The kept edges of an optimal placement at a star's center, whose
-    rotation is ``row`` (at least one dart), with ``int_w`` the integer
-    edge weights.  The leaves have one dart each, so only the center
-    constrains the kept set.
-
-    A placement keeps the in-darts of a block [p, q), p <= q < deg, and
-    the out-darts around it, or the reverse, and deletes the rest.  With
-    A[j] the out weight minus the in weight of the first j darts, and IN
-    and OUT the total in and out weights, keeping the block's in-darts
-    deletes IN + A[q] - A[p] and keeping its out-darts deletes
-    OUT - A[q] + A[p].  For each q the cheapest p is the first index of
-    the running maximum, or minimum, of A[0..q], so one scan finds the
-    least (cost, p, q, block keeps out-darts) key over all placements.
-    Scaling every weight by one positive integer keeps that key's
-    placement, so any common scale of the weights serves."""
-    # a head dart enters the center, a tail dart leaves it
-    heads = [d & 1 == HEAD for d in row]
-    total_in = sum([int_w[d >> 1] for j, d in enumerate(row) if heads[j]])
-    total_out = sum([int_w[d >> 1] for d in row]) - total_in
-    a = 0                 # A[q]
-    hi = lo = 0           # first indices of the running max and min of A
-    a_hi = a_lo = 0
-    best = None
-    for q, d in enumerate(row):
-        if a > a_hi:
-            hi, a_hi = q, a
-        elif a < a_lo:
-            lo, a_lo = q, a
-        key = min((total_in + a - a_hi, hi, q, False), (total_out - a + a_lo, lo, q, True))
-        if best is None or key < best:
-            best = key
-        a += -int_w[d >> 1] if heads[q] else int_w[d >> 1]
-    _cost, p, q, out_first = best
-    return [d >> 1 for j, d in enumerate(row) if heads[j] != (out_first == (p <= j < q))]
+    deleted = set(flat_component_deleted(g.rotation, instance.int_weights.values, [center], -1))
+    return make_solution(instance, [e for e in range(g.edge_count) if e not in deleted], "star")

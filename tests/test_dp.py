@@ -1432,19 +1432,23 @@ class TestFlatArcs:
     such table is the one the joins would build under the same demand."""
 
     def test_eptas_and_tri_frontier_pools(self, monkeypatch):
-        """The 156 components that ``solve_subexponential`` solves for the
+        """The 156 components of two or more hubs in the normal forms that
+        ``solve_subexponential`` hands to ``solve_components`` for the
         eptas pool (sparse n=40 seeds 0-6, eptas_max at eps 1/2, 1/3, 1/4
         and eptas_min at 1/2, 1/3) and for the tri-frontier pool
-        (triangulations n=24 seeds 0-14): 3,805 flat arcs, 427 of them
-        with a full hub."""
-        cases = []
-        real = kernel.solve_dp
+        (triangulations n=24 seeds 0-14), each solved over its
+        ``build_sphere_cut`` tree: 3,805 flat arcs, 427 of them with a full
+        hub.  The components are collected from the component loop:
+        ``solve_components`` solves 11 of them, the double stars (one
+        hub-to-hub edge), by the flat-arc pass with no tree."""
+        forms = []
+        real = kernel.solve_components
 
-        def spy(sub, dec):
-            cases.append((sub, dec))
-            return real(sub, dec)
+        def spy(instance):
+            forms.append(instance)
+            return real(instance)
 
-        monkeypatch.setattr(kernel, "solve_dp", spy)
+        monkeypatch.setattr(kernel, "solve_components", spy)
         for seed in range(7):
             inst = gen_instance(GenParams(n=40, seed=seed, density="sparse"))
             for eps in ("1/2", "1/3", "1/4"):
@@ -1453,6 +1457,15 @@ class TestFlatArcs:
                 eptas.eptas_min(inst, Fraction(eps))
         for seed in range(15):
             solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
+        cases = []
+        doubles = 0
+        for form in forms:
+            g = form.graph
+            for verts, edge_ids in g.components():
+                if sum(g.degree(v) > 1 for v in verts) > 1:
+                    sub, _eids = component_instance(form, verts, edge_ids)
+                    cases.append((sub, build_sphere_cut(sub.graph)))
+                    doubles += sum(min(map(g.degree, g.edges[e])) > 1 for e in edge_ids) == 1
         made = record_tables(monkeypatch)
         flats = full = 0
         for sub, dec in cases:
@@ -1462,6 +1475,7 @@ class TestFlatArcs:
             flats += counts[0]
             full += counts[1]
         assert (len(cases), flats, full) == (156, 3_805, 427)
+        assert doubles == 11
 
     def test_corpus_at_three_roots(self, corpus_small, monkeypatch):
         made = record_tables(monkeypatch)

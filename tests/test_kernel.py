@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mwbs import kernel, oracle, plane
+from mwbs import dp, kernel, oracle, plane
 from mwbs.configs import CONFIGS
 from mwbs.decomposition import build_sphere_cut
 from mwbs.dp import solve_dp
@@ -661,39 +661,93 @@ def random_star_forest(rng: random.Random) -> Instance:
     return Instance(PlaneDigraph(len(rot), edges, rot), tuple(weights))
 
 
+def hub_to_hub_edges(graph: PlaneDigraph, edge_ids) -> list[int]:
+    """The edges among ``edge_ids`` whose two ends both have more than one
+    dart."""
+    return [e for e in edge_ids if min(map(graph.degree, graph.edges[e])) > 1]
+
+
+def random_double_star(rng: random.Random) -> Instance:
+    """Hubs 0 and 1 joined by edge 0, directed at random, with 1-10
+    pendants each and at most 16 edges in all: every dart of random
+    direction, the hub-to-hub dart at a random place in each hub's
+    rotation, and weights from a few values, so that optima often tie."""
+    pool = rng.choice(([Fraction(1)], [Fraction(1), Fraction(2)],
+                       [Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
+    edges = [(0, 1) if rng.random() < 0.5 else (1, 0)]
+    rows: list[list[int]] = [[], []]
+    first = rng.randint(1, 10)
+    for hub, count in ((0, first), (1, rng.randint(1, min(10, 15 - first)))):
+        for _ in range(count):
+            e, leaf = len(edges), len(rows)
+            out = rng.random() < 0.5
+            edges.append((hub, leaf) if out else (leaf, hub))
+            rows[hub].append(dart(e, TAIL if out else HEAD))
+            rows.append([dart(e, HEAD if out else TAIL)])
+        rows[hub].insert(rng.randint(0, count), dart(0, TAIL if edges[0][0] == hub else HEAD))
+    weights = tuple(rng.choice(pool) for _ in edges)
+    return Instance(PlaneDigraph(len(rows), edges, rows), weights)
+
+
 class TestSolveComponents:
-    """``solve_components`` against ``solve_components_ref``, on whole
-    ``solve_subexponential`` solutions."""
+    """``solve_components`` against ``solve_components_ref`` and the
+    exhaustive oracle.  A component with at most one hub-to-hub edge is
+    solved by the flat-arc pass, whose tie-break is not the table
+    solver's, so against the reference only the kept weights must agree,
+    and the kept sets on each component with two or more hub-to-hub
+    edges, whose path is unchanged."""
 
     @staticmethod
-    def assert_same_solutions(monkeypatch, instances):
-        with monkeypatch.context() as patch:
-            patch.setattr(kernel, "solve_components", solve_components_ref)
-            want = [solve_subexponential(inst) for inst in instances]
-        for inst, sol in zip(instances, want):
-            assert solve_subexponential(inst) == sol
+    def assert_same_optima(instances):
+        for inst in instances:
+            got, want = solve_components(inst), solve_components_ref(inst)
+            assert make_solution(inst, got, "subexp").kept_weight == \
+                make_solution(inst, want, "subexp").kept_weight
+            g = inst.graph
+            for _verts, edge_ids in g.components():
+                if len(hub_to_hub_edges(g, edge_ids)) > 1:
+                    assert got.intersection(edge_ids) == want.intersection(edge_ids)
 
-    def test_planted_instances(self, monkeypatch):
-        self.assert_same_solutions(monkeypatch, [
-            planted_star_instance(n, seed, stars)
+    def test_planted_instances(self):
+        self.assert_same_optima([
+            reduce_to_simple(planted_star_instance(n, seed, stars)).instance
             for n in (100, 200, 300, 400) for seed in range(4) for stars in (4, 12)])
 
-    def test_triangulations_and_corpus(self, monkeypatch, corpus_small):
-        self.assert_same_solutions(
-            monkeypatch, [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
-            + corpus_small[:200])
+    def test_triangulations_and_corpus(self, corpus_small):
+        self.assert_same_optima(
+            [reduce_to_simple(inst).instance for inst in
+             [gen_instance(GenParams(n=24, seed=s)) for s in range(15)] + corpus_small[:200]])
 
-    def test_random_star_forests(self, monkeypatch):
+    def test_random_star_forests(self):
         rng = random.Random(20)
         forests = [random_star_forest(rng) for _ in range(300)]
-        for inst in forests:
-            assert solve_components(inst) == solve_components_ref(inst)
-        self.assert_same_solutions(monkeypatch, forests)
+        self.assert_same_optima(forests + [reduce_to_simple(inst).instance for inst in forests])
+
+    def test_flat_components_against_the_oracle(self, corpus_small, monkeypatch):
+        """120 random tie-heavy double stars of at most 16 edges, and every
+        component with at most one hub-to-hub edge of the corpus graphs and
+        of their normal forms (148: one double star of a graph, 33 double
+        stars and 114 stars of the normal forms), keep the exhaustive
+        optimum, with no decomposition built."""
+        def refuse(*_args):
+            raise AssertionError("a decomposition was built")
+
+        monkeypatch.setattr(kernel, "build_sphere_cut", refuse)
+        rng = random.Random(29)
+        cases = [random_double_star(rng) for _ in range(120)]
+        for inst in corpus_small:
+            for graph in (inst, reduce_to_simple(inst).instance):
+                cases += [sub for sub, _eids in component_instances(graph)
+                          if len(hub_to_hub_edges(sub.graph, range(sub.graph.edge_count))) < 2]
+        assert len(cases) == 120 + 148
+        for inst in cases:
+            sol = make_solution(inst, solve_components(inst), "subexp")
+            assert sol.kept_weight == brute_force_mwbs(inst).kept_weight
 
     def test_stars_are_solved_in_place(self, monkeypatch):
         """The 12 star components of a planted normal form cost no
-        ``PlaneDigraph`` (the per-component path built 12), no ``is_star``
-        and no ``make_solution``."""
+        ``PlaneDigraph`` (the per-component path built 12), no ``is_star``,
+        no decomposition and no ``make_solution``."""
         red = reduce_to_simple(planted_star_instance(400, 0, 12)).instance
         comps = [edges for _verts, edges in red.graph.components() if edges]
         assert len(comps) == 12
@@ -710,16 +764,17 @@ class TestSolveComponents:
 
         monkeypatch.setattr(PlaneDigraph, "__init__", counted_init)
         monkeypatch.setattr(oracle, "is_star", refuse)
-        for mod in (kernel, oracle, plane):
+        monkeypatch.setattr(kernel, "build_sphere_cut", refuse)
+        for mod in (dp, kernel, oracle, plane):
             monkeypatch.setattr(mod, "make_solution", refuse)
         assert solve_components(red) == want
         assert built == []
 
     def test_non_bimodal_star_center_is_refused(self, monkeypatch):
         """Keeping every dart of the alternating star gives its center four
-        switches, and the check after the scan refuses it."""
-        monkeypatch.setattr(kernel, "_star_kept", lambda row, _int_w: [d >> 1 for d in row])
-        with pytest.raises(EmbeddingError, match="star center 0"):
+        switches, and the check after the pass refuses it."""
+        monkeypatch.setattr(kernel, "flat_component_deleted", lambda *_args: [])
+        with pytest.raises(EmbeddingError, match="not bimodal at hub 0"):
             solve_components(star4_instance())
 
 

@@ -176,14 +176,22 @@ class TestStarSolve:
             assert star_solve(inst).kept_weight == brute_force_mwbs(inst).kept_weight
 
     def test_random_stars_match_reference(self):
-        """The whole solution, kept set included, equals the quadratic
-        reference's on stars of degree 2-40 whose weights come from a few
-        values, so that optimal placements often tie."""
+        """The kept weight equals the quadratic reference's, and the kept
+        set is certified bimodal, on stars of degree 2-40 whose weights
+        come from a few values, so that optimal placements often tie.  The
+        flat-arc pass breaks those ties its own way: 1,014 of these 3,000
+        stars keep another set than the reference."""
         import random
         rng = random.Random(19)
         pools = ([Fraction(1)], [Fraction(1), Fraction(2)],
                  [Fraction(1, 2), Fraction(1), Fraction(3, 2)],
                  [Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
+        moved = 0
         for _ in range(3000):
             inst = random_star(rng, rng.randint(2, 40), rng.choice(pools))
-            assert star_solve(inst) == star_solve_ref(inst)
+            sol, want = star_solve(inst), star_solve_ref(inst)
+            assert sol.kept_weight == want.kept_weight
+            assert sol.certificate == tuple(inst.graph.switch_counts(set(sol.kept_edges)))
+            assert max(sol.certificate) <= 2
+            moved += sol.kept_edges != want.kept_edges
+        assert moved == 1_014
