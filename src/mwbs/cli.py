@@ -61,8 +61,11 @@ def _load_json(path: str):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text + "\n")
+        except OSError as exc:
+            raise FormatError(f"cannot write {out}: {exc}") from None
     else:
         print(text)
 

@@ -13,13 +13,13 @@ kept inside the arc leave a subsequence of it.  Let P be the
 configurations that are subsequences of the collapsed run.  A kept
 subsequence realizes configuration c exactly when it is empty or its
 collapse is a member of P that realizes c, so c matters to the arc only
-through the set {p in P : realizes(p, c)}: its *class*.  ``class_map``
-numbers the classes by their smallest configuration.  The map depends
-only on the run's first letter and its switch count, and every run with
-two or more switches has six classes, so ``CLASS_MAPS`` holds the eight
-maps keyed by (first dart end, switches capped at 3).  ``CLASS_ORDERS``
-orders the classes of each map by inclusion of their sets, on every run
-that has the map.
+through the set {p in P : realizes(p, c)}: its *class*.  A run's class
+map (configuration index -> class index) numbers its classes by their
+smallest configuration.  The map depends only on the run's first letter
+and its switch count, and every run with two or more switches has six
+classes, so ``CLASS_MAPS`` holds the eight maps keyed by (first dart
+end, switches capped at 3).  ``CLASS_ORDERS`` orders the classes of each
+map by inclusion of their sets, on every run that has the map.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ def _pattern_sets(run: str) -> tuple[frozenset, ...]:
 def _numbered(sets: tuple[frozenset, ...]) -> tuple[int, ...]:
     number: dict[frozenset, int] = {}
     return tuple(number.setdefault(s, len(number)) for s in sets)
-
-
-def class_map(run: str) -> tuple[int, ...]:
-    """Configuration index -> class index for a vertex whose inside darts
-    read ``run``, classes numbered in the order of their smallest
-    configuration."""
-    return _numbered(_pattern_sets(run))
 
 
 def _class_maps_and_orders() -> tuple[dict, dict]:

@@ -145,7 +145,7 @@ class ArcBoundary(NamedTuple):
     contiguous inside-dart run in the vertex rotation.  ``inside_count``
     is the number of edges inside the arc.  ``classes`` holds, per mid
     position, the class map of that vertex's run (configuration index ->
-    class index, see ``configs.class_map``): the table digit of the
+    class index, see ``configs.CLASS_MAPS``): the table digit of the
     position counts classes, not configurations."""
     arc: tuple[int, int]              # (child node, parent node), inside below child
     mid: tuple[int, ...]
@@ -287,16 +287,14 @@ class RootedDecomposition:
     boundary of every other arc not strictly below a flat join; ``splits``
     the split of each join not flat, taken while no arc is broken.
     ``demand`` is kept by ``dp``'s first demand walk on the view.
-    ``adj``, when given, is ``dec.neighbors()``."""
+    ``adj`` is ``dec.neighbors()``."""
 
     def __init__(self, graph: PlaneDigraph, dec: SphereCutDecomposition, root_leaf: int,
-                 adj: Optional[list[list[int]]] = None):
+                 adj: list[list[int]]):
         if root_leaf not in dec.leaf_map:
             raise DecompositionError(f"root {root_leaf} is not a mapped leaf")
         self.graph = graph
         self.root_leaf = root_leaf
-        if adj is None:
-            adj = dec.neighbors()
         parent: dict[int, Optional[int]] = {root_leaf: None}
         children: dict[int, list[int]] = {}
         order = [root_leaf]

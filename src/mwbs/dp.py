@@ -16,9 +16,7 @@ of collapsed subsequences of the vertex's inside run that realize it (see
 at the vertex is empty or lies in that set.  So configurations of one
 class have equal entries, and a table stores one entry per vector of
 tabulated classes: the digit of a position counts the classes tabulated
-there, in mixed radix with the first position least significant.  A
-configuration code (index times 6**k at position k) is read through the
-class maps; ``DPTable.cost`` does that.
+there, in mixed radix with the first position least significant.
 
 Every entry is feasible.  A leaf entry is: deleting the edge realizes any
 assignment.  A parent entry combines, at each shared vertex, a pair of
@@ -106,12 +104,14 @@ state, in the order above, that costs its share, and going back over the
 run a dart is kept when keeping it reproduces the cost, from the first
 such state.  An arc of one edge keeps its ``leaf_table``.  A graph with
 fewer than two pendants is joined throughout: its one flat arc, if any,
-holds two edges, and finding it costs about what its pass saves over the
-join (on the benchmark's corpus-dp pool, 8 of whose 35 graphs have one
-pendant).  A whole component with at most one hub-to-hub edge is a flat
-arc with an empty middle set and full hubs only, so
-``flat_component_deleted`` solves it by the passes, with no tree and no
-table, for ``kernel.solve_components`` and ``oracle.star_solve``.
+holds two edges, so its pass saves little over the join, and the
+validator skips its integer pass that finds the flat joins (without the
+fork, the benchmark's corpus-dp pool, 8 of whose 35 graphs have one
+pendant, solved 1.5% slower).  A whole component with at most one
+hub-to-hub edge is a flat arc with an empty middle set and full hubs
+only, so ``flat_component_deleted`` solves it by the passes, with no
+tree and no table, for ``kernel.solve_components`` and
+``oracle.star_solve``.
 """
 
 from __future__ import annotations
@@ -312,37 +312,20 @@ class DPTable:
     vertex at position k contributes the digit of its class among its
     tabulated classes times the product of the tabulated counts of
     positions 0..k-1.  ``costs`` holds the minimum scaled deleted weight
-    of each entry; every entry is feasible.  Read an entry by
-    configuration code, index times 6**k at position k, with ``cost``.
-    ``places`` holds each vertex's place, what a join reads.  No
-    back-pointers are stored.  A join table keeps its ``plan``, from
-    which reconstruction recomputes the pair of child entries behind one
-    entry; a leaf table keeps, per entry, whether it keeps the edge; a
-    flat table keeps its plan (``_FlatPlan``), from which reconstruction
-    repeats the entry's passes, and, when its arc holds a hub-to-hub
-    edge, whether each entry keeps that edge."""
+    of each entry; every entry is feasible.  ``places`` holds each
+    vertex's place, what a join and the root read.  No back-pointers are
+    stored.  A join table keeps its ``plan``, from which reconstruction
+    recomputes the pair of child entries behind one entry; a leaf table
+    keeps, per entry, whether it keeps the edge; a flat table keeps its
+    plan (``_FlatPlan``), from which reconstruction repeats the entry's
+    passes, and, when its arc holds a hub-to-hub edge, whether each entry
+    keeps that edge."""
     boundary: ArcBoundary
     costs: list[int]
     demand: tuple[int, ...]
     places: dict[int, _Place] = field(repr=False)
     plan: Optional[_Plan | _FlatPlan] = field(default=None, repr=False)
     keeps: Optional[list[bool]] = field(default=None, repr=False)
-
-    def index(self, code: int) -> int:
-        """The index of configuration code ``code``; KeyError when one of
-        its classes is not tabulated."""
-        index = 0
-        for weight, cmap, _reps, digits in self.places.values():
-            digit = digits[cmap[code % 6]]
-            if digit < 0:
-                raise KeyError(f"configuration code {code} reads an untabulated class")
-            index += digit * weight
-            code //= 6
-        return index
-
-    def cost(self, code: int) -> int:
-        """The entry of configuration code ``code``."""
-        return self.costs[self.index(code)]
 
 
 def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> list[str]:
@@ -735,7 +718,9 @@ def solve_dp(instance: Instance, dec: SphereCutDecomposition,
     e_r = dec.leaf_map[rooted.root_leaf]
     tail_r, head_r = g.edges[e_r]
     pinned = {head_r: CONFIG_INDEX["ioi"], tail_r: CONFIG_INDEX["oio"]}
-    keep_index = ttop.index(sum(pinned[v] * 6 ** k for k, v in enumerate(ttop.boundary.mid)))
+    # the keep entry's index, by class; the _MAXIMAL assert keeps every digit >= 0
+    keep_index = sum(weight * digits[cmap[pinned[v]]]
+                     for v, (weight, cmap, _reps, digits) in ttop.places.items())
     keep_cost = ttop.costs[keep_index]
     delete_cost = min(ttop.costs)
     if keep_cost <= delete_cost + int_w[e_r]:

@@ -58,13 +58,13 @@ class LayerDecomposition:
         return out
 
 
-def bfs_layers(graph: PlaneDigraph, root: int) -> LayerDecomposition:
-    """Undirected BFS distance classes from the root (graph must be
+def bfs_layers(graph: PlaneDigraph) -> LayerDecomposition:
+    """Undirected BFS distance classes from vertex 0 (graph must be
     connected); no edge ever skips a layer."""
     n = graph.vertex_count
     dist = [-1] * n
-    dist[root] = 0
-    queue = [root]
+    dist[0] = 0
+    queue = [0]
     head = 0
     while head < len(queue):
         v = queue[head]
@@ -105,7 +105,7 @@ def _shift(instance: Instance, t: int, piece, method: str
     Returns the certified solution, the kept weight per residue (one entry
     per residue below both t and the deepest layer count) and the chosen
     residue of each component with edges."""
-    parts = [(sub, eids, bfs_layers(sub.graph, 0))
+    parts = [(sub, eids, bfs_layers(sub.graph))
              for sub, eids in component_instances(instance)]
     deepest = max((len(layers.layers) for _sub, _eids, layers in parts), default=0)
     # kept weights in the instance's integer scaling, shared by every component

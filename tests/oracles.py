@@ -12,6 +12,8 @@ validator's verdict and rooted view computed arc by arc: one mask pass,
 then each boundary on its own, its class maps read off prefix sums of
 switches (``switch_prefix``), and each split from the stored boundaries;
 it also finds the flat joins from each arc's inside edge set.
+``class_map`` numbers a run's classes from the pattern sets themselves,
+the per-run reference of ``configs.CLASS_MAPS``.
 ``check_view`` compares a rooted view with the reference on the arcs the
 view keeps, and ``whole_view`` stands in for a view that keeps every arc.
 ``leaf_keeps`` is the letter rule that decides whether a leaf table's
@@ -22,7 +24,7 @@ import itertools
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from mwbs.configs import CLASS_MAPS, CONFIGS, collapse
+from mwbs.configs import CLASS_MAPS, CONFIGS, collapse, realizes
 from mwbs.decomposition import ArcBoundary, JoinSplit, _run
 from mwbs.errors import BudgetExceeded, DecompositionError, EmbeddingError, FormatError
 from mwbs.kernel import optimal_switches, sections_of
@@ -134,6 +136,20 @@ def run_class(row, start: int, length: int) -> tuple[int, ...]:
     rotation row: keyed by its first dart's end and its switches."""
     switches = switch_prefix(row)
     return CLASS_MAPS[row[start] & 1, min(switches[start + length - 1] - switches[start], 3)]
+
+
+def class_map(run: str) -> tuple[int, ...]:
+    """Configuration index -> class index for a vertex whose inside darts
+    read ``run`` (o at a tail, i at a head), the per-run reference of
+    ``CLASS_MAPS``: two configurations share a class when the same
+    configurations that are subsequences of the run realize them, and
+    classes are numbered in the order of their smallest configuration."""
+    letters = collapse(run)
+    subsequences = {"".join(pick) for r in (1, 2, 3) for pick in itertools.combinations(letters, r)}
+    patterns = [p for p in CONFIGS if p in subsequences]
+    number: dict[frozenset, int] = {}
+    return tuple(number.setdefault(frozenset(p for p in patterns if realizes(p, c)), len(number))
+                 for c in CONFIGS)
 
 
 class Reference(NamedTuple):

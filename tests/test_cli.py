@@ -495,6 +495,17 @@ def test_missing_input_file_exits_1(tmp_path, capsys, verb):
     assert code == 1 and "absent.json" in error
 
 
+@pytest.mark.parametrize("verb", ["gen", "solve"])
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+def test_unwritable_output_exits_1(tmp_path, capsys, verb, target):
+    """An ``--out`` path in a missing directory, or naming a directory, is
+    a JSON error with exit 1, not a traceback."""
+    out = tmp_path / "no-such-dir" / "x.json" if target == "missing-dir" else tmp_path
+    argv = ("gen", "--n", "5") if verb == "gen" else ("solve", str(star_file(tmp_path)))
+    code, error = run_failing(capsys, *argv, "--out", str(out))
+    assert code == 1 and error.startswith(f"cannot write {out}: ")
+
+
 def one_edge_text(weight="1/1", end="tail"):
     doc = one_edge_document()
     doc["edges"][0]["weight"] = weight

@@ -696,7 +696,7 @@ class TestValidator:
         misses nodes and the view holds no boundary, split or broken arc."""
         make, dec, _want = _REFUSALS["disconnected"]
         for root, reached in ((3, 6), (6, 2)):
-            rooted = RootedDecomposition(make().graph, dec, root)
+            rooted = RootedDecomposition(make().graph, dec, root, dec.neighbors())
             assert len(rooted.parent) == reached < dec.node_count
             assert rooted.boundaries == rooted.splits == rooted.broken == {}
             assert validate_decomposition(make().graph, dec, root).violations == \
@@ -709,7 +709,7 @@ class TestValidator:
         with pytest.raises(DecompositionError, match=r"^root 1 is not a mapped leaf$"):
             validate_decomposition(g, dec, 1)
         with pytest.raises(DecompositionError, match=r"^root 1 is not a mapped leaf$"):
-            RootedDecomposition(g, dec, 1)
+            RootedDecomposition(g, dec, 1, dec.neighbors())
 
     def test_out_of_range_nodes_rejected_not_crashed(self):
         g = triangle_instance().graph
@@ -835,7 +835,7 @@ class TestValidator:
                     want = reference_rooted(g, tree, root)
                     assert (report.ok, report.width, report.violations) == \
                         (want.ok, want.width, want.violations)
-                    rooted = report.rooted or RootedDecomposition(g, tree, root)
+                    rooted = report.rooted or RootedDecomposition(g, tree, root, tree.neighbors())
                     check_view(rooted, want)
                     assert sorted(rooted.broken.values()) == sorted(want.violations)
                     for node, text in rooted.broken.items():
@@ -918,7 +918,8 @@ class TestFlatArcsInTheValidator:
             want = reference_rooted(g, dec, min(dec.leaf_map) if root is None else root)
             assert (report.ok, report.width, report.violations, report.rooted) == \
                 (want.ok, want.width, want.violations, None) == (False, 0, [self.BROKEN], None)
-            rooted = RootedDecomposition(g, dec, min(dec.leaf_map) if root is None else root)
+            rooted = RootedDecomposition(g, dec, min(dec.leaf_map) if root is None else root,
+                                         dec.neighbors())
             (node,) = rooted.broken
             assert node in want.below and rooted.parent[node] in rooted.flat
             with pytest.raises(DecompositionError, match=r"invalid decomposition: arc \(13, 14\)"):
@@ -943,7 +944,7 @@ class TestFlatArcsInTheValidator:
         """``boundary`` refuses an arc below a flat arc, as it refuses a
         broken one, with DecompositionError, not KeyError."""
         inst, dec = scrambled_double_star()
-        rooted = RootedDecomposition(inst.graph, dec, min(dec.leaf_map))
+        rooted = RootedDecomposition(inst.graph, dec, min(dec.leaf_map), dec.neighbors())
         untabulated = [node for node in rooted.post_order if rooted.parent[node] in rooted.flat]
         assert len(untabulated) == len(rooted.post_order) - 1
         for node in untabulated:
@@ -961,7 +962,7 @@ class TestArcBoundary:
         dec = build_sphere_cut(g)
         adj = dec.neighbors()
         root = min(dec.leaf_map)
-        rooted = RootedDecomposition(g, dec, root)
+        rooted = RootedDecomposition(g, dec, root, dec.neighbors())
         other_leaves = [u for u in dec.leaf_map if u != root]
         for leaf in other_leaves:
             b = rooted.boundary(leaf)
@@ -982,7 +983,7 @@ class TestArcBoundary:
                 continue
             dec = build_sphere_cut(g)
             root = min(dec.leaf_map)
-            rooted = RootedDecomposition(g, dec, root)
+            rooted = RootedDecomposition(g, dec, root, dec.neighbors())
             top = rooted.children[root][0]
             b = rooted.boundary(top)
             inside = set(range(g.edge_count)) - {dec.leaf_map[root]}
@@ -995,7 +996,7 @@ class TestArcBoundary:
                 continue
             dec = _recursive_bisection(g)    # balanced trees have two-child runs
             root = min(dec.leaf_map)
-            rooted = RootedDecomposition(g, dec, root)
+            rooted = RootedDecomposition(g, dec, root, dec.neighbors())
             bounds = {node: rooted.boundary(node) for node in rooted.post_order}
             for node in rooted.post_order:
                 kids = rooted.children[node]
@@ -1017,7 +1018,7 @@ class TestArcBoundary:
                 continue
             dec = build_sphere_cut(g)
             root = min(dec.leaf_map)
-            rooted = RootedDecomposition(g, dec, root)
+            rooted = RootedDecomposition(g, dec, root, dec.neighbors())
             inside_of = inside_sets(rooted, dec.leaf_map)
             for node in rooted.post_order:
                 inside = inside_of[node]

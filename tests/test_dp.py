@@ -29,7 +29,6 @@ from mwbs.configs import (
     CLASS_MAPS,
     CLASS_ORDERS,
     CONFIGS,
-    class_map,
     collapse,
     compatible,
     compatible_wrt,
@@ -61,7 +60,7 @@ from mwbs.plane import (
     dart_edge,
 )
 
-from oracles import first_child_at, leaf_keeps, reference_rooted, whole_view
+from oracles import class_map, first_child_at, leaf_keeps, reference_rooted, whole_view
 from test_plane import star4_instance, triangle_instance
 
 
@@ -518,6 +517,27 @@ def entry_codes(table):
     return codes
 
 
+def code_index(table, code):
+    """The index of the entry that configuration code ``code`` (index
+    times 6**k at position k) reads, through the boundary's class maps
+    and the table's demand: the inverse of ``entry_codes``.  KeyError when
+    one of its classes is not tabulated."""
+    index, weight, rest = 0, 1, code
+    for cmap, mask in zip(table.boundary.classes, table.demand):
+        rest, config = divmod(rest, 6)
+        c = cmap[config]
+        if not mask >> c & 1:
+            raise KeyError(f"configuration code {code} reads an untabulated class")
+        index += (mask & ((1 << c) - 1)).bit_count() * weight
+        weight *= mask.bit_count()
+    return index
+
+
+def code_cost(table, code):
+    """The entry that configuration code ``code`` reads."""
+    return table.costs[code_index(table, code)]
+
+
 def below_flat(rooted, made):
     """The nodes strictly below the flat tables in ``made``."""
     below = set()
@@ -543,7 +563,7 @@ def compare_to_all_class_tables(inst, dec, root_leaf, made):
         whole = by_arc[table.boundary.arc]
         assert table.boundary == whole.boundary
         for code, cost in zip(entry_codes(table), table.costs):
-            assert whole.cost(code) == cost
+            assert code_cost(whole, code) == cost
     return (sum(len(table.costs) for table, _kids, _args in made),
             sum(len(table.costs) for table in tables.values()))
 
@@ -555,7 +575,7 @@ class TestLeafTable:
         self.table = tables[0]              # leaf arc of edge 0 = (0, 1)
 
     def cost(self, assignment):
-        return self.table.cost(encode_ref(self.table.boundary.mid, assignment))
+        return code_cost(self.table, encode_ref(self.table.boundary.mid, assignment))
 
     def test_all_36_feasible(self):
         """Each endpoint's run is the edge's one dart, so two classes each:
@@ -611,7 +631,7 @@ class TestJoin:
         table = tables[5]
         for assignment, want in (({0: "o", 1: "ioi", 2: "ioi"}, 0),
                                  ({0: "i", 1: "ioi", 2: "ioi"}, 2)):   # both out-edges must go
-            assert table.cost(encode_ref(table.boundary.mid, assignment)) == want, assignment
+            assert code_cost(table, encode_ref(table.boundary.mid, assignment)) == want, assignment
 
     def test_children_must_partition_the_parent(self):
         rooted, tables, _ = rooted_tables(path5_instance(), caterpillar_over(5), 4)
@@ -632,13 +652,13 @@ class TestJoin:
         assert table.boundary.mid == tuple(range(1, k + 1))
         assert table.boundary.classes == (class_map("i"),) * k
         assert len(table.costs) == 2 ** k
-        assert table.cost(6 ** k - 1) == 0                    # every vertex ioi
-        assert table.cost(CONFIGS.index("o") * 6 ** (k - 1)) == 1
+        assert code_cost(table, 6 ** k - 1) == 0                    # every vertex ioi
+        assert code_cost(table, CONFIGS.index("o") * 6 ** (k - 1)) == 1
         rng = random.Random(20)
         for _ in range(200):
             assignment = {v: rng.choice(CONFIGS) for v in table.boundary.mid}
             want = sum(c == "o" for c in assignment.values())
-            assert table.cost(encode_ref(table.boundary.mid, assignment)) == want
+            assert code_cost(table, encode_ref(table.boundary.mid, assignment)) == want
 
     def test_forced_offsets_memory(self):
         """The join over the spokes of a 14-spoke fan forces every one of
@@ -700,9 +720,9 @@ def compare_table_to_brute_force(inst, table, inside_edges, int_w):
                 if code not in best or cost < best[code]:
                     best[code] = cost
     for code in codes:
-        assert table.cost(code) == best.get(code), (
+        assert code_cost(table, code) == best.get(code), (
             f"entry {decode_ref(boundary.mid, code)}: "
-            f"table {table.cost(code)} vs brute force {best.get(code)}")
+            f"table {code_cost(table, code)} vs brute force {best.get(code)}")
 
 
 def run_darts(g, boundary, v):
@@ -751,7 +771,7 @@ def join_rule(parent, b1, b2):
 
 def config_costs(table):
     """A table's entry for every configuration code of its middle set."""
-    return [table.cost(code) for code in range(6 ** len(table.boundary.mid))]
+    return [code_cost(table, code) for code in range(6 ** len(table.boundary.mid))]
 
 
 def loose_join(parent, b1, b2, c1, c2):
@@ -1118,11 +1138,11 @@ class TestSolveDP:
                 tail, head = g.edges[e]
                 keep_code = encode_ref(table.boundary.mid,
                                        {head: "ioi", tail: "oio"})
-                keep, delete = full.cost(keep_code), min(full.costs) + int_w[e]
+                keep, delete = code_cost(full, keep_code), min(full.costs) + int_w[e]
                 assert min(table.costs) == min(full.costs)
-                assert table.cost(keep_code) == keep
+                assert code_cost(table, keep_code) == keep
                 if keep <= delete:
-                    assert e in sol.kept_edges and index == table.index(keep_code)
+                    assert e in sol.kept_edges and index == code_index(table, keep_code)
                     kept += 1
                 else:
                     assert e not in sol.kept_edges
@@ -1130,6 +1150,62 @@ class TestSolveDP:
                 assert sol.deleted_weight == Fraction(min(keep, delete), inst.int_weights.scale)
                 checked += 1
         assert checked > 60 and 0 < kept < checked
+
+    def test_keep_index_reads_the_pinned_code(self, corpus_small, monkeypatch):
+        """The root reads its keep entry in class space, off the top
+        table's places; that entry is the one ``code_index`` reads for the
+        configuration code pinning ioi at the root edge's head and oio at
+        its tail.  The root edge is made heavier than every other edge
+        together, so the root takes its keep entry and reconstruction
+        starts there; every top arc here is a join or a flat arc.
+        ``code_index`` also
+        inverts ``entry_codes`` on every table ``solve_dp`` builds.
+        Checked at the lowest, middle and highest leaf, on
+        ``corpus_small[:60]`` and on the components of the tri-frontier
+        pool (triangulations n=24 seeds 0-14)."""
+        cases = []
+        real_solve = kernel.solve_dp
+
+        def collect(sub, dec):
+            cases.append((sub, dec))
+            return real_solve(sub, dec)
+
+        monkeypatch.setattr(kernel, "solve_dp", collect)
+        for seed in range(15):
+            solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
+        cases += [(inst, build_sphere_cut(inst.graph)) for inst in corpus_small[:60]]
+
+        read = []
+        real_pair, real_flat = dp._chosen_pair, dp._flat_deleted
+        monkeypatch.setattr(dp, "_chosen_pair", lambda table, t1, t2, index:
+                            read.append((table, index)) or real_pair(table, t1, t2, index))
+        monkeypatch.setattr(dp, "_flat_deleted", lambda instance, table, index:
+                            read.append((table, index)) or real_flat(instance, table, index))
+        made = record_tables(monkeypatch)
+        checked = inverted = 0
+        for inst, dec in cases:
+            g = inst.graph
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                e = dec.leaf_map[root]
+                weights = list(inst.weights)
+                weights[e] = sum(weights) + 1
+                made.clear()
+                read.clear()
+                sol = solve_dp(Instance(g, tuple(weights)), dec, root)
+                assert e in sol.kept_edges
+                for table, _kids, _args in made:
+                    codes = entry_codes(table)
+                    assert [code_index(table, code) for code in codes] == list(range(len(codes)))
+                    inverted += 1
+                (top,) = [table for table, _kids, _args in made if table.boundary.arc[1] == root]
+                table, index = read[0]
+                assert table is top
+                tail, head = g.edges[e]
+                assert index == code_index(top, encode_ref(top.boundary.mid,
+                                                           {head: "ioi", tail: "oio"}))
+                checked += 1
+        assert (len(cases), checked) == (75, 225) and inverted > 4000
 
     def test_reconstruction_checks_the_entry(self):
         """A table entry that no candidate pair reaches is refused on the
@@ -1248,7 +1324,8 @@ class TestSolveDP:
                     for v in mid:
                         for bigger in CONFIGS:
                             if assignment[v] != bigger and assignment[v] in substrings(bigger):
-                                assert a >= table.cost(encode_ref(mid, {**assignment, v: bigger}))
+                                relaxed = encode_ref(mid, {**assignment, v: bigger})
+                                assert a >= code_cost(table, relaxed)
                 radices = [max(cmap) + 1 for cmap in table.boundary.classes]
                 weights = [math.prod(radices[:k]) for k in range(len(radices))]
                 for index, a in enumerate(table.costs):
@@ -1296,7 +1373,7 @@ class TestDemand:
                     missing = [x for x in range(6) if not mask >> cmap[x] & 1]
                     if missing:
                         with pytest.raises(KeyError, match="untabulated class"):
-                            table.cost(missing[0] * 6 ** k)
+                            code_cost(table, missing[0] * 6 ** k)
                         refused += 1
         assert refused > 100
 

@@ -41,26 +41,26 @@ from test_plane import star4_instance, triangle_instance
 class TestLayers:
     def test_single_vertex(self):
         g = PlaneDigraph(1, [], [[]])
-        layers = bfs_layers(g, 0)
+        layers = bfs_layers(g)
         assert layers.layers == ((0,),)
 
     def test_directed_path(self):
         edges = [(0, 1), (1, 2)]
         rot = [[dart(0, TAIL)], [dart(0, HEAD), dart(1, TAIL)], [dart(1, HEAD)]]
         g = PlaneDigraph(3, edges, rot)
-        layers = bfs_layers(g, 0)
+        layers = bfs_layers(g)
         assert layers.layers == ((0,), (1,), (2,))
 
     def test_no_edge_skips_a_layer(self, corpus_small):
         for inst in corpus_small[:40]:
             g = inst.graph
-            layers = bfs_layers(g, 0)
+            layers = bfs_layers(g)
             for u, v in g.edges:
                 assert abs(layers.layer_of[u] - layers.layer_of[v]) <= 1
 
     def test_boundary_sets_disjoint(self, corpus_small):
         inst = corpus_small[0]
-        layers = bfs_layers(inst.graph, 0)
+        layers = bfs_layers(inst.graph)
         t = 3
         seen = set()
         for i in range(t):
@@ -80,7 +80,7 @@ class TestEptasMax:
         for inst in corpus_small[:40]:
             eps = Fraction(1, 4)
             t = math.ceil(1 / eps)
-            layers = bfs_layers(inst.graph, 0)
+            layers = bfs_layers(inst.graph)
             if len(layers.layers) - 1 < t:
                 sol, _rep = eptas_max(inst, eps)
                 assert sol.kept_weight == oracle_of(inst).kept_weight
@@ -104,7 +104,7 @@ class TestEptasMax:
     def test_every_residue_union_is_bimodal(self, corpus_small):
         for inst in corpus_small[:10]:
             g = inst.graph
-            layers = bfs_layers(g, 0)
+            layers = bfs_layers(g)
             t = 2
             for i in range(t):
                 cut = layers.boundary_edges(g, t, i)
@@ -121,7 +121,7 @@ class TestSplitLayerGraphs:
     def test_single_band_is_whole_graph(self):
         """No cut, so the split graph is the graph itself."""
         inst = triangle_instance()
-        layers = bfs_layers(inst.graph, 0)
+        layers = bfs_layers(inst.graph)
         split, edge_orig = split_layer_graphs(inst, layers, residue=2, t=4)
         assert split.graph.vertex_count == inst.graph.vertex_count
         assert split.graph.edges == inst.graph.edges
@@ -132,7 +132,7 @@ class TestSplitLayerGraphs:
     def test_boundary_edge_two_copies(self, corpus_small):
         inst = corpus_small[1]
         g = inst.graph
-        layers = bfs_layers(g, 0)
+        layers = bfs_layers(g)
         t = 2
         assert layers.boundary_edges(g, t, 0)
         for i in range(t):
@@ -147,7 +147,7 @@ class TestSplitLayerGraphs:
     def test_real_vertex_rotations_preserved(self, corpus_small):
         for inst in corpus_small[:15]:
             g = inst.graph
-            layers = bfs_layers(g, 0)
+            layers = bfs_layers(g)
             t = 2
             for i in range(t):
                 split, edge_orig = split_layer_graphs(inst, layers, i, t)
@@ -166,7 +166,7 @@ class TestSplitLayerGraphs:
         for inst in corpus_small[:15]:
             g = inst.graph
             deleted = set(range(g.edge_count)) - oracle_of(inst).kept_edges
-            layers = bfs_layers(g, 0)
+            layers = bfs_layers(g)
             t = 2
             for i in range(t):
                 split, edge_orig = split_layer_graphs(inst, layers, i, t)
@@ -177,7 +177,7 @@ class TestSplitLayerGraphs:
         sparse = gen_instance(GenParams(n=40, seed=0, density="sparse"))
         for inst in corpus_small[:40] + [sparse]:
             g = inst.graph
-            layers = bfs_layers(g, 0)
+            layers = bfs_layers(g)
             depth = len(layers.layers)
             for t in (1, 2, 3):
                 for i in range(t):
@@ -264,7 +264,7 @@ class TestShiftingLoop:
         for inst, (secs, doc, rep_max, deleted, cost, rep_min) in zip(
                 instances, json.loads(proc.stdout)):
             assert secs < 0.5
-            depth = len(bfs_layers(inst.graph, 0).layers)
+            depth = len(bfs_layers(inst.graph).layers)
             sol, want_max = eptas_max(inst, Fraction(1, depth))
             assert doc == sol.document()
             for key in ("chosen_residues", "per_residue_kept"):

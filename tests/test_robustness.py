@@ -125,7 +125,7 @@ class TestDisconnected:
                  "decompose one connected component at a time"),
                 (lambda: solve_dp(inst, SphereCutDecomposition(0, (), {})), DecompositionError,
                  "solve_dp expects a connected graph"),
-                (lambda: bfs_layers(inst.graph, 0), EmbeddingError,
+                (lambda: bfs_layers(inst.graph), EmbeddingError,
                  "bfs_layers needs a connected graph")):
             with pytest.raises(error) as info:
                 call()
