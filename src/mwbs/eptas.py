@@ -16,7 +16,28 @@ The minimization scheme cannot simply drop cut edges (deleting is what is
 being charged), so each is split into two pendant copies, one in each
 adjacent band.  Deleting every edge with a deleted copy yields a feasible
 deletion set of cost at most (1 + 2/t) times the optimum; t = ceil(2/eps)
-gives the (1 + eps) guarantee.
+gives the (1 + eps) guarantee.  A cut edge with an end of degree one is
+left whole.  That end lies on no middle set, so the edge ties no two
+bands together, and the copy it would get there joins two good vertices,
+an edge every optimum keeps: the whole edge is kept exactly when its
+other copy would be.
+
+Every residue is cut from the component's normal form (see ``kernel``),
+computed once, not from the component itself, because the three
+normal-form rules commute with dropping a cut edge and with splitting
+one.  Both only take darts from a vertex or give a dart's slot to a copy
+of the same direction, which adds no switch, so every good vertex of the
+component stays good in every cut graph.  A good-good edge of the
+component is good-good in every cut graph that holds it (both its copies
+are, when it is split), so every optimum there keeps it, and every good
+vertex is split there as well.  A split copy in the kernel takes the
+layer of the vertex it came from, so a kernel edge is cut exactly when
+its component edge is.  A residue's optimum is therefore the banked
+weight it keeps (all of it when cut edges are split, what lies outside
+the cut when they are dropped) plus the optimum of the kernel cut the
+same way.  The solver's own reduction of a cut kernel fires only where a
+dropped edge made a bad vertex good; elsewhere it returns the cut kernel
+unchanged.
 """
 
 from __future__ import annotations
@@ -24,9 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import EmbeddingError, FormatError
-from .kernel import solve_subexponential
+from .kernel import ReducedInstance, reduce_to_simple, solve_subexponential
 from .plane import (
     HEAD,
     TAIL,
@@ -92,19 +114,43 @@ def _check_epsilon(eps) -> Fraction:
     return eps
 
 
-def _shift(instance: Instance, t: int, piece, method: str
+def _kernel_layers(sub: Instance, layers: LayerDecomposition,
+                   red: ReducedInstance) -> LayerDecomposition:
+    """The layers of the component ``sub`` carried over to its normal form
+    ``red``: a kept vertex keeps its layer, and a split copy takes the
+    layer of the vertex it was split from, the component end of its one
+    dart's edge."""
+    rotation = red.instance.graph.rotation
+    layer_of = []
+    for v, orig in enumerate(red.orig_vertex_ids):
+        if orig < 0:
+            (d,) = rotation[v]
+            orig = sub.graph.edges[red.orig_edge_ids[d >> 1]][d & 1]
+        layer_of.append(layers.layer_of[orig])
+    grouped: list[list[int]] = [[] for _ in layers.layers]
+    for v, j in enumerate(layer_of):
+        grouped[j].append(v)
+    return LayerDecomposition(tuple(map(tuple, grouped)), tuple(layer_of))
+
+
+def _shift(instance: Instance, t: int, split: bool, method: str
            ) -> tuple[Solution, list[Fraction], list[int]]:
     """The shifting loop of both schemes.
 
-    Per component and residue i, ``piece(component, layers, i, t)`` returns
-    one instance and the component edge id of each of its edges.  That
-    instance is solved exactly; a component edge counts as kept when it has
-    a copy and every copy is kept.  Residues from ``depth - 1`` on cut
-    nothing, so the whole component is solved once and stands for all of
-    them.  Each component takes its best residue (lowest index on ties).
-    Returns the certified solution, the kept weight per residue (one entry
-    per residue below both t and the deepest layer count) and the chosen
-    residue of each component with edges."""
+    Each component is reduced to its normal form once.  Per residue i, the
+    normal form's cut edges are split (``split``, by ``split_layer_graphs``)
+    or dropped (by ``_drop_cut``), and the result is solved exactly by one
+    ``solve_subexponential`` call.  A kernel edge counts as kept when it
+    has a copy and every copy is kept; its component edge is then kept,
+    and so is every banked edge, except, when cut edges are dropped, one
+    the residue cuts.  The mapped-back set is checked bimodal on the
+    component.  Residues from ``depth - 1`` on cut nothing, so the whole
+    component is solved once and stands for all of them.  Each component
+    takes its best residue (lowest index on ties).  Returns the certified
+    solution, the kept weight per residue (one entry per residue below
+    both t and the deepest layer count) and the chosen residue of each
+    component with edges."""
+    piece = split_layer_graphs if split else _drop_cut
     parts = [(sub, eids, bfs_layers(sub.graph))
              for sub, eids in component_instances(instance)]
     deepest = max((len(layers.layers) for _sub, _eids, layers in parts), default=0)
@@ -114,13 +160,21 @@ def _shift(instance: Instance, t: int, piece, method: str
     kept: set[int] = set()
     chosen: list[int] = []
     for sub, eids, layers in parts:
+        red = reduce_to_simple(sub)
+        kernel_layers = _kernel_layers(sub, layers, red)
+        # each banked edge with the residue that cuts it, -1 for none
+        banked = []
+        for e in red.banked_edges:
+            lo, hi = sorted(layers.layer_of[v] for v in sub.graph.edges[e])
+            banked.append((e, lo % t if hi > lo else -1))
         kept_sets: list[set[int]] = []
         values: list[int] = []
         for i in range(min(t, len(layers.layers))):
-            split, edge_orig = piece(sub, layers, i, t)
-            sol = solve_subexponential(split)
+            cut_kernel, edge_orig = piece(red.instance, kernel_layers, i, t)
+            sol = solve_subexponential(cut_kernel)
             dropped = {e for j, e in enumerate(edge_orig) if j not in sol.kept_edges}
-            here = set(edge_orig) - dropped
+            here = {red.orig_edge_ids[e] for e in edge_orig if e not in dropped}
+            here.update(e for e, cut_by in banked if split or cut_by != i)
             if sub.graph.bad_vertices(here):
                 raise EmbeddingError(f"residue {i}: mapped-back kept set is not feasible")
             kept_sets.append(here)
@@ -135,11 +189,15 @@ def _shift(instance: Instance, t: int, piece, method: str
 
 
 def _drop_cut(instance: Instance, layers: LayerDecomposition,
-              residue: int, t: int) -> tuple[Instance, list[int]]:
-    """The graph without the residue's cut edges, and its edges' ids."""
-    cut = layers.boundary_edges(instance.graph, t, residue)
+              residue: int, t: int) -> tuple[Instance, Sequence[int]]:
+    """The graph without the residue's cut edges, and its edges' ids; the
+    instance itself, with identity ids, when the residue cuts nothing."""
+    g = instance.graph
+    cut = layers.boundary_edges(g, t, residue)
+    if not cut:
+        return instance, range(g.edge_count)
     piece, _vids, eids = subgraph_by_edges(
-        instance, [e for e in range(instance.graph.edge_count) if e not in cut])
+        instance, [e for e in range(g.edge_count) if e not in cut])
     return piece, eids
 
 
@@ -151,7 +209,7 @@ def eptas_max(instance: Instance, eps) -> tuple[Solution, dict]:
     The report records the per-residue values and the guarantee factor."""
     eps = _check_epsilon(eps)
     t = math.ceil(1 / eps)
-    solution, per_residue, chosen = _shift(instance, t, _drop_cut, "eptas-max")
+    solution, per_residue, chosen = _shift(instance, t, False, "eptas-max")
     report = {
         "epsilon": format_weight(eps),
         "shift_width": t,
@@ -164,16 +222,24 @@ def eptas_max(instance: Instance, eps) -> tuple[Solution, dict]:
 
 def split_layer_graphs(instance: Instance, layers: LayerDecomposition,
                        residue: int, t: int) -> tuple[Instance, tuple[int, ...]]:
-    """Split each of the residue's cut edges e = (u, v) in two: e keeps its
-    dart at u and ends at a fresh vertex, and a new copy of e, starting at
-    another fresh vertex, takes e's slot at v.  Every vertex keeps its
-    rotation, so each component of the result lies in one band.  Returns
-    the split instance and the original id of each of its edges."""
+    """Split each of the residue's cut edges e = (u, v) whose two ends both
+    have degree above one: e keeps its dart at u and ends at a fresh
+    vertex, and a new copy of e, starting at another fresh vertex, takes
+    e's slot at v.  Every vertex keeps its rotation, so each component of
+    the result lies in one band, except for the degree-one ends of cut
+    edges left whole.  Such an end lies on no middle set, and its copy
+    would be a good-good edge that every optimum keeps, so splitting the
+    edge would change neither the optimum nor the tables.  Returns the
+    split instance and the original id of each of its edges; the instance
+    itself, with identity ids, when nothing is split."""
     g = instance.graph
     if any(abs(layers.layer_of[u] - layers.layer_of[v]) > 1 for u, v in g.edges):
         raise EmbeddingError("an edge skips a layer")
     n, m = g.vertex_count, g.edge_count
-    cut = sorted(layers.boundary_edges(g, t, residue))
+    cut = [e for e in sorted(layers.boundary_edges(g, t, residue))
+           if all(len(g.rotation[v]) > 1 for v in g.edges[e])]
+    if not cut:
+        return instance, tuple(range(m))
     edges = list(g.edges)
     rotation = [list(row) for row in g.rotation]
     for k, e in enumerate(cut):
@@ -203,7 +269,7 @@ def _eptas_min(instance: Instance, eps) -> tuple[Solution, dict]:
     """``eptas_min`` with its certified solution, which the CLI prints."""
     eps = _check_epsilon(eps)
     t = math.ceil(2 / eps)
-    solution, per_residue, chosen = _shift(instance, t, split_layer_graphs, "eptas-min")
+    solution, per_residue, chosen = _shift(instance, t, True, "eptas-min")
     total = instance.total_weight
     report = {
         "epsilon": format_weight(eps),

@@ -89,7 +89,11 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
     next split.
 
     The output has good vertices of degree exactly one forming an
-    independent set, and never more bad vertices than the input."""
+    independent set, and never more bad vertices than the input.  When no
+    rule fires, the input is already in that form, and it is returned
+    itself, with identity ids and an empty trace; the form is checked on
+    it all the same.  A derived instance cut from a normal form often is
+    one: see ``eptas._shift``."""
     g = instance.graph
     n = g.vertex_count
     bad = set(g.bad_vertices())
@@ -122,18 +126,22 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
         trace += [("split", v, moves), ("isolated", v)]
         rows[v] = []
 
-    alive = [v for v in range(n) if rows[v]]
-    edge_ids = [e for e in range(g.edge_count) if e not in banked_set]
-    int_w, scale, _total = instance.int_weights
-    out = ReducedInstance(
-        instance=dense_instance(ends, rows + [[d] for d in fresh], instance.weights,
-                                alive + list(range(n, n + len(fresh))), edge_ids),
-        base_kept_weight=Fraction(sum([int_w[e] for e in banked]), scale),
-        orig_edge_ids=tuple(edge_ids),
-        orig_vertex_ids=tuple(alive) + (-1,) * len(fresh),
-        banked_edges=tuple(banked),
-        trace=tuple(trace),
-    )
+    if not trace:
+        out = ReducedInstance(instance, Fraction(0), tuple(range(g.edge_count)),
+                              tuple(range(n)), (), ())
+    else:
+        alive = [v for v in range(n) if rows[v]]
+        edge_ids = [e for e in range(g.edge_count) if e not in banked_set]
+        int_w, scale, _total = instance.int_weights
+        out = ReducedInstance(
+            instance=dense_instance(ends, rows + [[d] for d in fresh], instance.weights,
+                                    alive + list(range(n, n + len(fresh))), edge_ids),
+            base_kept_weight=Fraction(sum([int_w[e] for e in banked]), scale),
+            orig_edge_ids=tuple(edge_ids),
+            orig_vertex_ids=tuple(alive) + (-1,) * len(fresh),
+            banked_edges=tuple(banked),
+            trace=tuple(trace),
+        )
     _check_normal_form(out, len(bad))
     return out
 

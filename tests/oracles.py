@@ -18,18 +18,26 @@ the per-run reference of ``configs.CLASS_MAPS``.
 view keeps, and ``whole_view`` stands in for a view that keeps every arc.
 ``leaf_keeps`` is the letter rule that decides whether a leaf table's
 entry keeps its edge, the reference of ``DPTable.keeps``.
+``shift_reference`` is the shifting loop of both approximation schemes
+run on each whole component, the reference of ``eptas._shift``, which
+cuts each component's normal form instead; ``split_every_cut_edge`` is
+its split, which makes two pendant copies of every cut edge, pendant or
+not.
 """
 
 import itertools
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from mwbs.configs import CLASS_MAPS, CONFIGS, collapse, realizes
 from mwbs.decomposition import ArcBoundary, JoinSplit, _run
+from mwbs.eptas import _drop_cut, bfs_layers
 from mwbs.errors import BudgetExceeded, DecompositionError, EmbeddingError, FormatError
-from mwbs.kernel import optimal_switches, sections_of
+from mwbs.kernel import optimal_switches, sections_of, solve_subexponential
 from mwbs.oracle import BUDGET, _SwitchState
-from mwbs.plane import Instance, Solution, dart_direction, dart_edge, make_solution
+from mwbs.plane import (HEAD, TAIL, Instance, PlaneDigraph, Solution, component_instances,
+                        dart, dart_direction, dart_edge, make_solution)
 
 
 def brute_force_cut(instance: Instance, classes) -> Solution:
@@ -280,3 +288,59 @@ def leaf_keeps(instance: Instance, table, e: int, index: int) -> bool:
         if ("o" if v == tail else "i") not in CONFIGS[reps[digit]]:
             return False
     return True
+
+
+def split_every_cut_edge(instance: Instance, layers, residue: int, t: int):
+    """Split each of the residue's cut edges e = (u, v) in two, pendant
+    ends included: e keeps its dart at u and ends at a fresh vertex, and a
+    new copy of e, starting at another fresh vertex, takes e's slot at v.
+    Returns the split instance and the original id of each of its edges."""
+    g = instance.graph
+    n, m = g.vertex_count, g.edge_count
+    cut = sorted(layers.boundary_edges(g, t, residue))
+    edges = list(g.edges)
+    rotation = [list(row) for row in g.rotation]
+    for k, e in enumerate(cut):
+        u, v = edges[e]
+        edges[e] = (u, n + 2 * k)
+        edges.append((n + 2 * k + 1, v))
+        rotation[v][rotation[v].index(dart(e, HEAD))] = dart(m + k, HEAD)
+        rotation += [[dart(e, HEAD)], [dart(m + k, TAIL)]]
+    split = Instance(PlaneDigraph(n + 2 * len(cut), edges, rotation),
+                     instance.weights + tuple(instance.weights[e] for e in cut))
+    return split, tuple(range(m)) + tuple(cut)
+
+
+def shift_reference(instance: Instance, t: int, split: bool, method: str):
+    """The shifting loop with each residue cut from the whole component:
+    per component with edges and residue i below both t and the
+    component's layer count, the cut edges are split (``split``) or
+    dropped, and the rest is solved by ``solve_subexponential``; a
+    component edge counts as kept when it has a copy and every copy is
+    kept.  Each component takes its best residue, lowest index on ties.
+    Returns the certified solution, the kept weight per residue and the
+    chosen residue of each component."""
+    piece = split_every_cut_edge if split else _drop_cut
+    parts = [(sub, eids, bfs_layers(sub.graph))
+             for sub, eids in component_instances(instance)]
+    deepest = max((len(layers.layers) for _sub, _eids, layers in parts), default=0)
+    per_residue = [Fraction(0)] * min(t, deepest)
+    kept: set[int] = set()
+    chosen: list[int] = []
+    for sub, eids, layers in parts:
+        kept_sets, values = [], []
+        for i in range(min(t, len(layers.layers))):
+            cut_graph, edge_orig = piece(sub, layers, i, t)
+            sol = solve_subexponential(cut_graph)
+            dropped = {e for j, e in enumerate(edge_orig) if j not in sol.kept_edges}
+            here = set(edge_orig) - dropped
+            if sub.graph.bad_vertices(here):
+                raise EmbeddingError(f"residue {i}: mapped-back kept set is not feasible")
+            kept_sets.append(here)
+            values.append(sum((sub.weights[e] for e in here), Fraction(0)))
+        for i in range(len(per_residue)):
+            per_residue[i] += values[min(i, len(values) - 1)]
+        best = values.index(max(values))
+        kept.update(eids[e] for e in kept_sets[best])
+        chosen.append(best)
+    return make_solution(instance, kept, method), per_residue, chosen

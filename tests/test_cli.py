@@ -273,6 +273,26 @@ def test_kernelize_output_is_pinned(tmp_path, capsys):
         "dfb11a560aa0f4555660b109ee4f233cdd734c8f15814e357f8bcee4ddb5ac83"
 
 
+def test_kernelize_a_kernel(tmp_path, capsys):
+    """``mwbs kernelize`` on a normal form prints it back with identity ids
+    and nothing banked, the document recorded when the reduction still
+    copied an instance on which no rule fires."""
+    f = tmp_path / "sparse.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=40, seed=0, density="sparse"))))
+    code, out = run(capsys, "kernelize", str(f))
+    assert code == 0
+    normal = json.loads(out)["instance"]
+    k = tmp_path / "kernel.json"
+    k.write_text(json.dumps(normal))
+    code, out = run(capsys, "kernelize", str(k))
+    assert code == 0
+    assert json.loads(out) == {"instance": normal, "base_kept_weight": "0/1",
+                               "orig_edge_ids": list(range(len(normal["edges"]))),
+                               "banked_edges": []}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "026160032bde189cd7e9e5c3aef0df2da22e661d3419e8dedeb6830b6f98c1af"
+
+
 def test_eptas_commands(tmp_path, capsys):
     f = tmp_path / "star.json"
     f.write_text(encode_instance(star4_instance()))

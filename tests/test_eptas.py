@@ -14,6 +14,8 @@ import pytest
 
 from mwbs.eptas import (
     LayerDecomposition,
+    _drop_cut,
+    _eptas_min,
     bfs_layers,
     eptas_max,
     eptas_min,
@@ -25,6 +27,7 @@ from mwbs.kernel import solve_subexponential
 from mwbs.plane import (
     HEAD,
     TAIL,
+    Instance,
     PlaneDigraph,
     Solution,
     canonical_json,
@@ -35,6 +38,8 @@ from mwbs.plane import (
     subgraph_by_edges,
 )
 
+from oracles import shift_reference
+from test_decomposition import side_by_side
 from test_plane import star4_instance, triangle_instance
 
 
@@ -130,19 +135,24 @@ class TestSplitLayerGraphs:
         assert edge_orig == tuple(range(inst.graph.edge_count))
 
     def test_boundary_edge_two_copies(self, corpus_small):
+        """A cut edge gets two copies, or one when an end has degree one."""
         inst = corpus_small[1]
         g = inst.graph
         layers = bfs_layers(g)
         t = 2
         assert layers.boundary_edges(g, t, 0)
+        pendant_cuts = 0
         for i in range(t):
             split, edge_orig = split_layer_graphs(inst, layers, i, t)
             copies = Counter(edge_orig)
             boundary = layers.boundary_edges(g, t, i)
             for e in range(g.edge_count):
-                assert copies[e] == (2 if e in boundary else 1)
+                whole = e not in boundary or min(g.degree(v) for v in g.edges[e]) == 1
+                pendant_cuts += whole and e in boundary
+                assert copies[e] == (1 if whole else 2)
                 assert [split.weights[j] for j, o in enumerate(edge_orig) if o == e] \
                     == [inst.weights[e]] * copies[e]
+        assert pendant_cuts == 1
 
     def test_real_vertex_rotations_preserved(self, corpus_small):
         for inst in corpus_small[:15]:
@@ -174,7 +184,10 @@ class TestSplitLayerGraphs:
                 assert not split.graph.bad_vertices(kept)
 
     def test_components_lie_in_one_band(self, corpus_small):
+        """Each component of the split graph lies in one band, but for the
+        degree-one ends of cut edges left whole."""
         sparse = gen_instance(GenParams(n=40, seed=0, density="sparse"))
+        leaves_seen = 0
         for inst in corpus_small[:40] + [sparse]:
             g = inst.graph
             layers = bfs_layers(g)
@@ -182,13 +195,41 @@ class TestSplitLayerGraphs:
             for t in (1, 2, 3):
                 for i in range(t):
                     cuts = range(i, depth - 1, t)
+                    boundary = layers.boundary_edges(g, t, i)
+                    leaves = {v for e in boundary for v in g.edges[e] if g.degree(v) == 1}
+                    leaves_seen += len(leaves)
                     split, _edge_orig = split_layer_graphs(inst, layers, i, t)
-                    bands = [
-                        {sum(c < layers.layer_of[v] for c in cuts)
-                         for v in verts if v < g.vertex_count}
-                        for verts, _edges in split.graph.components()]
-                    assert all(len(b) == 1 for b in bands)
-                    assert len(set().union(*bands)) == len(cuts) + 1
+                    band = [sum(c < layers.layer_of[v] for c in cuts)
+                            for v in range(g.vertex_count)]
+                    components = [[v for v in verts if v < g.vertex_count]
+                                  for verts, _edges in split.graph.components()]
+                    assert all(len({band[v] for v in verts if v not in leaves}) == 1
+                               for verts in components)
+                    assert len(set(band)) == len(cuts) + 1
+        assert leaves_seen
+
+    def test_residue_cutting_nothing_returns_the_instance(self, corpus_small):
+        """A residue with no cut edge gives the input instance itself, with
+        identity ids, to both schemes; one whose cut edges all have an end
+        of degree one does so to the split."""
+        inst = corpus_small[1]
+        m = inst.graph.edge_count
+        layers = bfs_layers(inst.graph)
+        assert not layers.boundary_edges(inst.graph, 2, 1)
+        split, edge_orig = split_layer_graphs(inst, layers, 1, 2)
+        assert split is inst and edge_orig == tuple(range(m))
+        piece, eids = _drop_cut(inst, layers, 1, 2)
+        assert piece is inst and list(eids) == list(range(m))
+
+        path = Instance(PlaneDigraph(3, [(0, 1), (1, 2)],
+                                     [[dart(0, TAIL)], [dart(0, HEAD), dart(1, TAIL)],
+                                      [dart(1, HEAD)]]), (Fraction(1), Fraction(2)))
+        layers = bfs_layers(path.graph)
+        assert layers.boundary_edges(path.graph, 2, 1) == {1}
+        split, edge_orig = split_layer_graphs(path, layers, 1, 2)
+        assert split is path and edge_orig == (0, 1)
+        piece, eids = _drop_cut(path, layers, 1, 2)
+        assert piece.graph.edges == ((0, 1),) and list(eids) == [0]
 
     def test_edge_skipping_a_layer_refused(self):
         inst = triangle_instance()
@@ -315,3 +356,57 @@ class TestShiftingLoop:
                     [sorted(deleted), format_weight(cost), rep["chosen_residues"]]))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
             "0c30f4cd9089da6c96e9022c5084ab25d2bae39d58a274f2197d7cd3e2199cc6"
+
+
+def disconnected_instance(corpus_small):
+    """A sparse n=40 graph, a corpus graph, an isolated vertex and a
+    triangle, side by side as one instance."""
+    parts = [gen_instance(GenParams(n=40, seed=3, density="sparse")), corpus_small[7],
+             Instance(PlaneDigraph(1, [], [[]]), ()), triangle_instance()]
+    graph, weights = parts[0].graph, parts[0].weights
+    for inst in parts[1:]:
+        graph, weights = side_by_side(graph, inst.graph), weights + inst.weights
+    return Instance(graph, weights)
+
+
+class TestKernelShifting:
+    """``eptas._shift`` cuts every residue from each component's normal
+    form; ``shift_reference`` cuts it from the whole component, splitting
+    every cut edge.  Both must give the same solution documents, per-residue
+    values and chosen residues."""
+
+    @staticmethod
+    def assert_same(inst, variant, eps):
+        if variant == "max":
+            sol, rep = eptas_max(inst, eps)
+            want, per_residue, chosen = shift_reference(
+                inst, rep["shift_width"], False, "eptas-max")
+            assert rep["per_residue_kept"] == [format_weight(w) for w in per_residue]
+        else:
+            sol, rep = _eptas_min(inst, eps)
+            want, per_residue, chosen = shift_reference(
+                inst, rep["shift_width"], True, "eptas-min")
+            total = inst.total_weight
+            assert rep["per_residue_cost"] == [format_weight(total - w) for w in per_residue]
+        assert sol.document() == want.document()
+        assert rep["chosen_residues"] == chosen
+
+    def test_benchmark_runs(self):
+        runs = [("max", "1/2"), ("max", "1/3"), ("max", "1/4"), ("min", "1/2"), ("min", "1/3")]
+        for seed in range(7):
+            inst = gen_instance(GenParams(n=40, seed=seed, density="sparse"))
+            for variant, eps in runs:
+                self.assert_same(inst, variant, Fraction(eps))
+
+    def test_corpus(self, corpus_small):
+        for inst in corpus_small[:40]:
+            for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
+                for variant in ("max", "min"):
+                    self.assert_same(inst, variant, eps)
+
+    def test_disconnected(self, corpus_small):
+        inst = disconnected_instance(corpus_small)
+        assert len(inst.graph.components()) == 4
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
+            for variant in ("max", "min"):
+                self.assert_same(inst, variant, eps)

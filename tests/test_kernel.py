@@ -147,6 +147,33 @@ class TestReduceToSimple:
             sol = make_solution(inst, lifted, "lift")  # verifies bimodality
             assert sol.kept_weight == want.kept_weight
 
+    def test_normal_form_is_returned_itself(self, monkeypatch):
+        """Every kernel of the tri-frontier and eptas pools, of the whole
+        instance and of each component, reduces to the same object, with
+        an empty trace, identity ids and nothing banked, and its normal
+        form is still checked."""
+        pool = [gen_instance(GenParams(n=24, seed=s)) for s in range(15)]
+        pool += [gen_instance(GenParams(n=40, seed=s, density="sparse")) for s in range(7)]
+        kernels = []
+        for inst in pool:
+            kernels.append(reduce_to_simple(inst).instance)
+            kernels += [reduce_to_simple(sub).instance for sub, _eids in component_instances(inst)]
+        checked = []
+
+        def recording_check(red, bad_before):
+            checked.append(red)
+            _check_normal_form(red, bad_before)
+
+        monkeypatch.setattr(kernel, "_check_normal_form", recording_check)
+        for k in kernels:
+            g = k.graph
+            red = reduce_to_simple(k)
+            assert red.instance is k and checked.pop() is red
+            assert red.trace == () and red.banked_edges == ()
+            assert red.orig_edge_ids == tuple(range(g.edge_count))
+            assert red.orig_vertex_ids == tuple(range(g.vertex_count))
+            assert red.base_kept_weight == 0
+
     def test_already_bimodal_reduces_to_nothing(self):
         inst = triangle_instance()
         red = reduce_to_simple(inst)
