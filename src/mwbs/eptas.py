@@ -38,11 +38,19 @@ the cut when they are dropped) plus the optimum of the kernel cut the
 same way.  The solver's own reduction of a cut kernel fires only where a
 dropped edge made a bad vertex good; elsewhere it returns the cut kernel
 unchanged.
+
+A band that no cut of residue i or of residue i' touches is the same
+table-solved component in both cut kernels.  One shifting call therefore
+hands all its solver calls one dict of the components solved so far (see
+``kernel.solve_components``), and each distinct component is tabulated
+once.  Every residue is still certified, and checked on its component,
+as before; the dict lives for that call only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -84,6 +92,8 @@ def bfs_layers(graph: PlaneDigraph) -> LayerDecomposition:
     """Undirected BFS distance classes from vertex 0 (graph must be
     connected); no edge ever skips a layer."""
     n = graph.vertex_count
+    if n == 0:
+        raise EmbeddingError("bfs_layers needs a graph with a vertex")
     dist = [-1] * n
     dist[0] = 0
     queue = [0]
@@ -111,6 +121,11 @@ def _check_epsilon(eps) -> Fraction:
         raise FormatError(f"epsilon {excerpt(eps)} is not a number") from None
     if not (0 < eps <= 1):
         raise FormatError("epsilon must satisfy 0 < eps <= 1")
+    # the report prints eps as p/q; its numerator is no longer than its
+    # denominator, and 0 means no limit
+    limit = sys.get_int_max_str_digits()
+    if limit and eps.denominator >= 10 ** limit:
+        raise FormatError(f"epsilon has a denominator of more than {limit} digits")
     return eps
 
 
@@ -140,10 +155,12 @@ def _shift(instance: Instance, t: int, split: bool, method: str
     Each component is reduced to its normal form once.  Per residue i, the
     normal form's cut edges are split (``split``, by ``split_layer_graphs``)
     or dropped (by ``_drop_cut``), and the result is solved exactly by one
-    ``solve_subexponential`` call.  A kernel edge counts as kept when it
-    has a copy and every copy is kept; its component edge is then kept,
-    and so is every banked edge, except, when cut edges are dropped, one
-    the residue cuts.  The mapped-back set is checked bimodal on the
+    ``solve_subexponential`` call.  All these calls share one ``solved``
+    dict, so a table-solved component that repeats in another residue or
+    component is tabulated once per call.  A kernel edge counts as kept
+    when it has a copy and every copy is kept; its component edge is then
+    kept, and so is every banked edge, except, when cut edges are dropped,
+    one the residue cuts.  The mapped-back set is checked bimodal on the
     component.  Residues from ``depth - 1`` on cut nothing, so the whole
     component is solved once and stands for all of them.  Each component
     takes its best residue (lowest index on ties).  Returns the certified
@@ -157,6 +174,7 @@ def _shift(instance: Instance, t: int, split: bool, method: str
     # kept weights in the instance's integer scaling, shared by every component
     int_w, scale, _total = instance.int_weights
     per_residue = [0] * min(t, deepest)
+    solved: dict = {}   # table-solved components of this call, see solve_components
     kept: set[int] = set()
     chosen: list[int] = []
     for sub, eids, layers in parts:
@@ -171,7 +189,7 @@ def _shift(instance: Instance, t: int, split: bool, method: str
         values: list[int] = []
         for i in range(min(t, len(layers.layers))):
             cut_kernel, edge_orig = piece(red.instance, kernel_layers, i, t)
-            sol = solve_subexponential(cut_kernel)
+            sol = solve_subexponential(cut_kernel, solved=solved)
             dropped = {e for j, e in enumerate(edge_orig) if j not in sol.kept_edges}
             here = {red.orig_edge_ids[e] for e in edge_orig if e not in dropped}
             here.update(e for e, cut_by in banked if split or cut_by != i)

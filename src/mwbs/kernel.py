@@ -462,7 +462,7 @@ def shrink_cut_instance(cut: CutInstance) -> CutInstance:
 # ---------------------------------------------------------------------
 # the subexponential pipeline
 
-def solve_components(instance: Instance) -> set[int]:
+def solve_components(instance: Instance, solved: dict | None = None) -> set[int]:
     """Solve every connected component exactly and return the kept edge
     ids.  A component is classified by its hub-to-hub edges, the hubs
     being the vertices of more than one dart.  A component with at most
@@ -471,7 +471,14 @@ def solve_components(instance: Instance) -> set[int]:
     ``instance`` itself, with no copy and no certificate, and its kept set
     is checked bimodal at every hub.  Any other component is solved by the
     table solver over the ``build_sphere_cut`` decomposition of its
-    ``component_instance``."""
+    ``component_instance``.
+
+    ``solved``, when given, maps each table-solved component, keyed by its
+    copy's edges, rotation and weights, to its kept set.  A component found
+    there is not solved again: ``build_sphere_cut`` reads only the graph
+    and ``solve_dp`` only the instance and the tree, so an identical key
+    gives an identical kept set.  A component not found there is solved
+    and added."""
     g = instance.graph
     rotation = g.rotation
     int_w = instance.int_weights.values
@@ -488,17 +495,28 @@ def solve_components(instance: Instance) -> set[int]:
             kept.update(e for e in edge_ids if e not in deleted)
         else:
             sub, eids = component_instance(instance, verts, edge_ids)
-            sol = solve_dp(sub, build_sphere_cut(sub.graph))
-            kept.update(eids[j] for j in sol.kept_edges)
+            if solved is None:
+                here = solve_dp(sub, build_sphere_cut(sub.graph)).kept_edges
+            else:
+                # (numerator, denominator) pairs hash faster than Fractions
+                key = (sub.graph.edges, sub.graph.rotation,
+                       tuple([(w.numerator, w.denominator) for w in sub.weights]))
+                here = solved.get(key)
+                if here is None:
+                    here = solved[key] = solve_dp(sub, build_sphere_cut(sub.graph)).kept_edges
+            kept.update(eids[j] for j in here)
     return kept
 
 
-def solve_subexponential(instance: Instance, method: str = "subexp") -> Solution:
+def solve_subexponential(instance: Instance, method: str = "subexp",
+                         solved: dict | None = None) -> Solution:
     """Reduce to the normal form, solve each component exactly, lift back;
-    ``method`` names the solution.
+    ``method`` names the solution, and ``solved`` is handed to
+    ``solve_components``: components it holds are not solved again.  The
+    lifted set is certified on ``instance`` either way.
 
     After reduction at most one vertex per original bad vertex has degree
     above one, which keeps the component branchwidths small."""
     red = reduce_to_simple(instance)
-    lifted = red.lift(solve_components(red.instance))
+    lifted = red.lift(solve_components(red.instance, solved))
     return make_solution(instance, lifted, method)

@@ -189,9 +189,9 @@ def test_dp_method_reduces_first(tmp_path, capsys, monkeypatch):
         reduced.append(red.instance)
         return red
 
-    def solve_reduced_only(instance):
+    def solve_reduced_only(instance, solved=None):
         assert any(instance is r for r in reduced), "components of an unreduced instance"
-        return solve(instance)
+        return solve(instance, solved)
 
     monkeypatch.setattr(kernel, "reduce_to_simple", recording_reduce)
     monkeypatch.setattr(kernel, "solve_components", solve_reduced_only)
@@ -354,9 +354,11 @@ def test_eptas_min_certifies_once(tmp_path, capsys, monkeypatch):
     """``mwbs eptas min`` prints the solution that its shifting loop
     certified, where it used to certify the same deleted set again: one
     ``make_solution`` call fewer on sparse n=40 seed 0 at eps 1/2, and the
-    same document, recorded when it certified twice.  The other 8 calls
-    are the 4 ``solve_subexponential`` certificates and the 4 of their
-    table-solved components; the 7 star components are not certified."""
+    same document, recorded when it certified twice.  The other 7 calls
+    are the 4 ``solve_subexponential`` certificates and 3 of the 4 of
+    their table-solved components: one repeats an earlier one, so it is
+    neither solved nor certified again.  The 7 star components are not
+    certified."""
     calls = []
     real = plane.make_solution
 
@@ -370,9 +372,19 @@ def test_eptas_min_certifies_once(tmp_path, capsys, monkeypatch):
     f.write_text(encode_instance(gen_instance(GenParams(n=40, seed=0, density="sparse"))))
     code, out = run(capsys, "eptas", "min", str(f), "--epsilon", "1/2")
     assert code == 0
-    assert (len(calls), calls.count("eptas-min")) == (9, 1)
+    assert (len(calls), calls.count("eptas-min")) == (8, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "318d880a1f5e5d65e8736fe100b28f3d00373a8421c443ee4313e339f136a5bd"
+
+
+@pytest.mark.parametrize("variant", ["max", "min"])
+def test_eptas_epsilon_too_long_exits_1(tmp_path, capsys, variant):
+    """eps = 1e-5000 has a denominator of 5001 digits, more than the
+    interpreter prints: refused before the shifting loop runs."""
+    f = tmp_path / "gen.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=40, seed=0, density="sparse"))))
+    code, error = run_failing(capsys, "eptas", variant, str(f), "--epsilon", "1e-5000")
+    assert code == 1 and error.startswith("epsilon has a denominator of more than ")
 
 
 def test_eptas_tiny_epsilon(tmp_path, capsys):

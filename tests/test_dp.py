@@ -1521,9 +1521,9 @@ class TestFlatArcs:
         forms = []
         real = kernel.solve_components
 
-        def spy(instance):
+        def spy(instance, solved=None):
             forms.append(instance)
-            return real(instance)
+            return real(instance, solved)
 
         monkeypatch.setattr(kernel, "solve_components", spy)
         for seed in range(7):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from mwbs import kernel
 from mwbs.eptas import (
     LayerDecomposition,
     _drop_cut,
@@ -44,6 +45,10 @@ from test_plane import star4_instance, triangle_instance
 
 
 class TestLayers:
+    def test_no_vertex_refused(self):
+        with pytest.raises(EmbeddingError, match="bfs_layers needs a graph with a vertex"):
+            bfs_layers(PlaneDigraph(0, [], []))
+
     def test_single_vertex(self):
         g = PlaneDigraph(1, [], [[]])
         layers = bfs_layers(g)
@@ -76,9 +81,20 @@ class TestLayers:
 
 class TestEptasMax:
     def test_epsilon_validation(self):
-        for eps in (0, Fraction(3, 2), "abc", float("nan"), None, "1/0"):
+        for eps in (0, Fraction(3, 2), "abc", float("nan"), None, "1/0", "1e-5000"):
             with pytest.raises(FormatError):
                 eptas_max(triangle_instance(), eps)
+
+    def test_long_epsilon_allowed_without_a_digit_limit(self):
+        """A digit limit of 0 means none: eps = 1e-5000 is then accepted
+        and printed in full."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            _sol, rep = eptas_max(triangle_instance(), "1e-5000")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert rep["epsilon"] == "1/1" + "0" * 5000
 
     def test_small_diameter_is_exact(self, corpus_small, oracle_of):
         hit = 0
@@ -240,7 +256,7 @@ class TestSplitLayerGraphs:
 
 class TestEptasMin:
     def test_epsilon_validation(self):
-        for eps in (0, Fraction(3, 2), "abc", float("nan"), None, "1/0"):
+        for eps in (0, Fraction(3, 2), "abc", float("nan"), None, "1/0", "1e-5000"):
             with pytest.raises(FormatError):
                 eptas_min(triangle_instance(), eps)
 
@@ -322,7 +338,7 @@ class TestShiftingLoop:
         per residue, in eptas_max as in eptas_min."""
         inst = star4_instance()
 
-        def keep_all(piece):
+        def keep_all(piece, solved=None):
             return Solution(frozenset(range(piece.graph.edge_count)),
                             piece.total_weight, Fraction(0), "subexp", ())
 
@@ -331,6 +347,41 @@ class TestShiftingLoop:
             eptas_max(inst, Fraction(1, 2))
         with pytest.raises(EmbeddingError, match="mapped-back kept set is not feasible"):
             eptas_min(inst, Fraction(1, 2))
+
+    def test_repeated_components_tabulated_once_per_call(self, monkeypatch):
+        """Over the eptas pool (sparse n=40 seeds 0-6 at the benchmark's
+        five runs), the cut kernels hold 130 table-solved components, and
+        ``solve_dp`` runs for the 104 distinct ones of each call: with the
+        call's dict withheld from the solver it runs for all 130."""
+        calls = count_solve_dp(monkeypatch)
+
+        def pool():
+            calls.clear()
+            for seed in range(7):
+                inst = gen_instance(GenParams(n=40, seed=seed, density="sparse"))
+                for eps in ("1/2", "1/3", "1/4"):
+                    eptas_max(inst, Fraction(eps))
+                for eps in ("1/2", "1/3"):
+                    eptas_min(inst, Fraction(eps))
+            return len(calls)
+
+        assert pool() == 104
+        real_subexp = solve_subexponential
+        monkeypatch.setattr("mwbs.eptas.solve_subexponential",
+                            lambda piece, solved=None: real_subexp(piece))
+        assert pool() == 130
+
+    def test_nothing_survives_a_call(self, monkeypatch):
+        """The dict of solved components lives for one shifting call: a
+        second call on the same instance tabulates as much as the first."""
+        calls = count_solve_dp(monkeypatch)
+        inst = gen_instance(GenParams(n=40, seed=0, density="sparse"))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            eptas_max(inst, Fraction(1, 4))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_outputs_pinned(self, corpus_small):
         """eptas_max solution documents, and eptas_min deleted sets, costs
@@ -356,6 +407,19 @@ class TestShiftingLoop:
                     [sorted(deleted), format_weight(cost), rep["chosen_residues"]]))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
             "0c30f4cd9089da6c96e9022c5084ab25d2bae39d58a274f2197d7cd3e2199cc6"
+
+
+def count_solve_dp(monkeypatch):
+    """A list that gets one entry per ``solve_dp`` call of the solver."""
+    calls = []
+    real = kernel.solve_dp
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "solve_dp", counted)
+    return calls
 
 
 def disconnected_instance(corpus_small):
