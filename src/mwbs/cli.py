@@ -30,6 +30,8 @@ from .plane import (
     decode_instance,
     encode_instance,
     canonical_json,
+    cut_exponent,
+    excerpt,
     format_weight,
     instance_document,
     instance_from_document,
@@ -39,6 +41,8 @@ from .plane import (
 
 
 def _fraction(text: str) -> Fraction:
+    if cut_exponent(text) != text:
+        raise argparse.ArgumentTypeError(f"exponent too long: {excerpt(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -147,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eptas", help="approximation schemes")
     e.add_argument("variant", choices=["max", "min"])
     e.add_argument("file")
-    e.add_argument("--epsilon", type=_fraction, required=True)
+    e.add_argument("--epsilon", required=True)
     e.add_argument("--out")
 
     b = sub.add_parser("bench", help="benchmark the solvers on a seeded suite")

@@ -2,11 +2,11 @@
 
 Both schemes partition each component's vertices into breadth-first
 layers and share one loop over the residue classes i = 0, ..., t-1 of
-layer indices.  A residue cuts every edge joining layers j and j+1 with
-j = i (mod t); what is left falls apart into bands of at most t layers,
-all solved exactly by one call on the cut graph, and each component keeps
-its best residue.  The schemes differ only in the shift width t and in
-what happens to the cut edges.
+layer indices.  Residue j mod t cuts the edges joining layers j and j+1
+(``cut_residues``); what is left falls apart into bands of at most t
+layers, all solved exactly by one call on the cut graph, and each
+component keeps its best residue.  The schemes differ only in the shift
+width t and in what happens to the cut edges.
 
 The maximization scheme drops them.  The union of the band optima is
 bimodal, and some residue loses at most a 1/t fraction of the optimum, so
@@ -30,14 +30,14 @@ of the same direction, which adds no switch, so every good vertex of the
 component stays good in every cut graph.  A good-good edge of the
 component is good-good in every cut graph that holds it (both its copies
 are, when it is split), so every optimum there keeps it, and every good
-vertex is split there as well.  A split copy in the kernel takes the
-layer of the vertex it came from, so a kernel edge is cut exactly when
-its component edge is.  A residue's optimum is therefore the banked
-weight it keeps (all of it when cut edges are split, what lies outside
-the cut when they are dropped) plus the optimum of the kernel cut the
-same way.  The solver's own reduction of a cut kernel fires only where a
-dropped edge made a bad vertex good; elsewhere it returns the cut kernel
-unchanged.
+vertex is split there as well.  The reduction records the vertex each
+split copy came from, and the copy takes that vertex's layer, so a
+kernel edge is cut by the residue that cuts its component edge.  A
+residue's optimum is therefore the banked weight it keeps (all of it
+when cut edges are split, what lies outside the cut when they are
+dropped) plus the optimum of the kernel cut the same way.  The solver's
+own reduction of a cut kernel fires only where a dropped edge made a bad
+vertex good; elsewhere it returns the cut kernel unchanged.
 
 A band that no cut of residue i or of residue i' touches is the same
 table-solved component in both cut kernels.  One shifting call therefore
@@ -51,12 +51,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmbeddingError, FormatError
-from .kernel import ReducedInstance, reduce_to_simple, solve_subexponential
+from .kernel import reduce_to_simple, solve_subexponential
 from .plane import (
     HEAD,
     TAIL,
@@ -65,6 +64,7 @@ from .plane import (
     PlaneDigraph,
     Solution,
     component_instances,
+    cut_exponent,
     dart,
     excerpt,
     make_solution,
@@ -72,25 +72,9 @@ from .plane import (
 )
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """Vertices grouped by undirected breadth-first distance from a root."""
-    layers: tuple[tuple[int, ...], ...]
-    layer_of: tuple[int, ...]
-
-    def boundary_edges(self, graph: PlaneDigraph, t: int, residue: int) -> set[int]:
-        """Edges between layers j and j+1 with j = residue (mod t)."""
-        out = set()
-        for e, (u, v) in enumerate(graph.edges):
-            lo, hi = sorted((self.layer_of[u], self.layer_of[v]))
-            if hi - lo == 1 and lo % t == residue:
-                out.add(e)
-        return out
-
-
-def bfs_layers(graph: PlaneDigraph) -> LayerDecomposition:
-    """Undirected BFS distance classes from vertex 0 (graph must be
-    connected); no edge ever skips a layer."""
+def bfs_layers(graph: PlaneDigraph) -> tuple[int, ...]:
+    """Each vertex's undirected BFS distance from vertex 0, its layer (the
+    graph must be connected); no edge ever skips a layer."""
     n = graph.vertex_count
     if n == 0:
         raise EmbeddingError("bfs_layers needs a graph with a vertex")
@@ -108,15 +92,25 @@ def bfs_layers(graph: PlaneDigraph) -> LayerDecomposition:
                 queue.append(u)
     if any(x < 0 for x in dist):
         raise EmbeddingError("bfs_layers needs a connected graph")
-    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
-    for v in range(n):
-        layers[dist[v]].append(v)
-    return LayerDecomposition(tuple(tuple(l) for l in layers), tuple(dist))
+    return tuple(dist)
+
+
+def cut_residues(edges: Sequence[tuple[int, int]], layer_of: Sequence[int],
+                 t: int) -> list[int]:
+    """The residue that cuts each edge: j mod t for an edge joining layers
+    j and j+1, -1 for an edge inside one layer."""
+    out = []
+    for u, v in edges:
+        lo, hi = sorted((layer_of[u], layer_of[v]))
+        if hi - lo > 1:
+            raise EmbeddingError("an edge skips a layer")
+        out.append(lo % t if hi > lo else -1)
+    return out
 
 
 def _check_epsilon(eps) -> Fraction:
     try:
-        eps = Fraction(eps)
+        eps = Fraction(cut_exponent(eps) if isinstance(eps, str) else eps)
     except (TypeError, ValueError, ArithmeticError):
         raise FormatError(f"epsilon {excerpt(eps)} is not a number") from None
     if not (0 < eps <= 1):
@@ -129,32 +123,14 @@ def _check_epsilon(eps) -> Fraction:
     return eps
 
 
-def _kernel_layers(sub: Instance, layers: LayerDecomposition,
-                   red: ReducedInstance) -> LayerDecomposition:
-    """The layers of the component ``sub`` carried over to its normal form
-    ``red``: a kept vertex keeps its layer, and a split copy takes the
-    layer of the vertex it was split from, the component end of its one
-    dart's edge."""
-    rotation = red.instance.graph.rotation
-    layer_of = []
-    for v, orig in enumerate(red.orig_vertex_ids):
-        if orig < 0:
-            (d,) = rotation[v]
-            orig = sub.graph.edges[red.orig_edge_ids[d >> 1]][d & 1]
-        layer_of.append(layers.layer_of[orig])
-    grouped: list[list[int]] = [[] for _ in layers.layers]
-    for v, j in enumerate(layer_of):
-        grouped[j].append(v)
-    return LayerDecomposition(tuple(map(tuple, grouped)), tuple(layer_of))
-
-
 def _shift(instance: Instance, t: int, split: bool, method: str
            ) -> tuple[Solution, list[Fraction], list[int]]:
     """The shifting loop of both schemes.
 
-    Each component is reduced to its normal form once.  Per residue i, the
-    normal form's cut edges are split (``split``, by ``split_layer_graphs``)
-    or dropped (by ``_drop_cut``), and the result is solved exactly by one
+    Each component is reduced to its normal form once, and each kernel and
+    banked edge given its cut residue once.  Per residue i, the normal
+    form's cut edges are split (``split``, by ``split_layer_graphs``) or
+    dropped (by ``_drop_cut``), and the result is solved exactly by one
     ``solve_subexponential`` call.  All these calls share one ``solved``
     dict, so a table-solved component that repeats in another residue or
     component is tabulated once per call.  A kernel edge counts as kept
@@ -164,31 +140,30 @@ def _shift(instance: Instance, t: int, split: bool, method: str
     component.  Residues from ``depth - 1`` on cut nothing, so the whole
     component is solved once and stands for all of them.  Each component
     takes its best residue (lowest index on ties).  Returns the certified
-    solution, the kept weight per residue (one entry per residue below
-    both t and the deepest layer count) and the chosen residue of each
-    component with edges."""
+    solution, the kept weight per residue (one entry per residue below both
+    t and the deepest layer count) and the chosen residue of each component
+    with edges."""
     piece = split_layer_graphs if split else _drop_cut
     parts = [(sub, eids, bfs_layers(sub.graph))
              for sub, eids in component_instances(instance)]
-    deepest = max((len(layers.layers) for _sub, _eids, layers in parts), default=0)
+    deepest = max((max(layer_of) + 1 for _sub, _eids, layer_of in parts), default=0)
     # kept weights in the instance's integer scaling, shared by every component
     int_w, scale, _total = instance.int_weights
     per_residue = [0] * min(t, deepest)
     solved: dict = {}   # table-solved components of this call, see solve_components
     kept: set[int] = set()
     chosen: list[int] = []
-    for sub, eids, layers in parts:
+    for sub, eids, layer_of in parts:
         red = reduce_to_simple(sub)
-        kernel_layers = _kernel_layers(sub, layers, red)
-        # each banked edge with the residue that cuts it, -1 for none
-        banked = []
-        for e in red.banked_edges:
-            lo, hi = sorted(layers.layer_of[v] for v in sub.graph.edges[e])
-            banked.append((e, lo % t if hi > lo else -1))
+        kernel_cut_by = cut_residues(red.instance.graph.edges,
+                                     [layer_of[v] for v in red.orig_vertex_ids], t)
+        banked = list(zip(red.banked_edges, cut_residues(
+            [sub.graph.edges[e] for e in red.banked_edges], layer_of, t)))
         kept_sets: list[set[int]] = []
         values: list[int] = []
-        for i in range(min(t, len(layers.layers))):
-            cut_kernel, edge_orig = piece(red.instance, kernel_layers, i, t)
+        for i in range(min(t, max(layer_of) + 1)):
+            cut = [e for e, cut_by in enumerate(kernel_cut_by) if cut_by == i]
+            cut_kernel, edge_orig = piece(red.instance, cut)
             sol = solve_subexponential(cut_kernel, solved=solved)
             dropped = {e for j, e in enumerate(edge_orig) if j not in sol.kept_edges}
             here = {red.orig_edge_ids[e] for e in edge_orig if e not in dropped}
@@ -206,16 +181,15 @@ def _shift(instance: Instance, t: int, split: bool, method: str
             [Fraction(w, scale) for w in per_residue], chosen)
 
 
-def _drop_cut(instance: Instance, layers: LayerDecomposition,
-              residue: int, t: int) -> tuple[Instance, Sequence[int]]:
-    """The graph without the residue's cut edges, and its edges' ids; the
-    instance itself, with identity ids, when the residue cuts nothing."""
+def _drop_cut(instance: Instance, cut: Sequence[int]) -> tuple[Instance, Sequence[int]]:
+    """The graph without the cut edges ``cut``, and its edges' ids; the
+    instance itself, with identity ids, when ``cut`` is empty."""
     g = instance.graph
-    cut = layers.boundary_edges(g, t, residue)
     if not cut:
         return instance, range(g.edge_count)
+    dropped = set(cut)
     piece, _vids, eids = subgraph_by_edges(
-        instance, [e for e in range(g.edge_count) if e not in cut])
+        instance, [e for e in range(g.edge_count) if e not in dropped])
     return piece, eids
 
 
@@ -238,24 +212,21 @@ def eptas_max(instance: Instance, eps) -> tuple[Solution, dict]:
     return solution, report
 
 
-def split_layer_graphs(instance: Instance, layers: LayerDecomposition,
-                       residue: int, t: int) -> tuple[Instance, tuple[int, ...]]:
-    """Split each of the residue's cut edges e = (u, v) whose two ends both
-    have degree above one: e keeps its dart at u and ends at a fresh
-    vertex, and a new copy of e, starting at another fresh vertex, takes
-    e's slot at v.  Every vertex keeps its rotation, so each component of
-    the result lies in one band, except for the degree-one ends of cut
-    edges left whole.  Such an end lies on no middle set, and its copy
-    would be a good-good edge that every optimum keeps, so splitting the
-    edge would change neither the optimum nor the tables.  Returns the
-    split instance and the original id of each of its edges; the instance
-    itself, with identity ids, when nothing is split."""
+def split_layer_graphs(instance: Instance, cut: Sequence[int]
+                       ) -> tuple[Instance, tuple[int, ...]]:
+    """Split each edge e = (u, v) of a residue's ``cut`` (in increasing
+    order) whose two ends both have degree above one: e keeps its dart at u
+    and ends at a fresh vertex, and a new copy of e, starting at another
+    fresh vertex, takes e's slot at v.  Every vertex keeps its rotation, so
+    each component of the result lies in one band, except for the
+    degree-one ends of cut edges left whole.  Such an end lies on no middle
+    set, and its copy would be a good-good edge that every optimum keeps,
+    so splitting the edge would change neither the optimum nor the tables.
+    Returns the split instance and the original id of each of its edges;
+    the instance itself, with identity ids, when nothing is split."""
     g = instance.graph
-    if any(abs(layers.layer_of[u] - layers.layer_of[v]) > 1 for u, v in g.edges):
-        raise EmbeddingError("an edge skips a layer")
     n, m = g.vertex_count, g.edge_count
-    cut = [e for e in sorted(layers.boundary_edges(g, t, residue))
-           if all(len(g.rotation[v]) > 1 for v in g.edges[e])]
+    cut = [e for e in cut if all(len(g.rotation[v]) > 1 for v in g.edges[e])]
     if not cut:
         return instance, tuple(range(m))
     edges = list(g.edges)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,6 +39,10 @@ class GenParams:
             raise FormatError("orientation_bias must lie in [0, 1]")
         if self.weight_lo <= 0 or self.weight_hi < self.weight_lo:
             raise FormatError("weight range must satisfy 0 < lo <= hi")
+        # a weight p/q has q <= 6, so p <= 6 * hi; 0 means no digit limit
+        limit = sys.get_int_max_str_digits()
+        if limit and 6 * self.weight_hi >= 10 ** limit:
+            raise FormatError(f"weight_hi allows weights of more than {limit} digits")
         if self.density not in ("triangulation", "sparse"):
             raise FormatError(f"unknown density {self.density!r}")
         if not (0 <= self.sparse_p <= 1):

@@ -62,7 +62,7 @@ class ReducedInstance:
     instance: Instance
     base_kept_weight: Fraction
     orig_edge_ids: tuple[int, ...]
-    orig_vertex_ids: tuple[int, ...]   # original id, or -1 for split copies
+    orig_vertex_ids: tuple[int, ...]   # original id; for a split copy, the vertex it came from
     banked_edges: tuple[int, ...]      # original ids removed as good-good
     trace: tuple[tuple, ...]
 
@@ -115,6 +115,7 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
             for row, k in zip(g.rotation, degree)]
     ends = [list(pair) for pair in g.edges]
     fresh: list[int] = []                  # the one dart of fresh vertex n + k
+    split_from: list[int] = []             # and the vertex it was split from
     for v in range(n):
         if v in bad or len(rows[v]) < 2:
             continue
@@ -123,6 +124,7 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
         for e, end, x in moves:
             ends[e][end] = x
         fresh += rows[v]
+        split_from += [v] * len(rows[v])
         trace += [("split", v, moves), ("isolated", v)]
         rows[v] = []
 
@@ -138,7 +140,7 @@ def reduce_to_simple(instance: Instance) -> ReducedInstance:
                                     alive + list(range(n, n + len(fresh))), edge_ids),
             base_kept_weight=Fraction(sum([int_w[e] for e in banked]), scale),
             orig_edge_ids=tuple(edge_ids),
-            orig_vertex_ids=tuple(alive) + (-1,) * len(fresh),
+            orig_vertex_ids=tuple(alive + split_from),
             banked_edges=tuple(banked),
             trace=tuple(trace),
         )

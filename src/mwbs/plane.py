@@ -104,6 +104,24 @@ def parse_weight(text: str) -> Fraction:
     return value
 
 
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9]+(?:_[0-9]+)*)\s*\Z")
+
+
+def cut_exponent(text: str) -> str:
+    """``text`` with a decimal exponent k of more digits than L =
+    ``sys.get_int_max_str_digits()`` + ``len(text)`` has cut to L + 1, sign
+    kept, as ``Fraction`` builds ``10**k`` first, which takes seconds to
+    hours; a limit of 0 cuts nothing.  With either exponent, a positive
+    value is above 1 (k > 0) or has more digits in its denominator than
+    the limit allows (k < 0)."""
+    limit = sys.get_int_max_str_digits()
+    m = _DECIMAL_EXPONENT.search(text)
+    bound = limit + len(text)
+    if not (limit and m) or len(m.group(1).replace("_", "").lstrip("0")) <= len(str(bound)):
+        return text
+    return f"{text[:m.start(1)]}{bound + 1}"
+
+
 def format_weight(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from mwbs.configs import CLASS_MAPS, CONFIGS, collapse, realizes
 from mwbs.decomposition import ArcBoundary, JoinSplit, _run
-from mwbs.eptas import _drop_cut, bfs_layers
+from mwbs.eptas import _drop_cut, bfs_layers, cut_residues
 from mwbs.errors import BudgetExceeded, DecompositionError, EmbeddingError, FormatError
 from mwbs.kernel import optimal_switches, sections_of, solve_subexponential
 from mwbs.oracle import BUDGET, _SwitchState
@@ -290,14 +290,14 @@ def leaf_keeps(instance: Instance, table, e: int, index: int) -> bool:
     return True
 
 
-def split_every_cut_edge(instance: Instance, layers, residue: int, t: int):
-    """Split each of the residue's cut edges e = (u, v) in two, pendant
-    ends included: e keeps its dart at u and ends at a fresh vertex, and a
-    new copy of e, starting at another fresh vertex, takes e's slot at v.
-    Returns the split instance and the original id of each of its edges."""
+def split_every_cut_edge(instance: Instance, cut):
+    """Split each cut edge e = (u, v) of ``cut`` (ids in increasing order)
+    in two, pendant ends included: e keeps its dart at u and ends at a
+    fresh vertex, and a new copy of e, starting at another fresh vertex,
+    takes e's slot at v.  Returns the split instance and the original id
+    of each of its edges."""
     g = instance.graph
     n, m = g.vertex_count, g.edge_count
-    cut = sorted(layers.boundary_edges(g, t, residue))
     edges = list(g.edges)
     rotation = [list(row) for row in g.rotation]
     for k, e in enumerate(cut):
@@ -323,14 +323,16 @@ def shift_reference(instance: Instance, t: int, split: bool, method: str):
     piece = split_every_cut_edge if split else _drop_cut
     parts = [(sub, eids, bfs_layers(sub.graph))
              for sub, eids in component_instances(instance)]
-    deepest = max((len(layers.layers) for _sub, _eids, layers in parts), default=0)
+    deepest = max((max(layer_of) + 1 for _sub, _eids, layer_of in parts), default=0)
     per_residue = [Fraction(0)] * min(t, deepest)
     kept: set[int] = set()
     chosen: list[int] = []
-    for sub, eids, layers in parts:
+    for sub, eids, layer_of in parts:
+        cut_by = cut_residues(sub.graph.edges, layer_of, t)
         kept_sets, values = [], []
-        for i in range(min(t, len(layers.layers))):
-            cut_graph, edge_orig = piece(sub, layers, i, t)
+        for i in range(min(t, max(layer_of) + 1)):
+            cut = [e for e, r in enumerate(cut_by) if r == i]
+            cut_graph, edge_orig = piece(sub, cut)
             sol = solve_subexponential(cut_graph)
             dropped = {e for j, e in enumerate(edge_orig) if j not in sol.kept_edges}
             here = set(edge_orig) - dropped

@@ -153,7 +153,7 @@ def test_criterion_6_eptas_guarantees(corpus_small, oracle_of):
         g = inst.graph
         opt = oracle_of(inst).kept_weight
         opt_min = inst.total_weight - opt
-        diameter = len(bfs_layers(g).layers) - 1
+        diameter = max(bfs_layers(g))
         for eps in epsilons:
             sol, _rep = eptas_max(inst, eps)
             assert max(sol.certificate, default=0) <= 2

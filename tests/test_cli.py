@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -387,6 +388,30 @@ def test_eptas_epsilon_too_long_exits_1(tmp_path, capsys, variant):
     assert code == 1 and error.startswith("epsilon has a denominator of more than ")
 
 
+@pytest.mark.parametrize("variant", ["max", "min"])
+def test_eptas_epsilon_refused_from_its_text(tmp_path, capsys, variant):
+    """An epsilon with a long decimal exponent is refused at once, with the
+    message its value would get (1e-10000000 took 9.6 s to convert, and
+    1e99999999 did not end), and one that is no number exits 1 as well."""
+    f = tmp_path / "gen.json"
+    f.write_text(encode_instance(gen_instance(GenParams(n=40, seed=0, density="sparse"))))
+    for eps, text in (("1e-10000000", "epsilon has a denominator of more than "),
+                      ("1e99999999", "epsilon must satisfy 0 < eps <= 1"),
+                      ("-1e-99999999", "epsilon must satisfy 0 < eps <= 1"),
+                      ("abc", "epsilon 'abc' is not a number")):
+        start = time.perf_counter()
+        code, error = run_failing(capsys, "eptas", variant, str(f), f"--epsilon={eps}")
+        assert time.perf_counter() - start < 5
+        assert code == 1 and error.startswith(text)
+
+
+def test_gen_unprintable_weights_exit_1(capsys):
+    """Weights of 5001 digits are more than the interpreter prints."""
+    code, error = run_failing(capsys, "gen", "--n", "4", "--wmin", "1e5000",
+                              "--wmax", "1e5000")
+    assert code == 1 and error.startswith("weight_hi allows weights of more than ")
+
+
 def test_eptas_tiny_epsilon(tmp_path, capsys):
     """eps = 1/10**9 asks for a shift width of 10**9 (2 * 10**9 for min);
     both variants still answer with a JSON document, under a 1 GB cap."""
@@ -445,6 +470,11 @@ def test_usage_error_exits_2(capsys):
         main(["gen", "--n", "5", "--bias", "x"])
     assert exc.value.code == 2
     assert "argument --bias: not a rational: 'x'" in capsys.readouterr().err
+    for flag in ("--bias", "--wmin", "--wmax", "--p"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "5", flag, "1e99999999"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: exponent too long: '1e99999999'" in capsys.readouterr().err
 
 
 def test_malformed_file_exits_1(tmp_path, capsys):

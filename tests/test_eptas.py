@@ -14,10 +14,10 @@ import pytest
 
 from mwbs import kernel
 from mwbs.eptas import (
-    LayerDecomposition,
     _drop_cut,
     _eptas_min,
     bfs_layers,
+    cut_residues,
     eptas_max,
     eptas_min,
     split_layer_graphs,
@@ -44,39 +44,48 @@ from test_decomposition import side_by_side
 from test_plane import star4_instance, triangle_instance
 
 
+def residue_cut(g, t, i):
+    """The edges of the connected graph ``g`` that residue i of shift width
+    t cuts, in increasing order."""
+    return [e for e, cut_by in enumerate(cut_residues(g.edges, bfs_layers(g), t))
+            if cut_by == i]
+
+
 class TestLayers:
     def test_no_vertex_refused(self):
         with pytest.raises(EmbeddingError, match="bfs_layers needs a graph with a vertex"):
             bfs_layers(PlaneDigraph(0, [], []))
 
     def test_single_vertex(self):
-        g = PlaneDigraph(1, [], [[]])
-        layers = bfs_layers(g)
-        assert layers.layers == ((0,),)
+        assert bfs_layers(PlaneDigraph(1, [], [[]])) == (0,)
 
     def test_directed_path(self):
         edges = [(0, 1), (1, 2)]
         rot = [[dart(0, TAIL)], [dart(0, HEAD), dart(1, TAIL)], [dart(1, HEAD)]]
-        g = PlaneDigraph(3, edges, rot)
-        layers = bfs_layers(g)
-        assert layers.layers == ((0,), (1,), (2,))
+        assert bfs_layers(PlaneDigraph(3, edges, rot)) == (0, 1, 2)
 
     def test_no_edge_skips_a_layer(self, corpus_small):
         for inst in corpus_small[:40]:
             g = inst.graph
-            layers = bfs_layers(g)
+            layer_of = bfs_layers(g)
             for u, v in g.edges:
-                assert abs(layers.layer_of[u] - layers.layer_of[v]) <= 1
+                assert abs(layer_of[u] - layer_of[v]) <= 1
 
     def test_boundary_sets_disjoint(self, corpus_small):
-        inst = corpus_small[0]
-        layers = bfs_layers(inst.graph)
-        t = 3
-        seen = set()
-        for i in range(t):
-            cut = layers.boundary_edges(inst.graph, t, i)
-            assert not (cut & seen)
-            seen |= cut
+        """An edge joining layers j and j+1 is cut by residue j mod t and by
+        no other; an edge inside one layer by none."""
+        seen = Counter()
+        for inst in corpus_small[:40]:
+            g = inst.graph
+            layer_of = bfs_layers(g)
+            for t in (1, 2, 3, 4):
+                cut_by = cut_residues(g.edges, layer_of, t)
+                assert len(cut_by) == g.edge_count
+                for (u, v), i in zip(g.edges, cut_by):
+                    lo, hi = sorted((layer_of[u], layer_of[v]))
+                    assert i == (lo % t if hi == lo + 1 else -1)
+                    seen[i >= 0] += 1
+        assert seen[True] and seen[False]
 
 
 class TestEptasMax:
@@ -101,8 +110,7 @@ class TestEptasMax:
         for inst in corpus_small[:40]:
             eps = Fraction(1, 4)
             t = math.ceil(1 / eps)
-            layers = bfs_layers(inst.graph)
-            if len(layers.layers) - 1 < t:
+            if max(bfs_layers(inst.graph)) < t:
                 sol, _rep = eptas_max(inst, eps)
                 assert sol.kept_weight == oracle_of(inst).kept_weight
                 hit += 1
@@ -125,10 +133,9 @@ class TestEptasMax:
     def test_every_residue_union_is_bimodal(self, corpus_small):
         for inst in corpus_small[:10]:
             g = inst.graph
-            layers = bfs_layers(g)
             t = 2
             for i in range(t):
-                cut = layers.boundary_edges(g, t, i)
+                cut = residue_cut(g, t, i)
                 keep = [e for e in range(g.edge_count) if e not in cut]
                 kept = set()
                 if keep:
@@ -142,8 +149,7 @@ class TestSplitLayerGraphs:
     def test_single_band_is_whole_graph(self):
         """No cut, so the split graph is the graph itself."""
         inst = triangle_instance()
-        layers = bfs_layers(inst.graph)
-        split, edge_orig = split_layer_graphs(inst, layers, residue=2, t=4)
+        split, edge_orig = split_layer_graphs(inst, residue_cut(inst.graph, 4, 2))
         assert split.graph.vertex_count == inst.graph.vertex_count
         assert split.graph.edges == inst.graph.edges
         assert split.graph.rotation == inst.graph.rotation
@@ -154,14 +160,13 @@ class TestSplitLayerGraphs:
         """A cut edge gets two copies, or one when an end has degree one."""
         inst = corpus_small[1]
         g = inst.graph
-        layers = bfs_layers(g)
         t = 2
-        assert layers.boundary_edges(g, t, 0)
+        assert residue_cut(g, t, 0)
         pendant_cuts = 0
         for i in range(t):
-            split, edge_orig = split_layer_graphs(inst, layers, i, t)
+            boundary = residue_cut(g, t, i)
+            split, edge_orig = split_layer_graphs(inst, boundary)
             copies = Counter(edge_orig)
-            boundary = layers.boundary_edges(g, t, i)
             for e in range(g.edge_count):
                 whole = e not in boundary or min(g.degree(v) for v in g.edges[e]) == 1
                 pendant_cuts += whole and e in boundary
@@ -173,10 +178,9 @@ class TestSplitLayerGraphs:
     def test_real_vertex_rotations_preserved(self, corpus_small):
         for inst in corpus_small[:15]:
             g = inst.graph
-            layers = bfs_layers(g)
             t = 2
             for i in range(t):
-                split, edge_orig = split_layer_graphs(inst, layers, i, t)
+                split, edge_orig = split_layer_graphs(inst, residue_cut(g, t, i))
                 sg = split.graph
                 for v in range(sg.vertex_count):
                     if v >= g.vertex_count:
@@ -192,10 +196,9 @@ class TestSplitLayerGraphs:
         for inst in corpus_small[:15]:
             g = inst.graph
             deleted = set(range(g.edge_count)) - oracle_of(inst).kept_edges
-            layers = bfs_layers(g)
             t = 2
             for i in range(t):
-                split, edge_orig = split_layer_graphs(inst, layers, i, t)
+                split, edge_orig = split_layer_graphs(inst, residue_cut(g, t, i))
                 kept = {j for j, e in enumerate(edge_orig) if e not in deleted}
                 assert not split.graph.bad_vertices(kept)
 
@@ -206,16 +209,16 @@ class TestSplitLayerGraphs:
         leaves_seen = 0
         for inst in corpus_small[:40] + [sparse]:
             g = inst.graph
-            layers = bfs_layers(g)
-            depth = len(layers.layers)
+            layer_of = bfs_layers(g)
+            depth = max(layer_of) + 1
             for t in (1, 2, 3):
                 for i in range(t):
                     cuts = range(i, depth - 1, t)
-                    boundary = layers.boundary_edges(g, t, i)
+                    boundary = residue_cut(g, t, i)
                     leaves = {v for e in boundary for v in g.edges[e] if g.degree(v) == 1}
                     leaves_seen += len(leaves)
-                    split, _edge_orig = split_layer_graphs(inst, layers, i, t)
-                    band = [sum(c < layers.layer_of[v] for c in cuts)
+                    split, _edge_orig = split_layer_graphs(inst, boundary)
+                    band = [sum(c < layer_of[v] for c in cuts)
                             for v in range(g.vertex_count)]
                     components = [[v for v in verts if v < g.vertex_count]
                                   for verts, _edges in split.graph.components()]
@@ -230,28 +233,26 @@ class TestSplitLayerGraphs:
         of degree one does so to the split."""
         inst = corpus_small[1]
         m = inst.graph.edge_count
-        layers = bfs_layers(inst.graph)
-        assert not layers.boundary_edges(inst.graph, 2, 1)
-        split, edge_orig = split_layer_graphs(inst, layers, 1, 2)
+        cut = residue_cut(inst.graph, 2, 1)
+        assert not cut
+        split, edge_orig = split_layer_graphs(inst, cut)
         assert split is inst and edge_orig == tuple(range(m))
-        piece, eids = _drop_cut(inst, layers, 1, 2)
+        piece, eids = _drop_cut(inst, cut)
         assert piece is inst and list(eids) == list(range(m))
 
         path = Instance(PlaneDigraph(3, [(0, 1), (1, 2)],
                                      [[dart(0, TAIL)], [dart(0, HEAD), dart(1, TAIL)],
                                       [dart(1, HEAD)]]), (Fraction(1), Fraction(2)))
-        layers = bfs_layers(path.graph)
-        assert layers.boundary_edges(path.graph, 2, 1) == {1}
-        split, edge_orig = split_layer_graphs(path, layers, 1, 2)
+        cut = residue_cut(path.graph, 2, 1)
+        assert cut == [1]
+        split, edge_orig = split_layer_graphs(path, cut)
         assert split is path and edge_orig == (0, 1)
-        piece, eids = _drop_cut(path, layers, 1, 2)
+        piece, eids = _drop_cut(path, cut)
         assert piece.graph.edges == ((0, 1),) and list(eids) == [0]
 
     def test_edge_skipping_a_layer_refused(self):
-        inst = triangle_instance()
-        layers = LayerDecomposition(((0,), (1,), (2,)), (0, 1, 2))
         with pytest.raises(EmbeddingError, match="skips a layer"):
-            split_layer_graphs(inst, layers, 0, 2)
+            cut_residues(triangle_instance().graph.edges, (0, 1, 2), 2)
 
 
 class TestEptasMin:
@@ -321,7 +322,7 @@ class TestShiftingLoop:
         for inst, (secs, doc, rep_max, deleted, cost, rep_min) in zip(
                 instances, json.loads(proc.stdout)):
             assert secs < 0.5
-            depth = len(bfs_layers(inst.graph).layers)
+            depth = max(bfs_layers(inst.graph)) + 1
             sol, want_max = eptas_max(inst, Fraction(1, depth))
             assert doc == sol.document()
             for key in ("chosen_residues", "per_residue_kept"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,14 @@ from mwbs.generate import (
     gen_instance,
     planted_star_instance,
 )
-from mwbs.plane import PlaneDigraph, dart, dart_edge, dart_end, encode_instance
+from mwbs.plane import (
+    PlaneDigraph,
+    dart,
+    dart_edge,
+    dart_end,
+    encode_instance,
+    format_weight,
+)
 
 
 def retrace_grow(n, rng):
@@ -101,12 +109,16 @@ def test_weights_in_range():
 def test_invalid_params():
     """Each refusal of the generators' parameters, with its exact text."""
     seventh = Fraction(1, 7)
+    limit = sys.get_int_max_str_digits()
     cases = [
         (lambda: gen_instance(GenParams(n=0, seed=1)), "n must be at least 1"),
         (lambda: gen_instance(GenParams(n=3, seed=1, orientation_bias=Fraction(3, 2))),
          "orientation_bias must lie in [0, 1]"),
         (lambda: gen_instance(GenParams(n=3, seed=1, weight_lo=Fraction(0))),
          "weight range must satisfy 0 < lo <= hi"),
+        # a weight p/q has q <= 6, so this allows p = 10**limit
+        (lambda: gen_instance(GenParams(n=3, seed=1, weight_hi=Fraction(10 ** limit, 6))),
+         f"weight_hi allows weights of more than {limit} digits"),
         (lambda: gen_instance(GenParams(n=3, seed=1, density="dense")),
          "unknown density 'dense'"),
         (lambda: gen_instance(GenParams(n=3, seed=1, density="sparse", sparse_p=Fraction(3, 2))),
@@ -122,6 +134,14 @@ def test_invalid_params():
         with pytest.raises(FormatError) as info:
             call()
         assert str(info.value) == text
+
+
+def test_largest_weights_printed():
+    """Weights up to 6 * weight_hi < 10**L, L the interpreter's digit limit,
+    all print."""
+    hi = Fraction(10 ** sys.get_int_max_str_digits() - 1, 6)
+    inst = gen_instance(GenParams(n=12, seed=0, weight_lo=hi / 2, weight_hi=hi))
+    assert all(format_weight(w) for w in inst.weights)
 
 
 def test_planted_bad_vertex_count():

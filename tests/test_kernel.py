@@ -229,7 +229,7 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
     """Reference normal form: rescan the whole embedding after every rule
     and fire the lowest-numbered rule at its lowest id."""
     emb = _Embedding(instance)
-    original_n = instance.graph.vertex_count
+    origin = list(range(instance.graph.vertex_count))   # per embedding vertex
     bad_before = len(instance.graph.bad_vertices())
     trace: list[tuple] = []
     banked: list[int] = []
@@ -263,6 +263,7 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
             moves = []
             for e, end in list(emb.rot[v]):
                 x = emb.add_vertex()
+                origin.append(v)
                 emb.rot[v].remove((e, end))
                 pair = list(emb.edges[e])
                 pair[end] = x
@@ -274,7 +275,7 @@ def rescan_reduce(instance: Instance) -> ReducedInstance:
         break
 
     reduced, vertex_ids, edge_ids = emb.to_instance()
-    orig_vertices = tuple(v if v < original_n else -1 for v in vertex_ids)
+    orig_vertices = tuple(origin[v] for v in vertex_ids)
     out = ReducedInstance(
         instance=reduced,
         base_kept_weight=base,
@@ -296,6 +297,7 @@ class TestThreePassReduction:
         planted = [planted_star_instance(n, s, 12) for n in (200, 400) for s in (0, 1)]
         cases = (corpus_small + corpus_b4 + tri_frontier + tri_60 + eptas_pool + planted
                  + [star4_plus_leaf_edge(), good_degree3_tree(), triangle_instance()])
+        copies_seen = 0
         for inst in cases:
             got, want = reduce_to_simple(inst), rescan_reduce(inst)
             assert got.trace == want.trace
@@ -304,6 +306,18 @@ class TestThreePassReduction:
             assert got.orig_edge_ids == want.orig_edge_ids
             assert got.orig_vertex_ids == want.orig_vertex_ids
             assert encode_instance(got.instance) == encode_instance(want.instance)
+            # a split copy's origin is the input end of its one dart's edge,
+            # as a kept vertex is of each of its darts' edges
+            rg = got.instance.graph
+            split = {step[1] for step in got.trace if step[0] == "split"}
+            copies = [v for v, orig in enumerate(got.orig_vertex_ids) if orig in split]
+            assert len(copies) == sum(len(step[2]) for step in got.trace if step[0] == "split")
+            assert all(rg.degree(v) == 1 for v in copies)
+            copies_seen += len(copies)
+            for v, orig in enumerate(got.orig_vertex_ids):
+                for d in rg.rotation[v]:
+                    assert inst.graph.edges[got.orig_edge_ids[d >> 1]][d & 1] == orig
+        assert copies_seen
 
     def test_goodness_evaluations_are_linear(self, monkeypatch):
         # one switch count per input row of more than two darts, then one
