@@ -24,13 +24,14 @@ order as a caterpillar tree; it always runs.  On a connected graph the
 growth absorbs every edge (an exhaustive search found an addable edge for
 every connected contiguous region of small graphs), and a growth that
 stops short raises BuildError with the instance.  Recursive-bisection
-splits the edge set as evenly as possible into two contiguous halves
-(exactly for small sets, by growing a half from several seeds for larger
-ones) and recurses; it runs only when the greedy width is above 5, and
-its tree is kept when its tables hold fewer entries.  Each candidate tree
-is lifted to the whole graph and validated once there; the kept tree
-carries that report, and ``solve_dp`` builds its tables on the report's
-rooted view when it solves at the default root.  Neither builder is
+splits the edge set into two contiguous parts and recurses: it grows a
+part from several seeds and keeps the grown prefix with the fewest
+middle-set vertices among those of a third to two thirds of the edges,
+the most balanced on ties; it runs only when the greedy width is above
+5, and its tree is kept when its tables hold fewer entries.  Each
+candidate tree is lifted to the whole graph and validated once there; the
+kept tree carries that report, and ``solve_dp`` builds its tables on the
+report's rooted view when it solves at the default root.  Neither builder is
 width-optimal; externally computed decompositions can be imported instead
 and are always re-validated (middle sets are recomputed, never trusted).
 
@@ -48,9 +49,9 @@ has first end ``ends >> start & 1`` and the switch count
 but stores only what the solver reads: the ``ArcBoundary`` of each arc
 not strictly below a flat join (``dp``) and the ``JoinSplit`` of each
 join that is not flat.  ``_grow`` keeps the region's and the rest's
-masks per vertex as it absorbs edges, and a split computes, once per
-vertex, every restriction of a part that leaves both sides one run
-there, so each candidate part costs one lookup per vertex.
+masks per vertex as it absorbs edges, tests a candidate at its two ends
+only, and reports each prefix's middle-set size as it goes, so a split
+scores its prefixes with no further test.
 """
 
 from __future__ import annotations
@@ -464,11 +465,11 @@ def build_sphere_cut(graph: PlaneDigraph, strategy: Optional[str] = None) -> Sph
     arcs of the product of the demanded class counts, from dp's demand
     walk, which the view keeps for ``solve_dp``), or as many and it is
     narrower; if bisection finds no contiguous split, greedy stands.
-    Width alone misjudges: on triangulation n=100 seed 2 both trees have
-    width 11, and greedy's tables would hold 37 times bisection's
-    entries.  Greedy is about 27x cheaper to build on the 27-edge skeleton
-    of triangulation n=24 seed 11 (medians of 30 builds each, Python
-    3.11), so bisection is paid for only where the ``6**width`` tables
+    Width alone misjudges: on triangulation n=40 seed 7 both trees have
+    width 6, and greedy's tables would hold 9 times bisection's entries.
+    Greedy is about 36x cheaper to build on the 27-edge skeleton of
+    triangulation n=24 seed 11 (medians of 30 builds each, Python 3.11),
+    so bisection is paid for only where the ``6**width`` tables
     outweigh the search.  Each candidate is lifted and then validated
     once, on the whole graph, so its entries are read off the lifted
     tree's boundaries, the ones the solver tabulates; a lifted tree is as
@@ -635,13 +636,14 @@ def _greedy_sweep(graph: PlaneDigraph) -> SphereCutDecomposition:
 
 
 def _recursive_bisection(graph: PlaneDigraph) -> SphereCutDecomposition:
-    """Split the edge set into two contiguous halves, recurse on both.
+    """Split the edge set into two contiguous parts (``_split``), recurse
+    on both.
 
     Every subtree edge set must be one cyclic run at every vertex (its
-    complement then is too).  Small sets are split optimally by searching
-    sizes outward from a perfect halving; larger sets are split by greedy
-    region growth from several seeds.  Tie-break: most balanced, then
-    fewest split vertices, then lexicographically smallest side."""
+    complement then is too).  Each split keeps the grown part of a third
+    to two thirds of the edges with the fewest middle-set vertices, then
+    the most balanced, then the lexicographically smallest; a narrower
+    cut beats a more even one."""
     m = graph.edge_count
     if m == 1:
         return _degenerate_single_edge()
@@ -676,159 +678,101 @@ def _recursive_bisection(graph: PlaneDigraph) -> SphereCutDecomposition:
     return SphereCutDecomposition(next(counter), tuple(arcs), leaf_map)
 
 
-_EXACT_SPLIT_LIMIT = 14
 _MAX_SEEDS = 24
 
 
-def _grow(graph: PlaneDigraph, edge_set: Sequence[int], region: list[int], size: int) -> None:
+def _grow(graph: PlaneDigraph, edge_set: Sequence[int], region: list[int], size: int) -> list[int]:
     """Extend ``region`` in place, one edge of ``edge_set`` at a time,
-    until it holds ``size`` edges or no edge qualifies.
+    until it holds ``size`` edges or no edge qualifies, and return the
+    middle-set size of each prefix, from the starting region to the
+    whole.  A start with a vertex where the region or the rest of
+    ``edge_set`` is not one cyclic run grows nothing and has no prefix.
 
     A candidate shares an endpoint with the region, and adding it leaves
     both the region and the rest of ``edge_set`` one cyclic run at both of
-    its endpoints (nowhere else do the sides change).  The candidate
-    leaving the fewest middle-set vertices wins, lowest id on ties.  Only
-    its endpoints' inside counts change, so a candidate's key is its
-    change to the middle set, read off those counts; the run test, on the
-    region's and the rest's dart masks at the endpoints, is paid only by a
-    candidate whose key would win."""
-    rest = set(edge_set) - set(region)
+    its endpoints (nowhere else do the sides change, so when ``edge_set``
+    is one run at every vertex, each prefix and its rest are too).  The
+    candidate leaving the fewest middle-set vertices wins, lowest id on
+    ties, whatever the scan order.  Only its endpoints' inside counts
+    change, so a candidate's key is its change to the middle set, the sum
+    of its endpoints' ``gain``; the run tests (``_run``, inlined), on the
+    region's and the rest's dart masks at the endpoints, are paid only by
+    a candidate whose key would win."""
     degree = [len(row) for row in graph.rotation]
     count = [0] * graph.vertex_count
     inner = [0] * graph.vertex_count       # per vertex, the region's darts
     outer = [0] * graph.vertex_count       # and the rest's, as rotation masks
     position = graph.dart_position
-    for side, edges in ((inner, region), (outer, rest)):
-        for e in edges:
-            t, h = graph.edges[e]
-            side[t] |= 1 << position(2 * e)
-            side[h] |= 1 << position(2 * e + 1)
-    for e in region:
-        for v in graph.edges[e]:
-            count[v] += 1
-
-    def runs_at(v: int, bit: int) -> bool:
-        return (_run(inner[v] | bit, degree[v]) is not None
-                and _run(outer[v] ^ bit, degree[v]) is not None)
-
-    while len(region) < size:
-        best = None
-        for e in rest:
-            t, h = graph.edges[e]
-            ct, ch = count[t], count[h]
-            if not (ct or ch):
-                continue
-            # a vertex joins the middle set with its first inside dart, unless
-            # that is its only dart, and leaves it with its last outside one
-            key = ((ct + 1 < degree[t]) - (ct > 0) + (ch + 1 < degree[h]) - (ch > 0), e)
-            if (best is None or key < best) and runs_at(t, 1 << position(2 * e)) \
-                    and runs_at(h, 1 << position(2 * e + 1)):
-                best = key
-        if best is None:
-            return
-        e = best[1]
-        region.append(e)
-        rest.remove(e)
+    rest = {}                   # edge -> (tail, head, tail dart bit, head dart bit)
+    for e in edge_set:
         t, h = graph.edges[e]
-        for v, bit in ((t, 1 << position(2 * e)), (h, 1 << position(2 * e + 1))):
+        bt, bh = 1 << position(2 * e), 1 << position(2 * e + 1)
+        rest[e] = t, h, bt, bh
+        outer[t] |= bt
+        outer[h] |= bh
+    for e in region:
+        t, h, bt, bh = rest.pop(e)
+        for v, bit in ((t, bt), (h, bh)):
             count[v] += 1
             inner[v] |= bit
             outer[v] ^= bit
+    touched = {v for e in region for v in graph.edges[e]}
+    if any(_run(mask[v], degree[v]) is None for v in touched for mask in (inner, outer)):
+        return []
+    # a vertex joins the middle set with its first inside dart, unless that
+    # is its only dart, and leaves it with its last outside one
+    gain = [(c + 1 < k) - (c > 0) for c, k in zip(count, degree)]
+    mids = [sum(0 < count[v] < degree[v] for v in touched)]
+    while len(region) < size:
+        best = e_best = None
+        for e, (t, h, bt, bh) in rest.items():
+            if not (count[t] or count[h]):
+                continue
+            key = gain[t] + gain[h]
+            if best is not None and (key > best or key == best and e > e_best):
+                continue
+            # per side, the darts that start a run; at most one may
+            k = degree[t]
+            a, b = inner[t] | bt, outer[t] ^ bt
+            a &= ~(a << 1 | a >> k - 1)
+            b &= ~(b << 1 | b >> k - 1)
+            if a & (a - 1) or b & (b - 1):
+                continue
+            k = degree[h]
+            a, b = inner[h] | bh, outer[h] ^ bh
+            a &= ~(a << 1 | a >> k - 1)
+            b &= ~(b << 1 | b >> k - 1)
+            if a & (a - 1) or b & (b - 1):
+                continue
+            best, e_best = key, e
+        if best is None:
+            break
+        region.append(e_best)
+        t, h, bt, bh = rest.pop(e_best)
+        for v, bit in ((t, bt), (h, bh)):
+            c = count[v] = count[v] + 1
+            gain[v] = (c + 1 < degree[v]) - 1
+            inner[v] |= bit
+            outer[v] ^= bit
+        mids.append(mids[-1] + best)
+    return mids
 
 
 def _split(graph: PlaneDigraph, edge_set: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two halves of a sorted ``edge_set``, each sorted and one cyclic run
-    at every vertex; the root call passes ``range(m)``."""
+    """Two parts of a sorted ``edge_set`` of n >= 2 edges that is one
+    cyclic run at every vertex, each part sorted and one cyclic run at
+    every vertex; the root call passes ``range(m)``.
+
+    The parts are grown: from each seed (every edge, or ``_MAX_SEEDS`` of
+    them evenly spaced), ``_grow`` runs to floor(2n/3) edges, and every
+    prefix of k >= ceil(n/3) edges, the 2/3 balance window of planar
+    separators (Lipton & Tarjan 1979), is scored (middle-set size,
+    |n - 2k|, sorted part); the least wins, so a narrower cut beats a
+    more even one.  A shorter prefix is kept only when no seed's growth
+    reaches the window; a seed whose edge splits the rest has none."""
     n = len(edge_set)
     assert n >= 2
-    if n == 2:
-        return (edge_set[0],), (edge_set[1],)
-    if n <= _EXACT_SPLIT_LIMIT:
-        found = _split_exact(graph, edge_set)
-    else:
-        found = _split_greedy(graph, edge_set)
-    if found is None:
-        raise BuildError("no contiguous bipartition found",
-                         instance_document=_bare_document(graph))
-    return found
-
-
-def _split_checks(graph: PlaneDigraph, edge_set: Sequence[int]) -> list[tuple[int, dict[int, int]]]:
-    """The run tests of a split of ``edge_set``, with bit i of a part mask
-    standing for ``edge_set[i]``: per endpoint v of the set, the mask
-    ``local`` of the set's edges at v, and a dict over the restrictions
-    ``part & local`` for which the part and the rest of the set are both
-    one cyclic run at v, giving 1 when v is then on the part's middle set
-    and 0 when not.
-
-    A proper nonempty part at v is a run of consecutive darts of the set,
-    so a vertex of degree k has at most k**2 + 2 admissible restrictions,
-    found without enumerating subsets."""
-    bit = {e: 1 << i for i, e in enumerate(edge_set)}
-    checks = []
-    for v in sorted({v for e in edge_set for v in graph.edges[e]}):
-        row = graph.rotation[v]
-        k = len(row)
-        edge_bits = [bit.get(d >> 1, 0) for d in row]
-        local = sum(edge_bits)
-        ours = sum(1 << j for j, b in enumerate(edge_bits) if b)   # the set's darts
-        ok: dict[int, int] = {}
-        if _run(ours, k) is not None:
-            # the part takes none or all of the set's darts at v
-            ok[0] = 0
-            ok[local] = int(ours != (1 << k) - 1)
-        for start in range(k):
-            part = darts = 0
-            for j in range(start, start + k - 1):
-                if not edge_bits[j % k]:
-                    break
-                part |= edge_bits[j % k]
-                darts |= 1 << j % k
-                if _run(ours ^ darts, k) is not None:
-                    ok[part] = 1
-        checks.append((local, ok))
-    return checks
-
-
-def _split_cost(checks: list[tuple[int, dict[int, int]]], part: int) -> Optional[int]:
-    """The middle-set size of ``part``, or None unless the part and the
-    rest are one cyclic run at every vertex; see ``_split_checks``."""
-    cost = 0
-    for local, ok in checks:
-        c = ok.get(part & local)
-        if c is None:
-            return None
-        cost += c
-    return cost
-
-
-def _split_exact(graph: PlaneDigraph, edge_set: tuple[int, ...]):
-    """The most balanced split, the smaller part holding ``edge_set[0]`` on
-    equal balance, then the fewest middle-set vertices; None if none.  Parts
-    come in lexicographic order of the sorted ``edge_set``, so the first
-    part of least cost is the lexicographically smallest one."""
-    n = len(edge_set)
-    checks = _split_checks(graph, edge_set)
-    # the anchor edge_set[0] is bit 0 of every part
-    others = [1 << i for i in range(1, n)]
-    sizes = sorted(range(1, n), key=lambda s: (abs(2 * s - n), s))
-    for size in sizes:
-        best = None
-        for combo in itertools.combinations(others, size - 1):
-            part = sum(combo, 1)
-            cost = _split_cost(checks, part)
-            if cost is not None and (best is None or cost < best[0]):
-                best = cost, part
-        if best is not None:
-            return (tuple(e for i, e in enumerate(edge_set) if best[1] >> i & 1),
-                    tuple(e for i, e in enumerate(edge_set) if not best[1] >> i & 1))
-    return None
-
-
-def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
-    n = len(edge_set)
-    checks = _split_checks(graph, edge_set)
-    bit = {e: 1 << i for i, e in enumerate(edge_set)}
+    low = -(-n // 3)
     seeds = list(edge_set)
     if len(seeds) > _MAX_SEEDS:
         step = len(seeds) / _MAX_SEEDS
@@ -836,13 +780,13 @@ def _split_greedy(graph: PlaneDigraph, edge_set: tuple[int, ...]):
     best = None
     for seed in seeds:
         grown = [seed]
-        _grow(graph, edge_set, grown, n // 2)    # the rest keeps n - n // 2 edges
-        cost = _split_cost(checks, sum(bit[e] for e in grown))
-        if cost is not None:
-            key = (abs(n - 2 * len(grown)), cost, tuple(sorted(grown)))
-            if best is None or key < best:
-                best = key
+        for k, mid in enumerate(_grow(graph, edge_set, grown, 2 * n // 3), 1):
+            key = (k < low, mid, abs(n - 2 * k))
+            if best is None or key < best[0] or \
+                    key == best[0] and sorted(grown[:k]) < best[1]:
+                best = key, sorted(grown[:k])
     if best is None:
-        return None
-    part = set(best[2])
-    return best[2], tuple(e for e in edge_set if e not in part)
+        raise BuildError("no contiguous bipartition found",
+                         instance_document=_bare_document(graph))
+    part = set(best[1])
+    return tuple(best[1]), tuple(e for e in edge_set if e not in part)

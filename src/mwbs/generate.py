@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EmbeddingError, FormatError
-from .plane import HEAD, TAIL, Instance, PlaneDigraph, dart, dart_edge, dart_end
+from .plane import HEAD, TAIL, Instance, PlaneDigraph, dart, dart_edge, dart_end, excerpt
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def _random_weight(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
         hi_n = (hi.numerator * q) // hi.denominator       # floor(hi*q)
         if lo_n <= hi_n:
             return Fraction(rng.randint(lo_n, hi_n), q)
-    raise FormatError(f"weight range [{lo}, {hi}] contains no small rational")
+    # excerpt, not str: a bound may have more digits than the interpreter prints
+    raise FormatError(f"weight range [{excerpt(lo)}, {excerpt(hi)}] contains no small rational")
 
 
 def _orient_rows(rotation, emap, directed) -> list[list[int]]:

@@ -406,10 +406,15 @@ def test_eptas_epsilon_refused_from_its_text(tmp_path, capsys, variant):
 
 
 def test_gen_unprintable_weights_exit_1(capsys):
-    """Weights of 5001 digits are more than the interpreter prints."""
+    """Weights of 5001 digits are more than the interpreter prints, and so
+    is a range of 5001-digit denominators, which holds no small rational."""
     code, error = run_failing(capsys, "gen", "--n", "4", "--wmin", "1e5000",
                               "--wmax", "1e5000")
     assert code == 1 and error.startswith("weight_hi allows weights of more than ")
+    code, error = run_failing(capsys, "gen", "--n", "4", "--wmin", "1e-5000",
+                              "--wmax", "1e-5000")
+    assert code == 1 and error.startswith("weight range [")
+    assert error.endswith("] contains no small rational") and len(error) < 200
 
 
 def test_eptas_tiny_epsilon(tmp_path, capsys):

@@ -21,8 +21,6 @@ from mwbs.decomposition import (
     _grow,
     _recursive_bisection,
     _skeleton,
-    _split_checks,
-    _split_cost,
     build_sphere_cut,
     decomposition_from_document,
     validate_decomposition,
@@ -193,20 +191,19 @@ class TestBuilderPolicy:
         assert validate_decomposition(g, dec).width == 5
 
     def test_fewer_entries_kept_on_a_width_tie(self):
-        """Triangulation n=100 seed 2 reduces to one component on which
-        greedy and bisection both give width 11, but the tables that
-        solve_dp builds on bisection's tree hold 6,393,586 entries and on
-        greedy's 234,726,902 (14,890,290 and 1,762,998,792 with every
-        class tabulated): the policy keeps bisection's tree.  Built,
+        """Triangulation n=40 seed 7 reduces to one component on which
+        greedy and bisection both give width 6, but the tables that
+        solve_dp builds on bisection's tree hold 2,596 entries and on
+        greedy's 23,334: the policy keeps bisection's tree.  Built,
         validated and walked for demand only."""
-        (sub,) = dp_components(gen_instance(GenParams(n=100, seed=2)))
+        (sub,) = dp_components(gen_instance(GenParams(n=40, seed=7)))
         g = sub.graph
         skeleton, lift = _skeleton(g)
         greedy = decomposition._validated(g, lift(_greedy_sweep(skeleton)))
         bisection = decomposition._validated(g, lift(_recursive_bisection(skeleton)))
-        assert (greedy.declared_width, bisection.declared_width) == (11, 11)
-        assert demanded_entries(greedy) == 234_726_902
-        assert demanded_entries(bisection) == 6_393_586
+        assert (greedy.declared_width, bisection.declared_width) == (6, 6)
+        assert demanded_entries(greedy) == 23_334
+        assert demanded_entries(bisection) == 2_596
         dec = build_sphere_cut(g)
         assert (dec.arcs, dec.leaf_map) == (bisection.arcs, bisection.leaf_map)
 
@@ -387,8 +384,9 @@ class TestSkeletonFirst:
     def test_tri_frontier_work(self, monkeypatch):
         """Sum of 6**|mid| over the arcs of the 15 tri-frontier components
         (triangulations n=24 seeds 0-14), the arcs below flat arcs included
-        (``oracles.reference_rooted``): 582,720 when the whole component
-        was decomposed.  Bisection only ever sees a skeleton."""
+        (``oracles.reference_rooted``): 257,070; 252,750 when bisection's
+        splits put balance first, and 582,720 when the whole component was
+        decomposed.  Bisection only ever sees a skeleton."""
         seen = []
         real = decomposition._recursive_bisection
         monkeypatch.setattr(decomposition, "_recursive_bisection",
@@ -411,14 +409,15 @@ class TestSkeletonFirst:
     def test_triangulation_60_seed_0(self):
         """Greedy on the whole component is 10 wide, out of reach.  On the
         skeleton greedy is above 5 too, so the policy's tree is the
-        skeleton + bisection one; it solves the component, with the same
-        optimum from three roots."""
+        skeleton + bisection one, 8 wide (5 when bisection's splits put
+        balance first); it solves the component, with the same optimum
+        from three roots."""
         (sub,) = dp_components(gen_instance(GenParams(n=60, seed=0)))
         g = sub.graph
         assert validate_decomposition(g, _greedy_sweep(g)).width == 10
         dec = build_sphere_cut(g)
         skel, lift = _skeleton(g)
-        assert lift(_recursive_bisection(skel)) == dec and dec.declared_width == 5
+        assert lift(_recursive_bisection(skel)) == dec and dec.declared_width == 8
         leaves = sorted(dec.leaf_map)
         optima = {solve_dp(sub, dec, root).kept_weight
                   for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1])}
@@ -475,7 +474,8 @@ class TestDeepBisection:
 
 class TestBisectionPins:
     """SHA-256 of canonical ``_recursive_bisection`` documents, recorded
-    before the exact and greedy splits shared one validity check."""
+    when one growth rule, scored in the 2/3 balance window, made every
+    split."""
 
     @staticmethod
     def digest(graphs):
@@ -484,59 +484,110 @@ class TestBisectionPins:
 
     def test_greedy_split_component(self):
         assert self.digest([seed11_component()]) == \
-            "4432f08583509475081e204d0775e050b15767b9920e26a72fd7ec7fd39bcede"
+            "2b41c26533978a21df072a62eeea364da2288d7e28905aed4f4f582beedd40d7"
 
     def test_exact_split_corpus_slice(self, corpus_small):
         assert self.digest(inst.graph for inst in corpus_small[:60]) == \
-            "33eca96ee35149c89e344cf2a5fdc5dbd85e0a3a1f66d01d35fbeefee1482ca4"
+            "86aafc303cd35393e5e3a8de892026f6ea15219bf83600d712ac93f2ebf21ea5"
 
-    @staticmethod
-    def brute_force_split(graph, edge_set):
-        """Every part holding ``edge_set[0]`` whose part and rest are one
-        run at every endpoint of the set: the most balanced part, the
-        smaller on equal balance, then the fewest middle-set vertices, then
-        the lexicographically smallest sorted edge tuple; None if no part
-        qualifies."""
-        n = len(edge_set)
-        verts = {v for e in edge_set for v in graph.edges[e]}
-        for size in sorted(range(1, n), key=lambda s: (abs(2 * s - n), s)):
-            found = []
-            for combo in itertools.combinations(edge_set[1:], size - 1):
-                part = {edge_set[0], *combo}
-                rest = set(edge_set) - part
-                if all(flag_run([d >> 1 in side for d in graph.rotation[v]]) is not None
-                       for v in verts for side in (part, rest)):
-                    found.append((len(middle_set(graph, part)), tuple(sorted(part))))
-            if found:
-                part = min(found)[1]
-                return part, tuple(sorted(set(edge_set) - set(part)))
-        return None
-
-    def test_exact_split_tie_break(self, monkeypatch):
-        """``_split_exact`` picks ``brute_force_split``'s part on every edge
-        set of up to 14 edges that bisection hands it on the reduced
-        skeletons of triangulations n=24 seeds 0-14 and n=60 seeds 0-9,
-        and on two random sorted subsets of each skeleton."""
+    def test_split_takes_the_reference_part(self, monkeypatch):
+        """``_split`` returns ``reference_split``'s part on every edge set
+        that bisection hands it on the reduced skeletons of triangulations
+        n=24 seeds 0-14 and n=60 seeds 0-9, and on two random grown regions
+        of each skeleton and their rests, some of them disconnected; and on
+        every other edge of a path, where no growth reaches the window."""
         sets = []
-        exact = decomposition._split_exact
-        monkeypatch.setattr(decomposition, "_split_exact",
-                            lambda g, edge_set: sets.append((g, edge_set)) or exact(g, edge_set))
+        real = decomposition._split
+        monkeypatch.setattr(decomposition, "_split",
+                            lambda g, edge_set: sets.append((g, edge_set)) or real(g, edge_set))
         rng = random.Random(3)
         for n, seeds in ((24, range(15)), (60, range(10))):
             for seed in seeds:
                 for sub in dp_components(gen_instance(GenParams(n=n, seed=seed))):
                     skel = _skeleton(sub.graph)[0]
                     _recursive_bisection(skel)
-                    m = skel.edge_count
-                    sets += [(skel, tuple(sorted(rng.sample(range(m), rng.randint(3, min(m, 14))))))
-                             for _ in range(2)]
-        assert len(sets) > 390 and max(len(edge_set) for _g, edge_set in sets) == 14
-        split_anywhere = 0
+                    for _ in range(2):
+                        part = random_region(skel, range(skel.edge_count), rng)
+                        rest = tuple(e for e in range(skel.edge_count) if e not in part)
+                        sets += [(skel, part), (skel, rest)]
+        sets.append((path_instance(7).graph, (0, 2, 4, 6)))
+        assert len(sets) > 700 and max(len(edge_set) for _g, edge_set in sets) > 50
+        short = 0
         for g, edge_set in sets:
-            want = self.brute_force_split(g, edge_set)
-            assert exact(g, edge_set) == want, edge_set
-            split_anywhere += want is not None
-        assert 350 < split_anywhere < len(sets)
+            want, in_window = reference_split(g, edge_set)
+            assert real(g, edge_set) == want, edge_set
+            short += not in_window
+        assert short > 0
+
+
+def random_region(graph, edge_set, rng):
+    """A sorted connected part of ``edge_set`` grown by adding random edges
+    that keep it and the rest of the set one run at their two ends, from
+    a random edge that the rest is one run at, to a random size that
+    leaves two edges or more on each side; ``edge_set`` must be one run at
+    every vertex."""
+    edge_set = list(edge_set)
+    size = rng.randint(2, len(edge_set) - 2)
+    part = set()
+    options = [e for e in edge_set if runs_at_ends(graph, edge_set, {e}, e)]
+    while options and len(part) < size:
+        part.add(rng.choice(options))
+        ends = {v for e in part for v in graph.edges[e]}
+        options = [e for e in edge_set if e not in part and ends.intersection(graph.edges[e])
+                   and runs_at_ends(graph, edge_set, part | {e}, e)]
+    return tuple(sorted(part))
+
+
+def runs_at_ends(graph, edge_set, part, e):
+    """Whether ``part`` and the rest of ``edge_set`` are one run at both
+    ends of edge e (``flag_run``)."""
+    rest = set(edge_set) - part
+    return all(flag_run([d >> 1 in side for d in graph.rotation[v]]) is not None
+               for v in graph.edges[e] for side in (part, rest))
+
+
+def reference_prefixes(graph, edge_set, seed, size):
+    """The parts that ``_grow`` passes through from ``[seed]`` to at most
+    ``size`` edges, recomputed on flag lists: each step adds the edge
+    sharing an end with the part that keeps the part and the rest one run
+    at its two ends, with the fewest middle-set vertices after it
+    (``middle_set``), lowest id on ties.  No part when the seed's ends
+    split the rest."""
+    part = {seed}
+    if not runs_at_ends(graph, edge_set, part, seed):
+        return []
+    parts = [sorted(part)]
+    while len(part) < size:
+        ends = {v for e in part for v in graph.edges[e]}
+        options = [(len(middle_set(graph, part | {e})), e) for e in edge_set
+                   if e not in part and ends.intersection(graph.edges[e])
+                   and runs_at_ends(graph, edge_set, part | {e}, e)]
+        if not options:
+            break
+        part.add(min(options)[1])
+        parts.append(sorted(part))
+    return parts
+
+
+def reference_split(graph, edge_set):
+    """``_split``'s rule over ``reference_prefixes``: from each seed (every
+    edge, or 24 evenly spaced), the parts up to floor(2n/3) edges, keyed
+    (below ceil(n/3) edges, middle-set size, |n - 2k|, sorted part); the
+    least as (part, rest), and whether it lies in the window.  Every part
+    is checked to be one run, with its rest, at every vertex of the set."""
+    n = len(edge_set)
+    seeds = list(edge_set) if n <= 24 else [edge_set[int(i * (n / 24))] for i in range(24)]
+    verts = {v for e in edge_set for v in graph.edges[e]}
+    keys = []
+    for seed in seeds:
+        for part in reference_prefixes(graph, edge_set, seed, 2 * n // 3):
+            rest = set(edge_set) - set(part)
+            assert all(flag_run([d >> 1 in side for d in graph.rotation[v]]) is not None
+                       for v in verts for side in (set(part), rest))
+            k = len(part)
+            keys.append((k < -(-n // 3), len(middle_set(graph, part)), abs(n - 2 * k), part))
+    short, _mid, _balance, part = min(keys)
+    return (tuple(part), tuple(e for e in edge_set if e not in part)), not short
 
 
 def side_by_side(g1, g2):
@@ -549,13 +600,13 @@ def side_by_side(g1, g2):
 
 
 class TestGrowthPins:
-    """Trees recorded before the sweep and the greedy split shared one
-    region-growth loop."""
+    """The region-growth loop that the sweep and every split share."""
 
     def test_triangulation_60_skeletons(self):
         """SHA-256 of the ``_recursive_bisection`` and ``_greedy_sweep``
         documents of the skeletons of triangulations n=60 seeds 0-9 (32-61
-        edges each): bisection splits them greedily at several depths."""
+        edges each); the sweep's trees are the ones recorded before the
+        sweep and the split shared one region-growth loop."""
         docs = []
         for seed in range(10):
             for sub in dp_components(gen_instance(GenParams(n=60, seed=seed))):
@@ -564,7 +615,7 @@ class TestGrowthPins:
                          for build in (_recursive_bisection, _greedy_sweep)]
         assert len(docs) == 20
         assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == \
-            "d1a3019c8874d04922acc62dc64def544fa5d85914a461f98fb5597c45474374"
+            "6c6368274d6941e53fb9904aa95a1bae97fcb46715b6f0916543ed250922eb2e"
 
     def test_sweep_refuses_a_disconnected_graph(self):
         """The sweep grows once, from edge 0: on a disconnected graph it
@@ -1118,28 +1169,41 @@ class TestRunMasks:
                        for node in report.rooted.post_order) > 64
         assert solve_dp(inst, dec).kept_weight == solve_subexponential(inst).kept_weight
 
-    def test_split_cost_matches_flags(self, corpus_small):
-        """For the parts of whole edge sets and of random subsets,
-        ``_split_cost`` is None exactly when the part or the rest is not
-        one run at some endpoint of the set, and else the part's
-        middle-set size."""
+    def test_grown_prefixes_match_flags(self, corpus_small):
+        """From every seed of whole edge sets and of random grown regions
+        and their rests, every prefix that ``_grow`` reports is one run,
+        with its rest, at every vertex of the set (``flag_run``), and its
+        reported size is its ``middle_set``'s; it reports none exactly when
+        the seed's ends split the rest.  Grown from a region too."""
         rng = random.Random(5)
+        reported = refused = 0
         for inst in connected_corpus(corpus_small, 40):
             g = inst.graph
             m = g.edge_count
-            if m < 2:
+            if m < 4:
                 continue
-            sets = [tuple(range(m))] + [tuple(sorted(rng.sample(range(m), rng.randint(2, m))))
-                                        for _ in range(2)]
+            sets = [tuple(range(m))]
+            for _ in range(2):
+                part = random_region(g, range(m), rng)
+                sets += [part, tuple(e for e in range(m) if e not in part)]
             for edge_set in sets:
-                checks = _split_checks(g, edge_set)
                 verts = {v for e in edge_set for v in g.edges[e]}
-                n = len(edge_set)
-                masks = range(1 << n) if n <= 9 else [rng.getrandbits(n) for _ in range(300)]
-                for mask in masks:
-                    part = {e for i, e in enumerate(edge_set) if mask >> i & 1}
-                    rest = set(edge_set) - part
-                    valid = all(flag_run([d >> 1 in side for d in g.rotation[v]]) is not None
-                                for v in verts for side in (part, rest))
-                    want = len(middle_set(g, part)) if valid else None
-                    assert _split_cost(checks, mask) == want, (edge_set, mask)
+                starts = [[e] for e in edge_set] + [list(random_region(g, edge_set, rng))
+                                                    for _ in range(2) if len(edge_set) >= 4]
+                for start in starts:
+                    grown = list(start)
+                    mids = _grow(g, edge_set, grown, len(edge_set))
+                    if not mids:
+                        assert grown == start and len(start) == 1
+                        assert not runs_at_ends(g, edge_set, set(start), start[0])
+                        refused += 1
+                        continue
+                    assert grown[:len(start)] == start and len(mids) == len(grown) - len(start) + 1
+                    for k, mid in enumerate(mids, len(start)):
+                        part = set(grown[:k])
+                        rest = set(edge_set) - part
+                        assert all(flag_run([d >> 1 in side for d in g.rotation[v]]) is not None
+                                   for v in verts for side in (part, rest)), (edge_set, grown[:k])
+                        assert mid == len(middle_set(g, part)), (edge_set, grown[:k])
+                        reported += 1
+        assert reported > 8000 and refused > 100

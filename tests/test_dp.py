@@ -1033,7 +1033,7 @@ class TestSolveDP:
         weight on greedy's tree and on bisection's, each lifted from the
         skeleton, at the lowest, middle and highest leaf.  A tree whose
         demand-pruned tables would hold more than 10**5 entries is
-        skipped: 7 of the 50."""
+        skipped: 6 of the 50."""
         comps = solves = skipped = 0
         for n, seeds in ((24, range(15)), (60, range(10))):
             for seed in seeds:
@@ -1058,7 +1058,7 @@ class TestSolveDP:
                             solves += 1
                     assert len(weights) <= 1, (n, seed, weights)
                     comps += 1
-        assert (comps, solves, skipped) == (25, 129, 7)
+        assert (comps, solves, skipped) == (25, 132, 6)
 
     def test_loose_join_differential(self, corpus_small):
         """Read by configuration code, every entry of every join equals the
@@ -1237,21 +1237,23 @@ class TestSolveDP:
             "c832c46f0250ea7d70fac83c636e649bc5730e14a34edf5721f9a6d86406e97e"
 
     def test_frontier_triangulation_n80_seed1(self, monkeypatch):
-        """Triangulation n=80 seed 1 reduces to a component whose tree has
-        width 9: 22,435,986 entries indexed by configuration, 231,862 by
-        class, 82,544 with each table cut to the classes an ancestor can
-        read, and 81,602 with no table below a flat arc.  Pinned: the
-        optimum and the exact entry count."""
+        """Triangulation n=80 seed 1 reduces to one component, whose tree
+        has width 6 and 21,097 entries.  When bisection put balance before
+        cut size its tree had width 9: 22,435,986 entries indexed by
+        configuration, 231,862 by class, 82,544 with each table cut to the
+        classes an ancestor can read, and 81,602 with no table below a
+        flat arc.  Pinned: the optimum and the exact entry count."""
         made = record_tables(monkeypatch)
         sol = solve_subexponential(gen_instance(GenParams(n=80, seed=1)))
         assert sol.deleted_weight == Fraction(4039, 20)
-        assert sum(len(table.costs) for table, _kids, _args in made) == 81_602
+        assert sum(len(table.costs) for table, _kids, _args in made) == 21_097
 
     def test_tri_frontier_pairs(self, monkeypatch):
         """The joins' pair evaluations over triangulations n=24 seeds 0-14
         (the tri-frontier pool): per join, the forced offsets times the
-        class pairs summed over the groups.  45,617 with flat arcs
-        tabulated in one pass, the tables holding 20,130 entries; 51,077
+        class pairs summed over the groups.  44,279 with bisection split in
+        the 2/3 balance window, the tables holding 20,014 entries; 45,617
+        when its splits put balance first, with 20,130 entries; 51,077
         when every arc was joined, on tables cut to the classes an
         ancestor can read, which held 24,656 entries; 152,644 on all-class
         tables with each class pair list cut to its maximal elements in
@@ -1274,8 +1276,8 @@ class TestSolveDP:
                 lists = _TARGET_CLASS_PAIRS[first][maps1[v], maps2[v]]
                 n *= sum(len(lists[r]) for r in reps[v])
             pairs += n
-        assert pairs == 45_617
-        assert sum(len(table.costs) for table, _kids, _args in made) == 20_130
+        assert pairs == 44_279
+        assert sum(len(table.costs) for table, _kids, _args in made) == 20_014
 
     def test_frontier_triangulation_n100_seed1(self):
         """Triangulation n=100 seed 1 solves in about 0.4 s; with class
@@ -1378,9 +1380,10 @@ class TestDemand:
         assert refused > 100
 
     def test_tri_frontier(self, monkeypatch):
-        """The components of triangulations n=24 seeds 0-14: 20,130 entries
-        where all-class tables hold 67,624 (24,656 when the arcs below flat
-        arcs had tables too)."""
+        """The components of triangulations n=24 seeds 0-14: 20,014 entries
+        where all-class tables hold 64,904 (20,130 and 67,624 when
+        bisection's splits put balance first; 24,656 pruned when the arcs
+        below flat arcs had tables too)."""
         cases = []
         real = kernel.solve_dp
 
@@ -1399,7 +1402,7 @@ class TestDemand:
             counts = compare_to_all_class_tables(sub, dec, None, made)
             pruned += counts[0]
             whole += counts[1]
-        assert (pruned, whole) == (20_130, 67_624)
+        assert (pruned, whole) == (20_014, 64_904)
 
 
 def joined_tables(inst, rooted, leaf_map):

@@ -127,7 +127,7 @@ def test_invalid_params():
          "sparse_p must lie in [0, 1]"),
         # the denominators tried are 1-6, and no q/7 of them is an integer
         (lambda: gen_instance(GenParams(n=3, seed=1, weight_lo=seventh, weight_hi=seventh)),
-         "weight range [1/7, 1/7] contains no small rational"),
+         "weight range [Fraction(1, 7), Fraction(1, 7)] contains no small rational"),
         (lambda: planted_star_instance(7, 0, 1), "planted instances need n >= 8"),
     ]
     for call, text in cases:
