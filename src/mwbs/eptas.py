@@ -182,11 +182,11 @@ def _shift(instance: Instance, t: int, split: bool, method: str
 
 
 def _drop_cut(instance: Instance, cut: Sequence[int]) -> tuple[Instance, Sequence[int]]:
-    """The graph without the cut edges ``cut``, and its edges' ids; the
-    instance itself, with identity ids, when ``cut`` is empty."""
+    """The graph without the cut edges ``cut``, and its edges' ids, by
+    ``subgraph_by_edges``.  The kernel it cuts has no isolated vertex, so
+    an empty cut drops nothing and gives the instance itself, with
+    identity ids."""
     g = instance.graph
-    if not cut:
-        return instance, range(g.edge_count)
     dropped = set(cut)
     piece, _vids, eids = subgraph_by_edges(
         instance, [e for e in range(g.edge_count) if e not in dropped])

@@ -36,7 +36,6 @@ from .plane import (
     GoodEdgeSection,
     Instance,
     Solution,
-    component_instance,
     cyclic_switches,
     dart,
     dart_direction,
@@ -46,6 +45,7 @@ from .plane import (
     format_weight,
     instance_document,
     make_solution,
+    subgraph_by_edges,
 )
 
 
@@ -471,19 +471,20 @@ def solve_components(instance: Instance, solved: dict | None = None) -> set[int]
     one, a lone edge, a star or two hubs sharing one edge, is solved in
     place by ``flat_component_deleted`` on the rows and integer weights of
     ``instance`` itself, with no copy and no certificate, and its kept set
-    is checked bimodal at every hub.  Any other component is solved by the
-    table solver over the ``build_sphere_cut`` decomposition of its
-    ``component_instance``.
-
-    ``solved``, when given, maps each table-solved component, keyed by its
-    copy's edges, rotation and weights, to its kept set.  A component found
-    there is not solved again: ``build_sphere_cut`` reads only the graph
-    and ``solve_dp`` only the instance and the tree, so an identical key
-    gives an identical kept set.  A component not found there is solved
-    and added."""
+    is checked bimodal at every hub.  Any other component is taken by
+    ``subgraph_by_edges`` and looked up in ``solved``, which maps each
+    table-solved component, keyed by its edges, rotation and weights, to
+    its kept set; only a component not found there is solved, by the
+    table solver over its ``build_sphere_cut`` decomposition, and added.
+    ``build_sphere_cut`` reads only the graph and ``solve_dp`` only the
+    instance and the tree, so an identical key gives an identical kept
+    set.  A call given no dict starts a fresh one, so a component that
+    repeats within the call is still tabulated once."""
     g = instance.graph
     rotation = g.rotation
     int_w = instance.int_weights.values
+    if solved is None:
+        solved = {}
     kept: set[int] = set()
     for verts, edge_ids in g.components():
         hubs = [v for v in verts if len(rotation[v]) > 1]
@@ -496,16 +497,13 @@ def solve_components(instance: Instance, solved: dict | None = None) -> set[int]
                     raise EmbeddingError(f"kept edge set is not bimodal at hub {v}")
             kept.update(e for e in edge_ids if e not in deleted)
         else:
-            sub, eids = component_instance(instance, verts, edge_ids)
-            if solved is None:
-                here = solve_dp(sub, build_sphere_cut(sub.graph)).kept_edges
-            else:
-                # (numerator, denominator) pairs hash faster than Fractions
-                key = (sub.graph.edges, sub.graph.rotation,
-                       tuple([(w.numerator, w.denominator) for w in sub.weights]))
-                here = solved.get(key)
-                if here is None:
-                    here = solved[key] = solve_dp(sub, build_sphere_cut(sub.graph)).kept_edges
+            sub, _vids, eids = subgraph_by_edges(instance, edge_ids)
+            # (numerator, denominator) pairs hash faster than Fractions
+            key = (sub.graph.edges, sub.graph.rotation,
+                   tuple([(w.numerator, w.denominator) for w in sub.weights]))
+            here = solved.get(key)
+            if here is None:
+                here = solved[key] = solve_dp(sub, build_sphere_cut(sub.graph)).kept_edges
             kept.update(eids[j] for j in here)
     return kept
 
@@ -514,8 +512,10 @@ def solve_subexponential(instance: Instance, method: str = "subexp",
                          solved: dict | None = None) -> Solution:
     """Reduce to the normal form, solve each component exactly, lift back;
     ``method`` names the solution, and ``solved`` is handed to
-    ``solve_components``: components it holds are not solved again.  The
-    lifted set is certified on ``instance`` either way.
+    ``solve_components`` (which starts a fresh dict when none is given): a
+    table-solved component it holds, or one met earlier in the call, is
+    not solved again.  The lifted set is certified on ``instance`` either
+    way.
 
     After reduction at most one vertex per original bad vertex has degree
     above one, which keeps the component branchwidths small."""

@@ -537,29 +537,23 @@ def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int]):
 
     Returns (sub_instance, vertex_ids, edge_ids) where the id lists map the
     dense sub-instance ids back to the originals.  Vertices that lose all
-    their darts are dropped."""
+    their darts are dropped.  A subset that drops nothing, every edge of a
+    graph with no isolated vertex, is ``instance`` itself, with identity
+    ids and no copy."""
     g = instance.graph
     edge_ids = sorted(set(int(e) for e in edge_ids))
+    if edge_ids == list(range(g.edge_count)) and all(g.rotation):
+        return instance, list(range(g.vertex_count)), edge_ids
     vertex_ids = sorted({v for e in edge_ids for v in g.edges[e]})
     sub = dense_instance(g.edges, g.rotation, instance.weights, vertex_ids, edge_ids)
     return sub, vertex_ids, edge_ids
 
 
-def component_instance(instance: Instance, verts: Sequence[int], edge_ids: Sequence[int]):
-    """(sub-instance, original edge ids) of one component ``(verts,
-    edge_ids)`` of ``instance.graph.components()``.  A component spanning
-    every vertex is the instance itself, with identity ids and no copy;
-    any other is renumbered by ``subgraph_by_edges``."""
-    g = instance.graph
-    if len(verts) == g.vertex_count:
-        return instance, range(g.edge_count)
-    sub, _vids, eids = subgraph_by_edges(instance, edge_ids)
-    return sub, eids
-
-
 def component_instances(instance: Instance):
-    """Yield ``component_instance`` of each connected component with edges,
-    in ``components`` order."""
-    for verts, edge_ids in instance.graph.components():
+    """Yield (sub-instance, original edge ids) of each connected component
+    with edges, in ``components`` order, by ``subgraph_by_edges``: a
+    component that spans the graph is the instance itself."""
+    for _verts, edge_ids in instance.graph.components():
         if edge_ids:
-            yield component_instance(instance, verts, edge_ids)
+            sub, _vids, eids = subgraph_by_edges(instance, edge_ids)
+            yield sub, eids

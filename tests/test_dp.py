@@ -54,10 +54,10 @@ from mwbs.plane import (
     Instance,
     PlaneDigraph,
     canonical_json,
-    component_instance,
     dart,
     dart_direction,
     dart_edge,
+    subgraph_by_edges,
 )
 
 from oracles import class_map, first_child_at, leaf_keeps, reference_rooted, whole_view
@@ -1042,7 +1042,7 @@ class TestSolveDP:
                 for verts, edge_ids in g.components():
                     if sum(len(g.rotation[v]) > 1 for v in verts) < 2:
                         continue
-                    sub, _eids = component_instance(red, verts, edge_ids)
+                    sub = subgraph_by_edges(red, edge_ids)[0]
                     skeleton, lift = _skeleton(sub.graph)
                     weights = set()
                     for build in (_greedy_sweep, _recursive_bisection):
@@ -1543,7 +1543,7 @@ class TestFlatArcs:
             g = form.graph
             for verts, edge_ids in g.components():
                 if sum(g.degree(v) > 1 for v in verts) > 1:
-                    sub, _eids = component_instance(form, verts, edge_ids)
+                    sub = subgraph_by_edges(form, edge_ids)[0]
                     cases.append((sub, build_sphere_cut(sub.graph)))
                     doubles += sum(min(map(g.degree, g.edges[e])) > 1 for e in edge_ids) == 1
         made = record_tables(monkeypatch)

@@ -353,7 +353,8 @@ class TestShiftingLoop:
         """Over the eptas pool (sparse n=40 seeds 0-6 at the benchmark's
         five runs), the cut kernels hold 130 table-solved components, and
         ``solve_dp`` runs for the 104 distinct ones of each call: with the
-        call's dict withheld from the solver it runs for all 130."""
+        call's dict withheld, each ``solve_subexponential`` call starts its
+        own and it runs for all 130."""
         calls = count_solve_dp(monkeypatch)
 
         def pool():

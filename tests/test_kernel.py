@@ -45,6 +45,8 @@ from mwbs.plane import (
 )
 
 from oracles import align_optimum_to_classes, brute_force_cut
+from test_decomposition import side_by_side
+from test_eptas import count_solve_dp
 from test_plane import star4_instance, triangle_instance
 
 
@@ -784,6 +786,24 @@ class TestSolveComponents:
         for inst in cases:
             sol = make_solution(inst, solve_components(inst), "subexp")
             assert sol.kept_weight == brute_force_mwbs(inst).kept_weight
+
+    def test_repeated_component_tabulated_once(self, monkeypatch):
+        """Two copies of triangulation n=12 seed 3 side by side: the normal
+        form holds the same 17-edge component twice, and a plain
+        ``solve_subexponential`` call, given no dict, tabulates it once
+        (twice when only a caller's dict was consulted).  The second copy
+        keeps the first copy's edges, so the kept weight doubles."""
+        calls = count_solve_dp(monkeypatch)
+        one = gen_instance(GenParams(n=12, seed=3))
+        m = one.graph.edge_count
+        two = Instance(side_by_side(one.graph, one.graph), one.weights * 2)
+        single = solve_subexponential(one)
+        assert len(calls) == 1
+        calls.clear()
+        double = solve_subexponential(two)
+        assert len(calls) == 1
+        assert double.kept_weight == 2 * single.kept_weight
+        assert double.kept_edges == single.kept_edges | {e + m for e in single.kept_edges}
 
     def test_stars_are_solved_in_place(self, monkeypatch):
         """The 12 star components of a planted normal form cost no

@@ -392,6 +392,24 @@ class TestSolutionAndSubgraph:
             assert dirs == orig
 
 
+    def test_subgraph_that_drops_nothing_is_its_input(self):
+        """Every edge, given unsorted and with repeats, is the instance
+        itself with identity ids.  Every edge of a graph with an isolated
+        vertex is a copy without that vertex, and so is a strict subset."""
+        inst = triangle_instance()
+        sub, vids, eids = subgraph_by_edges(inst, [2, 0, 1, 0, 2])
+        assert sub is inst and vids == [0, 1, 2] and eids == [0, 1, 2]
+        g = inst.graph
+        lonely = Instance(PlaneDigraph(4, g.edges, list(g.rotation) + [[]]), inst.weights)
+        sub, vids, eids = subgraph_by_edges(lonely, range(3))
+        assert sub is not lonely and vids == [0, 1, 2] and eids == [0, 1, 2]
+        assert (sub.graph.edges, sub.graph.rotation, sub.weights) == \
+            (g.edges, g.rotation, inst.weights)
+        sub, vids, eids = subgraph_by_edges(inst, [2, 0])
+        assert sub is not inst and sub.graph.edge_count == 2 and eids == [0, 2]
+        assert vids == [0, 1, 2] and sub.weights == (1, 1)
+
+
 def make_solution_ref(instance, kept, method):
     """Reference certificate: Fraction sums of the weights and a direction
     string per dart, with every refusal of ``make_solution``."""
