@@ -66,6 +66,14 @@ validator's rooted view, and the join turns it into a plan: the child
 index offsets it reads per owned, interior and target vertex.  A table
 of every class is the one whose demand holds every class.
 
+A leaf table's places and keep flags depend only on its edge's dart
+letters at the middle-set positions, their class maps and the demand: a
+leaf's middle set is at most the edge's two ends, each with a one-dart
+run under the tail's or the head's map, so that key takes at most 25
+values (``_leaf_shape``).  Each ``leaf_table`` call still checks its
+boundary, and builds only the costs, from the edge's integer weight, and
+the places dict, which names the vertices.
+
 Reconstruction stays in class space and reads what the tables kept.  The
 root takes the keep entry when it costs no more than deleting the root
 edge, else the first minimum of the top table.  On the way down, each
@@ -121,7 +129,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .configs import (CLASS_MAPS, CLASS_ORDERS, CONFIG_INDEX, CONFIGS, collapse,
                       compatible, compatible_wrt)
@@ -221,8 +229,13 @@ _INF = float("inf")
 
 # Class bitmasks: what a table holds at a position (``_tabulated``) and
 # what a join reads of its children (``_*_reads``), per class maps and
-# parent bitmask; each domain is a few hundred keys, so the caches stay
-# small.
+# parent bitmask.  These caches and ``_leaf_shape``'s are keyed on class
+# maps (five distinct), nonzero class bitmasks, the child holding a
+# target run's first dart and dart letters, never on a vertex id or a
+# weight, so each holds at most its domain: 99 keys for ``_tabulated``,
+# 495 for ``_owned_reads``, 25 for ``_interior_reads``, 4,950 for
+# ``_target_reads`` and 25 for ``_leaf_shape``.  Every cached value is a
+# tuple or an int, which no caller can change.
 
 @functools.cache
 def _tabulated(cmap: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -290,16 +303,31 @@ def _extend(combos: _Pairs, pairs: _Pairs) -> _Pairs:
     return [(d1 + c1, d2 + c2) for d1, d2 in combos for c1, c2 in pairs]
 
 
-def _places(boundary: ArcBoundary, demand: tuple[int, ...]) -> dict[int, _Place]:
-    """Each middle-set vertex's place in the boundary's table, in ``mid``
-    order: its demanded classes."""
+def _places(mid: Sequence[int], classes: tuple[tuple[int, ...], ...],
+            demand: tuple[int, ...]) -> dict[int, _Place]:
+    """Each middle-set vertex's place in a table, in ``mid`` order: its
+    class map, from ``classes``, and its demanded classes."""
     places = {}
     weight = 1
-    for v, cmap, mask in zip(boundary.mid, boundary.classes, demand):
+    for v, cmap, mask in zip(mid, classes, demand):
         reps, digits = _tabulated(cmap, mask)
         places[v] = (weight, cmap, reps, digits)
         weight *= len(reps)
     return places
+
+
+@functools.cache
+def _leaf_shape(letters: tuple[str, ...], classes: tuple[tuple[int, ...], ...],
+                demand: tuple[int, ...]) -> tuple[tuple[_Place, ...], tuple[bool, ...]]:
+    """A leaf table's places, per middle-set position, and per entry
+    whether it keeps the edge: ``letters`` are the edge's dart letters at
+    the positions, ``classes`` their class maps and ``demand`` their
+    tabulated classes.  A leaf's middle set is at most its two endpoints,
+    each with a one-dart run, so the key takes at most 25 values."""
+    rows = tuple(_places(range(len(classes)), classes, demand).values())
+    fits = [[letter in CONFIGS[r] for r in row[2]] for letter, row in zip(letters, rows)]
+    # the first position is the least significant digit, so it varies fastest
+    return rows, tuple(all(flags) for flags in itertools.product(*reversed(fits)))
 
 
 @dataclass
@@ -316,7 +344,8 @@ class DPTable:
     vertex's place, what a join and the root read.  No back-pointers are
     stored.  A join table keeps its ``plan``, from which reconstruction
     recomputes the pair of child entries behind one entry; a leaf table
-    keeps, per entry, whether it keeps the edge; a flat table keeps its
+    keeps, per entry, whether it keeps the edge, in a tuple that the leaf
+    tables of one shape share; a flat table keeps its
     plan (``_FlatPlan``), from which reconstruction repeats the entry's
     passes, and, when its arc holds a hub-to-hub edge, whether each entry
     keeps that edge."""
@@ -325,10 +354,10 @@ class DPTable:
     demand: tuple[int, ...]
     places: dict[int, _Place] = field(repr=False)
     plan: Optional[_Plan | _FlatPlan] = field(default=None, repr=False)
-    keeps: Optional[list[bool]] = field(default=None, repr=False)
+    keeps: Optional[Sequence[bool]] = field(default=None, repr=False)
 
 
-def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> list[str]:
+def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> tuple[str, ...]:
     """The letter of leaf edge ``e``'s dart at each middle-set position of
     its leaf arc: o at the tail, i at the head."""
     if boundary.inside_count != 1:
@@ -338,7 +367,7 @@ def _leaf_letters(instance: Instance, boundary: ArcBoundary, e: int) -> list[str
     if not set(mid) <= {t, h}:
         raise DecompositionError("leaf boundary mid must consist of the edge endpoints")
     letters = {t: "o", h: "i"}
-    return [letters[v] for v in mid]
+    return tuple([letters[v] for v in mid])
 
 
 def leaf_table(instance: Instance, boundary: ArcBoundary, e: int,
@@ -352,15 +381,16 @@ def leaf_table(instance: Instance, boundary: ArcBoundary, e: int,
     read from the instance's ``int_weights``.  Each endpoint's run is that
     one dart, so it has two classes, and the letter is tested against the
     representatives of the tabulated ones: at most 2**|mid| entries.
-    Every entry is feasible; ``keeps`` holds each entry's verdict."""
-    letters = _leaf_letters(instance, boundary, e)
+    Every entry is feasible; ``keeps`` holds each entry's verdict.
+
+    The places and the keep flags depend only on the dart letters, the
+    class maps and ``demand``, so they come from ``_leaf_shape``'s memo;
+    each call still checks the boundary (``_leaf_letters``) and builds
+    the costs, from w(e), and the ``places`` dict."""
+    rows, keeps = _leaf_shape(_leaf_letters(instance, boundary, e), boundary.classes, demand)
     w = instance.int_weights.values[e]
-    places = _places(boundary, demand)
-    fits = [[letter in CONFIGS[r] for r in reps]
-            for letter, (_weight, _cmap, reps, _digits) in zip(letters, places.values())]
-    # the first position is the least significant digit, so it varies fastest
-    keeps = [all(flags) for flags in itertools.product(*reversed(fits))]
-    return DPTable(boundary, [0 if keep else w for keep in keeps], demand, places, None, keeps)
+    return DPTable(boundary, [0 if keep else w for keep in keeps], demand,
+                   dict(zip(boundary.mid, rows)), None, keeps)
 
 
 def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
@@ -394,7 +424,7 @@ def join_tables(parent: ArcBoundary, t1: DPTable, t2: DPTable,
     with a single pair is a straight sum."""
     if t1.boundary.inside_count + t2.boundary.inside_count != parent.inside_count:
         raise DecompositionError("child arcs must partition the parent inside")
-    places = _places(parent, demand)
+    places = _places(parent.mid, parent.classes, demand)
     p1, p2 = t1.places, t2.places
     owned, interior, targets = plan = [], [], []
     f3, f1, f2 = [0], [0], [0]
@@ -533,7 +563,7 @@ def flat_table(instance: Instance, boundary: ArcBoundary, coupled: int,
     two fates' sums, and ``keeps`` holds, per entry, whether keeping the
     coupled edge costs no more."""
     int_w = instance.int_weights.values
-    places = _places(boundary, demand)
+    places = _places(boundary.mid, boundary.classes, demand)
     hubs = _flat_hubs(instance.graph, boundary, coupled)
     fates = []
     for keep in ((True, False) if coupled >= 0 else (False,)):

@@ -473,13 +473,16 @@ def solve_components(instance: Instance, solved: dict | None = None) -> set[int]
     ``instance`` itself, with no copy and no certificate, and its kept set
     is checked bimodal at every hub.  Any other component is taken by
     ``subgraph_by_edges`` and looked up in ``solved``, which maps each
-    table-solved component, keyed by its edges, rotation and weights, to
-    its kept set; only a component not found there is solved, by the
-    table solver over its ``build_sphere_cut`` decomposition, and added.
-    ``build_sphere_cut`` reads only the graph and ``solve_dp`` only the
-    instance and the tree, so an identical key gives an identical kept
-    set.  A call given no dict starts a fresh one, so a component that
-    repeats within the call is still tabulated once."""
+    table-solved component, keyed by its edges, rotation and integer
+    weights (``int_weights.values``), to its kept set; only a component
+    not found there is solved, by the table solver over its
+    ``build_sphere_cut`` decomposition, and added.  ``build_sphere_cut``
+    reads only the graph, and ``solve_dp`` builds its tables and its kept
+    set from the tree and the integer weights alone, so an identical key,
+    even one of weights that differ by a common factor, gives the
+    identical DP and so the identical kept set.  A call given no dict
+    starts a fresh one, so a component that repeats within the call is
+    still tabulated once."""
     g = instance.graph
     rotation = g.rotation
     int_w = instance.int_weights.values
@@ -498,9 +501,7 @@ def solve_components(instance: Instance, solved: dict | None = None) -> set[int]
             kept.update(e for e in edge_ids if e not in deleted)
         else:
             sub, _vids, eids = subgraph_by_edges(instance, edge_ids)
-            # (numerator, denominator) pairs hash faster than Fractions
-            key = (sub.graph.edges, sub.graph.rotation,
-                   tuple([(w.numerator, w.denominator) for w in sub.weights]))
+            key = (sub.graph.edges, sub.graph.rotation, sub.int_weights.values)
             here = solved.get(key)
             if here is None:
                 here = solved[key] = solve_dp(sub, build_sphere_cut(sub.graph)).kept_edges

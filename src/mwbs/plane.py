@@ -539,11 +539,14 @@ def subgraph_by_edges(instance: Instance, edge_ids: Sequence[int]):
     dense sub-instance ids back to the originals.  Vertices that lose all
     their darts are dropped.  A subset that drops nothing, every edge of a
     graph with no isolated vertex, is ``instance`` itself, with identity
-    ids and no copy."""
+    ids and no copy; it is recognized before any sort, as m distinct ids
+    that cover 0..m-1."""
     g = instance.graph
-    edge_ids = sorted(set(int(e) for e in edge_ids))
-    if edge_ids == list(range(g.edge_count)) and all(g.rotation):
-        return instance, list(range(g.vertex_count)), edge_ids
+    m = g.edge_count
+    distinct = set(edge_ids)
+    if len(distinct) == m and distinct.issuperset(range(m)) and all(g.rotation):
+        return instance, list(range(g.vertex_count)), list(range(m))
+    edge_ids = sorted(set(map(int, distinct)))
     vertex_ids = sorted({v for e in edge_ids for v in g.edges[e]})
     sub = dense_instance(g.edges, g.rotation, instance.weights, vertex_ids, edge_ids)
     return sub, vertex_ids, edge_ids

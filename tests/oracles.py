@@ -17,7 +17,10 @@ the per-run reference of ``configs.CLASS_MAPS``.
 ``check_view`` compares a rooted view with the reference on the arcs the
 view keeps, and ``whole_view`` stands in for a view that keeps every arc.
 ``leaf_keeps`` is the letter rule that decides whether a leaf table's
-entry keeps its edge, the reference of ``DPTable.keeps``.
+entry keeps its edge, the reference of ``DPTable.keeps``, and
+``reference_leaf_table`` builds a whole leaf table on every call, the
+reference of ``dp.leaf_table``, which reads its places and flags from a
+memo.
 ``shift_reference`` is the shifting loop of both approximation schemes
 run on each whole component, the reference of ``eptas._shift``, which
 cuts each component's normal form instead; ``split_every_cut_edge`` is
@@ -32,6 +35,7 @@ from typing import NamedTuple
 
 from mwbs.configs import CLASS_MAPS, CONFIGS, collapse, realizes
 from mwbs.decomposition import ArcBoundary, JoinSplit, _run
+from mwbs.dp import DPTable, _leaf_letters, _places
 from mwbs.eptas import _drop_cut, bfs_layers, cut_residues
 from mwbs.errors import BudgetExceeded, DecompositionError, EmbeddingError, FormatError
 from mwbs.kernel import optimal_switches, sections_of, solve_subexponential
@@ -288,6 +292,22 @@ def leaf_keeps(instance: Instance, table, e: int, index: int) -> bool:
         if ("o" if v == tail else "i") not in CONFIGS[reps[digit]]:
             return False
     return True
+
+
+def reference_leaf_table(instance: Instance, boundary: ArcBoundary, e: int,
+                         demand: tuple[int, ...]) -> DPTable:
+    """The table of leaf edge ``e``'s arc, places and keep flags built on
+    every call: an entry keeps the edge iff the letter of its dart at each
+    middle-set position lies in the representative of the entry's class
+    there, and costs 0 if so, else w(e)."""
+    letters = _leaf_letters(instance, boundary, e)
+    w = instance.int_weights.values[e]
+    places = _places(boundary.mid, boundary.classes, demand)
+    fits = [[letter in CONFIGS[r] for r in reps]
+            for letter, (_weight, _cmap, reps, _digits) in zip(letters, places.values())]
+    # the first position is the least significant digit, so it varies fastest
+    keeps = [all(flags) for flags in itertools.product(*reversed(fits))]
+    return DPTable(boundary, [0 if keep else w for keep in keeps], demand, places, None, keeps)
 
 
 def split_every_cut_edge(instance: Instance, cut):

@@ -16,6 +16,7 @@ import mwbs.dp as dp
 import mwbs.eptas as eptas
 import mwbs.kernel as kernel
 from mwbs.decomposition import (
+    ArcBoundary,
     SphereCutDecomposition,
     _greedy_sweep,
     _recursive_bisection,
@@ -60,7 +61,8 @@ from mwbs.plane import (
     subgraph_by_edges,
 )
 
-from oracles import class_map, first_child_at, leaf_keeps, reference_rooted, whole_view
+from oracles import (class_map, first_child_at, leaf_keeps, reference_leaf_table,
+                     reference_rooted, whole_view)
 from test_plane import star4_instance, triangle_instance
 
 
@@ -568,6 +570,41 @@ def compare_to_all_class_tables(inst, dec, root_leaf, made):
             sum(len(table.costs) for table in tables.values()))
 
 
+# The map of a one-dart run, per its letter: a leaf arc's middle-set
+# vertex has the edge's one dart inside.
+ONE_DART_MAPS = {"o": CLASS_MAPS[0, 0], "i": CLASS_MAPS[1, 0]}
+DISTINCT_MAPS = tuple(dict.fromkeys(CLASS_MAPS.values()))
+
+
+def nonzero_masks(cmap):
+    return range(1, 1 << (max(cmap) + 1))
+
+
+# Every key of each ``dp`` cache, from ``CLASS_MAPS``: class maps, nonzero
+# class bitmasks, the child holding a target run's first dart and, for a
+# leaf, the dart letters of at most its two ends; no vertex id or weight.
+CACHE_KEYS = {
+    "_tabulated": {(cmap, mask) for cmap in DISTINCT_MAPS for mask in nonzero_masks(cmap)},
+    "_interior_reads": set(itertools.product(DISTINCT_MAPS, repeat=2)),
+    "_leaf_shape": {(letters, classes, demand)
+                    for letters in ((), ("o",), ("i",), ("o", "i"), ("i", "o"))
+                    for classes in [tuple(ONE_DART_MAPS[x] for x in letters)]
+                    for demand in itertools.product(*map(nonzero_masks, classes))},
+}
+CACHE_KEYS["_owned_reads"] = {key + (child,) for key in CACHE_KEYS["_tabulated"]
+                              for child in DISTINCT_MAPS}
+CACHE_KEYS["_target_reads"] = {key + (first,) + maps for key in CACHE_KEYS["_tabulated"]
+                               for first in (1, 2) for maps in CACHE_KEYS["_interior_reads"]}
+CACHE_DOMAINS = {name: len(keys) for name, keys in CACHE_KEYS.items()}
+
+
+def frozen(value):
+    """Whether a value is an int, a string or a tuple of such, at any depth."""
+    if isinstance(value, tuple):
+        return all(map(frozen, value))
+    return isinstance(value, (int, str))
+
+
 class TestLeafTable:
     def setup_method(self):
         self.inst = triangle_instance()
@@ -598,6 +635,47 @@ class TestLeafTable:
         b = self.rooted.boundaries[self.rooted.children[2][0]]
         with pytest.raises(DecompositionError):
             leaf_table(self.inst, b, 0, every_class(b))
+
+    def test_memo_matches_the_reference(self):
+        """Every reachable ``_leaf_shape`` key: a middle set of none, one or
+        both ends of an edge, in id order, so both letter orders; each end
+        a one-dart run under its map, and every nonzero demand there.  The
+        memoized table equals the reference built from scratch, for
+        several weights, and the memo holds exactly the enumerated keys."""
+        dp._leaf_shape.cache_clear()
+        keys = set()
+        for edge in ((0, 1), (1, 0)):
+            graph = PlaneDigraph(2, [edge], [[dart(0, edge.index(v))] for v in (0, 1)])
+            for w in (Fraction(0), Fraction(1), Fraction(5), Fraction(7, 3)):
+                inst = Instance(graph, (w,))
+                for mid in ((), (0,), (1,), (0, 1)):
+                    letters = tuple("oi"[edge.index(v)] for v in mid)
+                    classes = tuple(ONE_DART_MAPS[letter] for letter in letters)
+                    b = ArcBoundary((0, 1), mid, {v: (0, 1) for v in mid}, 1, classes)
+                    for demand in itertools.product(*(nonzero_masks(c) for c in classes)):
+                        table = leaf_table(inst, b, 0, demand)
+                        want = reference_leaf_table(inst, b, 0, demand)
+                        assert table.costs == want.costs
+                        assert list(table.keeps) == want.keeps
+                        assert table.places == want.places
+                        keys.add((letters, classes, demand))
+        assert len(keys) == dp._leaf_shape.cache_info().currsize == CACHE_DOMAINS["_leaf_shape"]
+
+    def test_refusals_survive_the_memo(self):
+        """Both boundary checks run on every call, also once the memo holds
+        the key: an inside count other than one, and a middle-set vertex
+        that is not an end of the edge."""
+        b = self.table.boundary
+        leaf_table(self.inst, b, 0, self.table.demand)
+        for count in (0, 2):
+            with pytest.raises(DecompositionError, match="single-edge"):
+                leaf_table(self.inst, b._replace(inside_count=count), 0, self.table.demand)
+        # edge 0's boundary, whose shape is memoized, given for edge 1 = (1, 2)
+        with pytest.raises(DecompositionError, match="endpoints"):
+            leaf_table(self.inst, b, 1, self.table.demand)
+        outside = b._replace(mid=(0, 2), runs={0: (0, 1), 2: (0, 1)})
+        with pytest.raises(DecompositionError, match="endpoints"):
+            leaf_table(self.inst, outside, 0, self.table.demand)
 
     def test_keep_flags_follow_the_letter_rule(self, corpus_small, monkeypatch):
         """Every entry of every leaf table that ``solve_dp`` builds keeps
@@ -1403,6 +1481,56 @@ class TestDemand:
             pruned += counts[0]
             whole += counts[1]
         assert (pruned, whole) == (20_014, 64_904)
+
+
+class TestCaches:
+    """Every ``dp`` cache is keyed on class maps, class bitmasks and dart
+    letters, never on a vertex id or a weight, so it holds at most its
+    domain, and every value it hands out is immutable."""
+
+    def test_domain_sizes(self):
+        assert CACHE_DOMAINS == {"_tabulated": 99, "_interior_reads": 25, "_leaf_shape": 25,
+                                 "_owned_reads": 495, "_target_reads": 4_950}
+
+    def test_results_are_frozen(self):
+        for name, keys in CACHE_KEYS.items():
+            fn = getattr(dp, name)
+            for key in keys:
+                assert frozen(fn(*key)), (name, key)
+
+    def test_solves_stay_in_the_domains(self, corpus_small, monkeypatch):
+        """``corpus_small[:200]`` at three roots, the tri-frontier pool
+        (triangulations n=24 seeds 0-14) and the eptas pool (sparse n=40
+        seeds 0-6, eptas_max at eps 1/2, 1/3, 1/4, eptas_min at 1/2, 1/3):
+        every key each cache is called with lies in its domain, and each
+        cache, cleared first, ends within its domain size."""
+        seen = {name: set() for name in CACHE_KEYS}
+        for name in CACHE_KEYS:
+            real = getattr(dp, name)
+            real.cache_clear()
+
+            def spy(*key, _real=real, _seen=seen[name]):
+                _seen.add(key)
+                return _real(*key)
+
+            monkeypatch.setattr(dp, name, spy)
+        for inst in corpus_small[:200]:
+            dec = build_sphere_cut(inst.graph)
+            leaves = sorted(dec.leaf_map)
+            for root in (leaves[0], leaves[len(leaves) // 2], leaves[-1]):
+                solve_dp(inst, dec, root)
+        for seed in range(15):
+            solve_subexponential(gen_instance(GenParams(n=24, seed=seed)))
+        for seed in range(7):
+            inst = gen_instance(GenParams(n=40, seed=seed, density="sparse"))
+            for eps in ("1/2", "1/3", "1/4"):
+                eptas.eptas_max(inst, Fraction(eps))
+            for eps in ("1/2", "1/3"):
+                eptas.eptas_min(inst, Fraction(eps))
+        monkeypatch.undo()
+        for name, keys in CACHE_KEYS.items():
+            assert seen[name] and seen[name] <= keys, name
+            assert getattr(dp, name).cache_info().currsize <= CACHE_DOMAINS[name], name
 
 
 def joined_tables(inst, rooted, leaf_map):

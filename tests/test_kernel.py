@@ -792,7 +792,10 @@ class TestSolveComponents:
         form holds the same 17-edge component twice, and a plain
         ``solve_subexponential`` call, given no dict, tabulates it once
         (twice when only a caller's dict was consulted).  The second copy
-        keeps the first copy's edges, so the kept weight doubles."""
+        keeps the first copy's edges, so the kept weight doubles.  With the
+        second copy's weights halved, its component's integer weights are
+        still the first's, so it is tabulated once too (twice when the key
+        held the weights as fractions), and keeps the same edges."""
         calls = count_solve_dp(monkeypatch)
         one = gen_instance(GenParams(n=12, seed=3))
         m = one.graph.edge_count
@@ -804,6 +807,12 @@ class TestSolveComponents:
         assert len(calls) == 1
         assert double.kept_weight == 2 * single.kept_weight
         assert double.kept_edges == single.kept_edges | {e + m for e in single.kept_edges}
+        calls.clear()
+        halved = Instance(two.graph, one.weights + tuple(w / 2 for w in one.weights))
+        scaled = solve_subexponential(halved)
+        assert len(calls) == 1
+        assert scaled.kept_weight == Fraction(3, 2) * single.kept_weight
+        assert scaled.kept_edges == double.kept_edges
 
     def test_stars_are_solved_in_place(self, monkeypatch):
         """The 12 star components of a planted normal form cost no
